@@ -5,19 +5,21 @@
 Run from the root of a checkout.  The run
 
 1. runs ``nilco fixtures --check`` on the bundled corpus and stops if it fails;
-2. writes the workload's problem files, drawn from the seed, under
-   ``bench/_work/`` with the expected answer of every operation;
-3. with ``--trace 0``, times fresh interpreters importing ``nilco.cli``
-   (``setup_s``), then runs the closed loop in a fresh interpreter for about
-   S seconds, the first pass checking every answer, and reports the
-   end-to-end metrics;
-4. with ``--trace 1``, runs one checking pass, untraced and traced passes
-   alternated twice and one tracemalloc pass instead, and reports the
-   per-layer metrics.
+2. with ``--trace 0``, times the import of ``nilco.cli`` in fresh
+   interpreters (``setup_s``), then runs the closed loop in a fresh
+   interpreter for about S seconds and reports the end-to-end metrics;
+3. with ``--trace 1``, runs untraced and traced passes alternated twice and
+   one tracemalloc pass instead, and reports the per-layer metrics.
+
+Pass k of seed N runs the problems drawn from ``N:k``; this script writes
+them under ``bench/_work/``, with the expected answer of every operation,
+whenever the worker asks for its next pass.  Times are in reference seconds
+(see speed.py).
 
 The last line of standard output is the result object.  The line before it
-holds the digests of all report bytes (and, traced, of the per-layer call
-counts); two runs with the same seed must print the same digests.
+holds the raw wall times, the sample count and the digests of all report
+bytes (and, traced, of the per-layer call counts); two runs with the same
+seed must print the same digests.
 """
 
 import argparse
@@ -27,6 +29,7 @@ import shutil
 import statistics
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -36,8 +39,9 @@ SRC = ROOT / "src"
 
 sys.path.insert(0, str(BENCH))
 import gen  # noqa: E402
+import speed  # noqa: E402
 
-SETUP_REPEATS = 15
+SETUP_REPEATS = 41
 DEADLINE_S = 170  # the whole run must end within 180 s
 
 
@@ -59,9 +63,11 @@ def smoke(env):
 
 
 def write_problems(workload, seed, workdir):
-    ops = gen.generate(workload, seed)
+    """Writes the problem files of one pass and their manifest; returns the
+    manifest's path."""
+    workdir.mkdir(parents=True)
     manifest = []
-    for op in ops:
+    for op in gen.generate(workload, seed):
         entry = {k: v for k, v in op.items() if k != "doc"}
         if "doc" in op:
             path = workdir / f"{op['name']}.json"
@@ -75,18 +81,42 @@ def write_problems(workload, seed, workdir):
 
 
 def setup_seconds(env):
-    """Median time from spawning a fresh interpreter to `nilco.cli` imported.
+    """Median time a fresh interpreter takes to import `nilco.cli`, in
+    reference seconds: each import is scaled by speed chunks the same
+    interpreter runs right after it.
 
-    perf_counter is CLOCK_MONOTONIC on Linux, shared by parent and child.
+    Timed from the interpreter's first statement, so the start of Python
+    itself (exec, `site`), which nilco cannot change, is left out.
     """
-    code = "import time, nilco.cli; print(repr(time.perf_counter()))"
+    code = ("import time; start = time.perf_counter(); import nilco.cli; "
+            "end = time.perf_counter(); import statistics, sys; "
+            f"sys.path.insert(0, {str(BENCH)!r}); import speed; "
+            "print(repr(end - start), repr(statistics.median(speed.chunk() for _ in range(7))))")
     samples = []
     for _ in range(SETUP_REPEATS):
-        start = time.perf_counter()
         out = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
                              capture_output=True, text=True, timeout=60, check=True).stdout
-        samples.append(float(out) - start)
+        wall, chunk = map(float, out.split())
+        samples.append(wall * speed.REF_S / chunk)
     return statistics.median(samples)
+
+
+def serve(proc, workload, seed, workdir):
+    """Answers the worker's requests for its next pass until it exits;
+    returns the last line it printed."""
+    passes = 0
+    last = ""
+    for line in proc.stdout:
+        if line.strip() != "NEXT":
+            last = line
+            continue
+        shutil.rmtree(workdir / str(passes - 1), ignore_errors=True)
+        manifest = write_problems(workload, f"{seed}:{passes}", workdir / str(passes))
+        proc.stdin.write(f"{manifest}\n")
+        proc.stdin.flush()
+        passes += 1
+    proc.wait()
+    return last
 
 
 def main():
@@ -109,32 +139,32 @@ def main():
     workdir = BENCH / "_work" / f"{args.workload}-{args.seed}-{args.trace}"
     shutil.rmtree(workdir, ignore_errors=True)
     workdir.mkdir(parents=True)
-    manifest = write_problems(args.workload, args.seed, workdir)
-
     setup = None if args.trace else setup_seconds(env)
 
-    cmd = [sys.executable, str(BENCH / "worker.py"), "--manifest", str(manifest),
-           "--seconds", str(args.seconds), "--trace", str(args.trace),
-           "--spans", str(workdir / "spans.tsv")]
+    cmd = [sys.executable, str(BENCH / "worker.py"), "--seconds", str(args.seconds),
+           "--trace", str(args.trace), "--spans", str(workdir / "spans.tsv")]
+    proc = subprocess.Popen(cmd, cwd=ROOT, env=env, stdin=subprocess.PIPE,
+                            stdout=subprocess.PIPE, text=True)
     remaining = DEADLINE_S - (time.perf_counter() - started)
+    timer = threading.Timer(remaining, proc.kill)
+    timer.start()
     try:
-        proc = subprocess.run(cmd, cwd=ROOT, env=env, stdout=subprocess.PIPE, text=True,
-                              timeout=remaining)
-    except subprocess.TimeoutExpired:
-        print("error: workload did not finish in time", file=sys.stderr)
-        return 4
+        last = serve(proc, args.workload, args.seed, workdir)
+    finally:
+        timer.cancel()
+        proc.kill()
+        proc.wait()
     if proc.returncode != 0:
-        print(f"error: worker exited with {proc.returncode}", file=sys.stderr)
-        return 5
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
+        print(f"error: worker exited with {proc.returncode}"
+              f"{' (out of time)' if proc.returncode == -9 else ''}", file=sys.stderr)
+        return 4
+    result = json.loads(last)
 
     metrics = result["metrics"]
     if setup is not None:
         metrics = {"setup_s": {"value": setup, "unit": "s"}, **metrics}
-    digests = {k: result[k] for k in ("reports_sha256", "calls_sha256") if k in result}
-    info = {"workload": args.workload, "seed": args.seed, **digests}
-    info.update({k: result[k] for k in ("samples", "passes", "worker_s") if k in result})
-    info["run_s"] = time.perf_counter() - started
+    info = {"workload": args.workload, "seed": args.seed, **result["info"],
+            "run_s": time.perf_counter() - started}
     print(json.dumps(info))
     print(json.dumps({
         "correct": result["failed"] == 0,

@@ -6,9 +6,10 @@ operation goes through ``nilco.cli.main`` exactly as ``nilco --output json
 <command> <file>`` would, except the cokernel_oracle cross-checks, which call
 the library function on the difference matrix of a torus problem.
 
-The first pass checks every answer against the manifest, outside the timed
-region, and records the digest of each output; later passes compare their
-output bytes with those digests.  Prints one JSON object as its last line.
+Each pass runs a fresh set of problems, so no two passes see the same
+inputs: the worker prints ``NEXT`` and reads from standard input the path of
+the manifest run.py has written for it.  Every answer is checked against the
+manifest, outside the timed region.  Prints one JSON object as its last line.
 """
 
 import argparse
@@ -26,14 +27,17 @@ import nilco.cli
 import nilco.oracle
 from nilco.intmat import IntMatrix
 
+import speed
 from tracer import Tracer
 
-MIN_OPS = 100  # operations per pass, so that at least ten lie beyond p90
-MIN_PASSES = 3
+MIN_PASSES = 3  # of about 100 operations each, so that many lie beyond p90
+TRACED_PASSES = 2  # untraced and traced passes, alternated, for the overhead
 
 
-def load_ops(manifest_path):
-    with open(manifest_path, encoding="utf-8") as fh:
+def next_ops():
+    """The operations of the next pass, from a manifest run.py writes."""
+    print("NEXT", flush=True)
+    with open(sys.stdin.readline().strip(), encoding="utf-8") as fh:
         manifest = json.load(fh)
     ops = []
     for op in manifest["ops"]:
@@ -83,117 +87,101 @@ def guarded(op):
         return None, ""
 
 
-def digest(text):
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
 class Loop:
-    """Pass bookkeeping: failures, per-operation digests and timings."""
+    """Every operation run so far: failures, wall times and the speed
+    reference chunk run right after each."""
 
-    def __init__(self, ops):
-        self.ops = ops
+    def __init__(self):
         self.attempted = 0
         self.failed = 0
-        self.digests = None
+        self.wall = []
+        self.chunks = []
         self.reports = hashlib.sha256()
 
-    def verify_pass(self):
-        """First pass: checks every answer in full; returns the per-operation
-        wall times, which leave out the checking."""
-        digests = []
-        times = []
+    def run_pass(self, ops, run=guarded):
+        """Runs and checks every operation of one pass; returns the indices
+        of its operations in `wall`."""
+        first = len(self.wall)
         clock = time.perf_counter
-        for op in self.ops:
-            start = clock()
-            code, text = guarded(op)
-            times.append(clock() - start)
-            problems = check(op, code, text) if code is not None else ["exception"]
-            self._count(op, problems)
-            digests.append(digest(text))
-            self.reports.update(text.encode())
-        self.digests = digests
-        return times
-
-    def timed_pass(self, run=guarded):
-        """One pass; returns the per-operation wall times."""
-        times = []
-        clock = time.perf_counter
-        for op, expected in zip(self.ops, self.digests):
+        for op in ops:
             start = clock()
             code, text = run(op)
-            times.append(clock() - start)
-            problems = [] if code == 0 and digest(text) == expected else ["output differs"]
-            self._count(op, problems)
-        return times
+            self.wall.append(clock() - start)
+            self.chunks.append(speed.chunk())
+            problems = check(op, code, text) if code is not None else ["exception"]
+            self.attempted += 1
+            if problems:
+                self.failed += 1
+                print(f"FAIL {op['name']}: {'; '.join(problems)}", file=sys.stderr)
+            self.reports.update(text.encode())
+        return range(first, len(self.wall))
 
-    def _count(self, op, problems):
-        self.attempted += 1
-        if problems:
-            self.failed += 1
-            print(f"FAIL {op['name']}: {'; '.join(problems)}", file=sys.stderr)
+    def solve_s(self):
+        """Every operation's time in reference seconds (see speed.py)."""
+        return speed.scaled(self.wall, self.chunks)
 
 
 def end_to_end(loop, seconds):
-    """Passes for about `seconds` (at least MIN_PASSES of them), the checking
-    pass first.
+    """Passes for about `seconds`, at least MIN_PASSES of them.
 
-    A problem's solve time is the best of its passes.  On a shared machine a
-    core runs about 1.5x slower for stretches of half a second to minutes;
-    the best of many repeats spread over the run moves far less from run to
-    run than their median or mean.
+    Problem files are written between passes, outside the timed phase.
     """
     start = time.perf_counter()
-    best = loop.verify_pass()
-    passes = 1
+    passes = 0
     while True:
+        ops = next_ops()
         pass_start = time.perf_counter()
-        times = loop.timed_pass()
-        best = [min(a, b) for a, b in zip(best, times)]
+        loop.run_pass(ops)
         passes += 1
         now = time.perf_counter()
         # stop before a further pass would run past the deadline
         if passes >= MIN_PASSES and now - start + (now - pass_start) > seconds:
             break
     rss_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    return {
-        "solve_s.p50": {"value": statistics.median(best), "unit": "s"},
-        "solve_s.p90": {"value": statistics.quantiles(best, n=10, method="inclusive")[8],
-                        "unit": "s"},
-        "problems_per_s": {"value": len(best) / sum(best), "unit": "1/s"},
+    solve = loop.solve_s()
+    deciles = statistics.quantiles(solve, n=10, method="inclusive")
+    wall = statistics.quantiles(loop.wall, n=10, method="inclusive")
+    metrics = {
+        "solve_s.p50": {"value": deciles[4], "unit": "s"},
+        "solve_s.p90": {"value": deciles[8], "unit": "s"},
+        "problems_per_s": {"value": len(solve) / sum(solve), "unit": "1/s"},
         "peak_rss_mib": {"value": rss_kib / 1024, "unit": "MiB"},
         "ok_frac": {"value": (loop.attempted - loop.failed) / loop.attempted, "unit": "frac"},
-    }, passes
-
-
-def timed_wall(loop, tracer=None):
-    """Wall time of one pass, with `tracer` installed for it if given."""
-    if tracer is not None:
-        tracer.install()
-    try:
-        start = time.perf_counter()
-        loop.timed_pass()
-        return time.perf_counter() - start
-    finally:
-        if tracer is not None:
-            tracer.uninstall()
+    }
+    raw = {"wall_s.p50": wall[4], "wall_s.p90": wall[8],
+           "wall_problems_per_s": len(solve) / sum(loop.wall)}
+    return metrics, {"passes": passes, "samples": len(solve), **raw}
 
 
 def traced(loop, spans_path):
     """Per-layer metrics from one traced pass.
 
-    The tracing overhead compares the better of two untraced passes with the
-    better of two traced ones, alternated, so that a slow stretch of the
-    machine during one pass does not pass for overhead; only the first
-    traced pass is recorded.
+    Untraced and traced passes alternate, TRACED_PASSES of each, each on
+    fresh problems of the same schedule; the tracing overhead compares their
+    summed times in reference seconds.  Only the first traced pass's spans
+    are recorded.
     """
-    tracer = Tracer()
-    untraced = timed_wall(loop)
-    traced_wall = timed_wall(loop, tracer)
-    untraced = min(untraced, timed_wall(loop))
-    traced_wall = min(traced_wall, timed_wall(loop, Tracer()))
-    tracer.write(spans_path)
-    metrics = tracer.metrics()
-    metrics["trace.overhead_frac"] = {"value": traced_wall / untraced - 1, "unit": "frac"}
+    first = Tracer()
+    passes = {False: [], True: []}
+    for k in range(2 * TRACED_PASSES):
+        on = k % 2 == 1
+        tracer = first if k == 1 else Tracer()
+        ops = next_ops()
+        if on:
+            tracer.install()
+        try:
+            passes[on].append(loop.run_pass(ops))
+        finally:
+            if on:
+                tracer.uninstall()
+    first.write(spans_path)
+    metrics = first.metrics()
+    solve = loop.solve_s()
+
+    def summed(on):
+        return sum(solve[i] for indices in passes[on] for i in indices)
+
+    metrics["trace.overhead_frac"] = {"value": summed(True) / summed(False) - 1, "unit": "frac"}
 
     peaks = []
 
@@ -204,42 +192,38 @@ def traced(loop, spans_path):
         peaks.append((tracemalloc.get_traced_memory()[1] - base) / 2**20)
         return result
 
+    ops = next_ops()
     tracemalloc.start()
     try:
-        loop.timed_pass(run=measured)
+        loop.run_pass(ops, run=measured)
     finally:
         tracemalloc.stop()
     metrics["mem.alloc_peak_mib.p50"] = {"value": statistics.median(peaks), "unit": "MiB"}
     metrics["mem.alloc_peak_mib.max"] = {"value": max(peaks), "unit": "MiB"}
-    calls = json.dumps(sorted(tracer.calls().items()))
-    return metrics, hashlib.sha256(calls.encode()).hexdigest()
+    calls = json.dumps(sorted(first.calls().items()))
+    return metrics, {"calls_sha256": hashlib.sha256(calls.encode()).hexdigest()}
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--manifest", required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--trace", type=int, choices=(0, 1), required=True)
     parser.add_argument("--spans", help="where the traced run writes its spans")
     args = parser.parse_args()
 
-    ops = load_ops(args.manifest)
-    if len(ops) < MIN_OPS:
-        parser.error(f"a pass has {len(ops)} operations; p90 needs at least {MIN_OPS}")
-    loop = Loop(ops)
+    loop = Loop()
     started = time.perf_counter()
-    result = {}
     if args.trace:
-        loop.verify_pass()
-        result["metrics"], result["calls_sha256"] = traced(loop, args.spans)
+        metrics, info = traced(loop, args.spans)
     else:
-        result["metrics"], result["passes"] = end_to_end(loop, args.seconds)
-        result["samples"] = len(loop.ops)
-    result["reports_sha256"] = loop.reports.hexdigest()
-    result["worker_s"] = time.perf_counter() - started
-    result["attempted"] = loop.attempted
-    result["failed"] = loop.failed
-    print(json.dumps(result))
+        metrics, info = end_to_end(loop, args.seconds)
+    print(json.dumps({
+        "metrics": metrics,
+        "info": {"reports_sha256": loop.reports.hexdigest(), **info,
+                 "worker_s": time.perf_counter() - started},
+        "attempted": loop.attempted,
+        "failed": loop.failed,
+    }))
 
 
 if __name__ == "__main__":

@@ -1,8 +1,11 @@
 """Batch front door.
 
 Subcommands: compute, oracle, validate, fixtures.  Exit codes:
-0 ok, 2 parse error, 3 schema/shape error, 4 unsupported class,
-5 bound exceeded, 6 fixture/expected mismatch.
+0 ok, 1 any other NilcoError (such as `oracle` on an infinite count with no
+--modulus), 2 parse error (unreadable file, invalid JSON, or an element cap
+from NILCO_MAX_ORDER or --max-order that is not an integer >= 1),
+3 schema/shape error, 4 unsupported class, 5 bound exceeded,
+6 fixture/expected mismatch.
 """
 
 import argparse
@@ -14,11 +17,11 @@ from .errors import (
     BoundExceededError,
     HomomorphismError,
     NilcoError,
+    ParseError,
     ShapeError,
     UnsupportedClassError,
 )
 from .problems import (
-    ParseError,
     SchemaError,
     canonical_json,
     check_expected,
@@ -32,6 +35,7 @@ from .problems import (
 from .reidemeister import INFINITE
 
 EXIT_OK = 0
+EXIT_ERROR = 1
 EXIT_PARSE = 2
 EXIT_SCHEMA = 3
 EXIT_UNSUPPORTED = 4
@@ -48,7 +52,7 @@ def _exit_code_for(exc):
         return EXIT_UNSUPPORTED
     if isinstance(exc, BoundExceededError):
         return EXIT_BOUND
-    return 1
+    return EXIT_ERROR
 
 
 def _render_human(doc, out):

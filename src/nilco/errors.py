@@ -1,11 +1,16 @@
 """Exception taxonomy shared across the package.
 
-Each exception maps to a distinct CLI exit code (see cli.EXIT_CODES).
+Each exception maps to a distinct CLI exit code (see the cli module docstring).
 """
 
 
 class NilcoError(Exception):
     """Base class for all package errors."""
+
+
+class ParseError(NilcoError):
+    """Input unreadable: a file that is not valid JSON, or an element cap
+    that is not a positive integer (exit code 2)."""
 
 
 class ShapeError(NilcoError):

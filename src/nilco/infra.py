@@ -3,7 +3,7 @@
 The pair is lifted to the cover; an infinite cover count settles the
 question outright, and a finite one is refined by merging cover-level
 classes under the holonomy coset moves u -> g(x) * u * f(x)^{-1} with
-union-find on canonical labels.
+the oracle's list-based union-find on canonical label indices.
 """
 
 from dataclasses import dataclass
@@ -12,7 +12,7 @@ from math import ceil
 from .errors import NilcoError, ShapeError, UnsupportedClassError
 from .intmat import determinant
 from .lattice import NilpotentLattice
-from .oracle import UnionFind
+from .oracle import union_roots
 from .reidemeister import (
     EQ_THM,
     FINITE,
@@ -155,20 +155,18 @@ def decide_infra(infra, phi, psi, reps_limit=100000):
         )
     labels = list(cover_result.reps)
     index = {lab.coordinates: i for i, lab in enumerate(labels)}
-    uf = UnionFind(range(len(labels)))
     target = phi.target
-    for f_img, g_img in infra.map_images:
+
+    def moved_indices(f_img, g_img):
         g_elem = target.element(g_img.coordinates)
         f_inv = target.inverse(target.element(f_img.coordinates))
-        for i, lab in enumerate(labels):
-            moved = target.multiply(target.multiply(g_elem, lab), f_inv)
-            moved_label, _ = engine.label(moved)
-            uf.union(i, index[moved_label.coordinates])
-    merged = len({uf.find(i) for i in range(len(labels))})
+        moved = (target.multiply(target.multiply(g_elem, lab), f_inv) for lab in labels)
+        return [index[engine.label(u)[0].coordinates] for u in moved]
 
-    rep_elements = tuple(
-        labels[root] for root in sorted({uf.find(i) for i in range(len(labels))})
-    )
+    roots = union_roots(len(labels), (moved_indices(f, g) for f, g in infra.map_images))
+    rep_elements = tuple(lab for i, lab in enumerate(labels) if roots[i] == i)
+    merged = len(rep_elements)
+
     report = CoincidenceReport(
         R=ReidemeisterResult(
             status=FINITE,

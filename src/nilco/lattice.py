@@ -15,9 +15,14 @@ which keeps every coordinate integral (Heisenberg-style normal form).
 """
 
 from dataclasses import dataclass, field
-from itertools import product as iproduct
 
-from .errors import HomomorphismError, NilcoError, ShapeError, UnsupportedClassError
+from .errors import (
+    BoundExceededError,
+    HomomorphismError,
+    NilcoError,
+    ShapeError,
+    UnsupportedClassError,
+)
 from .intmat import IntMatrix
 from .oracle import FiniteGroupTable
 
@@ -173,44 +178,14 @@ class NilpotentLattice:
     # -- finite quotients ---------------------------------------------
 
     def reduce_mod(self, m, max_order=None):
-        """Finite quotient with all coordinates mod m; class <= 2 only."""
+        """Integer-coded finite quotient with all coordinates mod m; class <= 2 only."""
         self._require_elements()
         if m < 2:
             raise NilcoError("modulus must be >= 2")
         order = m**self.total_rank
         if max_order is not None and order > max_order:
-            from .errors import BoundExceededError
-
             raise BoundExceededError(f"quotient order {order} exceeds cap {max_order}")
-
-        ranks = self.ranks
-        elements = [
-            tuple(tuple(level) for level in self._split(flat))
-            for flat in iproduct(range(m), repeat=self.total_rank)
-        ]
-
-        def project(e):
-            coords = e.coordinates if isinstance(e, LatticeElement) else e
-            return tuple(tuple(x % m for x in level) for level in coords)
-
-        def product(x, y):
-            u = self.element(x)
-            v = self.element(y)
-            return project(self.multiply(u, v))
-
-        def inverse(x):
-            return project(self.inverse(self.element(x)))
-
-        identity = project(self.identity())
-        return FiniteGroupTable(elements, product, identity, inverse=inverse, project=project)
-
-    def _split(self, flat):
-        out = []
-        pos = 0
-        for r in self.ranks:
-            out.append(tuple(flat[pos : pos + r]))
-            pos += r
-        return out
+        return FiniteGroupTable(m, self.ranks, tuple(B.data for B in self.brackets))
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,14 @@
 """Brute-force verification on finite quotients.
 
-Exhaustive twisted-conjugacy orbit enumeration over explicit finite group
-tables, used as an independent check on every finite count the exact
-machinery produces.
+Exhaustive twisted-conjugacy orbit enumeration over integer-coded finite
+quotients of class <= 2 lattices, used as an independent check on every
+finite count the exact machinery produces.
 """
 
 import os
 from itertools import product as iproduct
 
-from .errors import BoundExceededError, NilcoError, ShapeError
+from .errors import BoundExceededError, NilcoError, ParseError, ShapeError
 from .intmat import determinant
 
 DEFAULT_MAX_ORDER = 10**6
@@ -16,124 +16,176 @@ DEFAULT_DET_BOUND = 10**4
 
 
 def max_order_cap(override=None):
-    """Element cap for exhaustive enumeration; NILCO_MAX_ORDER overrides."""
-    if override is not None:
-        return int(override)
-    env = os.environ.get("NILCO_MAX_ORDER")
-    return int(env) if env else DEFAULT_MAX_ORDER
+    """Element cap for exhaustive enumeration: the override, else
+    NILCO_MAX_ORDER, else DEFAULT_MAX_ORDER.  A cap that is not an integer
+    >= 1 raises ParseError."""
+    raw, source = override, "max_order"
+    if raw is None:
+        raw, source = os.environ.get("NILCO_MAX_ORDER") or DEFAULT_MAX_ORDER, "NILCO_MAX_ORDER"
+    try:
+        cap = int(raw)
+    except (TypeError, ValueError):
+        cap = 0
+    if cap < 1:
+        raise ParseError(f"{source} must be an integer >= 1, got {raw!r}")
+    return cap
 
 
-class UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-        self.rank = {x: 0 for x in items}
+def union_roots(size, image_lists):
+    """Least member of each index's block once every u in range(size) is
+    joined with images[u], for each list in image_lists: one list-based
+    union-find.  Roots only ever point to smaller indices, so one ascending
+    pass resolves every index to its root."""
+    parent = list(range(size))
+    for images in image_lists:
+        for u, v in enumerate(images):
+            while parent[u] != u:
+                parent[u] = parent[parent[u]]
+                u = parent[u]
+            while parent[v] != v:
+                parent[v] = parent[parent[v]]
+                v = parent[v]
+            if u < v:
+                parent[v] = u
+            elif v < u:
+                parent[u] = v
+    for u in range(size):
+        parent[u] = parent[parent[u]]
+    return parent
 
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
 
-    def union(self, x, y):
-        x, y = self.find(x), self.find(y)
-        if x == y:
-            return
-        if self.rank[x] < self.rank[y]:
-            x, y = y, x
-        elif self.rank[x] == self.rank[y]:
-            self.rank[x] += 1
-        self.parent[y] = x
-
-    def blocks(self):
-        out = {}
-        for x in self.parent:
-            out.setdefault(self.find(x), []).append(x)
-        return out
+def _translation_images(m, vector):
+    """Index images of z -> z + vector on (Z/m)^len(vector)."""
+    images = [0]
+    for t in vector:
+        shifted = [(s + t) % m for s in range(m)]
+        images = [i * m + s for i in images for s in shifted]
+    return images
 
 
 class FiniteGroupTable:
-    """A finite group given by an element list and an on-the-fly product rule."""
+    """A class <= 2 lattice with every coordinate taken mod m.
 
-    def __init__(self, elements, product, identity, inverse=None, project=None):
-        self.elements = tuple(elements)
-        self.order = len(self.elements)
-        self.product = product
-        self.identity = identity
-        self._inverse = inverse
-        self.project = project
-        self._index = {e: i for i, e in enumerate(self.elements)}
-        if identity not in self._index:
-            raise NilcoError("identity element missing from element list")
+    Element i is the coordinate vector (level 1, then level 2) mod m read as
+    a base-m numeral, first coordinate most significant: the order of
+    itertools.product(range(m), repeat=total rank).  The product is the
+    lattice rule (a, c) * (a', c') = (a + a', c + c' + B(a, a')), where
+    brackets holds one r1 x r1 integer matrix (row lists) per level-2
+    coordinate.  Nothing is enumerated until an orbit count asks for it.
+    """
 
-    def __contains__(self, e):
-        return e in self._index
+    identity = 0
 
-    def inverse(self, e):
-        if self._inverse is not None:
-            return self._inverse(e)
-        for x in self.elements:
-            if self.product(e, x) == self.identity:
-                return x
-        raise NilcoError(f"no inverse found for {e!r}")
+    def __init__(self, modulus, ranks, brackets=()):
+        if modulus < 1:
+            raise NilcoError("modulus must be >= 1")
+        self.modulus = modulus
+        self.ranks = tuple(ranks)
+        self.brackets = tuple(brackets)
+        self.order = modulus ** sum(self.ranks)
 
-    def check_group_axioms(self, full_triples=2_000_000, sample=2000, rng=None):
-        """Identity/inverse always; associativity exhaustive while the triple
-        count stays below full_triples, sampled above."""
-        for e in self.elements:
-            if self.product(e, self.identity) != e or self.product(self.identity, e) != e:
-                raise NilcoError(f"identity axiom fails at {e!r}")
-            self.inverse(e)
-        if self.order**3 <= full_triples:
-            triples = iproduct(self.elements, repeat=3)
-        else:
-            import random
+    def __contains__(self, i):
+        return isinstance(i, int) and 0 <= i < self.order
 
-            rng = rng or random.Random(0)
-            triples = (
-                tuple(rng.choice(self.elements) for _ in range(3)) for _ in range(sample)
+    def project(self, e):
+        """Index of a lattice element, or of per-level coordinates, mod m."""
+        coords = getattr(e, "coordinates", e)
+        if tuple(len(level) for level in coords) != self.ranks:
+            raise ShapeError(f"{coords!r} does not match ranks {self.ranks!r}")
+        return self._join(*coords)
+
+    def _join(self, a, c=()):
+        m = self.modulus
+        i = 0
+        for x in (*a, *c):
+            i = i * m + x % m
+        return i
+
+    def _split(self, i):
+        """(level-1, level-2) digit vectors of i; level 2 is () for class 1."""
+        m = self.modulus
+        digits = []
+        for _ in range(sum(self.ranks)):
+            i, d = divmod(i, m)
+            digits.append(d)
+        digits.reverse()
+        r1 = self.ranks[0]
+        return tuple(digits[:r1]), tuple(digits[r1:])
+
+    def _cocycle(self, a, b):
+        """B(a, b), one entry per bracket matrix (empty for class 1)."""
+        return tuple(
+            sum(a[i] * row[j] * b[j] for i, row in enumerate(B) for j in range(len(b)))
+            for B in self.brackets
+        )
+
+    def product(self, x, y):
+        (a, c), (b, d) = self._split(x), self._split(y)
+        top = tuple(p + q for p, q in zip(a, b))
+        return self._join(top, tuple(p + q + s for p, q, s in zip(c, d, self._cocycle(a, b))))
+
+    def inverse(self, x):
+        a, c = self._split(x)
+        top = tuple(-p for p in a)
+        return self._join(top, tuple(s - p for p, s in zip(c, self._cocycle(a, a))))
+
+    def twisted_images(self, a, b):
+        """Images of every element under u -> b * u * a^{-1}, in closed form.
+
+        Level 1 moves by the translation b1 - a1; over each level-1 vector x
+        level 2 moves by B(b1, x) - B(x, a1) + (b2 - a2 + B(a1, a1) - B(b1, a1)).
+        """
+        m = self.modulus
+        (a1, a2), (b1, b2) = self._split(a), self._split(b)
+        level1 = _translation_images(m, [q - p for p, q in zip(a1, b1)])
+        if len(self.ranks) == 1:
+            return level1
+        const = [
+            q - p + s - t
+            for p, q, s, t in zip(a2, b2, self._cocycle(a1, a1), self._cocycle(b1, a1))
+        ]
+        r1 = len(a1)
+        slopes = [
+            [sum(b1[i] * B[i][j] - B[j][i] * a1[i] for i in range(r1)) for j in range(r1)]
+            for B in self.brackets
+        ]
+        span = m ** self.ranks[1]
+        fibers = {}
+        images = []
+        for image, x in zip(level1, iproduct(range(m), repeat=r1)):
+            shift = tuple(
+                (c + sum(s * xj for s, xj in zip(row, x))) % m for c, row in zip(const, slopes)
             )
-        for a, b, c in triples:
-            if self.product(self.product(a, b), c) != self.product(a, self.product(b, c)):
-                raise NilcoError(f"associativity fails at {(a, b, c)!r}")
+            fiber = fibers.get(shift)
+            if fiber is None:
+                fiber = fibers[shift] = _translation_images(m, shift)
+            base = image * span
+            images += [base + z for z in fiber]
+        return images
 
 
 def translation_group(modulus, dim):
-    """(Z/m)^dim with componentwise addition."""
-    if modulus < 1:
-        raise NilcoError("modulus must be >= 1")
-    elements = [tuple(v) for v in iproduct(range(modulus), repeat=dim)]
-
-    def product(a, b):
-        return tuple((x + y) % modulus for x, y in zip(a, b))
-
-    def inverse(a):
-        return tuple((-x) % modulus for x in a)
-
-    return FiniteGroupTable(elements, product, (0,) * dim, inverse=inverse)
+    """(Z/m)^dim with componentwise addition: the rank-dim torus quotient."""
+    return FiniteGroupTable(modulus, (dim,))
 
 
 def twisted_orbits_finite(G, movers):
     """Orbit partition of G under u -> b_j * u * a_j^{-1} for movers (a_j, b_j).
 
-    Returns (count, partition) where partition is a list of element lists
-    in deterministic order.
+    Movers are element indices of G.  Returns (count, partition), where the
+    partition lists each orbit as ascending indices, ordered by least element.
     """
     for a, b in movers:
         if a not in G or b not in G:
             raise NilcoError(f"mover {(a, b)!r} contains foreign elements")
-    uf = UnionFind(G.elements)
-    inv = {a: G.inverse(a) for a, _ in movers}
-    for a, b in movers:
-        ai = inv[a]
-        for u in G.elements:
-            uf.union(u, G.product(G.product(b, u), ai))
-    blocks = uf.blocks()
-    index = {e: i for i, e in enumerate(G.elements)}
-    partition = [sorted(block, key=index.__getitem__) for block in blocks.values()]
-    partition.sort(key=lambda blk: index[blk[0]])
-    return len(partition), partition
+    roots = union_roots(G.order, (G.twisted_images(a, b) for a, b in movers))
+    blocks = {}
+    for u, root in enumerate(roots):
+        if root == u:
+            blocks[u] = [u]
+        else:
+            blocks[root].append(u)
+    return len(blocks), list(blocks.values())
 
 
 def cokernel_oracle(A, det_bound=DEFAULT_DET_BOUND, max_order=None):
@@ -157,6 +209,6 @@ def cokernel_oracle(A, det_bound=DEFAULT_DET_BOUND, max_order=None):
     if m**n > cap:
         raise BoundExceededError(f"enumeration size {m ** n} exceeds cap {cap}")
     G = translation_group(m, n)
-    movers = [((0,) * n, tuple(x % m for x in A.column(j))) for j in range(n)]
+    movers = [(G.identity, G.project((A.column(j),))) for j in range(n)]
     count, _ = twisted_orbits_finite(G, movers)
     return count

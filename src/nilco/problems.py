@@ -9,7 +9,7 @@ import json
 from dataclasses import dataclass
 from math import prod
 
-from .errors import NilcoError
+from .errors import NilcoError, ParseError
 from .infra import CosetAction, InfraStructure, decide_infra, require_valid_infra
 from .intmat import IntMatrix
 from .lattice import LatticeHomomorphism, NilpotentLattice, require_valid_hom
@@ -22,10 +22,6 @@ from .reidemeister import (
 )
 
 KINDS = ("TORUS", "NILMANIFOLD", "PAIRS", "INFRA")
-
-
-class ParseError(NilcoError):
-    """File unreadable or not valid JSON (exit code 2)."""
 
 
 class SchemaError(NilcoError):
@@ -428,12 +424,16 @@ def default_modulus(report):
 
 
 def problem_movers(problem):
-    """Mover pairs of the problem's twisted action, as target elements."""
+    """Mover pairs of the problem's twisted action, as target elements.  An
+    INFRA problem adds its holonomy pairs (f(x), g(x)) to the cover movers."""
     from .reidemeister import TwistedAction
 
     if problem.kind == "PAIRS":
         return TwistedAction.from_pairs(problem.system).movers
-    return TwistedAction.from_homs(problem.phi, problem.psi).movers
+    movers = TwistedAction.from_homs(problem.phi, problem.psi).movers
+    if problem.kind == "INFRA":
+        movers += problem.infra.map_images
+    return movers
 
 
 def oracle_orbit_count(problem, modulus, max_order=None):

@@ -1,6 +1,7 @@
 """Shared builders for the test suite."""
 
 import random
+from itertools import product as iproduct
 
 import pytest
 
@@ -15,6 +16,40 @@ def heisenberg():
 
 def torus(n):
     return NilpotentLattice(ranks=(n,))
+
+
+def heisenberg_squared():
+    """Rank-(4,2) product of two Heisenberg lattices, one commutator each."""
+    B1 = IntMatrix([[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
+    B2 = IntMatrix([[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]])
+    return NilpotentLattice(ranks=(4, 2), brackets=(B1, B2))
+
+
+def free_class2(n=3):
+    """Free class-2 lattice on n generators: one central coordinate per pair."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return NilpotentLattice(
+        ranks=(n, len(pairs)),
+        brackets=tuple(
+            IntMatrix([[int((r, c) == p) for c in range(n)] for r in range(n)]) for p in pairs
+        ),
+    )
+
+
+def check_group_axioms(G, full_triples=2_000_000, sample=2000, rng=None):
+    """Identity and inverse on every element of a finite table; associativity
+    exhaustive while the triple count stays below full_triples, sampled above."""
+    elements = range(G.order)
+    for e in elements:
+        assert G.product(e, G.identity) == e == G.product(G.identity, e)
+        assert G.product(e, G.inverse(e)) == G.identity == G.product(G.inverse(e), e)
+    if G.order**3 <= full_triples:
+        triples = iproduct(elements, repeat=3)
+    else:
+        rng = rng or random.Random(0)
+        triples = (tuple(rng.choice(elements) for _ in range(3)) for _ in range(sample))
+    for a, b, c in triples:
+        assert G.product(G.product(a, b), c) == G.product(a, G.product(b, c)), (a, b, c)
 
 
 def random_matrix(rng, rows, cols, lo=-5, hi=5):

@@ -7,6 +7,7 @@ import pytest
 
 from nilco.cli import (
     EXIT_BOUND,
+    EXIT_ERROR,
     EXIT_MISMATCH,
     EXIT_OK,
     EXIT_PARSE,
@@ -137,6 +138,23 @@ class TestExitCodes:
         code, _ = run(["oracle", path])
         assert code == EXIT_BOUND
 
+    @pytest.mark.parametrize("value", ["abc", "0"])
+    def test_malformed_env_cap_is_a_parse_error(self, tmp_path, monkeypatch, value):
+        monkeypatch.setenv("NILCO_MAX_ORDER", value)
+        path = write_problem(tmp_path, HEISENBERG_DOC)
+        code, _ = run(["oracle", path])
+        assert code == EXIT_PARSE
+
+    def test_max_order_flag_below_one_is_a_parse_error(self, tmp_path):
+        path = write_problem(tmp_path, HEISENBERG_DOC)
+        code, _ = run(["oracle", path, "--max-order", "0"])
+        assert code == EXIT_PARSE
+
+    def test_other_errors_exit_one(self):
+        path = str(bundled_fixture_dir() / "identical_torus_maps.json")
+        code, _ = run(["oracle", path])  # infinite count: no default modulus
+        assert code == EXIT_ERROR
+
     def test_expected_mismatch(self, tmp_path):
         doc = dict(HEISENBERG_DOC)
         doc["expected"] = {"R": 17}
@@ -157,6 +175,13 @@ class TestOracle:
         code, text = run(["--output", "json", "oracle", path, "--modulus", "4"])
         assert code == EXIT_OK
         assert json.loads(text)["orbit_count"] == 16
+
+    @pytest.mark.parametrize("modulus", ["2", "4", "6"])
+    def test_infra_oracle_counts_holonomy_moves(self, modulus):
+        path = str(bundled_fixture_dir() / "klein_bottle_to_circle.json")
+        code, text = run(["--output", "json", "oracle", path, "--modulus", modulus])
+        assert code == EXIT_OK
+        assert json.loads(text)["orbit_count"] == 2  # the exact R, not the cover's 4
 
 
 class TestValidateAndFixtures:

@@ -15,7 +15,7 @@ from nilco.infra import (
 )
 from nilco.intmat import IntMatrix
 from nilco.lattice import LatticeHomomorphism, NilpotentLattice
-from nilco.oracle import UnionFind, translation_group
+from nilco.oracle import translation_group, twisted_orbits_finite
 from nilco.reidemeister import EQ_THM, FINITE, INFINITE, INFTY_THM, NO, YES
 
 
@@ -51,11 +51,12 @@ def brute_force_klein_count(f_deg, g_deg):
     coset_diff = abs(g_deg - f_deg) // 2
     modulus = max(2 * diff, 2)
     G = translation_group(modulus, 1)
-    uf = UnionFind(G.elements)
-    for (u,) in G.elements:
-        uf.union((u,), ((u + diff) % modulus,))  # lattice generator move
-        uf.union((u,), ((u + coset_diff) % modulus,))  # holonomy coset move
-    return len({uf.find(e) for e in G.elements})
+    movers = [
+        (G.identity, G.project(((diff,),))),  # lattice generator move
+        (G.identity, G.project(((coset_diff,),))),  # holonomy coset move
+    ]
+    count, _ = twisted_orbits_finite(G, movers)
+    return count
 
 
 class TestValidation:

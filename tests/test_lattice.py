@@ -2,7 +2,8 @@
 
 import pytest
 
-from conftest import heisenberg, random_element, random_matrix, torus
+import nilco.lattice as lattice_module
+from conftest import check_group_axioms, heisenberg, random_element, random_matrix, torus
 from nilco.errors import (
     BoundExceededError,
     HomomorphismError,
@@ -100,7 +101,7 @@ class TestFiniteQuotients:
     def test_heisenberg_mod2_is_a_group_of_order_8(self):
         table = heisenberg().reduce_mod(2)
         assert table.order == 8
-        table.check_group_axioms()
+        check_group_axioms(table)
 
     def test_quotient_respects_projection(self, rng):
         h = heisenberg()
@@ -115,6 +116,14 @@ class TestFiniteQuotients:
     def test_order_cap(self):
         with pytest.raises(BoundExceededError):
             heisenberg().reduce_mod(10, max_order=100)
+
+    def test_order_cap_is_checked_before_any_table_is_built(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("quotient built past the cap")
+
+        monkeypatch.setattr(lattice_module, "FiniteGroupTable", refuse)
+        with pytest.raises(BoundExceededError):
+            heisenberg().reduce_mod(10**9, max_order=10**6)
 
 
 class TestHomValidation:

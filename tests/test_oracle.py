@@ -2,8 +2,16 @@
 
 import pytest
 
-from conftest import random_matrix
-from nilco.errors import BoundExceededError, NilcoError
+from conftest import (
+    check_group_axioms,
+    free_class2,
+    heisenberg,
+    heisenberg_squared,
+    random_element,
+    random_matrix,
+    torus,
+)
+from nilco.errors import BoundExceededError, NilcoError, ParseError
 from nilco.intmat import IntMatrix, cokernel, determinant
 from nilco.oracle import (
     DEFAULT_MAX_ORDER,
@@ -18,19 +26,29 @@ class TestTranslationGroup:
     def test_axioms(self):
         G = translation_group(4, 2)
         assert G.order == 16
-        G.check_group_axioms()
+        check_group_axioms(G)
 
     def test_inverse(self):
         G = translation_group(5, 1)
-        assert G.product((3,), G.inverse((3,))) == (0,)
+        three = G.project(((3,),))
+        assert G.inverse(three) == G.project(((2,),)) == G.project(((-3,),))
+        assert G.product(three, G.inverse(three)) == G.identity
+
+    def test_index_order_is_the_coordinate_product_order(self):
+        G = translation_group(3, 2)
+        coords = [((x, y),) for x in range(3) for y in range(3)]
+        assert [G.project(c) for c in coords] == list(range(G.order))
+        H = heisenberg().reduce_mod(3)
+        coords = [((x, y), (z,)) for x in range(3) for y in range(3) for z in range(3)]
+        assert [H.project(c) for c in coords] == list(range(H.order))
 
 
 class TestTwistedOrbits:
     def test_translation_by_two_mod_four(self):
         G = translation_group(4, 1)
-        count, partition = twisted_orbits_finite(G, [(((2,)), ((0,)))])
+        count, partition = twisted_orbits_finite(G, [(2, 0)])
         assert count == 2
-        assert sorted(map(tuple, partition)) == [((0,), (2,)), ((1,), (3,))]
+        assert partition == [[0, 2], [1, 3]]
 
     def test_no_movers_is_discrete(self):
         G = translation_group(3, 1)
@@ -39,28 +57,71 @@ class TestTwistedOrbits:
 
     def test_partition_is_move_closed(self, rng):
         G = translation_group(6, 2)
-        movers = [
-            (tuple(rng.randrange(6) for _ in range(2)),
-             tuple(rng.randrange(6) for _ in range(2)))
-            for _ in range(3)
-        ]
+        movers = [(rng.randrange(G.order), rng.randrange(G.order)) for _ in range(3)]
         _, partition = twisted_orbits_finite(G, movers)
         block_of = {u: i for i, blk in enumerate(partition) for u in blk}
         for a, b in movers:
             ai = G.inverse(a)
-            for u in G.elements:
+            for u in range(G.order):
                 moved = G.product(G.product(b, u), ai)
                 assert block_of[moved] == block_of[u]
 
     def test_deterministic_partition(self):
         G = translation_group(5, 2)
-        movers = [((1, 2), (3, 4)), ((0, 1), (0, 3))]
+        movers = [(G.project(((1, 2),)), G.project(((3, 4),))),
+                  (G.project(((0, 1),)), G.project(((0, 3),)))]
         assert twisted_orbits_finite(G, movers) == twisted_orbits_finite(G, movers)
 
     def test_foreign_movers_rejected(self):
         G = translation_group(3, 1)
-        with pytest.raises(NilcoError):
-            twisted_orbits_finite(G, [((7,), (0,))])
+        for mover in ((7, 0), (0, -1), (((1,),), 0), (1.0, 0)):
+            with pytest.raises(NilcoError):
+                twisted_orbits_finite(G, [mover])
+
+    def test_foreign_movers_rejected_on_lattice_quotients(self):
+        table = heisenberg().reduce_mod(3)
+        for mover in ((27, 0), (0, -1), (((1, 0), (0,)), 0)):
+            with pytest.raises(NilcoError):
+                twisted_orbits_finite(table, [mover])
+
+
+CLOSED_FORM_LATTICES = {
+    "torus1": lambda: torus(1),
+    "torus2": lambda: torus(2),
+    "torus3": lambda: torus(3),
+    "heisenberg": heisenberg,
+    "heisenberg_squared": heisenberg_squared,
+    "free_class2": free_class2,
+}
+
+
+class TestClosedFormImages:
+    """Every index image of u -> b * u * a^{-1} equals the index the table's
+    product rule gives, so the orbit count stays an independent check."""
+
+    @pytest.mark.parametrize("name", sorted(CLOSED_FORM_LATTICES))
+    def test_images_match_product_rule(self, name, rng):
+        lattice = CLOSED_FORM_LATTICES[name]()
+        for m in (2, 3, 4, 5):
+            table = lattice.reduce_mod(m)
+            movers = [(rng.randrange(table.order), rng.randrange(table.order)) for _ in range(2)]
+            movers.append((rng.randrange(table.order), table.identity))
+            for a, b in movers:
+                ai = table.inverse(a)
+                expected = [table.product(table.product(b, u), ai) for u in range(table.order)]
+                assert table.twisted_images(a, b) == expected, (name, m, a, b)
+
+    @pytest.mark.parametrize("name", sorted(CLOSED_FORM_LATTICES))
+    def test_product_rule_matches_lattice_multiply(self, name, rng):
+        lattice = CLOSED_FORM_LATTICES[name]()
+        table = lattice.reduce_mod(4)
+        for _ in range(40):
+            u = random_element(rng, lattice, lo=-9, hi=9)
+            v = random_element(rng, lattice, lo=-9, hi=9)
+            assert table.product(table.project(u), table.project(v)) == table.project(
+                lattice.multiply(u, v)
+            )
+            assert table.inverse(table.project(u)) == table.project(lattice.inverse(u))
 
 
 class TestCokernelOracle:
@@ -96,6 +157,16 @@ class TestMaxOrderCap:
         monkeypatch.setenv("NILCO_MAX_ORDER", "500")
         assert max_order_cap() == 500
         assert max_order_cap(7) == 7  # explicit override beats the env
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5"])
+    def test_malformed_env_cap_is_a_parse_error(self, monkeypatch, value):
+        monkeypatch.setenv("NILCO_MAX_ORDER", value)
+        with pytest.raises(ParseError, match="NILCO_MAX_ORDER"):
+            max_order_cap()
+
+    def test_override_below_one_is_a_parse_error(self):
+        with pytest.raises(ParseError):
+            max_order_cap(0)
 
     def test_cap_enforced(self, monkeypatch):
         monkeypatch.setenv("NILCO_MAX_ORDER", "3")

@@ -8,7 +8,7 @@ from .errors import (
     ShapeError,
     UnsupportedClassError,
 )
-from .infra import CosetAction, InfraStructure, decide_infra, lift_pair, validate_infra
+from .infra import CosetAction, InfraStructure, decide_infra, infra_movers, validate_infra
 from .intmat import (
     CokernelStructure,
     IntMatrix,
@@ -44,10 +44,7 @@ from .reidemeister import (
     TwistedOrbitEngine,
     coincidence_invariants,
     coincidence_invariants_from_pairs,
-    decide_wecken,
-    difference_map,
     fiber_deviation_rank,
-    label_class,
 )
 
 __version__ = "0.1.0"

@@ -100,7 +100,7 @@ def cmd_oracle(args, out):
     modulus = args.modulus
     if modulus is None:
         report, _ = compute_report(problem)
-        modulus = default_modulus(report)
+        modulus = default_modulus(problem, report)
     count = oracle_orbit_count(problem, modulus, max_order=args.max_order)
     doc = {"kind": problem.kind, "modulus": modulus, "orbit_count": count}
     if problem.name is not None:
@@ -180,7 +180,9 @@ def build_parser():
     p = sub.add_parser("oracle", help="brute-force orbit count on a finite quotient")
     p.add_argument("file")
     p.add_argument("--modulus", type=int, default=None,
-                   help="quotient modulus (default: product of level counts)")
+                   help="quotient modulus (default: for a class-1 target the "
+                        "largest invariant factor of the level-1 difference matrix, "
+                        "for class 2 the product of the level counts; at least 2)")
     p.add_argument("--max-order", type=int, default=None,
                    help="element cap for enumeration (env NILCO_MAX_ORDER)")
     p.set_defaults(func=cmd_oracle)

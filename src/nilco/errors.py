@@ -1,7 +1,11 @@
-"""Exception taxonomy shared across the package.
+"""Exception taxonomy shared across the package, and the enumeration cap.
 
 Each exception maps to a distinct CLI exit code (see the cli module docstring).
 """
+
+import os
+
+DEFAULT_MAX_ORDER = 10**6
 
 
 class NilcoError(Exception):
@@ -35,3 +39,20 @@ class HomomorphismError(NilcoError):
 
 class InfiniteResultError(NilcoError):
     """A finite answer was requested but the Reidemeister number is infinite."""
+
+
+def max_order_cap(override=None):
+    """Element cap for exhaustive enumeration (quotient elements in the
+    oracle, level-1 classes in the orbit engine): the override, else
+    NILCO_MAX_ORDER, else DEFAULT_MAX_ORDER.  A cap that is not an integer
+    >= 1 raises ParseError."""
+    raw, source = override, "max_order"
+    if raw is None:
+        raw, source = os.environ.get("NILCO_MAX_ORDER") or DEFAULT_MAX_ORDER, "NILCO_MAX_ORDER"
+    try:
+        cap = int(raw)
+    except (TypeError, ValueError):
+        cap = 0
+    if cap < 1:
+        raise ParseError(f"{source} must be an integer >= 1, got {raw!r}")
+    return cap

@@ -1,18 +1,20 @@
 """Infra-nilmanifold domains via a regular finite nil-cover.
 
 The pair is lifted to the cover; an infinite cover count settles the
-question outright, and a finite one is refined by merging cover-level
-classes under the holonomy coset moves u -> g(x) * u * f(x)^{-1} with
-the oracle's list-based union-find on canonical label indices.
+question outright.  A finite one is refined by counting the infra group
+itself: it is generated by the cover generators and the coset
+representatives x, so its twisted classes are the orbits of the
+generator-pair system made of the cover images (phi(s), psi(s)) plus the
+holonomy pairs (f(x), g(x)), counted by the same orbit engine as every
+other input kind.
 """
 
 from dataclasses import dataclass
 from math import ceil
 
-from .errors import NilcoError, ShapeError, UnsupportedClassError
+from .errors import NilcoError, ShapeError
 from .intmat import determinant
 from .lattice import NilpotentLattice
-from .oracle import union_roots
 from .reidemeister import (
     EQ_THM,
     FINITE,
@@ -107,32 +109,34 @@ def require_valid_infra(infra, target=None):
         raise ShapeError("invalid infra data: " + "; ".join(violations))
 
 
-def lift_pair(infra, phi, psi):
-    """Coincidence report for the lifted pair on the nil-cover."""
-    if phi.source != infra.cover or psi.source != infra.cover:
-        raise ShapeError("lifted homomorphisms must be defined on the cover lattice")
-    return coincidence_invariants(phi, psi)
+def infra_movers(infra, cover_action):
+    """Mover pairs of the infra pair: the cover generator images (phi(s), psi(s))
+    of `cover_action` = TwistedAction.from_homs(phi, psi), followed by the
+    holonomy pairs (f(x), g(x)) of the coset representatives."""
+    return cover_action.movers + infra.map_images
 
 
-def decide_infra(infra, phi, psi, reps_limit=100000):
+def decide_infra(infra, phi, psi):
     """Coincidence report for the infra-nilmanifold pair itself.
 
     Returns (cover_report, report).  When the cover count is finite and the
-    target has class > 2, exact merging is unavailable and the report
+    target has class > 2, the orbit engine is unavailable and the report
     carries count bounds with exact=False instead.
     """
     require_valid_infra(infra, target=phi.target)
-    cover_report = lift_pair(infra, phi, psi)
+    if phi.source != infra.cover or psi.source != infra.cover:
+        raise ShapeError("lifted homomorphisms must be defined on the cover lattice")
+    cover_action = TwistedAction.from_homs(phi, psi)
+    cover_report = coincidence_invariants(phi, psi, reps_limit=None, action=cover_action)
     if cover_report.R.status == INFINITE:
         report = CoincidenceReport(
             R=cover_report.R, N=0, deformable=YES, rationale=INFTY_THM
         )
         return cover_report, report
 
-    holonomy = max(infra.holonomy_order, 1)
     if phi.target.class_c > 2:
         r_cover = cover_report.R.count
-        bounds = (ceil(r_cover / holonomy), r_cover)
+        bounds = (ceil(r_cover / max(infra.holonomy_order, 1)), r_cover)
         report = CoincidenceReport(
             R=ReidemeisterResult(
                 status=FINITE,
@@ -147,35 +151,7 @@ def decide_infra(infra, phi, psi, reps_limit=100000):
         )
         return cover_report, report
 
-    engine = TwistedOrbitEngine(TwistedAction.from_homs(phi, psi))
-    cover_result = engine.result(reps_limit=reps_limit)
-    if cover_result.reps is None:
-        raise NilcoError(
-            f"cover class set too large to merge (limit {reps_limit})"
-        )
-    labels = list(cover_result.reps)
-    index = {lab.coordinates: i for i, lab in enumerate(labels)}
-    target = phi.target
-
-    def moved_indices(f_img, g_img):
-        g_elem = target.element(g_img.coordinates)
-        f_inv = target.inverse(target.element(f_img.coordinates))
-        moved = (target.multiply(target.multiply(g_elem, lab), f_inv) for lab in labels)
-        return [index[engine.label(u)[0].coordinates] for u in moved]
-
-    roots = union_roots(len(labels), (moved_indices(f, g) for f, g in infra.map_images))
-    rep_elements = tuple(lab for i, lab in enumerate(labels) if roots[i] == i)
-    merged = len(rep_elements)
-
-    report = CoincidenceReport(
-        R=ReidemeisterResult(
-            status=FINITE,
-            count=merged,
-            level_counts=(merged,),
-            reps=rep_elements,
-        ),
-        N=merged,
-        deformable=NO,
-        rationale=EQ_THM,
-    )
+    action = TwistedAction(target=phi.target, movers=infra_movers(infra, cover_action))
+    R = TwistedOrbitEngine(action).result(reps_limit=1024)
+    report = CoincidenceReport(R=R, N=R.count, deformable=NO, rationale=EQ_THM)
     return cover_report, report

@@ -120,9 +120,6 @@ class IntMatrix:
             )
         return IntMatrix(out, shape=(self.rows, cols))
 
-    def scale(self, k):
-        return IntMatrix([[k * a for a in row] for row in self.data], shape=(self.rows, self.cols))
-
     def transpose(self):
         return IntMatrix(
             [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)],
@@ -134,9 +131,6 @@ class IntMatrix:
 
     def column(self, j):
         return tuple(self.data[i][j] for i in range(self.rows))
-
-    def columns(self):
-        return [self.column(j) for j in range(self.cols)]
 
     def apply(self, vec):
         """Matrix-vector product, vec of length cols."""
@@ -174,24 +168,6 @@ def determinant(A):
             M[i][k] = 0
         prev = M[k][k]
     return sign * M[n - 1][n - 1]
-
-
-def determinant_cofactor(A):
-    """Naive cofactor expansion; test oracle for small matrices only."""
-    if not A.is_square:
-        raise ShapeError("cofactor determinant needs a square matrix")
-    n = A.rows
-    if n == 0:
-        return 1
-    if n == 1:
-        return A.data[0][0]
-    total = 0
-    for j in range(n):
-        minor = IntMatrix(
-            [[A.data[i][jj] for jj in range(n) if jj != j] for i in range(1, n)]
-        )
-        total += (-1) ** j * A.data[0][j] * determinant_cofactor(minor)
-    return total
 
 
 @dataclass(frozen=True)

@@ -219,9 +219,6 @@ class LatticeHomomorphism:
     def depth(self):
         return len(self.matrices)
 
-    def level_matrix(self, i):
-        return self.matrices[i]
-
 
 def identity_hom(lattice):
     return LatticeHomomorphism(

@@ -5,30 +5,18 @@ quotients of class <= 2 lattices, used as an independent check on every
 finite count the exact machinery produces.
 """
 
-import os
 from itertools import product as iproduct
 
-from .errors import BoundExceededError, NilcoError, ParseError, ShapeError
+from .errors import (  # DEFAULT_MAX_ORDER is re-exported
+    DEFAULT_MAX_ORDER,
+    BoundExceededError,
+    NilcoError,
+    ShapeError,
+    max_order_cap,
+)
 from .intmat import determinant
 
-DEFAULT_MAX_ORDER = 10**6
 DEFAULT_DET_BOUND = 10**4
-
-
-def max_order_cap(override=None):
-    """Element cap for exhaustive enumeration: the override, else
-    NILCO_MAX_ORDER, else DEFAULT_MAX_ORDER.  A cap that is not an integer
-    >= 1 raises ParseError."""
-    raw, source = override, "max_order"
-    if raw is None:
-        raw, source = os.environ.get("NILCO_MAX_ORDER") or DEFAULT_MAX_ORDER, "NILCO_MAX_ORDER"
-    try:
-        cap = int(raw)
-    except (TypeError, ValueError):
-        cap = 0
-    if cap < 1:
-        raise ParseError(f"{source} must be an integer >= 1, got {raw!r}")
-    return cap
 
 
 def union_roots(size, image_lists):

@@ -9,14 +9,22 @@ import json
 from dataclasses import dataclass
 from math import prod
 
-from .errors import NilcoError, ParseError
-from .infra import CosetAction, InfraStructure, decide_infra, require_valid_infra
+from .errors import NilcoError, ParseError, max_order_cap
+from .infra import (
+    CosetAction,
+    InfraStructure,
+    decide_infra,
+    infra_movers,
+    require_valid_infra,
+)
 from .intmat import IntMatrix
 from .lattice import LatticeHomomorphism, NilpotentLattice, require_valid_hom
-from .oracle import max_order_cap, twisted_orbits_finite
+from .oracle import twisted_orbits_finite
 from .reidemeister import (
     INFINITE,
     GeneratorPairSystem,
+    TwistedAction,
+    TwistedOrbitEngine,
     coincidence_invariants,
     coincidence_invariants_from_pairs,
 )
@@ -45,6 +53,13 @@ def _int_vector(value, where):
     if not isinstance(value, list):
         raise SchemaError(f"{where}: expected a list of integers")
     return tuple(_as_int(x, where) for x in value)
+
+
+def _list_field(obj, key, where):
+    value = obj.get(key, [])
+    if not isinstance(value, list):
+        raise SchemaError(f"{where}.{key}: expected a list")
+    return value
 
 
 def _int_matrix(value, where):
@@ -216,7 +231,7 @@ def parse_problem_dict(doc, where="problem"):
     cover = parse_lattice(raw["cover"], f"{where}.infra.cover")
     holonomy = _as_int(raw.get("holonomy_order", 1), f"{where}.infra.holonomy_order")
     actions = []
-    for i, act in enumerate(raw.get("coset_actions", [])):
+    for i, act in enumerate(_list_field(raw, "coset_actions", f"{where}.infra")):
         if not isinstance(act, dict):
             raise SchemaError(f"{where}.infra.coset_actions[{i}]: expected an object")
         mats_raw = act.get("matrices")
@@ -238,7 +253,7 @@ def parse_problem_dict(doc, where="problem"):
         )
         actions.append(CosetAction(matrices=mats, translation=translation))
     images = []
-    for i, pair in enumerate(raw.get("map_images", [])):
+    for i, pair in enumerate(_list_field(raw, "map_images", f"{where}.infra")):
         if not isinstance(pair, list) or len(pair) != 2:
             raise SchemaError(f"{where}.infra.map_images[{i}]: expected [f, g] coordinates")
         fi = parse_element(target, pair[0], f"{where}.infra.map_images[{i}][0]")
@@ -415,10 +430,19 @@ def check_expected(problem, report):
 # -- finite-quotient oracle dispatch ----------------------------------
 
 
-def default_modulus(report):
-    """Quotient modulus: product of the finite level counts, at least 2."""
+def default_modulus(problem, report):
+    """Quotient modulus for the oracle when none is given, at least 2.
+
+    For a class-1 target this is the largest invariant factor of the level-1
+    difference matrix of the problem's movers: the exponent of the cokernel,
+    so the quotient already separates every class.  For a class-2 target it
+    is the product of the finite level counts.
+    """
     if report.R.count is None:
         raise NilcoError("no finite modulus for an infinite result")
+    if problem.target.class_c == 1:
+        action = TwistedAction(target=problem.target, movers=problem_movers(problem))
+        return max((2, *TwistedOrbitEngine(action).coker1.torsion))
     counts = [c for c in report.R.level_counts if c is not None]
     return max(2, prod(counts) if counts else report.R.count)
 
@@ -426,14 +450,13 @@ def default_modulus(report):
 def problem_movers(problem):
     """Mover pairs of the problem's twisted action, as target elements.  An
     INFRA problem adds its holonomy pairs (f(x), g(x)) to the cover movers."""
-    from .reidemeister import TwistedAction
-
     if problem.kind == "PAIRS":
         return TwistedAction.from_pairs(problem.system).movers
-    movers = TwistedAction.from_homs(problem.phi, problem.psi).movers
     if problem.kind == "INFRA":
-        movers += problem.infra.map_images
-    return movers
+        return infra_movers(
+            problem.infra, TwistedAction.from_homs(problem.phi, problem.psi)
+        )
+    return TwistedAction.from_homs(problem.phi, problem.psi).movers
 
 
 def oracle_orbit_count(problem, modulus, max_order=None):

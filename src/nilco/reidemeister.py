@@ -17,6 +17,7 @@ from .errors import (
     NilcoError,
     ShapeError,
     UnsupportedClassError,
+    max_order_cap,
 )
 from .intmat import (
     IntMatrix,
@@ -27,7 +28,7 @@ from .intmat import (
     reduce_to_canonical_rep,
     smith_normal_form,
 )
-from .lattice import LatticeElement, NilpotentLattice, apply_hom, require_valid_hom
+from .lattice import NilpotentLattice, apply_hom, require_valid_hom
 
 FINITE = "finite"
 INFINITE = "infinite"
@@ -99,12 +100,6 @@ class TwistedAction:
     @classmethod
     def from_pairs(cls, system):
         return cls(target=system.target, movers=system.pairs, lattice_source=False)
-
-
-def difference_map(F, G):
-    """G - F; the abelian-level reduction of the coincidence relation to a
-    root/translation problem (global sign convention)."""
-    return G - F
 
 
 def _word_inverse(word):
@@ -220,7 +215,9 @@ class TwistedOrbitEngine:
                 status=FINITE, count=c1, level_counts=(c1,), reps=reps
             )
 
-        level1_reps = coset_representatives(self.delta1, hermite=self.hermite1)
+        level1_reps = coset_representatives(
+            self.delta1, hermite=self.hermite1, max_count=max_order_cap()
+        )
         fiber_counts = []
         reps = []
         collect_reps = reps_limit is not None
@@ -301,26 +298,24 @@ class TwistedOrbitEngine:
         return u2, word2 + word1
 
 
-def label_class(u, action):
-    """Canonical label and witness word for u under the twisted action."""
-    return TwistedOrbitEngine(action).label(u)
-
-
 def _level_differences(phi, psi):
     return [psi.matrices[i] - phi.matrices[i] for i in range(phi.depth)]
 
 
-def coincidence_invariants(phi, psi, reps_limit=1024):
+def coincidence_invariants(phi, psi, reps_limit=1024, action=None):
     """R(f,g), N(f,g) and the deformability decision for a lattice pair.
 
     Level counts are the cokernel orders of the level differences; for
     class <= 2 targets the exact orbit engine supplies the count and the
-    canonical representatives.
+    canonical representatives.  A caller that already holds
+    `TwistedAction.from_homs(phi, psi)` (which validates both maps) passes
+    it as `action`, so the maps are neither validated nor applied again.
     """
-    if phi.source != psi.source or phi.target != psi.target:
-        raise ShapeError("the two homomorphisms must share source and target")
-    require_valid_hom(phi)
-    require_valid_hom(psi)
+    if action is None:
+        if phi.source != psi.source or phi.target != psi.target:
+            raise ShapeError("the two homomorphisms must share source and target")
+        require_valid_hom(phi)
+        require_valid_hom(psi)
     diffs = _level_differences(phi, psi)
     level_counts = []
     infinite_level = None
@@ -339,10 +334,11 @@ def coincidence_invariants(phi, psi, reps_limit=1024):
         return CoincidenceReport(R=R, N=0, deformable=YES, rationale=EQ_THM)
 
     if phi.target.class_c <= 2:
-        engine = TwistedOrbitEngine(TwistedAction.from_homs(phi, psi))
-        R = engine.result(reps_limit=reps_limit)
-        if R.status == INFINITE:  # corrected count disagrees with plain levels
-            return CoincidenceReport(R=R, N=0, deformable=YES, rationale=EQ_THM)
+        # finite level counts keep every central fiber finite: each central
+        # source generator translates its fiber by a level-2 difference column
+        if action is None:
+            action = TwistedAction.from_homs(phi, psi)
+        R = TwistedOrbitEngine(action).result(reps_limit=reps_limit)
         R = ReidemeisterResult(
             status=FINITE,
             count=R.count,
@@ -387,9 +383,3 @@ def fiber_deviation_rank(phi, psi, level):
         raise ShapeError(f"level {level} out of range 1..{phi.depth}")
     d = _level_differences(phi, psi)[level - 1]
     return len(smith_normal_form(d).invariant_factors)
-
-
-def decide_wecken(report):
-    """Deterministic restatement of the deformability verdict with its
-    rationale tag."""
-    return report.deformable, report.rationale

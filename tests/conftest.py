@@ -52,6 +52,22 @@ def check_group_axioms(G, full_triples=2_000_000, sample=2000, rng=None):
         assert G.product(G.product(a, b), c) == G.product(a, G.product(b, c)), (a, b, c)
 
 
+def determinant_cofactor(A):
+    """Naive cofactor expansion: an independent determinant for small matrices."""
+    n = A.rows
+    if n == 0:
+        return 1
+    if n == 1:
+        return A.data[0][0]
+    total = 0
+    for j in range(n):
+        minor = IntMatrix(
+            [[A.data[i][jj] for jj in range(n) if jj != j] for i in range(1, n)]
+        )
+        total += (-1) ** j * A.data[0][j] * determinant_cofactor(minor)
+    return total
+
+
 def random_matrix(rng, rows, cols, lo=-5, hi=5):
     return IntMatrix([[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)])
 

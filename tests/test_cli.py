@@ -155,6 +155,32 @@ class TestExitCodes:
         code, _ = run(["oracle", path])  # infinite count: no default modulus
         assert code == EXIT_ERROR
 
+    @pytest.mark.parametrize("field", ["coset_actions", "map_images"])
+    @pytest.mark.parametrize("value", [None, 5, {"0": []}])
+    def test_infra_fields_that_are_not_lists_are_schema_errors(self, tmp_path, field, value):
+        fixture = bundled_fixture_dir() / "klein_bottle_to_circle.json"
+        doc = json.loads(fixture.read_text(encoding="utf-8"))
+        doc["infra"][field] = value
+        code, _ = run(["compute", write_problem(tmp_path, doc)])
+        assert code == EXIT_SCHEMA
+
+    @pytest.mark.parametrize("scale", [10**10, 10**20])
+    def test_level1_classes_beyond_the_cap_exit_before_listing(self, tmp_path, scale):
+        # 10^20 or 10^40 level-1 classes could not be listed at all, so exit 5
+        # shows the cap was checked before any representative was built
+        doc = dict(HEISENBERG_DOC)
+        doc["F"] = [[[scale, 0], [0, scale]], [[scale * scale]]]
+        code, _ = run(["compute", write_problem(tmp_path, doc)])
+        assert code == EXIT_BOUND
+
+    @pytest.mark.parametrize("cap, expected", [("100", EXIT_OK), ("99", EXIT_BOUND)])
+    def test_level1_cap_is_inclusive(self, tmp_path, monkeypatch, cap, expected):
+        monkeypatch.setenv("NILCO_MAX_ORDER", cap)
+        doc = dict(HEISENBERG_DOC)
+        doc["F"] = [[[10, 0], [0, 10]], [[100]]]  # 100 level-1 classes
+        code, _ = run(["compute", write_problem(tmp_path, doc)])
+        assert code == expected
+
     def test_expected_mismatch(self, tmp_path):
         doc = dict(HEISENBERG_DOC)
         doc["expected"] = {"R": 17}
@@ -169,6 +195,31 @@ class TestOracle:
         assert code == EXIT_OK
         doc = json.loads(text)
         assert doc["orbit_count"] == 16 and doc["modulus"] == 16
+
+    def test_torus_default_modulus_is_the_cokernel_exponent(self, tmp_path):
+        doc = {"kind": "TORUS", "target": {"ranks": [2]}, "F": [[1, 0], [0, 1]],
+               "G": [[7, 0], [0, 7]]}
+        code, text = run(["--output", "json", "oracle", write_problem(tmp_path, doc)])
+        assert code == EXIT_OK
+        doc = json.loads(text)
+        assert doc["modulus"] == 6 and doc["orbit_count"] == 36
+
+    def test_default_modulus_of_a_trivial_cokernel_is_two(self, tmp_path):
+        path = str(bundled_fixture_dir() / "surface_times_sphere_pairs.json")  # R = 1
+        unimodular = {"kind": "TORUS", "target": {"ranks": [2]}, "F": [[1, 0], [0, 1]],
+                      "G": [[3, 1], [1, 1]]}  # G - F = [[2, 1], [1, 0]], det -1
+        for argv in (path, write_problem(tmp_path, unimodular)):
+            code, text = run(["--output", "json", "oracle", argv])
+            assert code == EXIT_OK
+            doc = json.loads(text)
+            assert doc["modulus"] == 2 and doc["orbit_count"] == 1
+
+    def test_infra_default_modulus_counts_holonomy_columns(self):
+        path = str(bundled_fixture_dir() / "klein_bottle_to_circle.json")
+        code, text = run(["--output", "json", "oracle", path])
+        assert code == EXIT_OK
+        doc = json.loads(text)
+        assert doc["modulus"] == 2 and doc["orbit_count"] == 2
 
     def test_explicit_modulus(self, tmp_path):
         path = write_problem(tmp_path, HEISENBERG_DOC)

@@ -1,21 +1,23 @@
-"""Infra-nilmanifold pairs: holonomy validation, cover lifting, class merging."""
+"""Infra-nilmanifold pairs: holonomy validation, cover lifting, and the count
+of the infra group as a generator-pair system."""
 
+import random
 from math import ceil
 
 import pytest
 
-from conftest import torus
+from conftest import heisenberg, heisenberg_self_map, random_element, torus
 from nilco.errors import ShapeError
 from nilco.infra import (
     CosetAction,
     InfraStructure,
     decide_infra,
-    lift_pair,
     validate_infra,
 )
 from nilco.intmat import IntMatrix
 from nilco.lattice import LatticeHomomorphism, NilpotentLattice
 from nilco.oracle import translation_group, twisted_orbits_finite
+from nilco.problems import ProblemFile, oracle_orbit_count
 from nilco.reidemeister import EQ_THM, FINITE, INFINITE, INFTY_THM, NO, YES
 
 
@@ -118,7 +120,7 @@ class TestDecision:
         circle = torus(1)
         wrong = LatticeHomomorphism(circle, circle, (IntMatrix([[2]]),))
         with pytest.raises(ShapeError):
-            lift_pair(infra, wrong, wrong)
+            decide_infra(infra, wrong, wrong)
 
     def test_class3_cover_yields_bounds_only(self):
         cover = NilpotentLattice(ranks=(1, 1, 1))
@@ -145,3 +147,56 @@ class TestDecision:
         assert cover_report.R.count == 27
         assert not report.exact
         assert report.count_bounds == (14, 27)
+
+
+def heisenberg_scalar_infra(rng, k, holonomy):
+    """Heisenberg k*U vs 0 on a Heisenberg cover, with arbitrary holonomy
+    pairs (f(x), g(x)) drawn from rng.  The image of k*U contains every
+    element whose coordinates are all divisible by k^2, so every orbit of the
+    generated group is a union of cosets of that normal subgroup and the
+    quotient mod k^2 counts the orbits exactly."""
+    h = heisenberg()
+    U = IntMatrix.identity(2)
+    for _ in range(3):
+        s = rng.randint(-2, 2)
+        U = U @ (IntMatrix([[1, s], [0, 1]]) if rng.random() < 0.5 else IntMatrix([[1, 0], [s, 1]]))
+    phi = heisenberg_self_map(h, IntMatrix([[k * x for x in row] for row in U.data]))
+    psi = heisenberg_self_map(h, IntMatrix.zeros(2, 2))
+    flip = CosetAction(
+        matrices=(IntMatrix([[-1, 0], [0, 1]]), IntMatrix([[-1]])),
+        translation=h.element(((0, 1), (0,))),
+    )
+    infra = InfraStructure(
+        cover=h,
+        holonomy_order=holonomy,
+        coset_actions=(flip,) * (holonomy - 1),
+        map_images=tuple(
+            (random_element(rng, h, lo=-5, hi=5), random_element(rng, h, lo=-5, hi=5))
+            for _ in range(holonomy - 1)
+        ),
+    )
+    return infra, phi, psi
+
+
+class TestClassTwoInfra:
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_count_equals_the_exact_oracle(self, k):
+        rng = random.Random(f"class2-infra:{k}")
+        for _ in range(12):
+            infra, phi, psi = heisenberg_scalar_infra(rng, k, rng.choice((2, 3)))
+            cover_report, report = decide_infra(infra, phi, psi)
+            assert cover_report.R.count == k**4
+            problem = ProblemFile(
+                kind="INFRA", name=None, target=phi.target, source=infra.cover,
+                phi=phi, psi=psi, infra=infra,
+            )
+            assert report.R.status == FINITE and report.exact
+            assert report.R.count == report.N == oracle_orbit_count(problem, k * k)
+            assert report.deformable == NO and report.rationale == EQ_THM
+
+    def test_cover_of_six_hundred_thousand_classes(self):
+        infra, phi, psi = klein_bottle_setup(f_deg=0, g_deg=600_000)
+        cover_report, report = decide_infra(infra, phi, psi)
+        assert cover_report.R.count == 600_000
+        assert report.R.count == report.N == 300_000
+        assert report.R.reps is None

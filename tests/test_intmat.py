@@ -4,7 +4,7 @@ cokernels, canonical coset representatives."""
 import pytest
 import sympy
 
-from conftest import random_matrix
+from conftest import determinant_cofactor, random_matrix
 from nilco.errors import InfiniteResultError, ShapeError
 from nilco.intmat import (
     IntMatrix,
@@ -12,7 +12,6 @@ from nilco.intmat import (
     column_hermite,
     coset_representatives,
     determinant,
-    determinant_cofactor,
     kernel_basis,
     rank,
     reduce_to_canonical_rep,

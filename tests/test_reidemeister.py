@@ -29,10 +29,7 @@ from nilco.reidemeister import (
     TwistedOrbitEngine,
     coincidence_invariants,
     coincidence_invariants_from_pairs,
-    decide_wecken,
-    difference_map,
     fiber_deviation_rank,
-    label_class,
 )
 
 
@@ -65,12 +62,14 @@ class TestTorusInvariants:
         assert report.R.status == INFINITE and report.R.count is None
         assert report.N == 0 and report.deformable == YES
         assert report.R.infinite_level == 1
-        assert decide_wecken(report) == (YES, EQ_THM)
+        assert (report.deformable, report.rationale) == (YES, EQ_THM)
 
     def test_difference_map_sign_convention(self):
-        F = IntMatrix([[2]])
-        G = IntMatrix([[5]])
-        assert difference_map(F, G) == IntMatrix([[3]])
+        t = torus(1)
+        engine = TwistedOrbitEngine(
+            TwistedAction.from_homs(torus_hom(t, IntMatrix([[2]])), torus_hom(t, IntMatrix([[5]])))
+        )
+        assert engine.delta1 == IntMatrix([[5]]) - IntMatrix([[2]]) == IntMatrix([[3]])
 
 
 class TestHeisenbergInvariants:
@@ -182,10 +181,10 @@ class TestLabels:
             label, witness = engine.label(u)
             assert engine.move(u, witness) == label
 
-    def test_label_class_helper(self):
+    def test_label_depends_only_on_the_action(self):
         h, engine = self.engine()
         u = h.element(((5, -3), (7,)))
-        assert label_class(u, engine.action) == engine.label(u)
+        assert TwistedOrbitEngine(engine.action).label(u) == engine.label(u)
 
 
 class TestMiscellaneous:

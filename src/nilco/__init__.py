@@ -27,7 +27,6 @@ from .lattice import (
     LatticeHomomorphism,
     NilpotentLattice,
     apply_hom,
-    identity_hom,
     validate_hom,
 )
 from .oracle import FiniteGroupTable, cokernel_oracle, twisted_orbits_finite
@@ -44,7 +43,6 @@ from .reidemeister import (
     TwistedOrbitEngine,
     coincidence_invariants,
     coincidence_invariants_from_pairs,
-    fiber_deviation_rank,
 )
 
 __version__ = "0.1.0"

@@ -52,11 +52,6 @@ class IntMatrix:
         return cls([[0] * cols for _ in range(rows)], shape=(rows, cols))
 
     @classmethod
-    def diagonal(cls, diag):
-        n = len(diag)
-        return cls([[diag[i] if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
     def from_columns(cls, columns, rows):
         """Build a rows x len(columns) matrix from column vectors."""
         for c in columns:
@@ -89,22 +84,12 @@ class IntMatrix:
                 f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}"
             )
 
-    def __add__(self, other):
-        self._same_shape(other)
-        return IntMatrix(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)],
-            shape=(self.rows, self.cols),
-        )
-
     def __sub__(self, other):
         self._same_shape(other)
         return IntMatrix(
             [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)],
             shape=(self.rows, self.cols),
         )
-
-    def __neg__(self):
-        return IntMatrix([[-a for a in row] for row in self.data], shape=(self.rows, self.cols))
 
     def __matmul__(self, other):
         if self.cols != other.rows:
@@ -125,9 +110,6 @@ class IntMatrix:
             [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)],
             shape=(self.cols, self.rows),
         )
-
-    def row(self, i):
-        return self.data[i]
 
     def column(self, j):
         return tuple(self.data[i][j] for i in range(self.rows))

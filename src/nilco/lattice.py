@@ -33,18 +33,8 @@ class LatticeElement:
 
     coordinates: tuple
 
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "coordinates",
-            tuple(tuple(int(x) for x in level) for level in self.coordinates),
-        )
-
     def level(self, i):
         return self.coordinates[i]
-
-    def __iter__(self):
-        return iter(self.coordinates)
 
 
 @dataclass(frozen=True)
@@ -97,18 +87,21 @@ class NilpotentLattice:
     # -- elements -----------------------------------------------------
 
     def element(self, coordinates):
-        e = LatticeElement(tuple(coordinates))
-        if len(e.coordinates) != self.class_c:
+        """The element with these coordinates, coerced to integer tuples and
+        shape-checked.  Every value from outside the lattice enters here;
+        the arithmetic below builds its results from tuples it computed."""
+        coords = tuple(tuple(int(x) for x in level) for level in coordinates)
+        if len(coords) != self.class_c:
             raise ShapeError(
-                f"element has {len(e.coordinates)} levels, lattice has {self.class_c}"
+                f"element has {len(coords)} levels, lattice has {self.class_c}"
             )
-        for lvl, r in zip(e.coordinates, self.ranks):
+        for lvl, r in zip(coords, self.ranks):
             if len(lvl) != r:
                 raise ShapeError(f"level vector {lvl!r} does not match rank {r}")
-        return e
+        return LatticeElement(coords)
 
     def identity(self):
-        return self.element(tuple((0,) * r for r in self.ranks))
+        return LatticeElement(tuple((0,) * r for r in self.ranks))
 
     def cocycle(self, a, b):
         """B(a, b) as a vector of length r_2 (empty for class 1)."""
@@ -126,44 +119,38 @@ class NilpotentLattice:
 
     def multiply(self, u, v):
         self._require_elements()
-        u = self.element(u.coordinates)
-        v = self.element(v.coordinates)
         a, ap = u.level(0), v.level(0)
         top = tuple(x + y for x, y in zip(a, ap))
         if self.class_c == 1:
-            return self.element((top,))
+            return LatticeElement((top,))
         corr = self.cocycle(a, ap)
         central = tuple(x + y + z for x, y, z in zip(u.level(1), v.level(1), corr))
-        return self.element((top, central))
+        return LatticeElement((top, central))
 
     def inverse(self, u):
         self._require_elements()
         a = u.level(0)
         top = tuple(-x for x in a)
         if self.class_c == 1:
-            return self.element((top,))
+            return LatticeElement((top,))
         corr = self.cocycle(a, a)
         central = tuple(-x + y for x, y in zip(u.level(1), corr))
-        return self.element((top, central))
+        return LatticeElement((top, central))
 
     def power(self, u, n):
         self._require_elements()
         a = u.level(0)
         top = tuple(n * x for x in a)
         if self.class_c == 1:
-            return self.element((top,))
+            return LatticeElement((top,))
         half = n * (n - 1) // 2
         corr = self.cocycle(a, a)
         central = tuple(n * x + half * y for x, y in zip(u.level(1), corr))
-        return self.element((top, central))
+        return LatticeElement((top, central))
 
     def commutator(self, u, v):
         uv = self.multiply(u, v)
         return self.multiply(uv, self.inverse(self.multiply(v, u)))
-
-    def conjugate(self, u, x):
-        """x * u * x^{-1}."""
-        return self.multiply(self.multiply(x, u), self.inverse(x))
 
     def generators(self):
         """Level-wise basis elements, level 1 first."""
@@ -172,7 +159,7 @@ class NilpotentLattice:
             for i in range(r):
                 coords = [(0,) * rr for rr in self.ranks]
                 coords[lvl] = tuple(1 if j == i else 0 for j in range(r))
-                gens.append(self.element(coords))
+                gens.append(LatticeElement(tuple(coords)))
         return gens
 
     # -- finite quotients ---------------------------------------------
@@ -218,14 +205,6 @@ class LatticeHomomorphism:
     @property
     def depth(self):
         return len(self.matrices)
-
-
-def identity_hom(lattice):
-    return LatticeHomomorphism(
-        source=lattice,
-        target=lattice,
-        matrices=tuple(IntMatrix.identity(r) for r in lattice.ranks),
-    )
 
 
 def validate_hom(hom):
@@ -274,12 +253,35 @@ def require_valid_hom(hom):
         )
 
 
+def _word_defect(lattice, vectors, a):
+    """Central part of the ordered word (v_1, 0)^{a_1} ... (v_r, 0)^{a_r}:
+
+        sum_{i<j} a_i a_j B(v_i, v_j) + sum_j C(a_j, 2) B(v_j, v_j).
+    """
+    defect = (0,) * lattice.ranks[1]
+    prefix = (0,) * lattice.ranks[0]  # sum_{i<j} a_i v_i
+    for aj, v in zip(a, vectors):
+        if aj == 0:
+            continue
+        half = aj * (aj - 1) // 2
+        defect = tuple(
+            d + aj * x + half * y
+            for d, x, y in zip(defect, lattice.cocycle(prefix, v), lattice.cocycle(v, v))
+        )
+        prefix = tuple(s + aj * x for s, x in zip(prefix, v))
+    return defect
+
+
 def apply_hom(hom, u):
     """Image of u under the homomorphism defined by the level matrices.
 
-    Class <= 2 images are computed through canonical generator images
-    (level-1 generators map with zero central tail), so a validated
-    homomorphism is applied exactly:  apply_hom(u*v) == apply_hom(u)*apply_hom(v).
+    For class <= 2, level-1 generators map with zero central tail.  Writing
+    u = (a, c) as the ordered word x_1^{a_1} ... x_r^{a_r} * z^{c - defect_src(a)},
+    the image is (M1 a, defect_tgt(a) + M2 (c - defect_src(a))), with each
+    defect the central part of its ordered word (`_word_defect`: over the
+    unit vectors in the source, over the columns of M1 in the target).  So
+    a validated homomorphism is applied exactly:
+    apply_hom(u*v) == apply_hom(u)*apply_hom(v).
     """
     src, tgt = hom.source, hom.target
     u = src.element(u.coordinates) if isinstance(u, LatticeElement) else src.element(u)
@@ -289,32 +291,17 @@ def apply_hom(hom, u):
         for i in range(tgt.class_c):
             vec = u.level(i) if i < src.class_c else (0,) * src.rank_at(i)
             coords.append(hom.matrices[i].apply(vec))
-        return tgt.element(coords)
+        return LatticeElement(tuple(coords))
 
     M1 = hom.matrices[0]
     a = u.level(0)
+    top = M1.apply(a)
     if tgt.class_c == 1:
-        return tgt.element((M1.apply(a),))
-
-    # image of the ordered level-1 word x_1^{a_1} ... x_{r_1}^{a_{r_1}}
-    out = tgt.identity()
-    for j, exp in enumerate(a):
-        if exp == 0:
-            continue
-        gen_image = tgt.element((M1.column(j), (0,) * tgt.ranks[1]))
-        out = tgt.multiply(out, tgt.power(gen_image, exp))
+        return LatticeElement((top,))
+    central = _word_defect(tgt, [M1.column(j) for j in range(M1.cols)], a)
     if src.class_c == 2:
-        # cocycle defect between the normal form (a, c) and the ordered word:
-        # (a, c) = x_1^{a_1} ... x_r^{a_r} * z^{c - defect(a)}
-        word = src.identity()
-        for j, exp in enumerate(a):
-            if exp == 0:
-                continue
-            coords = [(0,) * rr for rr in src.ranks]
-            coords[0] = tuple(1 if k == j else 0 for k in range(src.ranks[0]))
-            word = src.multiply(word, src.power(src.element(coords), exp))
-        defect = word.level(1)
-        central = tuple(c - d for c, d in zip(u.level(1), defect))
-        M2 = hom.matrices[1]
-        out = tgt.multiply(out, tgt.element(((0,) * tgt.ranks[0], M2.apply(central))))
-    return out
+        r1 = src.ranks[0]
+        units = [tuple(int(k == j) for k in range(r1)) for j in range(r1)]
+        rest = tuple(c - d for c, d in zip(u.level(1), _word_defect(src, units, a)))
+        central = tuple(x + y for x, y in zip(central, hom.matrices[1].apply(rest)))
+    return LatticeElement((top, central))

@@ -5,8 +5,11 @@ level-1 classes are the cokernel of the difference matrix, and for class-2
 targets each level-1 class carries a fiber of central classes whose
 translation subgroup is generated by the moves that stabilize the level-1
 coordinate (kernel words of the difference matrix plus commutator words).
-Canonical class labels with exact witness words come out of the same
-machinery.
+A fiber word w with images phi(w) = (p_w, p2) and psi(w) = (p_w, q2)
+translates the fiber over a by the affine column t_w + [p_w, a], with
+t_w = q2 - p2; (p_w, t_w) is computed once per word, and a fiber with every
+p_w = 0 is the same over every level-1 class.  Canonical class labels with
+exact witness words come out of the same machinery.
 """
 
 from dataclasses import dataclass
@@ -26,7 +29,6 @@ from .intmat import (
     coset_representatives,
     kernel_basis,
     reduce_to_canonical_rep,
-    smith_normal_form,
 )
 from .lattice import NilpotentLattice, apply_hom, require_valid_hom
 
@@ -84,7 +86,6 @@ class TwistedAction:
 
     target: NilpotentLattice
     movers: tuple  # pairs (phi image, psi image)
-    lattice_source: bool = False
 
     @classmethod
     def from_homs(cls, phi, psi):
@@ -95,11 +96,11 @@ class TwistedAction:
         movers = tuple(
             (apply_hom(phi, g), apply_hom(psi, g)) for g in phi.source.generators()
         )
-        return cls(target=phi.target, movers=movers, lattice_source=True)
+        return cls(target=phi.target, movers=movers)
 
     @classmethod
     def from_pairs(cls, system):
-        return cls(target=system.target, movers=system.pairs, lattice_source=False)
+        return cls(target=system.target, movers=system.pairs)
 
 
 def _word_inverse(word):
@@ -138,7 +139,7 @@ class TwistedOrbitEngine:
         self.coker1 = cokernel(self.delta1)
 
         self._fiber_words = None
-        self._fiber_level1_parts = None
+        self._fiber_columns = None
         self._uniform_fiber = None
         if self.coker1.is_finite and self.r2 > 0:
             self._build_fiber_generators()
@@ -175,22 +176,36 @@ class TwistedOrbitEngine:
         for i in range(self.k):
             for j in range(i + 1, self.k):
                 words.append(((i, 1), (j, 1), (i, -1), (j, -1)))
-        parts = []
+        # a word with images P = (p, p2) and Q = (p, q2) moves (a, c) to
+        # Q (a, c) P^{-1} = (a, c + t + [p, a]) with t = q2 - p2
+        columns = []
         for w in words:
             P, Q = self.word_images(w)
             if P.level(0) != Q.level(0):
                 raise NilcoError("fiber generator word fails to stabilize level 1")
-            parts.append(P.level(0))
+            t = tuple(y - x for x, y in zip(P.level(1), Q.level(1)))
+            columns.append((P.level(0), t))
         self._fiber_words = tuple(words)
-        self._fiber_level1_parts = tuple(parts)
-        self._uniform_fiber = all(all(x == 0 for x in p) for p in parts)
+        self._fiber_columns = tuple(columns)
+        if all(not any(p) for p, _ in columns):
+            M = self._fiber_matrix((0,) * self.r1)
+            self._uniform_fiber = (M, cokernel(M))
 
     def _fiber_matrix(self, a):
-        """Columns are the exact central translations of the fiber generator
-        words over the level-1 representative a."""
-        base = self.target.element((tuple(a), (0,) * self.r2))
-        cols = [self.move(base, w).level(1) for w in self._fiber_words]
+        """Columns t_w + [p_w, a]: the exact central translations of the fiber
+        generator words over the level-1 representative a."""
+        cols = [
+            tuple(x + y for x, y in zip(t, self.target.bracket(p, a)))
+            for p, t in self._fiber_columns
+        ]
         return IntMatrix.from_columns(cols, self.r2)
+
+    def _fiber(self, a):
+        """Fiber matrix over a and its cokernel; built once when uniform."""
+        if self._uniform_fiber is not None:
+            return self._uniform_fiber
+        M = self._fiber_matrix(a)
+        return M, cokernel(M)
 
     # -- counting ------------------------------------------------------
 
@@ -221,15 +236,8 @@ class TwistedOrbitEngine:
         fiber_counts = []
         reps = []
         collect_reps = reps_limit is not None
-        shared = None
         for a in level1_reps:
-            if self._uniform_fiber and shared is not None:
-                M, ck = shared
-            else:
-                M = self._fiber_matrix(a)
-                ck = cokernel(M)
-                if self._uniform_fiber:
-                    shared = (M, ck)
+            M, ck = self._fiber(a)
             if ck.order is None:
                 return ReidemeisterResult(
                     status=INFINITE,
@@ -283,8 +291,7 @@ class TwistedOrbitEngine:
         if self.r2 == 0:
             return u1, word1
 
-        M = self._fiber_matrix(a_rep)
-        ck = cokernel(M)
+        M, ck = self._fiber(a_rep)
         if ck.order is None:
             raise InfiniteResultError("infinitely many central classes over this level-1 class")
         c = u1.level(1)
@@ -298,29 +305,21 @@ class TwistedOrbitEngine:
         return u2, word2 + word1
 
 
-def _level_differences(phi, psi):
-    return [psi.matrices[i] - phi.matrices[i] for i in range(phi.depth)]
-
-
 def coincidence_invariants(phi, psi, reps_limit=1024, action=None):
     """R(f,g), N(f,g) and the deformability decision for a lattice pair.
 
     Level counts are the cokernel orders of the level differences; for
     class <= 2 targets the exact orbit engine supplies the count and the
-    canonical representatives.  A caller that already holds
-    `TwistedAction.from_homs(phi, psi)` (which validates both maps) passes
-    it as `action`, so the maps are neither validated nor applied again.
+    canonical representatives.  Both maps are checked and applied once, by
+    `TwistedAction.from_homs(phi, psi)`; a caller that already holds that
+    action passes it as `action`.
     """
     if action is None:
-        if phi.source != psi.source or phi.target != psi.target:
-            raise ShapeError("the two homomorphisms must share source and target")
-        require_valid_hom(phi)
-        require_valid_hom(psi)
-    diffs = _level_differences(phi, psi)
+        action = TwistedAction.from_homs(phi, psi)
     level_counts = []
     infinite_level = None
-    for i, d in enumerate(diffs):
-        order = cokernel(d).order
+    for i in range(phi.depth):
+        order = cokernel(psi.matrices[i] - phi.matrices[i]).order
         level_counts.append(order)
         if order is None and infinite_level is None:
             infinite_level = i + 1
@@ -336,8 +335,6 @@ def coincidence_invariants(phi, psi, reps_limit=1024, action=None):
     if phi.target.class_c <= 2:
         # finite level counts keep every central fiber finite: each central
         # source generator translates its fiber by a level-2 difference column
-        if action is None:
-            action = TwistedAction.from_homs(phi, psi)
         R = TwistedOrbitEngine(action).result(reps_limit=reps_limit)
         R = ReidemeisterResult(
             status=FINITE,
@@ -371,15 +368,3 @@ def coincidence_invariants_from_pairs(system, reps_limit=1024):
     if R.status == INFINITE:
         return CoincidenceReport(R=R, N=0, deformable=YES, rationale=INFTY_THM)
     return CoincidenceReport(R=R, N=R.count, deformable=UNKNOWN, rationale=REMARK_GAP)
-
-
-def fiber_deviation_rank(phi, psi, level):
-    """Rank of the translation subgroup at the given 1-based level.
-
-    Rank r_i at a level means the level count is finite; rank 0 means the
-    deviation at that level is trivial.
-    """
-    if level < 1 or level > phi.depth:
-        raise ShapeError(f"level {level} out of range 1..{phi.depth}")
-    d = _level_differences(phi, psi)[level - 1]
-    return len(smith_normal_form(d).invariant_factors)

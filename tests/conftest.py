@@ -5,7 +5,8 @@ from itertools import product as iproduct
 
 import pytest
 
-from nilco.intmat import IntMatrix
+from nilco.errors import ShapeError
+from nilco.intmat import IntMatrix, smith_normal_form
 from nilco.lattice import LatticeHomomorphism, NilpotentLattice
 
 
@@ -84,6 +85,26 @@ def heisenberg_self_map(lat, M1):
     return LatticeHomomorphism(
         source=lat, target=lat, matrices=(M1, IntMatrix([[determinant(M1)]]))
     )
+
+
+def identity_hom(lattice):
+    return LatticeHomomorphism(
+        source=lattice,
+        target=lattice,
+        matrices=tuple(IntMatrix.identity(r) for r in lattice.ranks),
+    )
+
+
+def fiber_deviation_rank(phi, psi, level):
+    """Rank of the translation subgroup at the given 1-based level.
+
+    Rank r_i at a level means the level count is finite; rank 0 means the
+    deviation at that level is trivial.
+    """
+    if level < 1 or level > phi.depth:
+        raise ShapeError(f"level {level} out of range 1..{phi.depth}")
+    d = psi.matrices[level - 1] - phi.matrices[level - 1]
+    return len(smith_normal_form(d).invariant_factors)
 
 
 def random_element(rng, lat, lo=-4, hi=4):

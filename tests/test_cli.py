@@ -2,6 +2,7 @@
 
 import io
 import json
+import random
 
 import pytest
 
@@ -270,3 +271,54 @@ class TestRoundTrip:
             parse_problem_dict(
                 {"kind": "TORUS", "target": {"ranks": [True]}, "F": [[1]], "G": [[0]]}
             )
+
+
+FUZZ_VALUES = (None, -1, 0, 10**20, "x", [], {}, 1.5, True, [[1]])
+
+
+def _json_paths(node, path=()):
+    """Every node of a JSON document, as the key path that reaches it."""
+    yield path
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from _json_paths(child, path + (key,))
+    elif isinstance(node, list):
+        for i, child in enumerate(node):
+            yield from _json_paths(child, path + (i,))
+
+
+def _replaced(doc, path, value):
+    if not path:
+        return value
+    head, rest = path[0], path[1:]
+    out = dict(doc) if isinstance(doc, dict) else list(doc)
+    out[head] = _replaced(doc[head], rest, value)
+    return out
+
+
+class TestFuzz:
+    def test_mutated_fixtures_exit_with_a_documented_code(self, tmp_path, monkeypatch):
+        # 400 fixture documents with one or two nodes replaced by a value of
+        # the wrong type or range; each run ends with an exit code, never a
+        # traceback
+        monkeypatch.setenv("NILCO_MAX_ORDER", "20000")
+        rng = random.Random(0xF022)
+        fixtures = [
+            json.loads(p.read_text(encoding="utf-8"))
+            for p in sorted(bundled_fixture_dir().glob("*.json"))
+        ]
+        path = str(tmp_path / "mutant.json")
+        for n in range(400):
+            doc = fixtures[n % len(fixtures)]
+            for _ in range(rng.randint(1, 2)):
+                # a depth first, then a node at that depth, so that the few
+                # structural fields are hit as often as the many matrix entries
+                paths = list(_json_paths(doc))
+                depth = rng.choice(sorted({len(p) for p in paths}))
+                node = rng.choice([p for p in paths if len(p) == depth])
+                doc = _replaced(doc, node, rng.choice(FUZZ_VALUES))
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+            for command in ("compute", "oracle"):
+                code, _ = run(["--output", "json", command, path])
+                assert EXIT_OK <= code <= EXIT_MISMATCH, (command, doc)

@@ -3,7 +3,16 @@
 import pytest
 
 import nilco.lattice as lattice_module
-from conftest import check_group_axioms, heisenberg, random_element, random_matrix, torus
+from conftest import (
+    check_group_axioms,
+    free_class2,
+    heisenberg,
+    heisenberg_squared,
+    identity_hom,
+    random_element,
+    random_matrix,
+    torus,
+)
 from nilco.errors import (
     BoundExceededError,
     HomomorphismError,
@@ -16,7 +25,6 @@ from nilco.lattice import (
     LatticeHomomorphism,
     NilpotentLattice,
     apply_hom,
-    identity_hom,
     require_valid_hom,
     validate_hom,
 )
@@ -26,6 +34,62 @@ def as_unitriangular(e):
     """(a1, a2; c) as the 3x3 unitriangular matrix [[1,a1,c],[0,1,a2],[0,0,1]]."""
     (a1, a2), (c,) = e.coordinates
     return IntMatrix([[1, a1, c], [0, 1, a2], [0, 0, 1]])
+
+
+def heisenberg_map(rng):
+    M1 = random_matrix(rng, 2, 2, lo=-3, hi=3)
+    h = heisenberg()
+    return LatticeHomomorphism(h, h, (M1, IntMatrix([[determinant(M1)]])))
+
+
+def heisenberg_squared_map(rng):
+    """A (+) B on the two Heisenberg factors, with the factors swapped or not."""
+    A, B = (random_matrix(rng, 2, 2, lo=-3, hi=3) for _ in range(2))
+    a, b = determinant(A), determinant(B)
+    top = [list(A.data[i]) + [0, 0] for i in range(2)]
+    bottom = [[0, 0] + list(B.data[i]) for i in range(2)]
+    M1, M2 = top + bottom, [[a, 0], [0, b]]
+    if rng.random() < 0.5:
+        M1, M2 = bottom + top, [[0, b], [a, 0]]
+    lat = heisenberg_squared()
+    return LatticeHomomorphism(lat, lat, (IntMatrix(M1), IntMatrix(M2)))
+
+
+def free_class2_map(rng):
+    """M1 on the generators and its 2x2 minors on the commutators."""
+    M1 = random_matrix(rng, 3, 3, lo=-3, hi=3)
+    pairs = [(i, j) for i in range(3) for j in range(i + 1, 3)]
+    m = M1.data
+    M2 = IntMatrix([
+        [m[i][k] * m[j][l] - m[j][k] * m[i][l] for k, l in pairs] for i, j in pairs
+    ])
+    lat = free_class2(3)
+    return LatticeHomomorphism(lat, lat, (M1, M2))
+
+
+def torus_to_heisenberg_map(rng):
+    """Rank-one level matrix v w^T, so the images of Z^3 commute."""
+    v = [rng.randint(-3, 3) for _ in range(2)]
+    w = [rng.randint(-3, 3) for _ in range(3)]
+    M1 = IntMatrix([[x * y for y in w] for x in v])
+    return LatticeHomomorphism(torus(3), heisenberg(), (M1, IntMatrix.zeros(1, 0)))
+
+
+def ordered_word_image(hom, u):
+    """Image of u = x_1^{a_1} ... x_r^{a_r} * z^{c - defect}: the product of
+    the generator images (M1 e_j, 0)^{a_j} and (0, M2 (c - defect))."""
+    src, tgt = hom.source, hom.target
+    M1 = hom.matrices[0]
+    image, word = tgt.identity(), src.identity()
+    for j, (aj, unit) in enumerate(zip(u.level(0), src.generators())):
+        x = tgt.element((M1.column(j), (0,) * tgt.ranks[1]))
+        image = tgt.multiply(image, tgt.power(x, aj))
+        word = src.multiply(word, src.power(unit, aj))
+    if src.class_c == 2:
+        rest = tuple(c - d for c, d in zip(u.level(1), word.level(1)))
+        tail = tgt.element(((0,) * tgt.ranks[0], hom.matrices[1].apply(rest)))
+        image = tgt.multiply(image, tail)
+    return image
 
 
 class TestLatticeConstruction:
@@ -163,16 +227,20 @@ class TestApplyHom:
         assert apply_hom(identity_hom(h), u) == u
 
     def test_validated_maps_are_homomorphisms(self, rng):
-        h = heisenberg()
-        for _ in range(40):
-            M1 = random_matrix(rng, 2, 2, lo=-3, hi=3)
-            hom = LatticeHomomorphism(h, h, (M1, IntMatrix([[determinant(M1)]])))
-            for _ in range(10):
-                u = random_element(rng, h)
-                v = random_element(rng, h)
-                assert apply_hom(hom, h.multiply(u, v)) == h.multiply(
-                    apply_hom(hom, u), apply_hom(hom, v)
-                )
+        builders = (heisenberg_map, heisenberg_squared_map, free_class2_map,
+                    torus_to_heisenberg_map)
+        for build in builders:
+            for _ in range(25):
+                hom = build(rng)
+                assert validate_hom(hom) is None, build.__name__
+                src, tgt = hom.source, hom.target
+                for _ in range(10):
+                    u = random_element(rng, src)
+                    v = random_element(rng, src)
+                    assert apply_hom(hom, src.multiply(u, v)) == tgt.multiply(
+                        apply_hom(hom, u), apply_hom(hom, v)
+                    )
+                    assert apply_hom(hom, u) == ordered_word_image(hom, u)
 
     def test_heisenberg_to_circle_projection(self, rng):
         h = heisenberg()

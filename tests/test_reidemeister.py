@@ -4,7 +4,10 @@ verdict for nilpotent targets."""
 import pytest
 
 from conftest import (
+    fiber_deviation_rank,
+    free_class2,
     heisenberg,
+    heisenberg_squared,
     heisenberg_self_map,
     random_element,
     random_matrix,
@@ -29,7 +32,6 @@ from nilco.reidemeister import (
     TwistedOrbitEngine,
     coincidence_invariants,
     coincidence_invariants_from_pairs,
-    fiber_deviation_rank,
 )
 
 
@@ -185,6 +187,47 @@ class TestLabels:
         h, engine = self.engine()
         u = h.element(((5, -3), (7,)))
         assert TwistedOrbitEngine(engine.action).label(u) == engine.label(u)
+
+
+def random_pairs_engine(rng, lat, k):
+    """Engine on k random generator pairs whose level-1 cokernel is finite."""
+    while True:
+        pairs = tuple(
+            (random_element(rng, lat, -3, 3), random_element(rng, lat, -3, 3))
+            for _ in range(k)
+        )
+        system = GeneratorPairSystem(target=lat, pairs=pairs)
+        engine = TwistedOrbitEngine(TwistedAction.from_pairs(system))
+        if engine.coker1.is_finite:
+            return engine
+
+
+class TestFiberColumns:
+    @pytest.mark.parametrize("lattice", [heisenberg, heisenberg_squared, free_class2])
+    def test_closed_form_equals_the_moved_element(self, rng, lattice):
+        # the column of fiber word w over a is t_w + [p_w, a]; it must equal
+        # the central coordinate of psi(w) (a, 0) phi(w)^{-1}
+        lat = lattice()
+        r1, r2 = lat.ranks
+        kernel_words = commutator_words = non_uniform = uniform = 0
+        for k in (r1, r1 + 1, r1 + 2) * 3:
+            engine = random_pairs_engine(rng, lat, k)
+            commutators = k * (k - 1) // 2
+            kernel_words += len(engine._fiber_words) - commutators
+            commutator_words += commutators
+            for _ in range(5):
+                a = tuple(rng.randint(-6, 6) for _ in range(r1))
+                M = engine._fiber_matrix(a)
+                base = lat.element((a, (0,) * r2))
+                for g, w in enumerate(engine._fiber_words):
+                    assert M.column(g) == engine.move(base, w).level(1), (a, w)
+                if engine._uniform_fiber is None:
+                    non_uniform += 1
+                else:
+                    uniform += 1
+                    assert engine._fiber(a) is engine._uniform_fiber
+                    assert engine._uniform_fiber[0] == M
+        assert kernel_words and commutator_words and non_uniform and uniform
 
 
 class TestMiscellaneous:

@@ -1,8 +1,12 @@
 """Exact integer matrix kernel.
 
-Arbitrary-precision integer matrices with fraction-free determinants,
-Smith normal form with transformation tracking, column Hermite form,
-cokernel structure and canonical coset representatives.
+Arbitrary-precision integer matrices with fraction-free determinants, the
+column Hermite form, cokernel structure and canonical coset
+representatives.  One column Hermite form serves every count: its pivot
+diagonal gives the cokernel order, the columns of V past the pivots a
+kernel basis, and the same form reduces vectors to canonical coset
+representatives.  The Smith normal form is computed only for the invariant
+factors of `cokernel`.
 """
 
 from dataclasses import dataclass
@@ -280,13 +284,17 @@ def smith_normal_form(A):
 
 
 def rank(A):
-    return smith_normal_form(A).rank
+    return len(column_hermite(A).pivots)
 
 
-def kernel_basis(A):
-    """Basis of the integer kernel of A (a direct summand of Z^cols)."""
-    snf = smith_normal_form(A)
-    return [snf.V.column(j) for j in range(snf.rank, A.cols)]
+def kernel_basis(A, hermite=None):
+    """Basis of the integer kernel of A (a direct summand of Z^cols).
+
+    These are the columns of V past the pivots of the column Hermite form:
+    A @ V == H is zero there and V is unimodular.
+    """
+    ch = hermite if hermite is not None else column_hermite(A)
+    return [ch.V.column(j) for j in range(len(ch.pivots), A.cols)]
 
 
 @dataclass(frozen=True)
@@ -319,12 +327,15 @@ class ColumnHermite:
     """Column echelon form: A @ V == H, V unimodular, pivots positive.
 
     pivots[i] is the row of the pivot in column i; pivot rows are strictly
-    increasing and each pivot column is zero above its pivot row.
+    increasing and each pivot column is zero above its pivot row.  order is
+    the order of the cokernel Z^rows / im(A): the product of the pivot
+    diagonal when every row holds a pivot, else None (infinite).
     """
 
     H: IntMatrix
     V: IntMatrix
     pivots: tuple
+    order: object
 
 
 def column_hermite(A):
@@ -363,10 +374,12 @@ def column_hermite(A):
                 rr[pc] = -rr[pc]
         pivots.append(row)
         pc += 1
+    order = prod(H[row][i] for i, row in enumerate(pivots)) if len(pivots) == r else None
     return ColumnHermite(
         H=IntMatrix(H, shape=(r, c)),
         V=IntMatrix(V, shape=(c, c)),
         pivots=tuple(pivots),
+        order=order,
     )
 
 
@@ -404,10 +417,9 @@ def coset_representatives(A, hermite=None, max_count=None):
     from itertools import product as iproduct
 
     ch = hermite if hermite is not None else column_hermite(A)
-    if len(ch.pivots) < A.rows:
+    if ch.order is None:
         raise InfiniteResultError("cokernel is infinite; no finite representative set")
-    diag = [ch.H.data[ch.pivots[i]][i] for i in range(A.rows)]
-    total = prod(diag)
-    if max_count is not None and total > max_count:
-        raise BoundExceededError(f"coset count {total} exceeds bound {max_count}")
+    if max_count is not None and ch.order > max_count:
+        raise BoundExceededError(f"coset count {ch.order} exceeds bound {max_count}")
+    diag = [ch.H.data[row][i] for i, row in enumerate(ch.pivots)]
     return [tuple(v) for v in iproduct(*(range(d) for d in diag))]

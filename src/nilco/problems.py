@@ -17,7 +17,7 @@ from .infra import (
     infra_movers,
     require_valid_infra,
 )
-from .intmat import IntMatrix
+from .intmat import IntMatrix, cokernel
 from .lattice import LatticeHomomorphism, NilpotentLattice, require_valid_hom
 from .oracle import twisted_orbits_finite
 from .reidemeister import (
@@ -442,7 +442,7 @@ def default_modulus(problem, report):
         raise NilcoError("no finite modulus for an infinite result")
     if problem.target.class_c == 1:
         action = TwistedAction(target=problem.target, movers=problem_movers(problem))
-        return max((2, *TwistedOrbitEngine(action).coker1.torsion))
+        return max((2, *cokernel(TwistedOrbitEngine(action).delta1).torsion))
     counts = [c for c in report.R.level_counts if c is not None]
     return max(2, prod(counts) if counts else report.R.count)
 

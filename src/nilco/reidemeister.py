@@ -8,8 +8,11 @@ coordinate (kernel words of the difference matrix plus commutator words).
 A fiber word w with images phi(w) = (p_w, p2) and psi(w) = (p_w, q2)
 translates the fiber over a by the affine column t_w + [p_w, a], with
 t_w = q2 - p2; (p_w, t_w) is computed once per word, and a fiber with every
-p_w = 0 is the same over every level-1 class.  Canonical class labels with
-exact witness words come out of the same machinery.
+p_w = 0 is the same over every level-1 class.  Every order is read from the
+pivot diagonal of a column Hermite form, and the same form lists the
+canonical representatives, gives the kernel words and reduces labels, so
+canonical class labels with exact witness words come out of the same
+machinery.
 """
 
 from dataclasses import dataclass
@@ -25,12 +28,11 @@ from .errors import (
 from .intmat import (
     IntMatrix,
     column_hermite,
-    cokernel,
     coset_representatives,
     kernel_basis,
     reduce_to_canonical_rep,
 )
-from .lattice import NilpotentLattice, apply_hom, require_valid_hom
+from .lattice import LatticeElement, NilpotentLattice, require_valid_hom
 
 FINITE = "finite"
 INFINITE = "infinite"
@@ -93,14 +95,27 @@ class TwistedAction:
             raise ShapeError("the two homomorphisms must share source and target")
         require_valid_hom(phi)
         require_valid_hom(psi)
-        movers = tuple(
-            (apply_hom(phi, g), apply_hom(psi, g)) for g in phi.source.generators()
-        )
+        movers = tuple(zip(_generator_images(phi), _generator_images(psi)))
         return cls(target=phi.target, movers=movers)
 
     @classmethod
     def from_pairs(cls, system):
         return cls(target=system.target, movers=system.pairs)
+
+
+def _generator_images(hom):
+    """Images of the source generators, in `generators()` order: generator j
+    of level l goes to column j of matrices[l] at level l and to 0 at every
+    other level, since a one-letter word has no defect; past the target's
+    class it goes to the identity."""
+    return [
+        LatticeElement(tuple(
+            hom.matrices[level].column(j) if lvl == level else (0,) * r
+            for lvl, r in enumerate(hom.target.ranks)
+        ))
+        for level, rank in enumerate(hom.source.ranks)
+        for j in range(rank)
+    ]
 
 
 def _word_inverse(word):
@@ -136,12 +151,12 @@ class TwistedOrbitEngine:
         ]
         self.delta1 = IntMatrix.from_columns(cols, self.r1)
         self.hermite1 = column_hermite(self.delta1)
-        self.coker1 = cokernel(self.delta1)
+        self.order1 = self.hermite1.order
 
         self._fiber_words = None
         self._fiber_columns = None
         self._uniform_fiber = None
-        if self.coker1.is_finite and self.r2 > 0:
+        if self.order1 is not None and self.r2 > 0:
             self._build_fiber_generators()
 
     # -- move application --------------------------------------------
@@ -170,7 +185,7 @@ class TwistedOrbitEngine:
     def _build_fiber_generators(self):
         words = []
         # kernel words: products of movers whose level-1 translation cancels
-        for v in kernel_basis(self.delta1):
+        for v in kernel_basis(self.delta1, hermite=self.hermite1):
             words.append(tuple((j, v[j]) for j in range(self.k) if v[j] != 0))
         # commutator words stabilize level 1 as well
         for i in range(self.k):
@@ -189,7 +204,7 @@ class TwistedOrbitEngine:
         self._fiber_columns = tuple(columns)
         if all(not any(p) for p, _ in columns):
             M = self._fiber_matrix((0,) * self.r1)
-            self._uniform_fiber = (M, cokernel(M))
+            self._uniform_fiber = (M, column_hermite(M))
 
     def _fiber_matrix(self, a):
         """Columns t_w + [p_w, a]: the exact central translations of the fiber
@@ -201,17 +216,18 @@ class TwistedOrbitEngine:
         return IntMatrix.from_columns(cols, self.r2)
 
     def _fiber(self, a):
-        """Fiber matrix over a and its cokernel; built once when uniform."""
+        """Fiber matrix over a and its column Hermite form; built once when
+        uniform."""
         if self._uniform_fiber is not None:
             return self._uniform_fiber
         M = self._fiber_matrix(a)
-        return M, cokernel(M)
+        return M, column_hermite(M)
 
     # -- counting ------------------------------------------------------
 
     def result(self, reps_limit=None):
         """ReidemeisterResult for the action (no deformability decision)."""
-        c1 = self.coker1.order
+        c1 = self.order1
         if c1 is None:
             return ReidemeisterResult(
                 status=INFINITE,
@@ -223,7 +239,7 @@ class TwistedOrbitEngine:
             reps = None
             if reps_limit is not None and c1 <= reps_limit:
                 reps = tuple(
-                    self.target.element((a,))
+                    LatticeElement((a,))
                     for a in coset_representatives(self.delta1, hermite=self.hermite1)
                 )
             return ReidemeisterResult(
@@ -233,26 +249,31 @@ class TwistedOrbitEngine:
         level1_reps = coset_representatives(
             self.delta1, hermite=self.hermite1, max_count=max_order_cap()
         )
+        collect_reps = reps_limit is not None
+        if collect_reps and self._uniform_fiber is not None:
+            # the total c1 * |fiber| is known before the loop
+            order = self._uniform_fiber[1].order
+            collect_reps = order is not None and c1 * order <= reps_limit
         fiber_counts = []
         reps = []
-        collect_reps = reps_limit is not None
         for a in level1_reps:
-            M, ck = self._fiber(a)
-            if ck.order is None:
+            M, ch = self._fiber(a)
+            if ch.order is None:
                 return ReidemeisterResult(
                     status=INFINITE,
                     count=None,
                     level_counts=(c1, None),
                     infinite_level=2,
                 )
-            fiber_counts.append(ck.order)
+            fiber_counts.append(ch.order)
             if collect_reps:
-                if len(reps) + ck.order > reps_limit:
+                if len(reps) + ch.order > reps_limit:
                     collect_reps = False
                     reps = []
                 else:
-                    for c in coset_representatives(M):
-                        reps.append(self.target.element((tuple(a), tuple(c))))
+                    reps.extend(
+                        LatticeElement((a, c)) for c in coset_representatives(M, hermite=ch)
+                    )
         total = sum(fiber_counts)
         uniform = len(set(fiber_counts)) <= 1
         if uniform:
@@ -260,14 +281,11 @@ class TwistedOrbitEngine:
         else:
             # no clean per-level factorization; count is the fibered sum
             level_counts = (total,)
-        out_reps = None
-        if collect_reps and total <= reps_limit:
-            out_reps = tuple(reps)
         return ReidemeisterResult(
             status=FINITE,
             count=total,
             level_counts=level_counts,
-            reps=out_reps,
+            reps=tuple(reps) if collect_reps else None,
             fiber_counts=tuple(fiber_counts),
         )
 
@@ -280,7 +298,7 @@ class TwistedOrbitEngine:
         """
         t = self.target
         u = t.element(u.coordinates)
-        if not self.coker1.is_finite:
+        if self.order1 is None:
             raise InfiniteResultError("infinitely many classes at level 1")
         a = u.level(0)
         a_rep, z = reduce_to_canonical_rep(a, self.delta1, hermite=self.hermite1)
@@ -291,11 +309,11 @@ class TwistedOrbitEngine:
         if self.r2 == 0:
             return u1, word1
 
-        M, ck = self._fiber(a_rep)
-        if ck.order is None:
+        M, ch = self._fiber(a_rep)
+        if ch.order is None:
             raise InfiniteResultError("infinitely many central classes over this level-1 class")
         c = u1.level(1)
-        c_rep, z2 = reduce_to_canonical_rep(c, M)
+        c_rep, z2 = reduce_to_canonical_rep(c, M, hermite=ch)
         word2 = ()
         for g, coeff in enumerate(z2):
             word2 = word2 + _word_power(self._fiber_words[g], -coeff)
@@ -308,18 +326,25 @@ class TwistedOrbitEngine:
 def coincidence_invariants(phi, psi, reps_limit=1024, action=None):
     """R(f,g), N(f,g) and the deformability decision for a lattice pair.
 
-    Level counts are the cokernel orders of the level differences; for
-    class <= 2 targets the exact orbit engine supplies the count and the
-    canonical representatives.  Both maps are checked and applied once, by
+    Level counts are the cokernel orders of the level differences, read from
+    their column Hermite forms; for class <= 2 targets the exact orbit engine
+    supplies level 1's order, the count and the canonical representatives.
+    Both maps are checked and applied once, by
     `TwistedAction.from_homs(phi, psi)`; a caller that already holds that
     action passes it as `action`.
     """
     if action is None:
         action = TwistedAction.from_homs(phi, psi)
+    # the engine's level-1 matrix is G1 - F1 plus a zero column per central
+    # source generator
+    engine = TwistedOrbitEngine(action) if phi.target.class_c <= 2 else None
     level_counts = []
     infinite_level = None
     for i in range(phi.depth):
-        order = cokernel(psi.matrices[i] - phi.matrices[i]).order
+        if i == 0 and engine is not None:
+            order = engine.order1
+        else:
+            order = column_hermite(psi.matrices[i] - phi.matrices[i]).order
         level_counts.append(order)
         if order is None and infinite_level is None:
             infinite_level = i + 1
@@ -332,10 +357,10 @@ def coincidence_invariants(phi, psi, reps_limit=1024, action=None):
         )
         return CoincidenceReport(R=R, N=0, deformable=YES, rationale=EQ_THM)
 
-    if phi.target.class_c <= 2:
+    if engine is not None:
         # finite level counts keep every central fiber finite: each central
         # source generator translates its fiber by a level-2 difference column
-        R = TwistedOrbitEngine(action).result(reps_limit=reps_limit)
+        R = engine.result(reps_limit=reps_limit)
         R = ReidemeisterResult(
             status=FINITE,
             count=R.count,

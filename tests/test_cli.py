@@ -3,6 +3,7 @@
 import io
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +25,9 @@ from nilco.problems import (
     parse_problem_dict,
     serialize_problem,
 )
+
+# canonical `--output json compute` bytes of each bundled fixture
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
 HEISENBERG_DOC = {
     "kind": "NILMANIFOLD",
@@ -255,6 +259,19 @@ class TestValidateAndFixtures:
         write_problem(tmp_path, doc, name="wrong.json")
         code, text = run(["fixtures", "--check", "--dir", str(tmp_path)])
         assert code == EXIT_MISMATCH and "FAIL" in text
+
+
+class TestGoldenReports:
+    def test_every_fixture_has_a_golden_report(self):
+        fixtures = sorted(p.name for p in bundled_fixture_dir().iterdir() if p.name.endswith(".json"))
+        assert fixtures == sorted(p.name for p in GOLDEN_DIR.glob("*.json"))
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN_DIR.glob("*.json")))
+    def test_json_report_is_byte_identical(self, name):
+        # reps, fiber_counts and key order included, not only R, N and deformable
+        code, text = run(["--output", "json", "compute", str(bundled_fixture_dir() / name)])
+        assert code == EXIT_OK
+        assert text.encode("utf-8") == (GOLDEN_DIR / name).read_bytes()
 
 
 class TestRoundTrip:

@@ -130,6 +130,16 @@ class TestKernel:
             for v in basis:
                 assert A.apply(v) == (0,) * A.rows
 
+    def test_kernel_basis_is_saturated(self, rng):
+        # a basis of a direct summand: its Smith form has every factor 1
+        for _ in range(150):
+            A = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 5), lo=-6, hi=6)
+            basis = kernel_basis(A)
+            assert kernel_basis(A, hermite=column_hermite(A)) == basis
+            if basis:
+                K = IntMatrix.from_columns(basis, A.cols)
+                assert smith_normal_form(K).invariant_factors == (1,) * len(basis)
+
 
 class TestCokernel:
     def test_known_structures(self):
@@ -153,6 +163,18 @@ class TestCokernel:
 
 
 class TestColumnHermite:
+    def test_order_is_the_cokernel_order(self, rng):
+        shapes = [(n, n) for n in range(1, 5)] + [(2, 4), (3, 5), (4, 2), (3, 1)]
+        for _ in range(40):
+            for r, c in shapes:
+                A = random_matrix(rng, r, c, lo=-6, hi=6)
+                if rng.random() < 0.3:  # with two or more rows, a repeated row: singular
+                    A = IntMatrix([A.data[0]] + [list(row) for row in A.data[:-1]])
+                order = column_hermite(A).order
+                assert order == cokernel(A).order
+                full_rank = sympy.Matrix([list(row) for row in A.data]).rank() == r
+                assert (order is not None) == full_rank
+
     def test_contract(self, rng):
         for _ in range(200):
             A = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 4))

@@ -16,7 +16,8 @@ from conftest import (
 )
 from nilco.errors import ShapeError, UnsupportedClassError
 from nilco.intmat import IntMatrix
-from nilco.lattice import LatticeHomomorphism, NilpotentLattice
+from nilco.intmat import determinant
+from nilco.lattice import LatticeHomomorphism, NilpotentLattice, apply_hom
 from nilco.oracle import twisted_orbits_finite
 from nilco.reidemeister import (
     EQ_THM,
@@ -198,7 +199,7 @@ def random_pairs_engine(rng, lat, k):
         )
         system = GeneratorPairSystem(target=lat, pairs=pairs)
         engine = TwistedOrbitEngine(TwistedAction.from_pairs(system))
-        if engine.coker1.is_finite:
+        if engine.order1 is not None:
             return engine
 
 
@@ -228,6 +229,78 @@ class TestFiberColumns:
                     assert engine._fiber(a) is engine._uniform_fiber
                     assert engine._uniform_fiber[0] == M
         assert kernel_words and commutator_words and non_uniform and uniform
+
+
+def random_hom_pair(rng, kind):
+    """Two valid homomorphisms with a shared source and target; the central
+    matrices are forced by bracket equivariance where the target has class 2."""
+
+    def square(n):
+        return random_matrix(rng, n, n, -4, 4)
+
+    def build(source, target, make):
+        return tuple(
+            LatticeHomomorphism(source=source, target=target, matrices=make())
+            for _ in range(2)
+        )
+
+    if kind == "torus":
+        t = torus(3)
+        return build(t, t, lambda: (square(3),))
+    if kind == "heisenberg":
+        h = heisenberg()
+        return tuple(heisenberg_self_map(h, square(2)) for _ in range(2))
+    if kind == "heisenberg_squared":
+        hh = heisenberg_squared()
+
+        def make():
+            A, B = square(2), square(2)
+            M1 = [[0] * 4 for _ in range(4)]
+            for i in range(2):
+                for j in range(2):
+                    M1[i][j], M1[i + 2][j + 2] = A.data[i][j], B.data[i][j]
+            return IntMatrix(M1), IntMatrix([[determinant(A), 0], [0, determinant(B)]])
+
+        return build(hh, hh, make)
+    if kind == "free_class2":
+        f = free_class2()
+        pairs = [(0, 1), (0, 2), (1, 2)]
+
+        def make():
+            M = square(3).data
+            wedge = [[M[i][k] * M[j][l] - M[i][l] * M[j][k] for k, l in pairs] for i, j in pairs]
+            return IntMatrix(M), IntMatrix(wedge)
+
+        return build(f, f, make)
+    if kind == "torus_to_heisenberg":
+        # rank-one level-1 images keep the commutator pairing zero
+        def make():
+            u = [rng.randint(-4, 4) for _ in range(2)]
+            w = [rng.randint(-4, 4) for _ in range(2)]
+            return IntMatrix([[x * y for y in w] for x in u]), IntMatrix.zeros(1, 0)
+
+        return build(torus(2), heisenberg(), make)
+    if kind == "heisenberg_to_torus":
+        return build(heisenberg(), torus(2), lambda: (square(2), IntMatrix([], shape=(0, 1))))
+    if kind == "class3":
+        lat = NilpotentLattice(ranks=(2, 1, 1))
+        return build(lat, lat, lambda: (square(2), square(1), square(1)))
+    raise ValueError(kind)
+
+
+class TestMovers:
+    @pytest.mark.parametrize(
+        "kind",
+        ["torus", "heisenberg", "heisenberg_squared", "free_class2",
+         "torus_to_heisenberg", "heisenberg_to_torus", "class3"],
+    )
+    def test_movers_are_the_generator_images(self, rng, kind):
+        for _ in range(20):
+            phi, psi = random_hom_pair(rng, kind)
+            expected = tuple(
+                (apply_hom(phi, g), apply_hom(psi, g)) for g in phi.source.generators()
+            )
+            assert TwistedAction.from_homs(phi, psi).movers == expected
 
 
 class TestMiscellaneous:

@@ -9,6 +9,7 @@ from NILCO_MAX_ORDER or --max-order that is not an integer >= 1),
 """
 
 import argparse
+import functools
 import sys
 from importlib import resources
 from pathlib import Path
@@ -96,12 +97,12 @@ def cmd_compute(args, out):
 
 def cmd_oracle(args, out):
     problem = parse_problem(args.file)
-    validate_problem(problem)
+    action = validate_problem(problem)
     modulus = args.modulus
     if modulus is None:
-        report, _ = compute_report(problem)
-        modulus = default_modulus(problem, report)
-    count = oracle_orbit_count(problem, modulus, max_order=args.max_order)
+        report, _ = compute_report(problem, action=action)
+        modulus = default_modulus(problem, report, action=action)
+    count = oracle_orbit_count(problem, modulus, max_order=args.max_order, action=action)
     doc = {"kind": problem.kind, "modulus": modulus, "orbit_count": count}
     if problem.name is not None:
         doc["name"] = problem.name
@@ -159,7 +160,10 @@ def cmd_fixtures(args, out):
     return EXIT_OK
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on first use and shared by every `main`
+    call in the process; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="nilco",
         description=(

@@ -43,9 +43,9 @@ class InfiniteResultError(NilcoError):
 
 def max_order_cap(override=None):
     """Element cap for exhaustive enumeration (quotient elements in the
-    oracle, level-1 classes in the orbit engine): the override, else
-    NILCO_MAX_ORDER, else DEFAULT_MAX_ORDER.  A cap that is not an integer
-    >= 1 raises ParseError."""
+    oracle, period classes of a class-2 count in the orbit engine): the
+    override, else NILCO_MAX_ORDER, else DEFAULT_MAX_ORDER.  A cap that is
+    not an integer >= 1 raises ParseError."""
     raw, source = override, "max_order"
     if raw is None:
         raw, source = os.environ.get("NILCO_MAX_ORDER") or DEFAULT_MAX_ORDER, "NILCO_MAX_ORDER"

@@ -116,17 +116,18 @@ def infra_movers(infra, cover_action):
     return cover_action.movers + infra.map_images
 
 
-def decide_infra(infra, phi, psi):
+def decide_infra(infra, phi, psi, action=None):
     """Coincidence report for the infra-nilmanifold pair itself.
 
     Returns (cover_report, report).  When the cover count is finite and the
     target has class > 2, the orbit engine is unavailable and the report
-    carries count bounds with exact=False instead.
+    carries count bounds with exact=False instead.  A caller that already
+    holds `TwistedAction.from_homs(phi, psi)` passes it as `action`.
     """
     require_valid_infra(infra, target=phi.target)
     if phi.source != infra.cover or psi.source != infra.cover:
         raise ShapeError("lifted homomorphisms must be defined on the cover lattice")
-    cover_action = TwistedAction.from_homs(phi, psi)
+    cover_action = action if action is not None else TwistedAction.from_homs(phi, psi)
     cover_report = coincidence_invariants(phi, psi, reps_limit=None, action=cover_action)
     if cover_report.R.status == INFINITE:
         report = CoincidenceReport(

@@ -253,7 +253,7 @@ def require_valid_hom(hom):
         )
 
 
-def _word_defect(lattice, vectors, a):
+def word_defect(lattice, vectors, a):
     """Central part of the ordered word (v_1, 0)^{a_1} ... (v_r, 0)^{a_r}:
 
         sum_{i<j} a_i a_j B(v_i, v_j) + sum_j C(a_j, 2) B(v_j, v_j).
@@ -278,7 +278,7 @@ def apply_hom(hom, u):
     For class <= 2, level-1 generators map with zero central tail.  Writing
     u = (a, c) as the ordered word x_1^{a_1} ... x_r^{a_r} * z^{c - defect_src(a)},
     the image is (M1 a, defect_tgt(a) + M2 (c - defect_src(a))), with each
-    defect the central part of its ordered word (`_word_defect`: over the
+    defect the central part of its ordered word (`word_defect`: over the
     unit vectors in the source, over the columns of M1 in the target).  So
     a validated homomorphism is applied exactly:
     apply_hom(u*v) == apply_hom(u)*apply_hom(v).
@@ -298,10 +298,10 @@ def apply_hom(hom, u):
     top = M1.apply(a)
     if tgt.class_c == 1:
         return LatticeElement((top,))
-    central = _word_defect(tgt, [M1.column(j) for j in range(M1.cols)], a)
+    central = word_defect(tgt, [M1.column(j) for j in range(M1.cols)], a)
     if src.class_c == 2:
         r1 = src.ranks[0]
         units = [tuple(int(k == j) for k in range(r1)) for j in range(r1)]
-        rest = tuple(c - d for c, d in zip(u.level(1), _word_defect(src, units, a)))
+        rest = tuple(c - d for c, d in zip(u.level(1), word_defect(src, units, a)))
         central = tuple(x + y for x, y in zip(central, hom.matrices[1].apply(rest)))
     return LatticeElement((top, central))

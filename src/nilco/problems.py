@@ -18,7 +18,7 @@ from .infra import (
     require_valid_infra,
 )
 from .intmat import IntMatrix, cokernel
-from .lattice import LatticeHomomorphism, NilpotentLattice, require_valid_hom
+from .lattice import LatticeHomomorphism, NilpotentLattice
 from .oracle import twisted_orbits_finite
 from .reidemeister import (
     INFINITE,
@@ -290,12 +290,18 @@ def parse_problem(path):
 
 
 def validate_problem(problem):
-    """Full semantic validation beyond schema shapes."""
-    if problem.phi is not None:
-        require_valid_hom(problem.phi)
-        require_valid_hom(problem.psi)
+    """Full semantic validation beyond schema shapes.
+
+    Returns the problem's checked TwistedAction: `from_homs` of the map pair,
+    which validates both homomorphisms, or `from_pairs` of a PAIRS system.
+    The infra data is checked after the maps.
+    """
+    if problem.kind == "PAIRS":
+        return TwistedAction.from_pairs(problem.system)
+    action = TwistedAction.from_homs(problem.phi, problem.psi)
     if problem.infra is not None:
         require_valid_infra(problem.infra, target=problem.target)
+    return action
 
 
 # -- canonical serialization ------------------------------------------
@@ -356,17 +362,19 @@ def canonical_json(doc):
 # -- dispatch ----------------------------------------------------------
 
 
-def compute_report(problem):
+def compute_report(problem, action=None):
     """Run the computation a problem file asks for.
 
-    Returns (report, cover_report); cover_report is None outside INFRA.
+    Returns (report, cover_report); cover_report is None outside INFRA.  A
+    caller that already ran `validate_problem` passes its action.
     """
-    validate_problem(problem)
+    if action is None:
+        action = validate_problem(problem)
     if problem.kind in ("TORUS", "NILMANIFOLD"):
-        return coincidence_invariants(problem.phi, problem.psi), None
+        return coincidence_invariants(problem.phi, problem.psi, action=action), None
     if problem.kind == "PAIRS":
         return coincidence_invariants_from_pairs(problem.system), None
-    cover_report, report = decide_infra(problem.infra, problem.phi, problem.psi)
+    cover_report, report = decide_infra(problem.infra, problem.phi, problem.psi, action=action)
     return report, cover_report
 
 
@@ -394,7 +402,8 @@ def report_dict(problem, report, cover_report=None):
     if R.reps is not None:
         out["reps"] = [_element_list(e) for e in R.reps]
     if R.fiber_counts is not None:
-        out["fiber_counts"] = list(R.fiber_counts)
+        # [order, classes] pairs: an object would key by strings, "16" < "4"
+        out["fiber_counts"] = [list(pair) for pair in R.fiber_counts]
     if cover_report is not None:
         out["cover"] = {
             "R": _count_or_infinite(cover_report.R.count),
@@ -430,7 +439,7 @@ def check_expected(problem, report):
 # -- finite-quotient oracle dispatch ----------------------------------
 
 
-def default_modulus(problem, report):
+def default_modulus(problem, report, action=None):
     """Quotient modulus for the oracle when none is given, at least 2.
 
     For a class-1 target this is the largest invariant factor of the level-1
@@ -441,30 +450,30 @@ def default_modulus(problem, report):
     if report.R.count is None:
         raise NilcoError("no finite modulus for an infinite result")
     if problem.target.class_c == 1:
-        action = TwistedAction(target=problem.target, movers=problem_movers(problem))
-        return max((2, *cokernel(TwistedOrbitEngine(action).delta1).torsion))
+        level1 = TwistedAction(target=problem.target, movers=problem_movers(problem, action))
+        return max((2, *cokernel(TwistedOrbitEngine(level1).delta1).torsion))
     counts = [c for c in report.R.level_counts if c is not None]
     return max(2, prod(counts) if counts else report.R.count)
 
 
-def problem_movers(problem):
+def problem_movers(problem, action=None):
     """Mover pairs of the problem's twisted action, as target elements.  An
-    INFRA problem adds its holonomy pairs (f(x), g(x)) to the cover movers."""
-    if problem.kind == "PAIRS":
-        return TwistedAction.from_pairs(problem.system).movers
+    INFRA problem adds its holonomy pairs (f(x), g(x)) to the cover movers.
+    `action` is the result of `validate_problem(problem)`, run here when not
+    given."""
+    if action is None:
+        action = validate_problem(problem)
     if problem.kind == "INFRA":
-        return infra_movers(
-            problem.infra, TwistedAction.from_homs(problem.phi, problem.psi)
-        )
-    return TwistedAction.from_homs(problem.phi, problem.psi).movers
+        return infra_movers(problem.infra, action)
+    return action.movers
 
 
-def oracle_orbit_count(problem, modulus, max_order=None):
+def oracle_orbit_count(problem, modulus, max_order=None, action=None):
     """Twisted orbit count on the target quotient mod `modulus`."""
     cap = max_order_cap(max_order)
     table = problem.target.reduce_mod(modulus, max_order=cap)
     movers = [
-        (table.project(p), table.project(q)) for p, q in problem_movers(problem)
+        (table.project(p), table.project(q)) for p, q in problem_movers(problem, action)
     ]
     count, _ = twisted_orbits_finite(table, movers)
     return count

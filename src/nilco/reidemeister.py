@@ -1,18 +1,21 @@
 """Reidemeister and Nielsen coincidence invariants for nilpotent targets.
 
 The count is assembled level by level along the lower central series: the
-level-1 classes are the cokernel of the difference matrix, and for class-2
-targets each level-1 class carries a fiber of central classes whose
+level-1 classes are the cokernel of the difference matrix Delta_1, and for
+class-2 targets each level-1 class carries a fiber of central classes whose
 translation subgroup is generated by the moves that stabilize the level-1
-coordinate (kernel words of the difference matrix plus commutator words).
-A fiber word w with images phi(w) = (p_w, p2) and psi(w) = (p_w, q2)
-translates the fiber over a by the affine column t_w + [p_w, a], with
-t_w = q2 - p2; (p_w, t_w) is computed once per word, and a fiber with every
-p_w = 0 is the same over every level-1 class.  Every order is read from the
-pivot diagonal of a column Hermite form, and the same form lists the
-canonical representatives, gives the kernel words and reduces labels, so
-canonical class labels with exact witness words come out of the same
-machinery.
+coordinate (kernel words of Delta_1 plus commutator words).  A fiber word w
+with images phi(w) = (p_w, p2) and psi(w) = (p_w, q2) translates the fiber
+over a by the affine column t_w + [p_w, a], with t_w = q2 - p2; (p_w, t_w)
+is written in closed form from the generator images, once per word.  The
+fiber order is constant on the cosets of the period lattice
+L = im Delta_1 + ker B + e Z^{r1} (B(a) = ([p_w, a])_w, e the order of the
+constant columns' cokernel), so the count is (c1 / |Q|) times the sum of
+one fiber order per class of Q = Z^{r1} / L; a fiber with every p_w = 0
+gives |Q| = 1.  Every order is read from the pivot diagonal of a column
+Hermite form, and the same form lists the canonical representatives, gives
+the kernel words and reduces labels, so canonical class labels with exact
+witness words come out of the same machinery.
 """
 
 from dataclasses import dataclass
@@ -32,7 +35,7 @@ from .intmat import (
     kernel_basis,
     reduce_to_canonical_rep,
 )
-from .lattice import LatticeElement, NilpotentLattice, require_valid_hom
+from .lattice import LatticeElement, NilpotentLattice, require_valid_hom, word_defect
 
 FINITE = "finite"
 INFINITE = "infinite"
@@ -54,7 +57,7 @@ class ReidemeisterResult:
     level_counts: tuple  # per-level orders; None marks an infinite level
     infinite_level: object = None  # 1-based, set when status == INFINITE
     reps: object = None  # canonical representatives (class <= 2, finite, small)
-    fiber_counts: object = None  # central-fiber breakdown per level-1 class
+    fiber_counts: object = None  # (fiber order, level-1 classes) pairs by order
 
 
 @dataclass(frozen=True)
@@ -183,27 +186,38 @@ class TwistedOrbitEngine:
     # -- central fibers -----------------------------------------------
 
     def _build_fiber_generators(self):
+        # mover j is p_j = (a_j, c_j), q_j = (b_j, d_j); a word with images
+        # P = (p, p2) and Q = (p, q2) moves (a, c) to Q (a, c) P^{-1} =
+        # (a, c + t + [p, a]) with t = q2 - p2
+        lat = self.target
+        a = [p.level(0) for p, _ in self.movers]
+        b = [q.level(0) for _, q in self.movers]
+        dc = [tuple(y - x for x, y in zip(p.level(1), q.level(1))) for p, q in self.movers]
         words = []
-        # kernel words: products of movers whose level-1 translation cancels
+        columns = []
+        # kernel words: the ordered product of p_j^{v_j} is
+        # (sum v_j a_j, sum v_j c_j + defect_a(v)), and its level-1 part
+        # equals that of psi's product since v is in the kernel of Delta_1
         for v in kernel_basis(self.delta1, hermite=self.hermite1):
             words.append(tuple((j, v[j]) for j in range(self.k) if v[j] != 0))
-        # commutator words stabilize level 1 as well
+            p = tuple(sum(v[j] * a[j][i] for j in range(self.k)) for i in range(self.r1))
+            tw = tuple(
+                sum(v[j] * dc[j][i] for j in range(self.k)) + y - x
+                for i, (x, y) in enumerate(zip(word_defect(lat, a, v), word_defect(lat, b, v)))
+            )
+            columns.append((p, tw))
+        # commutator words stabilize level 1 as well: p_w = 0 and
+        # t_w = [b_i, b_j] - [a_i, a_j]
+        zero = (0,) * self.r1
         for i in range(self.k):
             for j in range(i + 1, self.k):
                 words.append(((i, 1), (j, 1), (i, -1), (j, -1)))
-        # a word with images P = (p, p2) and Q = (p, q2) moves (a, c) to
-        # Q (a, c) P^{-1} = (a, c + t + [p, a]) with t = q2 - p2
-        columns = []
-        for w in words:
-            P, Q = self.word_images(w)
-            if P.level(0) != Q.level(0):
-                raise NilcoError("fiber generator word fails to stabilize level 1")
-            t = tuple(y - x for x, y in zip(P.level(1), Q.level(1)))
-            columns.append((P.level(0), t))
+                tw = tuple(y - x for x, y in zip(lat.bracket(a[i], a[j]), lat.bracket(b[i], b[j])))
+                columns.append((zero, tw))
         self._fiber_words = tuple(words)
         self._fiber_columns = tuple(columns)
         if all(not any(p) for p, _ in columns):
-            M = self._fiber_matrix((0,) * self.r1)
+            M = self._fiber_matrix(zero)
             self._uniform_fiber = (M, column_hermite(M))
 
     def _fiber_matrix(self, a):
@@ -222,6 +236,30 @@ class TwistedOrbitEngine:
             return self._uniform_fiber
         M = self._fiber_matrix(a)
         return M, column_hermite(M)
+
+    def _period_matrix(self):
+        """Columns spanning the period lattice L = im Delta_1 + ker B + e Z^{r1}.
+
+        B(a) = ([p_w, a])_w is linear in a, so M(a + x) = M(a) for x in
+        ker B.  The constant columns (p_w = 0) lie in every fiber image; when
+        their cokernel is finite of Hermite order e, e Z^{r2} lies in every
+        fiber image too, so adding e x to a changes no image.  Adding a
+        column of Delta_1 moves a to another representative of its class,
+        whose fiber has the same order.  So the fiber order is constant on
+        the cosets of L.
+        """
+        moving = [p for p, _ in self._fiber_columns if any(p)]
+        constant = [tw for p, tw in self._fiber_columns if not any(p)]
+        units = [tuple(int(i == j) for i in range(self.r1)) for j in range(self.r1)]
+        B = IntMatrix.from_columns(
+            [tuple(x for p in moving for x in self.target.bracket(p, u)) for u in units],
+            self.r2 * len(moving),
+        )
+        cols = [self.delta1.column(j) for j in range(self.k)] + kernel_basis(B)
+        e = column_hermite(IntMatrix.from_columns(constant, self.r2)).order
+        if e is not None:
+            cols += [tuple(e * x for x in u) for u in units]
+        return IntMatrix.from_columns(cols, self.r1)
 
     # -- counting ------------------------------------------------------
 
@@ -246,38 +284,33 @@ class TwistedOrbitEngine:
                 status=FINITE, count=c1, level_counts=(c1,), reps=reps
             )
 
-        level1_reps = coset_representatives(
-            self.delta1, hermite=self.hermite1, max_count=max_order_cap()
-        )
-        collect_reps = reps_limit is not None
-        if collect_reps and self._uniform_fiber is not None:
-            # the total c1 * |fiber| is known before the loop
-            order = self._uniform_fiber[1].order
-            collect_reps = order is not None and c1 * order <= reps_limit
-        fiber_counts = []
-        reps = []
-        for a in level1_reps:
-            M, ch = self._fiber(a)
-            if ch.order is None:
+        # R = (c1 / |Q|) sum_{q in Q} |coker M(q)| with Q = Z^{r1} / L: one
+        # fiber per period class, each standing for c1 / |Q| level-1 classes
+        period = self._period_matrix()
+        hermite = column_hermite(period)
+        classes = c1 // hermite.order
+        histogram = {}
+        for q in coset_representatives(period, hermite=hermite, max_count=max_order_cap()):
+            order = self._fiber(q)[1].order
+            if order is None:
                 return ReidemeisterResult(
                     status=INFINITE,
                     count=None,
                     level_counts=(c1, None),
                     infinite_level=2,
                 )
-            fiber_counts.append(ch.order)
-            if collect_reps:
-                if len(reps) + ch.order > reps_limit:
-                    collect_reps = False
-                    reps = []
-                else:
-                    reps.extend(
-                        LatticeElement((a, c)) for c in coset_representatives(M, hermite=ch)
-                    )
-        total = sum(fiber_counts)
-        uniform = len(set(fiber_counts)) <= 1
-        if uniform:
-            level_counts = (c1, fiber_counts[0] if fiber_counts else 1)
+            histogram[order] = histogram.get(order, 0) + classes
+        total = sum(order * n for order, n in histogram.items())
+        reps = None
+        if reps_limit is not None and total <= reps_limit:
+            listed = []
+            for a in coset_representatives(self.delta1, hermite=self.hermite1):
+                M, ch = self._fiber(a)
+                listed.extend(LatticeElement((a, c)) for c in coset_representatives(M, hermite=ch))
+            reps = tuple(listed)
+        if len(histogram) == 1:
+            (order,) = histogram
+            level_counts = (c1, order)
         else:
             # no clean per-level factorization; count is the fibered sum
             level_counts = (total,)
@@ -285,8 +318,8 @@ class TwistedOrbitEngine:
             status=FINITE,
             count=total,
             level_counts=level_counts,
-            reps=tuple(reps) if collect_reps else None,
-            fiber_counts=tuple(fiber_counts),
+            reps=reps,
+            fiber_counts=tuple(sorted(histogram.items())),
         )
 
     # -- labels --------------------------------------------------------

@@ -1,12 +1,14 @@
 """Shared builders for the test suite."""
 
 import random
+from collections import Counter
 from itertools import product as iproduct
+from math import gcd
 
 import pytest
 
 from nilco.errors import ShapeError
-from nilco.intmat import IntMatrix, smith_normal_form
+from nilco.intmat import IntMatrix, cokernel, coset_representatives, smith_normal_form
 from nilco.lattice import LatticeHomomorphism, NilpotentLattice
 
 
@@ -35,6 +37,56 @@ def free_class2(n=3):
             IntMatrix([[int((r, c) == p) for c in range(n)] for r in range(n)]) for p in pairs
         ),
     )
+
+
+def heisenberg_period_pairs(K, s=None):
+    """PAIRS document on the Heisenberg lattice with the generator pairs
+    (0, (K,0)), (0, (0,K)), ((1,0), (1,0)) and, when s is given, (0, (0,0;s)).
+
+    There are K^2 level-1 classes, and the fiber over (a1, a2) has order
+    gcd(g, a2) with g = gcd(K, s) (g = K without s).  So the fiber order has
+    period g, there are g period classes, and R = (K^2 / g) * pillai(g).
+    """
+    zero = [[0, 0], [0]]
+    pairs = [[zero, [[K, 0], [0]]], [zero, [[0, K], [0]]], [[[1, 0], [0]], [[1, 0], [0]]]]
+    if s is not None:
+        pairs.append([zero, [[0, 0], [s]]])
+    return {
+        "kind": "PAIRS",
+        "target": {"class": 2, "ranks": [2, 1], "brackets": [[[0, 1], [0, 0]]]},
+        "pairs": pairs,
+    }
+
+
+def pillai(n):
+    """Pillai's gcd-sum: sum of gcd(k, n) over k = 1..n."""
+    return sum(gcd(k, n) for k in range(1, n + 1))
+
+
+def fiber_sum_by_enumeration(engine):
+    """(count, level_counts, fiber_counts) of a class-2 engine with a finite
+    level 1, summed one level-1 class at a time; count is None when a fiber
+    is infinite.
+
+    Each fiber's columns are read off the moved elements psi(w) (a, 0)
+    phi(w)^{-1} of the fiber words, and each order off a Smith form, so
+    neither the closed-form columns nor the period lattice is used.
+    """
+    lat = engine.target
+    r2 = lat.ranks[1]
+    images = [engine.word_images(w) for w in engine._fiber_words]
+    images = [(Q, lat.inverse(P)) for P, Q in images]
+    orders = []
+    for a in coset_representatives(engine.delta1, hermite=engine.hermite1):
+        base = lat.element((a, (0,) * r2))
+        cols = [lat.multiply(lat.multiply(Q, base), P_inv).level(1) for Q, P_inv in images]
+        orders.append(cokernel(IntMatrix.from_columns(cols, r2)).order)
+    if None in orders:
+        return None, None, None
+    total = sum(orders)
+    histogram = tuple(sorted(Counter(orders).items()))
+    level_counts = (engine.order1, orders[0]) if len(histogram) == 1 else (total,)
+    return total, level_counts, histogram
 
 
 def check_group_axioms(G, full_triples=2_000_000, sample=2000, rng=None):

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import heisenberg_period_pairs
 from nilco.cli import (
     EXIT_BOUND,
     EXIT_ERROR,
@@ -169,22 +170,30 @@ class TestExitCodes:
         code, _ = run(["compute", write_problem(tmp_path, doc)])
         assert code == EXIT_SCHEMA
 
-    @pytest.mark.parametrize("scale", [10**10, 10**20])
-    def test_level1_classes_beyond_the_cap_exit_before_listing(self, tmp_path, scale):
-        # 10^20 or 10^40 level-1 classes could not be listed at all, so exit 5
-        # shows the cap was checked before any representative was built
-        doc = dict(HEISENBERG_DOC)
-        doc["F"] = [[[scale, 0], [0, scale]], [[scale * scale]]]
-        code, _ = run(["compute", write_problem(tmp_path, doc)])
+    @pytest.mark.parametrize("K", [10**7, 10**10, 10**20])
+    def test_level1_classes_beyond_the_cap_exit_before_listing(self, tmp_path, K):
+        # the fiber over (a1, a2) has order gcd(K, a2), so K period classes;
+        # 10^10 or 10^20 of them could not be listed at all, so exit 5 shows
+        # the cap was checked before any representative was built
+        code, _ = run(["compute", write_problem(tmp_path, heisenberg_period_pairs(K))])
         assert code == EXIT_BOUND
 
     @pytest.mark.parametrize("cap, expected", [("100", EXIT_OK), ("99", EXIT_BOUND)])
     def test_level1_cap_is_inclusive(self, tmp_path, monkeypatch, cap, expected):
         monkeypatch.setenv("NILCO_MAX_ORDER", cap)
-        doc = dict(HEISENBERG_DOC)
-        doc["F"] = [[[10, 0], [0, 10]], [[100]]]  # 100 level-1 classes
-        code, _ = run(["compute", write_problem(tmp_path, doc)])
+        path = write_problem(tmp_path, heisenberg_period_pairs(100))  # 100 period classes
+        code, _ = run(["compute", path])
         assert code == expected
+
+    def test_uniform_fiber_beyond_the_cap_is_counted(self, tmp_path):
+        # 10^20 level-1 classes, one period class: R = (10^10)^4
+        doc = dict(HEISENBERG_DOC)
+        doc["F"] = [[[10**10, 0], [0, 10**10]], [[10**20]]]
+        code, text = run(["--output", "json", "compute", write_problem(tmp_path, doc)])
+        assert code == EXIT_OK
+        report = json.loads(text)
+        assert report["R"] == 10**40 and report["level_counts"] == [10**20, 10**20]
+        assert report["fiber_counts"] == [[10**20, 10**20]] and "reps" not in report
 
     def test_expected_mismatch(self, tmp_path):
         doc = dict(HEISENBERG_DOC)
@@ -225,6 +234,14 @@ class TestOracle:
         assert code == EXIT_OK
         doc = json.loads(text)
         assert doc["modulus"] == 2 and doc["orbit_count"] == 2
+
+    def test_modulus_does_not_carry_over_to_the_next_call(self, tmp_path):
+        # one parser serves every call in the process
+        path = write_problem(tmp_path, HEISENBERG_DOC)
+        code, text = run(["--output", "json", "oracle", path, "--modulus", "3"])
+        assert code == EXIT_OK and json.loads(text)["modulus"] == 3
+        code, text = run(["--output", "json", "oracle", path])
+        assert code == EXIT_OK and json.loads(text)["modulus"] == 16
 
     def test_explicit_modulus(self, tmp_path):
         path = write_problem(tmp_path, HEISENBERG_DOC)

@@ -1,24 +1,35 @@
 """Twisted-conjugacy counting, canonical labels, and the deformability
 verdict for nilpotent targets."""
 
+import io
+import json
+import time
+import tracemalloc
+from math import gcd
+
 import pytest
 
 from conftest import (
     fiber_deviation_rank,
+    fiber_sum_by_enumeration,
     free_class2,
     heisenberg,
+    heisenberg_period_pairs,
     heisenberg_squared,
     heisenberg_self_map,
+    pillai,
     random_element,
     random_matrix,
     torus,
     torus_hom,
 )
+from nilco.cli import main
 from nilco.errors import ShapeError, UnsupportedClassError
 from nilco.intmat import IntMatrix
 from nilco.intmat import determinant
 from nilco.lattice import LatticeHomomorphism, NilpotentLattice, apply_hom
 from nilco.oracle import twisted_orbits_finite
+from nilco.problems import parse_problem_dict
 from nilco.reidemeister import (
     EQ_THM,
     FINITE,
@@ -85,7 +96,7 @@ class TestHeisenbergInvariants:
         assert report.deformable == NO
         assert report.R.level_counts == (4, 4)
         assert len(report.R.reps) == 16
-        assert report.R.fiber_counts == (4, 4, 4, 4)
+        assert report.R.fiber_counts == ((4, 4),)  # four level-1 classes, fiber order 4
 
     def test_shear_versus_identity_is_infinite(self):
         h = heisenberg()
@@ -126,7 +137,7 @@ class TestGeneratorPairSystems:
         system = heisenberg_pairs_action()
         report = coincidence_invariants_from_pairs(system)
         assert report.R.count == 6
-        assert sorted(report.R.fiber_counts) == [1, 1, 2, 2]
+        assert report.R.fiber_counts == ((1, 2), (2, 2))
         assert report.R.level_counts == (6,)
         assert report.deformable == UNKNOWN
 
@@ -229,6 +240,84 @@ class TestFiberColumns:
                     assert engine._fiber(a) is engine._uniform_fiber
                     assert engine._uniform_fiber[0] == M
         assert kernel_words and commutator_words and non_uniform and uniform
+
+
+def mixed_pairs_engine(rng, lat):
+    """Engine on r1 translation pairs (0, (d, c)) with d triangular, so that
+    level 1 has at most 3^r1 classes, plus one or two pairs (v, v) with equal
+    level-1 parts, whose kernel words move the fiber with level 1."""
+    r1, r2 = lat.ranks
+
+    def element(a):
+        return lat.element((a, tuple(rng.randint(-2, 2) for _ in range(r2))))
+
+    pairs = []
+    for i in range(r1):
+        d = tuple(rng.randint(1, 3) if j == i else rng.randint(-2, 2) * (j > i) for j in range(r1))
+        pairs.append((element((0,) * r1), element(d)))
+    for _ in range(rng.randint(1, 2)):
+        v = tuple(rng.randint(-2, 2) for _ in range(r1))
+        pairs.append((element(v), element(v)))
+    rng.shuffle(pairs)
+    return TwistedOrbitEngine(TwistedAction.from_pairs(GeneratorPairSystem(target=lat, pairs=pairs)))
+
+
+class TestPeriodClasses:
+    def test_count_matches_the_per_class_sum(self, rng):
+        # one fiber per period class must give the count, level counts and
+        # fiber histogram of one fiber per level-1 class
+        non_uniform = 0
+        for lattice in (heisenberg, heisenberg_squared, free_class2):
+            lat = lattice()
+            r1 = lat.ranks[0]
+            engines = [random_pairs_engine(rng, lat, k) for k in (r1, r1 + 1, r1 + 2) * 3]
+            engines += [mixed_pairs_engine(rng, lat) for _ in range(40)]
+            for engine in engines:
+                count, level_counts, histogram = fiber_sum_by_enumeration(engine)
+                R = engine.result()
+                assert R.count == count
+                if count is None:
+                    assert R.level_counts == (engine.order1, None) and R.infinite_level == 2
+                    continue
+                assert (R.level_counts, R.fiber_counts) == (level_counts, histogram)
+                non_uniform += len(histogram) > 1
+        assert non_uniform >= 20
+
+    def test_period_family_at_a_hundred_million_classes(self):
+        # K = 10^4, s = 12: g = 4, R = (10^8 / 4) * pillai(4) = 2 * 10^8
+        system = parse_problem_dict(heisenberg_period_pairs(10**4, 12)).system
+        R = coincidence_invariants_from_pairs(system).R
+        assert R.count == 10**8 // 4 * pillai(4) == 2 * 10**8
+        assert R.level_counts == (R.count,) and R.reps is None
+        assert R.fiber_counts == ((1, 5 * 10**7), (2, 25 * 10**6), (4, 25 * 10**6))
+
+    @pytest.mark.parametrize("K", [2, 3, 4, 6])
+    @pytest.mark.parametrize("s", [None, 2, 3, 4])
+    def test_period_family_matches_the_oracle(self, tmp_path, K, s):
+        g = K if s is None else gcd(K, s)
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps(heisenberg_period_pairs(K, s)), encoding="utf-8")
+        out = io.StringIO()
+        assert main(["--output", "json", "compute", str(path)], out=out) == 0
+        assert json.loads(out.getvalue())["R"] == K * K // g * pillai(g)
+        out = io.StringIO()
+        assert main(["--output", "json", "oracle", str(path), "--modulus", str(K)], out=out) == 0
+        assert json.loads(out.getvalue())["orbit_count"] == K * K // g * pillai(g)
+
+    def test_uniform_scalar_map_past_the_old_cap(self):
+        # 10^8 level-1 classes with one period class: O(1) work in c1
+        h = heisenberg()
+        phi = heisenberg_self_map(h, IntMatrix([[10**4, 0], [0, 10**4]]))
+        psi = heisenberg_self_map(h, IntMatrix([[0, 0], [0, 0]]))
+        tracemalloc.start()
+        start = time.perf_counter()
+        report = coincidence_invariants(phi, psi)
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert report.R.count == 10**16 and report.R.level_counts == (10**8, 10**8)
+        assert report.R.fiber_counts == ((10**8, 10**8),)
+        assert elapsed < 1.0 and peak < 50 * 2**20
 
 
 def random_hom_pair(rng, kind):

@@ -9,7 +9,6 @@ from NILCO_MAX_ORDER or --max-order that is not an integer >= 1),
 """
 
 import argparse
-import functools
 import sys
 from importlib import resources
 from pathlib import Path
@@ -160,10 +159,7 @@ def cmd_fixtures(args, out):
     return EXIT_OK
 
 
-@functools.cache
 def build_parser():
-    """The argument parser, built on first use and shared by every `main`
-    call in the process; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="nilco",
         description=(

@@ -373,7 +373,7 @@ def compute_report(problem, action=None):
     if problem.kind in ("TORUS", "NILMANIFOLD"):
         return coincidence_invariants(problem.phi, problem.psi, action=action), None
     if problem.kind == "PAIRS":
-        return coincidence_invariants_from_pairs(problem.system), None
+        return coincidence_invariants_from_pairs(problem.system, action=action), None
     cover_report, report = decide_infra(problem.infra, problem.phi, problem.psi, action=action)
     return report, cover_report
 
@@ -439,7 +439,7 @@ def check_expected(problem, report):
 # -- finite-quotient oracle dispatch ----------------------------------
 
 
-def default_modulus(problem, report, action=None):
+def default_modulus(problem, report, action):
     """Quotient modulus for the oracle when none is given, at least 2.
 
     For a class-1 target this is the largest invariant factor of the level-1
@@ -456,20 +456,20 @@ def default_modulus(problem, report, action=None):
     return max(2, prod(counts) if counts else report.R.count)
 
 
-def problem_movers(problem, action=None):
-    """Mover pairs of the problem's twisted action, as target elements.  An
-    INFRA problem adds its holonomy pairs (f(x), g(x)) to the cover movers.
-    `action` is the result of `validate_problem(problem)`, run here when not
-    given."""
-    if action is None:
-        action = validate_problem(problem)
+def problem_movers(problem, action):
+    """Mover pairs of the problem's twisted action, as target elements, from
+    `action = validate_problem(problem)`.  An INFRA problem adds its holonomy
+    pairs (f(x), g(x)) to the cover movers."""
     if problem.kind == "INFRA":
         return infra_movers(problem.infra, action)
     return action.movers
 
 
 def oracle_orbit_count(problem, modulus, max_order=None, action=None):
-    """Twisted orbit count on the target quotient mod `modulus`."""
+    """Twisted orbit count on the target quotient mod `modulus`.  A caller
+    that already ran `validate_problem` passes its action."""
+    if action is None:
+        action = validate_problem(problem)
     cap = max_order_cap(max_order)
     table = problem.target.reduce_mod(modulus, max_order=cap)
     movers = [

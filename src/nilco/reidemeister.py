@@ -216,9 +216,12 @@ class TwistedOrbitEngine:
                 columns.append((zero, tw))
         self._fiber_words = tuple(words)
         self._fiber_columns = tuple(columns)
-        if all(not any(p) for p, _ in columns):
-            M = self._fiber_matrix(zero)
-            self._uniform_fiber = (M, column_hermite(M))
+        self._moving = tuple(p for p, _ in columns if any(p))
+        constant = IntMatrix.from_columns([tw for p, tw in columns if not any(p)], self.r2)
+        constant_hermite = column_hermite(constant)
+        self._constant_order = constant_hermite.order
+        if not self._moving:
+            self._uniform_fiber = (constant, constant_hermite)
 
     def _fiber_matrix(self, a):
         """Columns t_w + [p_w, a]: the exact central translations of the fiber
@@ -237,6 +240,16 @@ class TwistedOrbitEngine:
         M = self._fiber_matrix(a)
         return M, column_hermite(M)
 
+    def _brackets(self, a):
+        """B(a) = ([p_w, a])_w over the moving columns (p_w != 0), flattened."""
+        return tuple(x for p in self._moving for x in self.target.bracket(p, a))
+
+    def _fiber_key(self, a):
+        """B(a), reduced mod e when e is finite: representatives with equal
+        keys have fiber matrices with the same image (see _period_matrix)."""
+        e = self._constant_order
+        return self._brackets(a) if e is None else tuple(x % e for x in self._brackets(a))
+
     def _period_matrix(self):
         """Columns spanning the period lattice L = im Delta_1 + ker B + e Z^{r1}.
 
@@ -248,15 +261,12 @@ class TwistedOrbitEngine:
         whose fiber has the same order.  So the fiber order is constant on
         the cosets of L.
         """
-        moving = [p for p, _ in self._fiber_columns if any(p)]
-        constant = [tw for p, tw in self._fiber_columns if not any(p)]
         units = [tuple(int(i == j) for i in range(self.r1)) for j in range(self.r1)]
         B = IntMatrix.from_columns(
-            [tuple(x for p in moving for x in self.target.bracket(p, u)) for u in units],
-            self.r2 * len(moving),
+            [self._brackets(u) for u in units], self.r2 * len(self._moving)
         )
         cols = [self.delta1.column(j) for j in range(self.k)] + kernel_basis(B)
-        e = column_hermite(IntMatrix.from_columns(constant, self.r2)).order
+        e = self._constant_order
         if e is not None:
             cols += [tuple(e * x for x in u) for u in units]
         return IntMatrix.from_columns(cols, self.r1)
@@ -284,6 +294,16 @@ class TwistedOrbitEngine:
                 status=FINITE, count=c1, level_counts=(c1,), reps=reps
             )
 
+        # fibers keyed by _fiber_key: one Hermite form per image, shared by
+        # the count and the listing
+        fibers = {}
+
+        def fiber(a):
+            key = self._fiber_key(a)
+            if key not in fibers:
+                fibers[key] = self._fiber(a)
+            return fibers[key]
+
         # R = (c1 / |Q|) sum_{q in Q} |coker M(q)| with Q = Z^{r1} / L: one
         # fiber per period class, each standing for c1 / |Q| level-1 classes
         period = self._period_matrix()
@@ -291,7 +311,7 @@ class TwistedOrbitEngine:
         classes = c1 // hermite.order
         histogram = {}
         for q in coset_representatives(period, hermite=hermite, max_count=max_order_cap()):
-            order = self._fiber(q)[1].order
+            order = fiber(q)[1].order
             if order is None:
                 return ReidemeisterResult(
                     status=INFINITE,
@@ -305,7 +325,7 @@ class TwistedOrbitEngine:
         if reps_limit is not None and total <= reps_limit:
             listed = []
             for a in coset_representatives(self.delta1, hermite=self.hermite1):
-                M, ch = self._fiber(a)
+                M, ch = fiber(a)
                 listed.extend(LatticeElement((a, c)) for c in coset_representatives(M, hermite=ch))
             reps = tuple(listed)
         if len(histogram) == 1:
@@ -410,18 +430,21 @@ def coincidence_invariants(phi, psi, reps_limit=1024, action=None):
     return CoincidenceReport(R=R, N=R.count, deformable=NO, rationale=EQ_THM)
 
 
-def coincidence_invariants_from_pairs(system, reps_limit=1024):
+def coincidence_invariants_from_pairs(system, reps_limit=1024, action=None):
     """R, N and the one-directional decision for an arbitrary source given
     by generator image pairs.
 
     R = infinity forces deformability; a finite R decides nothing for a
-    general source, so the verdict is UNKNOWN in that case.
+    general source, so the verdict is UNKNOWN in that case.  A caller that
+    already holds `TwistedAction.from_pairs(system)` passes it as `action`.
     """
     if system.target.class_c > 2:
         raise UnsupportedClassError(
             "generator-pair input requires a target of class <= 2"
         )
-    engine = TwistedOrbitEngine(TwistedAction.from_pairs(system))
+    if action is None:
+        action = TwistedAction.from_pairs(system)
+    engine = TwistedOrbitEngine(action)
     R = engine.result(reps_limit=reps_limit)
     if R.status == INFINITE:
         return CoincidenceReport(R=R, N=0, deformable=YES, rationale=INFTY_THM)

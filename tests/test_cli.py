@@ -235,14 +235,6 @@ class TestOracle:
         doc = json.loads(text)
         assert doc["modulus"] == 2 and doc["orbit_count"] == 2
 
-    def test_modulus_does_not_carry_over_to_the_next_call(self, tmp_path):
-        # one parser serves every call in the process
-        path = write_problem(tmp_path, HEISENBERG_DOC)
-        code, text = run(["--output", "json", "oracle", path, "--modulus", "3"])
-        assert code == EXIT_OK and json.loads(text)["modulus"] == 3
-        code, text = run(["--output", "json", "oracle", path])
-        assert code == EXIT_OK and json.loads(text)["modulus"] == 16
-
     def test_explicit_modulus(self, tmp_path):
         path = write_problem(tmp_path, HEISENBERG_DOC)
         code, text = run(["--output", "json", "oracle", path, "--modulus", "4"])

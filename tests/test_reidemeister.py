@@ -283,6 +283,23 @@ class TestPeriodClasses:
                 non_uniform += len(histogram) > 1
         assert non_uniform >= 20
 
+    def test_listed_representatives_are_canonical_labels(self, rng):
+        # level-1 classes with equal B(a) mod e share one fiber form in the
+        # listing; label builds each fiber from its own matrix
+        non_uniform = 0
+        for lattice in (heisenberg, heisenberg_squared, free_class2):
+            lat = lattice()
+            for _ in range(20):
+                engine = mixed_pairs_engine(rng, lat)
+                R = engine.result(reps_limit=256)
+                if R.reps is None:
+                    continue
+                assert len(set(R.reps)) == len(R.reps) == R.count
+                for u in R.reps:
+                    assert engine.label(u)[0] == u
+                non_uniform += len(R.fiber_counts) > 1
+        assert non_uniform >= 5
+
     def test_period_family_at_a_hundred_million_classes(self):
         # K = 10^4, s = 12: g = 4, R = (10^8 / 4) * pillai(4) = 2 * 10^8
         system = parse_problem_dict(heisenberg_period_pairs(10**4, 12)).system

@@ -37,7 +37,6 @@ from .reidemeister import (
     UNKNOWN,
     YES,
     CoincidenceReport,
-    GeneratorPairSystem,
     ReidemeisterResult,
     TwistedAction,
     TwistedOrbitEngine,

@@ -182,7 +182,8 @@ def build_parser():
     p.add_argument("--modulus", type=int, default=None,
                    help="quotient modulus (default: for a class-1 target the "
                         "largest invariant factor of the level-1 difference matrix, "
-                        "for class 2 the product of the level counts; at least 2)")
+                        "for class 2 the product of the level counts, or R when one "
+                        "is infinite; at least 2)")
     p.add_argument("--max-order", type=int, default=None,
                    help="element cap for enumeration (env NILCO_MAX_ORDER)")
     p.set_defaults(func=cmd_oracle)

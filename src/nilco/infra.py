@@ -51,7 +51,7 @@ class InfraStructure:
         object.__setattr__(self, "map_images", tuple(self.map_images))
 
 
-def validate_infra(infra, target=None):
+def validate_infra(infra, target):
     """Itemized violations of the holonomy data; empty list when ok."""
     violations = []
     if infra.holonomy_order < 1:
@@ -93,18 +93,17 @@ def validate_infra(infra, target=None):
             cover.element(act.translation.coordinates)
         except NilcoError as exc:
             violations.append(f"coset action {idx}: bad translation part: {exc}")
-    if target is not None:
-        for idx, (fi, gi) in enumerate(infra.map_images):
-            try:
-                target.element(fi.coordinates)
-                target.element(gi.coordinates)
-            except NilcoError as exc:
-                violations.append(f"map images {idx}: {exc}")
+    for idx, (fi, gi) in enumerate(infra.map_images):
+        try:
+            target.element(fi.coordinates)
+            target.element(gi.coordinates)
+        except NilcoError as exc:
+            violations.append(f"map images {idx}: {exc}")
     return violations
 
 
-def require_valid_infra(infra, target=None):
-    violations = validate_infra(infra, target=target)
+def require_valid_infra(infra, target):
+    violations = validate_infra(infra, target)
     if violations:
         raise ShapeError("invalid infra data: " + "; ".join(violations))
 
@@ -124,7 +123,7 @@ def decide_infra(infra, phi, psi, action=None):
     carries count bounds with exact=False instead.  A caller that already
     holds `TwistedAction.from_homs(phi, psi)` passes it as `action`.
     """
-    require_valid_infra(infra, target=phi.target)
+    require_valid_infra(infra, phi.target)
     if phi.source != infra.cover or psi.source != infra.cover:
         raise ShapeError("lifted homomorphisms must be defined on the cover lattice")
     cover_action = action if action is not None else TwistedAction.from_homs(phi, psi)

@@ -176,7 +176,7 @@ def twisted_orbits_finite(G, movers):
     return len(blocks), list(blocks.values())
 
 
-def cokernel_oracle(A, det_bound=DEFAULT_DET_BOUND, max_order=None):
+def cokernel_oracle(A):
     """Order of Z^n / im(A) for square nonsingular A by exhaustive orbit count.
 
     Enumerates (Z/m)^n with m = |det A| and translation moves by the columns
@@ -191,9 +191,9 @@ def cokernel_oracle(A, det_bound=DEFAULT_DET_BOUND, max_order=None):
     if d == 0:
         raise NilcoError("cokernel oracle requires a nonsingular matrix")
     m = abs(d)
-    if m > det_bound:
-        raise BoundExceededError(f"|det| = {m} exceeds bound {det_bound}")
-    cap = max_order_cap(max_order)
+    if m > DEFAULT_DET_BOUND:
+        raise BoundExceededError(f"|det| = {m} exceeds bound {DEFAULT_DET_BOUND}")
+    cap = max_order_cap()
     if m**n > cap:
         raise BoundExceededError(f"enumeration size {m ** n} exceeds cap {cap}")
     G = translation_group(m, n)

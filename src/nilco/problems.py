@@ -22,7 +22,6 @@ from .lattice import LatticeHomomorphism, NilpotentLattice
 from .oracle import twisted_orbits_finite
 from .reidemeister import (
     INFINITE,
-    GeneratorPairSystem,
     TwistedAction,
     TwistedOrbitEngine,
     coincidence_invariants,
@@ -171,7 +170,7 @@ class ProblemFile:
     source: object = None
     phi: object = None
     psi: object = None
-    system: object = None
+    action: object = None  # PAIRS: the TwistedAction of the generator pairs
     infra: object = None
     expected: object = None
 
@@ -217,9 +216,9 @@ def parse_problem_dict(doc, where="problem"):
             p = parse_element(target, pair[0], f"{where}.pairs[{i}][0]")
             q = parse_element(target, pair[1], f"{where}.pairs[{i}][1]")
             pairs.append((p, q))
-        system = GeneratorPairSystem(target=target, pairs=tuple(pairs))
         return ProblemFile(
-            kind=kind, name=name, target=target, system=system, expected=expected
+            kind=kind, name=name, target=target,
+            action=TwistedAction(target=target, movers=tuple(pairs)), expected=expected,
         )
 
     # INFRA
@@ -293,14 +292,14 @@ def validate_problem(problem):
     """Full semantic validation beyond schema shapes.
 
     Returns the problem's checked TwistedAction: `from_homs` of the map pair,
-    which validates both homomorphisms, or `from_pairs` of a PAIRS system.
-    The infra data is checked after the maps.
+    which validates both homomorphisms, or the parsed PAIRS action.  The
+    infra data is checked after the maps.
     """
     if problem.kind == "PAIRS":
-        return TwistedAction.from_pairs(problem.system)
+        return problem.action
     action = TwistedAction.from_homs(problem.phi, problem.psi)
     if problem.infra is not None:
-        require_valid_infra(problem.infra, target=problem.target)
+        require_valid_infra(problem.infra, problem.target)
     return action
 
 
@@ -330,7 +329,7 @@ def serialize_problem(problem):
         out["G"] = [[list(r) for r in M.data] for M in problem.psi.matrices]
     elif problem.kind == "PAIRS":
         out["pairs"] = [
-            [_element_list(p), _element_list(q)] for p, q in problem.system.pairs
+            [_element_list(p), _element_list(q)] for p, q in problem.action.movers
         ]
     else:
         out["F"] = [[list(r) for r in M.data] for M in problem.phi.matrices]
@@ -373,7 +372,7 @@ def compute_report(problem, action=None):
     if problem.kind in ("TORUS", "NILMANIFOLD"):
         return coincidence_invariants(problem.phi, problem.psi, action=action), None
     if problem.kind == "PAIRS":
-        return coincidence_invariants_from_pairs(problem.system, action=action), None
+        return coincidence_invariants_from_pairs(action), None
     cover_report, report = decide_infra(problem.infra, problem.phi, problem.psi, action=action)
     return report, cover_report
 
@@ -445,15 +444,16 @@ def default_modulus(problem, report, action):
     For a class-1 target this is the largest invariant factor of the level-1
     difference matrix of the problem's movers: the exponent of the cokernel,
     so the quotient already separates every class.  For a class-2 target it
-    is the product of the finite level counts.
+    is the product of the level counts, or R when one is infinite; that
+    quotient need not separate every class.
     """
     if report.R.count is None:
         raise NilcoError("no finite modulus for an infinite result")
     if problem.target.class_c == 1:
         level1 = TwistedAction(target=problem.target, movers=problem_movers(problem, action))
         return max((2, *cokernel(TwistedOrbitEngine(level1).delta1).torsion))
-    counts = [c for c in report.R.level_counts if c is not None]
-    return max(2, prod(counts) if counts else report.R.count)
+    counts = report.R.level_counts
+    return max(2, report.R.count if None in counts else prod(counts))
 
 
 def problem_movers(problem, action):

@@ -16,9 +16,14 @@ gives |Q| = 1.  Every order is read from the pivot diagonal of a column
 Hermite form, and the same form lists the canonical representatives, gives
 the kernel words and reduces labels, so canonical class labels with exact
 witness words come out of the same machinery.
+
+For class <= 2 targets R is the engine's count for every input kind; when
+G_1 - F_1 has a kernel (dim X > dim Y) it can be finite while a level order
+|coker(G_l - F_l)| is infinite.  Only class >= 3 targets take R as the
+product of the level orders.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import prod
 
 from .errors import (
@@ -71,21 +76,6 @@ class CoincidenceReport:
 
 
 @dataclass(frozen=True)
-class GeneratorPairSystem:
-    """Images (phi(s_j), psi(s_j)) of the generators of an arbitrary
-    finitely generated source."""
-
-    target: NilpotentLattice
-    pairs: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "pairs", tuple(self.pairs))
-        for p, q in self.pairs:
-            self.target.element(p.coordinates)
-            self.target.element(q.coordinates)
-
-
-@dataclass(frozen=True)
 class TwistedAction:
     """The relation u ~ psi(x) * u * phi(x)^{-1}, given by mover pairs."""
 
@@ -102,8 +92,13 @@ class TwistedAction:
         return cls(target=phi.target, movers=movers)
 
     @classmethod
-    def from_pairs(cls, system):
-        return cls(target=system.target, movers=system.pairs)
+    def from_pairs(cls, target, pairs):
+        """The action of an arbitrary finitely generated source, given by the
+        generator images (phi(s_j), psi(s_j)); every coordinate is checked."""
+        movers = tuple(
+            (target.element(p.coordinates), target.element(q.coordinates)) for p, q in pairs
+        )
+        return cls(target=target, movers=movers)
 
 
 def _generator_images(hom):
@@ -379,73 +374,48 @@ class TwistedOrbitEngine:
 def coincidence_invariants(phi, psi, reps_limit=1024, action=None):
     """R(f,g), N(f,g) and the deformability decision for a lattice pair.
 
-    Level counts are the cokernel orders of the level differences, read from
-    their column Hermite forms; for class <= 2 targets the exact orbit engine
-    supplies level 1's order, the count and the canonical representatives.
-    Both maps are checked and applied once, by
-    `TwistedAction.from_homs(phi, psi)`; a caller that already holds that
-    action passes it as `action`.
+    `level_counts` are the orders |coker(G_l - F_l)|, read from column
+    Hermite forms.  For class <= 2 targets the orbit engine decides R (which
+    may be finite over an infinite level) and lists the representatives;
+    class >= 3 targets take R as the product of the level counts.  Both maps
+    are checked and applied once, by `TwistedAction.from_homs(phi, psi)`; a
+    caller that already holds that action passes it as `action`.
     """
     if action is None:
         action = TwistedAction.from_homs(phi, psi)
     # the engine's level-1 matrix is G1 - F1 plus a zero column per central
-    # source generator
+    # source generator, so its order is level 1's
     engine = TwistedOrbitEngine(action) if phi.target.class_c <= 2 else None
-    level_counts = []
-    infinite_level = None
-    for i in range(phi.depth):
-        if i == 0 and engine is not None:
-            order = engine.order1
-        else:
-            order = column_hermite(psi.matrices[i] - phi.matrices[i]).order
-        level_counts.append(order)
-        if order is None and infinite_level is None:
-            infinite_level = i + 1
-    if infinite_level is not None:
+    level_counts = tuple(
+        engine.order1 if i == 0 and engine is not None
+        else column_hermite(psi.matrices[i] - phi.matrices[i]).order
+        for i in range(phi.depth)
+    )
+    if engine is not None:
+        R = replace(engine.result(reps_limit=reps_limit), level_counts=level_counts)
+    elif None in level_counts:
         R = ReidemeisterResult(
             status=INFINITE,
             count=None,
-            level_counts=tuple(level_counts),
-            infinite_level=infinite_level,
-        )
-        return CoincidenceReport(R=R, N=0, deformable=YES, rationale=EQ_THM)
-
-    if engine is not None:
-        # finite level counts keep every central fiber finite: each central
-        # source generator translates its fiber by a level-2 difference column
-        R = engine.result(reps_limit=reps_limit)
-        R = ReidemeisterResult(
-            status=FINITE,
-            count=R.count,
-            level_counts=tuple(level_counts),
-            reps=R.reps,
-            fiber_counts=R.fiber_counts,
+            level_counts=level_counts,
+            infinite_level=level_counts.index(None) + 1,
         )
     else:
-        R = ReidemeisterResult(
-            status=FINITE,
-            count=prod(level_counts),
-            level_counts=tuple(level_counts),
-        )
+        R = ReidemeisterResult(status=FINITE, count=prod(level_counts), level_counts=level_counts)
+    if R.status == INFINITE:
+        return CoincidenceReport(R=R, N=0, deformable=YES, rationale=EQ_THM)
     return CoincidenceReport(R=R, N=R.count, deformable=NO, rationale=EQ_THM)
 
 
-def coincidence_invariants_from_pairs(system, reps_limit=1024, action=None):
+def coincidence_invariants_from_pairs(action):
     """R, N and the one-directional decision for an arbitrary source given
-    by generator image pairs.
+    by `action = TwistedAction.from_pairs(target, pairs)`.
 
     R = infinity forces deformability; a finite R decides nothing for a
-    general source, so the verdict is UNKNOWN in that case.  A caller that
-    already holds `TwistedAction.from_pairs(system)` passes it as `action`.
+    general source, so the verdict is UNKNOWN in that case.  The orbit
+    engine rejects targets of class > 2.
     """
-    if system.target.class_c > 2:
-        raise UnsupportedClassError(
-            "generator-pair input requires a target of class <= 2"
-        )
-    if action is None:
-        action = TwistedAction.from_pairs(system)
-    engine = TwistedOrbitEngine(action)
-    R = engine.result(reps_limit=reps_limit)
+    R = TwistedOrbitEngine(action).result(reps_limit=1024)
     if R.status == INFINITE:
         return CoincidenceReport(R=R, N=0, deformable=YES, rationale=INFTY_THM)
     return CoincidenceReport(R=R, N=R.count, deformable=UNKNOWN, rationale=REMARK_GAP)

@@ -31,7 +31,6 @@ from nilco.reidemeister import (
     INFINITE,
     NO,
     UNKNOWN,
-    GeneratorPairSystem,
     TwistedAction,
     TwistedOrbitEngine,
     coincidence_invariants,
@@ -55,9 +54,7 @@ def test_criterion_1_surjective_pairs_give_one_class():
         (t4.element((tuple(1 if j == i else 0 for j in range(4)),)), zero)
         for i in range(4)
     )
-    report = coincidence_invariants_from_pairs(
-        GeneratorPairSystem(target=t4, pairs=pairs)
-    )
+    report = coincidence_invariants_from_pairs(TwistedAction.from_pairs(t4, pairs))
     assert report.R.status == FINITE and report.R.count == 1
     assert report.deformable == UNKNOWN
     report_line(1, "surjective-pairs-single-class", started, 1.0)
@@ -240,15 +237,13 @@ def test_criterion_6_generator_redundancy_invariance():
              random_element(rng, target, lo=-3, hi=3))
             for _ in range(k)
         )
-        base = GeneratorPairSystem(target=target, pairs=pairs)
+        base = TwistedAction.from_pairs(target, pairs)
         before = coincidence_invariants_from_pairs(base)
-        engine = TwistedOrbitEngine(TwistedAction.from_pairs(base))
+        engine = TwistedOrbitEngine(base)
         word = tuple(
             (rng.randrange(k), rng.randint(-2, 2)) for _ in range(rng.randint(1, 3))
         )
-        extended = GeneratorPairSystem(
-            target=target, pairs=pairs + (engine.word_images(word),)
-        )
+        extended = TwistedAction.from_pairs(target, pairs + (engine.word_images(word),))
         after = coincidence_invariants_from_pairs(extended)
         assert before.R.status == after.R.status
         assert before.R.count == after.R.count
@@ -266,5 +261,5 @@ def test_criterion_7_bundled_fixture_regression():
     code = main(["fixtures", "--check"], out=out)
     lines = out.getvalue().strip().splitlines()
     assert code == EXIT_OK
-    assert len(lines) == 7 and all(line.startswith("PASS") for line in lines)
+    assert len(lines) == 8 and all(line.startswith("PASS") for line in lines)
     report_line(7, "fixture-regression", started, 30.0)

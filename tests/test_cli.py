@@ -229,11 +229,22 @@ class TestOracle:
             assert doc["modulus"] == 2 and doc["orbit_count"] == 1
 
     def test_infra_default_modulus_counts_holonomy_columns(self):
+        # its orbit count is checked by test_default_modulus_counts_every_finite_fixture
         path = str(bundled_fixture_dir() / "klein_bottle_to_circle.json")
         code, text = run(["--output", "json", "oracle", path])
         assert code == EXIT_OK
-        doc = json.loads(text)
-        assert doc["modulus"] == 2 and doc["orbit_count"] == 2
+        assert json.loads(text)["modulus"] == 2
+
+    @pytest.mark.parametrize("name", [
+        p.name for p in sorted(bundled_fixture_dir().glob("*.json"))
+        if json.loads(p.read_text(encoding="utf-8"))["expected"]["R"] != "infinite"
+    ])
+    def test_default_modulus_counts_every_finite_fixture(self, name):
+        path = bundled_fixture_dir() / name
+        code, text = run(["--output", "json", "oracle", str(path)])
+        assert code == EXIT_OK
+        expected = json.loads(path.read_text(encoding="utf-8"))["expected"]["R"]
+        assert json.loads(text)["orbit_count"] == expected
 
     def test_explicit_modulus(self, tmp_path):
         path = write_problem(tmp_path, HEISENBERG_DOC)
@@ -259,7 +270,7 @@ class TestValidateAndFixtures:
         code, text = run(["fixtures", "--check"])
         assert code == EXIT_OK
         lines = [l for l in text.strip().splitlines()]
-        assert len(lines) == 7
+        assert len(lines) == 8
         assert all(l.startswith("PASS") for l in lines)
 
     def test_fixture_directory_override_with_mismatch(self, tmp_path):

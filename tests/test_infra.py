@@ -76,7 +76,7 @@ class TestValidation:
             ),
             map_images=((cover.identity(), cover.identity()),),
         )
-        violations = validate_infra(infra)
+        violations = validate_infra(infra, cover)
         assert any("determinant" in v for v in violations)
 
     def test_wrong_coset_count_flagged(self):
@@ -84,7 +84,7 @@ class TestValidation:
         infra = InfraStructure(
             cover=cover, holonomy_order=3, coset_actions=(), map_images=()
         )
-        violations = validate_infra(infra)
+        violations = validate_infra(infra, cover)
         assert any("coset actions" in v for v in violations)
 
 

@@ -29,7 +29,7 @@ from nilco.intmat import IntMatrix
 from nilco.intmat import determinant
 from nilco.lattice import LatticeHomomorphism, NilpotentLattice, apply_hom
 from nilco.oracle import twisted_orbits_finite
-from nilco.problems import parse_problem_dict
+from nilco.problems import ProblemFile, oracle_orbit_count, parse_problem_dict
 from nilco.reidemeister import (
     EQ_THM,
     FINITE,
@@ -39,7 +39,6 @@ from nilco.reidemeister import (
     REMARK_GAP,
     UNKNOWN,
     YES,
-    GeneratorPairSystem,
     TwistedAction,
     TwistedOrbitEngine,
     coincidence_invariants,
@@ -56,7 +55,7 @@ def heisenberg_pairs_action():
         (h.element(((0, 0), (0,))), h.element(((0, 2), (0,)))),
         (h.element(((1, 0), (0,))), h.element(((1, 0), (0,)))),
     )
-    return GeneratorPairSystem(target=h, pairs=pairs)
+    return TwistedAction.from_pairs(h, pairs)
 
 
 class TestTorusInvariants:
@@ -118,44 +117,41 @@ class TestHeisenbergInvariants:
 
 class TestGeneratorPairSystems:
     def test_empty_system_is_infinite(self):
-        report = coincidence_invariants_from_pairs(
-            GeneratorPairSystem(target=torus(1), pairs=())
-        )
+        report = coincidence_invariants_from_pairs(TwistedAction.from_pairs(torus(1), ()))
         assert report.R.status == INFINITE
         assert report.deformable == YES and report.rationale == INFTY_THM
 
     def test_single_translation_pair(self):
         t = torus(1)
-        system = GeneratorPairSystem(
-            target=t, pairs=((t.element(((0,),)), t.element(((2,),))),)
-        )
-        report = coincidence_invariants_from_pairs(system)
+        action = TwistedAction.from_pairs(t, ((t.element(((0,),)), t.element(((2,),))),))
+        report = coincidence_invariants_from_pairs(action)
         assert report.R.count == 2 and report.N == 2
         assert report.deformable == UNKNOWN and report.rationale == REMARK_GAP
 
     def test_non_uniform_fibers_sum_correctly(self):
-        system = heisenberg_pairs_action()
-        report = coincidence_invariants_from_pairs(system)
+        report = coincidence_invariants_from_pairs(heisenberg_pairs_action())
         assert report.R.count == 6
         assert report.R.fiber_counts == ((1, 2), (2, 2))
         assert report.R.level_counts == (6,)
         assert report.deformable == UNKNOWN
 
     def test_non_uniform_count_matches_finite_oracle(self):
-        system = heisenberg_pairs_action()
-        h = system.target
-        table = h.reduce_mod(4)
-        movers = [(table.project(p), table.project(q)) for p, q in system.pairs]
+        action = heisenberg_pairs_action()
+        table = action.target.reduce_mod(4)
+        movers = [(table.project(p), table.project(q)) for p, q in action.movers]
         count, _ = twisted_orbits_finite(table, movers)
         assert count == 6
 
+    def test_pairs_off_the_target_are_rejected(self):
+        t2 = torus(2)
+        with pytest.raises(ShapeError):
+            TwistedAction.from_pairs(heisenberg(), ((t2.identity(), t2.identity()),))
+
     def test_class3_target_unsupported(self):
         lat = NilpotentLattice(ranks=(2, 1, 1))
-        system = GeneratorPairSystem(
-            target=lat, pairs=((lat.element(((1, 0), (0,), (0,))),) * 2,)
-        )
+        action = TwistedAction.from_pairs(lat, ((lat.element(((1, 0), (0,), (0,))),) * 2,))
         with pytest.raises(UnsupportedClassError):
-            coincidence_invariants_from_pairs(system)
+            coincidence_invariants_from_pairs(action)
 
 
 class TestLabels:
@@ -208,8 +204,7 @@ def random_pairs_engine(rng, lat, k):
             (random_element(rng, lat, -3, 3), random_element(rng, lat, -3, 3))
             for _ in range(k)
         )
-        system = GeneratorPairSystem(target=lat, pairs=pairs)
-        engine = TwistedOrbitEngine(TwistedAction.from_pairs(system))
+        engine = TwistedOrbitEngine(TwistedAction.from_pairs(lat, pairs))
         if engine.order1 is not None:
             return engine
 
@@ -259,7 +254,7 @@ def mixed_pairs_engine(rng, lat):
         v = tuple(rng.randint(-2, 2) for _ in range(r1))
         pairs.append((element(v), element(v)))
     rng.shuffle(pairs)
-    return TwistedOrbitEngine(TwistedAction.from_pairs(GeneratorPairSystem(target=lat, pairs=pairs)))
+    return TwistedOrbitEngine(TwistedAction.from_pairs(lat, pairs))
 
 
 class TestPeriodClasses:
@@ -302,8 +297,8 @@ class TestPeriodClasses:
 
     def test_period_family_at_a_hundred_million_classes(self):
         # K = 10^4, s = 12: g = 4, R = (10^8 / 4) * pillai(4) = 2 * 10^8
-        system = parse_problem_dict(heisenberg_period_pairs(10**4, 12)).system
-        R = coincidence_invariants_from_pairs(system).R
+        action = parse_problem_dict(heisenberg_period_pairs(10**4, 12)).action
+        R = coincidence_invariants_from_pairs(action).R
         assert R.count == 10**8 // 4 * pillai(4) == 2 * 10**8
         assert R.level_counts == (R.count,) and R.reps is None
         assert R.fiber_counts == ((1, 5 * 10**7), (2, 25 * 10**6), (4, 25 * 10**6))
@@ -335,6 +330,34 @@ class TestPeriodClasses:
         assert report.R.count == 10**16 and report.R.level_counts == (10**8, 10**8)
         assert report.R.fiber_counts == ((10**8, 10**8),)
         assert elapsed < 1.0 and peak < 50 * 2**20
+
+
+def free3_to_heisenberg(M):
+    """The hom free(3,3) -> Heisenberg with level-1 matrix M; level 2 sends
+    the commutator of generators i < j to the 2x2 minor of columns i, j."""
+    minors = [[M[0][i] * M[1][j] - M[1][i] * M[0][j] for i, j in ((0, 1), (0, 2), (1, 2))]]
+    return LatticeHomomorphism(free_class2(), heisenberg(), (IntMatrix(M), IntMatrix(minors)))
+
+
+class TestKernelFill:
+    # dim X > dim Y: G1 - F1 has a kernel, and the level-2 cokernel is
+    # infinite, yet the kernel words fill every central fiber to a finite one
+    @pytest.mark.parametrize("F1, G1, R, modulus", [
+        ([[-1, 1, 1], [-3, 3, 3]], [[0, 0, 0], [0, 2, -1]], 9, 18),
+        ([[-3, 1, 1], [0, -2, 1]], [[-3, -3, 3], [2, 0, -1]], 24, 48),
+        ([[3, -2, 0], [3, -2, 0]], [[-3, 2, 1], [3, -2, -1]], 60, 60),
+        ([[0, 0, -3], [-1, 1, -2]], [[1, -1, -3], [-2, 2, 3]], 10, 20),
+    ], ids=["R9", "R24", "R60", "R10"])
+    def test_finite_count_over_an_infinite_level(self, F1, G1, R, modulus):
+        phi, psi = free3_to_heisenberg(F1), free3_to_heisenberg(G1)
+        report = coincidence_invariants(phi, psi)
+        assert report.R.level_counts[1] is None
+        assert report.R.status == FINITE and report.R.count == R
+        assert (report.N, report.deformable) == (R, NO)
+        problem = ProblemFile(
+            kind="NILMANIFOLD", name=None, target=phi.target, source=phi.source, phi=phi, psi=psi
+        )
+        assert oracle_orbit_count(problem, modulus) == R
 
 
 def random_hom_pair(rng, kind):

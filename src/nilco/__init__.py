@@ -18,7 +18,6 @@ from .intmat import (
     coset_representatives,
     determinant,
     kernel_basis,
-    rank,
     reduce_to_canonical_rep,
     smith_normal_form,
 )

@@ -202,6 +202,9 @@ def build_parser():
 
 
 def main(argv=None, out=None):
+    # integers of any length in and out (Python < 3.10.7 has no digit limit)
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     out = out if out is not None else sys.stdout
     parser = build_parser()
     args = parser.parse_args(argv)

@@ -1,18 +1,20 @@
 """Exact integer matrix kernel.
 
 Arbitrary-precision integer matrices with fraction-free determinants, the
-column Hermite form, cokernel structure and canonical coset
-representatives.  One column Hermite form serves every count: its pivot
-diagonal gives the cokernel order, the columns of V past the pivots a
+column Hermite form, the Smith normal form, cokernel structure and
+canonical coset representatives.  One column echelon loop does every
+elimination.  The column Hermite form it builds serves every count: its
+pivot diagonal gives the cokernel order, the columns of V past the pivots a
 kernel basis, and the same form reduces vectors to canonical coset
-representatives.  The Smith normal form is computed only for the invariant
-factors of `cokernel`.
+representatives.  The Smith normal form alternates that loop on a matrix
+and its transpose; it serves only the invariant factors of `cokernel`.
 """
 
 from dataclasses import dataclass
-from math import prod
+from itertools import cycle, product
+from math import gcd, prod
 
-from .errors import ShapeError
+from .errors import BoundExceededError, InfiniteResultError, ShapeError
 
 
 class IntMatrix:
@@ -157,6 +159,83 @@ def determinant(A):
 
 
 @dataclass(frozen=True)
+class ColumnHermite:
+    """Column echelon form: A @ V == H, V unimodular, pivots positive.
+
+    pivots[i] is the row of the pivot in column i; pivot rows are strictly
+    increasing and each pivot column is zero above its pivot row.  order is
+    the order of the cokernel Z^rows / im(A): the product of the pivot
+    diagonal when every row holds a pivot, else None (infinite).
+    """
+
+    H: IntMatrix
+    V: IntMatrix
+    pivots: tuple
+    order: object
+
+
+def _col_op(M, j, t, q):
+    # col_j -= q * col_t
+    for row in M:
+        row[j] -= q * row[t]
+
+
+def _column_echelon(H, V):
+    """Bring the row lists H to column echelon form in place, applying every
+    column operation to the row lists V as well; returns the pivot rows.
+
+    Column i of the result holds the positive pivot of row pivots[i] and is
+    zero above it; the columns past the pivots are zero.
+    """
+    c = len(V)
+    pivots = []
+    pc = 0
+    for row in range(len(H)):
+        if pc >= c:
+            break
+        # gcd-combine the nonzero entries of this row among columns >= pc
+        while True:
+            nz = [j for j in range(pc, c) if H[row][j] != 0]
+            if len(nz) <= 1:
+                break
+            j0 = min(nz, key=lambda j: abs(H[row][j]))
+            for j in nz:
+                if j == j0:
+                    continue
+                q = H[row][j] // H[row][j0]
+                _col_op(H, j, j0, q)
+                _col_op(V, j, j0, q)
+        if not nz:
+            continue
+        j0 = nz[0]
+        if j0 != pc:
+            for mat in (H, V):
+                for rr in mat:
+                    rr[pc], rr[j0] = rr[j0], rr[pc]
+        if H[row][pc] < 0:
+            for mat in (H, V):
+                for rr in mat:
+                    rr[pc] = -rr[pc]
+        pivots.append(row)
+        pc += 1
+    return pivots
+
+
+def column_hermite(A):
+    r, c = A.rows, A.cols
+    H = [list(row) for row in A.data]
+    V = [list(row) for row in IntMatrix.identity(c).data]
+    pivots = _column_echelon(H, V)
+    order = prod(H[row][i] for i, row in enumerate(pivots)) if len(pivots) == r else None
+    return ColumnHermite(
+        H=IntMatrix(H, shape=(r, c)),
+        V=IntMatrix(V, shape=(c, c)),
+        pivots=tuple(pivots),
+        order=order,
+    )
+
+
+@dataclass(frozen=True)
 class SmithDecomposition:
     """U @ A @ V == D with U, V unimodular, D diagonal with divisibility chain."""
 
@@ -170,131 +249,54 @@ class SmithDecomposition:
         return len(self.invariant_factors)
 
 
-def _row_op(M, i, t, q):
-    # row_i -= q * row_t
-    Mt = M[t]
-    Mi = M[i]
-    for j in range(len(Mi)):
-        Mi[j] -= q * Mt[j]
-
-
-def _col_op(M, j, t, q):
-    # col_j -= q * col_t
-    for row in M:
-        row[j] -= q * row[t]
-
-
 def smith_normal_form(A):
     """Smith normal form with unimodular transformation tracking.
 
-    Pivots are chosen by minimal nonzero absolute value; diagonal entries
-    are normalized nonnegative and satisfy d_i | d_{i+1}.
+    Column echelon forms of M and of its transpose alternate until M is
+    diagonal (Kannan and Bachem, SIAM J. Comput. 1979); the column
+    operations of a pass on the transpose are row operations, recorded in
+    U^T.  A pass either replaces a leading pivot by a proper divisor or
+    leaves its row and column clear, so the loop ends, with the nonzero
+    diagonal entries positive and first.  Each pair d_i, d_j with d_i not
+    dividing d_j then becomes (gcd, lcm) by one 2x2 unimodular row step and
+    one column step, so that d_i | d_{i+1}.
     """
     r, c = A.rows, A.cols
     M = [list(row) for row in A.data]
-    U = [list(row) for row in IntMatrix.identity(r).data]
+    Ut = [list(row) for row in IntMatrix.identity(r).data]
     V = [list(row) for row in IntMatrix.identity(c).data]
-
-    t = 0
-    while t < min(r, c):
-        # locate minimal-abs nonzero pivot in the trailing submatrix
-        pivot = None
-        best = None
-        for i in range(t, r):
-            for j in range(t, c):
-                v = M[i][j]
-                if v != 0 and (best is None or abs(v) < best):
-                    best = abs(v)
-                    pivot = (i, j)
-        if pivot is None:
+    for ops in cycle((V, Ut)):
+        _column_echelon(M, ops)
+        if all(x == 0 for i, row in enumerate(M) for j, x in enumerate(row) if i != j):
             break
-        pi, pj = pivot
-        if pi != t:
-            M[t], M[pi] = M[pi], M[t]
-            U[t], U[pi] = U[pi], U[t]
-        if pj != t:
-            for row in M:
-                row[t], row[pj] = row[pj], row[t]
+        M = [list(col) for col in zip(*M)]
+    d = [M[i][i] for i in range(min(r, c))]
+    U = [list(col) for col in zip(*Ut)]
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            a, b = d[i], d[j]
+            if a == 0 or b % a == 0:
+                continue
+            # s a + t b == g by an extended gcd: the inverse of a/g mod b/g
+            g = gcd(a, b)
+            s = pow(a // g, -1, b // g)
+            t = (g - s * a) // b
+            # rows i, j of U by (s, t; -b/g, a/g), columns i, j of V by
+            # (1, -t b/g; 1, s a/g): diag(a, b) becomes diag(g, a b / g)
+            Ui, Uj = U[i], U[j]
+            U[i] = [s * x + t * y for x, y in zip(Ui, Uj)]
+            U[j] = [a // g * y - b // g * x for x, y in zip(Ui, Uj)]
             for row in V:
-                row[t], row[pj] = row[pj], row[t]
-
-        while True:
-            # clear column t below the pivot
-            restarted = False
-            for i in range(t + 1, r):
-                if M[i][t] != 0:
-                    q = M[i][t] // M[t][t]
-                    _row_op(M, i, t, q)
-                    _row_op(U, i, t, q)
-                    if M[i][t] != 0:
-                        # smaller remainder becomes the new pivot
-                        M[t], M[i] = M[i], M[t]
-                        U[t], U[i] = U[i], U[t]
-                        restarted = True
-                        break
-            if restarted:
-                continue
-            # clear row t right of the pivot
-            for j in range(t + 1, c):
-                if M[t][j] != 0:
-                    q = M[t][j] // M[t][t]
-                    _col_op(M, j, t, q)
-                    _col_op(V, j, t, q)
-                    if M[t][j] != 0:
-                        for row in M:
-                            row[t], row[j] = row[j], row[t]
-                        for row in V:
-                            row[t], row[j] = row[j], row[t]
-                        restarted = True
-                        break
-            if restarted:
-                continue
-            if any(M[i][t] != 0 for i in range(t + 1, r)):
-                continue
-            # enforce divisibility of the trailing submatrix by the pivot
-            offender = None
-            for i in range(t + 1, r):
-                for j in range(t + 1, c):
-                    if M[i][j] % M[t][t] != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is not None:
-                _row_op(M, t, offender, -1)
-                _row_op(U, t, offender, -1)
-                continue
-            break
-
-        if M[t][t] < 0:
-            for j in range(c):
-                M[t][j] = -M[t][j]
-            for j in range(r):
-                U[t][j] = -U[t][j]
-        t += 1
-
-    D = IntMatrix(M, shape=(r, c))
-    factors = tuple(M[i][i] for i in range(min(r, c)) if M[i][i] != 0)
+                x, y = row[i], row[j]
+                row[i] = x + y
+                row[j] = s * (a // g) * y - t * (b // g) * x
+            d[i], d[j] = g, a // g * b
     return SmithDecomposition(
         U=IntMatrix(U, shape=(r, r)),
-        D=D,
+        D=IntMatrix([[d[i] if i == j else 0 for j in range(c)] for i in range(r)], shape=(r, c)),
         V=IntMatrix(V, shape=(c, c)),
-        invariant_factors=factors,
+        invariant_factors=tuple(x for x in d if x),
     )
-
-
-def rank(A):
-    return len(column_hermite(A).pivots)
-
-
-def kernel_basis(A, hermite=None):
-    """Basis of the integer kernel of A (a direct summand of Z^cols).
-
-    These are the columns of V past the pivots of the column Hermite form:
-    A @ V == H is zero there and V is unimodular.
-    """
-    ch = hermite if hermite is not None else column_hermite(A)
-    return [ch.V.column(j) for j in range(len(ch.pivots), A.cols)]
 
 
 @dataclass(frozen=True)
@@ -322,104 +324,51 @@ def cokernel(A):
     return CokernelStructure(free_rank=free_rank, torsion=torsion, order=order)
 
 
-@dataclass(frozen=True)
-class ColumnHermite:
-    """Column echelon form: A @ V == H, V unimodular, pivots positive.
+def kernel_basis(ch):
+    """Basis of the integer kernel of A (a direct summand of Z^cols), from
+    its column Hermite form ch = column_hermite(A).
 
-    pivots[i] is the row of the pivot in column i; pivot rows are strictly
-    increasing and each pivot column is zero above its pivot row.  order is
-    the order of the cokernel Z^rows / im(A): the product of the pivot
-    diagonal when every row holds a pivot, else None (infinite).
+    These are the columns of V past the pivots: A @ V == H is zero there and
+    V is unimodular.
     """
-
-    H: IntMatrix
-    V: IntMatrix
-    pivots: tuple
-    order: object
+    return [ch.V.column(j) for j in range(len(ch.pivots), ch.V.cols)]
 
 
-def column_hermite(A):
-    r, c = A.rows, A.cols
-    H = [list(row) for row in A.data]
-    V = [list(row) for row in IntMatrix.identity(c).data]
-    pivots = []
-    pc = 0
-    for row in range(r):
-        if pc >= c:
-            break
-        # gcd-combine the nonzero entries of this row among columns >= pc
-        while True:
-            nz = [j for j in range(pc, c) if H[row][j] != 0]
-            if len(nz) <= 1:
-                break
-            j0 = min(nz, key=lambda j: abs(H[row][j]))
-            for j in nz:
-                if j == j0:
-                    continue
-                q = H[row][j] // H[row][j0]
-                _col_op(H, j, j0, q)
-                _col_op(V, j, j0, q)
-        nz = [j for j in range(pc, c) if H[row][j] != 0]
-        if not nz:
-            continue
-        j0 = nz[0]
-        if j0 != pc:
-            for mat in (H, V):
-                for rr in mat:
-                    rr[pc], rr[j0] = rr[j0], rr[pc]
-        if H[row][pc] < 0:
-            for rr in H:
-                rr[pc] = -rr[pc]
-            for rr in V:
-                rr[pc] = -rr[pc]
-        pivots.append(row)
-        pc += 1
-    order = prod(H[row][i] for i, row in enumerate(pivots)) if len(pivots) == r else None
-    return ColumnHermite(
-        H=IntMatrix(H, shape=(r, c)),
-        V=IntMatrix(V, shape=(c, c)),
-        pivots=tuple(pivots),
-        order=order,
-    )
-
-
-def reduce_to_canonical_rep(u, A, hermite=None):
-    """Canonical representative of u + im(A) in Z^rows, with exact witness.
+def reduce_to_canonical_rep(u, ch):
+    """Canonical representative of u + im(A) in Z^rows, with exact witness,
+    from the column Hermite form ch = column_hermite(A).
 
     Returns (rep, witness) with u - rep == A @ witness. The representative
     is the unique coset point whose pivot-row coordinates lie in the
     mixed-radix box of the column Hermite form of A; reduction is
     idempotent and constant on cosets.
     """
-    if len(u) != A.rows:
-        raise ShapeError(f"vector length {len(u)} != rows {A.rows}")
-    ch = hermite if hermite is not None else column_hermite(A)
+    rows, cols = ch.H.rows, ch.H.cols
+    if len(u) != rows:
+        raise ShapeError(f"vector length {len(u)} != rows {rows}")
     uu = list(u)
-    z = [0] * A.cols
+    z = [0] * cols
     for i, prow in enumerate(ch.pivots):
         h = ch.H.data[prow][i]
         q = uu[prow] // h
         if q:
-            for rr in range(A.rows):
+            for rr in range(rows):
                 uu[rr] -= q * ch.H.data[rr][i]
-            for cc in range(A.cols):
+            for cc in range(cols):
                 z[cc] += q * ch.V.data[cc][i]
     return tuple(uu), tuple(z)
 
 
-def coset_representatives(A, hermite=None, max_count=None):
-    """All canonical representatives of Z^rows / im(A); requires finiteness.
+def coset_representatives(ch, max_count=None):
+    """All canonical representatives of Z^rows / im(A), from the column
+    Hermite form ch = column_hermite(A); requires finiteness.
 
     Raises InfiniteResultError when the cokernel is infinite and
     BoundExceededError when the count exceeds max_count.
     """
-    from .errors import BoundExceededError, InfiniteResultError
-    from itertools import product as iproduct
-
-    ch = hermite if hermite is not None else column_hermite(A)
     if ch.order is None:
         raise InfiniteResultError("cokernel is infinite; no finite representative set")
     if max_count is not None and ch.order > max_count:
         raise BoundExceededError(f"coset count {ch.order} exceeds bound {max_count}")
     diag = [ch.H.data[row][i] for i, row in enumerate(ch.pivots)]
-    return [tuple(v) for v in iproduct(*(range(d) for d in diag))]
+    return [tuple(v) for v in product(*(range(d) for d in diag))]

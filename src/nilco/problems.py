@@ -64,8 +64,9 @@ def _list_field(obj, key, where):
 def _int_matrix(value, where):
     if not isinstance(value, list) or not all(isinstance(r, list) for r in value):
         raise SchemaError(f"{where}: expected a list of integer rows")
+    rows = [[_as_int(x, where) for x in row] for row in value]
     try:
-        return IntMatrix([[_as_int(x, where) for x in row] for row in value])
+        return IntMatrix(rows)
     except NilcoError as exc:
         raise SchemaError(f"{where}: {exc}") from None
 

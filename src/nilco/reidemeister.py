@@ -116,15 +116,21 @@ def _generator_images(hom):
     ]
 
 
-def _word_inverse(word):
-    return tuple((j, -e) for j, e in reversed(word))
-
-
 def _word_power(word, n):
+    """word^n, with a length that does not grow with |n|: in a class <= 2
+    target, (y_1^{e_1} ... y_L^{e_L})^n = y_1^{n e_1} ... y_L^{n e_L} times
+    prod_{k<l} [y_l, y_k]^{e_k e_l n (n - 1) / 2} for every integer n, with
+    [y, x]^m = y^m x y^{-m} x^{-1} central."""
     if n == 0:
         return ()
-    base = word if n > 0 else _word_inverse(word)
-    return base * abs(n)
+    half = n * (n - 1) // 2
+    out = [(j, n * e) for j, e in word]
+    for k, (i, e) in enumerate(word):
+        for j, f in word[k + 1:]:
+            m = half * e * f
+            if m and i != j:
+                out += [(j, m), (i, 1), (j, -m), (i, -1)]
+    return tuple(out)
 
 
 class TwistedOrbitEngine:
@@ -193,7 +199,7 @@ class TwistedOrbitEngine:
         # kernel words: the ordered product of p_j^{v_j} is
         # (sum v_j a_j, sum v_j c_j + defect_a(v)), and its level-1 part
         # equals that of psi's product since v is in the kernel of Delta_1
-        for v in kernel_basis(self.delta1, hermite=self.hermite1):
+        for v in kernel_basis(self.hermite1):
             words.append(tuple((j, v[j]) for j in range(self.k) if v[j] != 0))
             p = tuple(sum(v[j] * a[j][i] for j in range(self.k)) for i in range(self.r1))
             tw = tuple(
@@ -212,11 +218,11 @@ class TwistedOrbitEngine:
         self._fiber_words = tuple(words)
         self._fiber_columns = tuple(columns)
         self._moving = tuple(p for p, _ in columns if any(p))
-        constant = IntMatrix.from_columns([tw for p, tw in columns if not any(p)], self.r2)
-        constant_hermite = column_hermite(constant)
+        constant = [tw for p, tw in columns if not any(p)]
+        constant_hermite = column_hermite(IntMatrix.from_columns(constant, self.r2))
         self._constant_order = constant_hermite.order
         if not self._moving:
-            self._uniform_fiber = (constant, constant_hermite)
+            self._uniform_fiber = constant_hermite
 
     def _fiber_matrix(self, a):
         """Columns t_w + [p_w, a]: the exact central translations of the fiber
@@ -228,12 +234,11 @@ class TwistedOrbitEngine:
         return IntMatrix.from_columns(cols, self.r2)
 
     def _fiber(self, a):
-        """Fiber matrix over a and its column Hermite form; built once when
+        """Column Hermite form of the fiber matrix over a; built once when
         uniform."""
         if self._uniform_fiber is not None:
             return self._uniform_fiber
-        M = self._fiber_matrix(a)
-        return M, column_hermite(M)
+        return column_hermite(self._fiber_matrix(a))
 
     def _brackets(self, a):
         """B(a) = ([p_w, a])_w over the moving columns (p_w != 0), flattened."""
@@ -260,7 +265,7 @@ class TwistedOrbitEngine:
         B = IntMatrix.from_columns(
             [self._brackets(u) for u in units], self.r2 * len(self._moving)
         )
-        cols = [self.delta1.column(j) for j in range(self.k)] + kernel_basis(B)
+        cols = [self.delta1.column(j) for j in range(self.k)] + kernel_basis(column_hermite(B))
         e = self._constant_order
         if e is not None:
             cols += [tuple(e * x for x in u) for u in units]
@@ -283,7 +288,7 @@ class TwistedOrbitEngine:
             if reps_limit is not None and c1 <= reps_limit:
                 reps = tuple(
                     LatticeElement((a,))
-                    for a in coset_representatives(self.delta1, hermite=self.hermite1)
+                    for a in coset_representatives(self.hermite1)
                 )
             return ReidemeisterResult(
                 status=FINITE, count=c1, level_counts=(c1,), reps=reps
@@ -305,8 +310,8 @@ class TwistedOrbitEngine:
         hermite = column_hermite(period)
         classes = c1 // hermite.order
         histogram = {}
-        for q in coset_representatives(period, hermite=hermite, max_count=max_order_cap()):
-            order = fiber(q)[1].order
+        for q in coset_representatives(hermite, max_count=max_order_cap()):
+            order = fiber(q).order
             if order is None:
                 return ReidemeisterResult(
                     status=INFINITE,
@@ -319,9 +324,8 @@ class TwistedOrbitEngine:
         reps = None
         if reps_limit is not None and total <= reps_limit:
             listed = []
-            for a in coset_representatives(self.delta1, hermite=self.hermite1):
-                M, ch = fiber(a)
-                listed.extend(LatticeElement((a, c)) for c in coset_representatives(M, hermite=ch))
+            for a in coset_representatives(self.hermite1):
+                listed.extend(LatticeElement((a, c)) for c in coset_representatives(fiber(a)))
             reps = tuple(listed)
         if len(histogram) == 1:
             (order,) = histogram
@@ -349,7 +353,7 @@ class TwistedOrbitEngine:
         if self.order1 is None:
             raise InfiniteResultError("infinitely many classes at level 1")
         a = u.level(0)
-        a_rep, z = reduce_to_canonical_rep(a, self.delta1, hermite=self.hermite1)
+        a_rep, z = reduce_to_canonical_rep(a, self.hermite1)
         word1 = tuple((j, -z[j]) for j in range(self.k) if z[j] != 0)
         u1 = self.move(u, word1) if word1 else u
         if u1.level(0) != a_rep:
@@ -357,11 +361,11 @@ class TwistedOrbitEngine:
         if self.r2 == 0:
             return u1, word1
 
-        M, ch = self._fiber(a_rep)
+        ch = self._fiber(a_rep)
         if ch.order is None:
             raise InfiniteResultError("infinitely many central classes over this level-1 class")
         c = u1.level(1)
-        c_rep, z2 = reduce_to_canonical_rep(c, M, hermite=ch)
+        c_rep, z2 = reduce_to_canonical_rep(c, ch)
         word2 = ()
         for g, coeff in enumerate(z2):
             word2 = word2 + _word_power(self._fiber_words[g], -coeff)

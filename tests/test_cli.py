@@ -96,8 +96,36 @@ class TestCompute:
         code, text = run(["--output", "json", "compute", write_problem(tmp_path, doc)])
         assert code == EXIT_OK and json.loads(text)["R"] == 3
 
+    @pytest.mark.parametrize(
+        "n, F, R",
+        [
+            (1, f"[[1{'0' * 4400}]]", "1" + "0" * 4400),
+            (1, f'[["1{"0" * 4400}"]]', "1" + "0" * 4400),
+            (2, f"[[1{'0' * 2300},0],[0,1{'0' * 2300}]]", "1" + "0" * 4600),
+        ],
+        ids=["json-number", "decimal-string", "long-R"],
+    )
+    def test_integers_past_the_default_digit_limit(self, tmp_path, n, F, R):
+        # written as text: Python's default limit is 4,300 digits per int
+        path = tmp_path / "big.json"
+        G = json.dumps([[0] * n] * n)
+        path.write_text(
+            f'{{"kind":"TORUS","target":{{"ranks":[{n}]}},"F":{F},"G":{G}}}', encoding="utf-8"
+        )
+        code, text = run(["--output", "json", "compute", str(path)])
+        assert code == EXIT_OK and f'"R":{R},' in text
+        code, text = run(["compute", str(path)])
+        assert code == EXIT_OK and f"R(f,g) = {R}\n" in text
+        assert run(["validate", str(path)])[0] == EXIT_OK
+
 
 class TestExitCodes:
+    def test_bad_decimal_string_names_its_location_once(self, tmp_path, capsys):
+        doc = {"kind": "TORUS", "target": {"ranks": [1]}, "F": [["3x"]], "G": [[0]]}
+        path = write_problem(tmp_path, doc)
+        assert run(["compute", path])[0] == EXIT_SCHEMA
+        assert capsys.readouterr().err == f"error: {path}.F[0]: '3x' is not a decimal integer\n"
+
     def test_parse_error(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json", encoding="utf-8")

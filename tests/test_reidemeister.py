@@ -25,8 +25,7 @@ from conftest import (
 )
 from nilco.cli import main
 from nilco.errors import ShapeError, UnsupportedClassError
-from nilco.intmat import IntMatrix
-from nilco.intmat import determinant
+from nilco.intmat import IntMatrix, column_hermite, determinant
 from nilco.lattice import LatticeHomomorphism, NilpotentLattice, apply_hom
 from nilco.oracle import twisted_orbits_finite
 from nilco.problems import ProblemFile, oracle_orbit_count, parse_problem_dict
@@ -41,6 +40,7 @@ from nilco.reidemeister import (
     YES,
     TwistedAction,
     TwistedOrbitEngine,
+    _word_power,
     coincidence_invariants,
     coincidence_invariants_from_pairs,
 )
@@ -196,6 +196,28 @@ class TestLabels:
         u = h.element(((5, -3), (7,)))
         assert TwistedOrbitEngine(engine.action).label(u) == engine.label(u)
 
+    def test_witness_length_does_not_grow_with_the_coordinates(self):
+        h, engine = self.engine()
+        lengths = []
+        for c in (10**3, 10**5, 10**9):
+            u = h.element(((1, 1), (c,)))
+            label, witness = engine.label(u)
+            assert engine.move(u, witness) == label
+            lengths.append(len(witness))
+            assert len(witness) == lengths[0], lengths
+
+    def test_word_powers_match_repetition(self, rng):
+        lat = free_class2(3)
+        for _ in range(200):
+            engine = random_pairs_engine(rng, lat, 3)
+            word = tuple(
+                (rng.randrange(3), rng.choice((-3, -2, -1, 1, 2, 3)))
+                for _ in range(rng.randint(1, 5))
+            )
+            n = rng.randint(-6, 6)
+            base = word if n > 0 else tuple((j, -e) for j, e in reversed(word))
+            assert engine.word_images(_word_power(word, n)) == engine.word_images(base * abs(n))
+
 
 def random_pairs_engine(rng, lat, k):
     """Engine on k random generator pairs whose level-1 cokernel is finite."""
@@ -233,7 +255,7 @@ class TestFiberColumns:
                 else:
                     uniform += 1
                     assert engine._fiber(a) is engine._uniform_fiber
-                    assert engine._uniform_fiber[0] == M
+                    assert engine._uniform_fiber == column_hermite(M)
         assert kernel_words and commutator_words and non_uniform and uniform
 
 

@@ -2,8 +2,9 @@
 
 Subcommands: compute, oracle, validate, fixtures.  Exit codes:
 0 ok, 1 any other NilcoError (such as `oracle` on an infinite count with no
---modulus), 2 parse error (unreadable file, invalid JSON, or an element cap
-from NILCO_MAX_ORDER or --max-order that is not an integer >= 1),
+--modulus), 2 parse error (unreadable file, invalid JSON, an element cap
+from NILCO_MAX_ORDER or --max-order that is not an integer >= 1, or a
+--modulus that is not an integer >= 2),
 3 schema/shape error, 4 unsupported class, 5 bound exceeded,
 6 fixture/expected mismatch.
 """
@@ -30,6 +31,7 @@ from .problems import (
     oracle_orbit_count,
     parse_problem,
     report_dict,
+    unlimited_int_digits,
     validate_problem,
 )
 from .reidemeister import INFINITE
@@ -95,9 +97,11 @@ def cmd_compute(args, out):
 
 
 def cmd_oracle(args, out):
+    modulus = args.modulus
+    if modulus is not None and modulus < 2:
+        raise ParseError(f"--modulus must be an integer >= 2, got {modulus}")
     problem = parse_problem(args.file)
     action = validate_problem(problem)
-    modulus = args.modulus
     if modulus is None:
         report, _ = compute_report(problem, action=action)
         modulus = default_modulus(problem, report, action=action)
@@ -202,17 +206,14 @@ def build_parser():
 
 
 def main(argv=None, out=None):
-    # integers of any length in and out (Python < 3.10.7 has no digit limit)
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
     out = out if out is not None else sys.stdout
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        return args.func(args, out)
-    except NilcoError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _exit_code_for(exc)
+    with unlimited_int_digits():
+        args = build_parser().parse_args(argv)
+        try:
+            return args.func(args, out)
+        except NilcoError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return _exit_code_for(exc)
 
 
 def entrypoint():

@@ -2,16 +2,17 @@
 
 Arbitrary-precision integer matrices with fraction-free determinants, the
 column Hermite form, the Smith normal form, cokernel structure and
-canonical coset representatives.  One column echelon loop does every
-elimination.  The column Hermite form it builds serves every count: its
-pivot diagonal gives the cokernel order, the columns of V past the pivots a
-kernel basis, and the same form reduces vectors to canonical coset
-representatives.  The Smith normal form alternates that loop on a matrix
-and its transpose; it serves only the invariant factors of `cokernel`.
+canonical coset representatives.  One column echelon loop, exact or modulo
+a determinant, does every elimination.  The column Hermite form, each field
+built when first read, serves every count (its order), the kernel words (V
+past the pivots) and the canonical coset representatives (H).  The Smith
+normal form alternates the loop on a matrix and its transpose; it serves
+only the invariant factors of `cokernel`.
 """
 
 from dataclasses import dataclass
-from itertools import cycle, product
+from functools import cached_property
+from itertools import product
 from math import gcd, prod
 
 from .errors import BoundExceededError, InfiniteResultError, ShapeError
@@ -23,7 +24,16 @@ class IntMatrix:
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, entries, shape=None):
-        data = tuple(tuple(self._as_int(x) for x in row) for row in entries)
+        self._init(tuple(tuple(self._as_int(x) for x in row) for row in entries), shape)
+
+    @classmethod
+    def _trusted(cls, entries, shape=None):
+        """Integer rows that nilco built or checked itself: only the shape is checked."""
+        M = cls.__new__(cls)
+        M._init(tuple(map(tuple, entries)), shape)
+        return M
+
+    def _init(self, data, shape):
         if shape is not None:
             r, c = shape
             if len(data) != r:
@@ -63,9 +73,8 @@ class IntMatrix:
         for c in columns:
             if len(c) != rows:
                 raise ShapeError("column length mismatch")
-        return cls(
-            [[columns[j][i] for j in range(len(columns))] for i in range(rows)],
-            shape=(rows, len(columns)),
+        return cls._trusted(
+            [[col[i] for col in columns] for i in range(rows)], shape=(rows, len(columns))
         )
 
     # -- basic algebra ------------------------------------------------
@@ -92,7 +101,7 @@ class IntMatrix:
 
     def __sub__(self, other):
         self._same_shape(other)
-        return IntMatrix(
+        return IntMatrix._trusted(
             [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)],
             shape=(self.rows, self.cols),
         )
@@ -109,10 +118,10 @@ class IntMatrix:
             out.append(
                 [sum(ri[k] * other.data[k][j] for k in range(self.cols)) for j in range(cols)]
             )
-        return IntMatrix(out, shape=(self.rows, cols))
+        return IntMatrix._trusted(out, shape=(self.rows, cols))
 
     def transpose(self):
-        return IntMatrix(
+        return IntMatrix._trusted(
             [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)],
             shape=(self.cols, self.rows),
         )
@@ -158,81 +167,135 @@ def determinant(A):
     return sign * M[n - 1][n - 1]
 
 
-@dataclass(frozen=True)
 class ColumnHermite:
-    """Column echelon form: A @ V == H, V unimodular, pivots positive.
+    """Column Hermite form of A: A @ V == H, V unimodular, pivots positive.
 
     pivots[i] is the row of the pivot in column i; pivot rows are strictly
-    increasing and each pivot column is zero above its pivot row.  order is
-    the order of the cokernel Z^rows / im(A): the product of the pivot
-    diagonal when every row holds a pivot, else None (infinite).
+    increasing, each pivot column is zero above its pivot row and the
+    entries left of a pivot lie in [0, pivot), so H is the unique Hermite
+    form of im(A).  order is |Z^rows / im(A)|, None when infinite: |det A|
+    for a square A, found without elimination, else the pivot product.
+    Each field is computed when first read: H modulo |det A| for a square
+    nonsingular A, and V by the exact loop, only when V is read.
     """
 
-    H: IntMatrix
-    V: IntMatrix
-    pivots: tuple
-    order: object
+    def __init__(self, A):
+        self.A = A
+
+    def __eq__(self, other):  # H and V determine A = H V^-1
+        return isinstance(other, ColumnHermite) and self.A == other.A
+
+    def __hash__(self):
+        return hash(self.A)
+
+    @cached_property
+    def order(self):
+        A = self.A
+        if A.is_square:
+            return abs(determinant(A)) or None
+        diag = [self.H.data[row][i] for i, row in enumerate(self.pivots)]
+        return prod(diag) if len(diag) == A.rows else None
+
+    @cached_property
+    def _form(self):
+        A = self.A
+        D = self.order if A.is_square else None
+        cols = [[x % D for x in col] if D else list(col) for col in A.transpose().data]
+        pivots = tuple(_column_echelon(cols, A.rows, D))
+        return _rows(cols, 0, A.rows), pivots
+
+    H = cached_property(lambda self: self._form[0])
+    pivots = cached_property(lambda self: self._form[1])
+
+    @cached_property
+    def V(self):
+        A = self.A
+        cols = [list(col) + _unit(j, A.cols) for j, col in enumerate(A.transpose().data)]
+        pivots = tuple(_column_echelon(cols, A.rows))
+        # the exact loop's H is the same canonical H: kept for a later read
+        self.__dict__.setdefault("_form", (_rows(cols, 0, A.rows), pivots))
+        return _rows(cols, A.rows, A.rows + A.cols)
 
 
-def _col_op(M, j, t, q):
-    # col_j -= q * col_t
-    for row in M:
-        row[j] -= q * row[t]
+def _unit(j, n):
+    return [int(i == j) for i in range(n)]
 
 
-def _column_echelon(H, V):
-    """Bring the row lists H to column echelon form in place, applying every
-    column operation to the row lists V as well; returns the pivot rows.
+def _rows(cols, start, stop):
+    """The matrix of entries start..stop-1 of the columns cols."""
+    return IntMatrix._trusted(
+        [[col[i] for col in cols] for i in range(start, stop)], shape=(stop - start, len(cols))
+    )
 
-    Column i of the result holds the positive pivot of row pivots[i] and is
-    zero above it; the columns past the pivots are zero.
+
+def _column_echelon(cols, rows, modulus=None):
+    """Bring the first `rows` entries of the columns `cols` to column Hermite
+    form (see ColumnHermite) in place and return the pivot rows; the entries
+    past `rows` (V under H, or U^T under M^T) record every column operation.
+
+    With `modulus` D = |det A| of a square nonsingular A, D Z^n lies in
+    im(A) and entries are kept mod R, R = D at the first row (Domich,
+    Kannan and Trotter, Math. Oper. Res. 1987): a row's pivot is gcd(h, R),
+    h the gcd of its entries, and the rows below span a lattice of index
+    R / pivot, which contains (R / pivot) Z^(n-1), so R //= pivot.
     """
-    c = len(V)
+    R = modulus
+    c = len(cols)
     pivots = []
-    pc = 0
-    for row in range(len(H)):
-        if pc >= c:
+    for row in range(rows):
+        pc = len(pivots)
+        if pc == c:
             break
+        for j in range(pc, c) if R else ():
+            if gcd(cols[j][row], R) == 1:  # a unit: scaled to 1, one pass clears the row
+                inv = pow(cols[j][row], -1, R)
+                cols[j] = [x * inv % R for x in cols[j]]
+                break
         # gcd-combine the nonzero entries of this row among columns >= pc
         while True:
-            nz = [j for j in range(pc, c) if H[row][j] != 0]
+            nz = [j for j in range(pc, c) if cols[j][row] != 0]
             if len(nz) <= 1:
                 break
-            j0 = min(nz, key=lambda j: abs(H[row][j]))
+            j0 = min(nz, key=lambda j: abs(cols[j][row]))
+            t = cols[j0]
             for j in nz:
-                if j == j0:
-                    continue
-                q = H[row][j] // H[row][j0]
-                _col_op(H, j, j0, q)
-                _col_op(V, j, j0, q)
-        if not nz:
+                if j != j0:
+                    cols[j] = _sub(cols[j], cols[j][row] // t[row], t, row, R)
+        if nz:
+            cols[pc], cols[nz[0]] = cols[nz[0]], cols[pc]
+        elif R is None:
             continue
-        j0 = nz[0]
-        if j0 != pc:
-            for mat in (H, V):
-                for rr in mat:
-                    rr[pc], rr[j0] = rr[j0], rr[pc]
-        if H[row][pc] < 0:
-            for mat in (H, V):
-                for rr in mat:
-                    rr[pc] = -rr[pc]
+        else:  # every entry is 0 mod R: the pivot is R, and R becomes 1
+            cols[pc] = [R * (i == row) for i in range(len(cols[pc]))]
+        h = cols[pc][row]
+        if R is None and h < 0:
+            cols[pc] = [-x for x in cols[pc]]
+        elif R is not None and (d := gcd(h, R)) != h:
+            u = pow(h // d, -1, R // d)  # u h == d (mod R)
+            cols[pc] = [x * u % R for x in cols[pc]]
+            cols[pc][row] = d
+        p = cols[pc]  # reduce the entries left of the pivot into [0, pivot)
+        for j in range(pc):
+            if q := cols[j][row] // p[row]:
+                cols[j] = _sub(cols[j], q, p, row, R)
         pivots.append(row)
-        pc += 1
+        if R is not None and p[row] > 1:
+            R //= p[row]
+            cols[pc + 1:] = [[x % R for x in col] for col in cols[pc + 1:]]
     return pivots
 
 
+def _sub(a, q, b, start, R):
+    """a - q b for a column b zero above `start`; from there on mod R if set."""
+    head, a, b = a[:start], a[start:], b[start:]
+    if R is None:
+        return head + [x - q * y for x, y in zip(a, b)]
+    return head + [(x - q * y) % R for x, y in zip(a, b)]
+
+
 def column_hermite(A):
-    r, c = A.rows, A.cols
-    H = [list(row) for row in A.data]
-    V = [list(row) for row in IntMatrix.identity(c).data]
-    pivots = _column_echelon(H, V)
-    order = prod(H[row][i] for i, row in enumerate(pivots)) if len(pivots) == r else None
-    return ColumnHermite(
-        H=IntMatrix(H, shape=(r, c)),
-        V=IntMatrix(V, shape=(c, c)),
-        pivots=tuple(pivots),
-        order=order,
-    )
+    """The column Hermite form of A, computed field by field as read."""
+    return ColumnHermite(A)
 
 
 @dataclass(frozen=True)
@@ -262,16 +325,22 @@ def smith_normal_form(A):
     one column step, so that d_i | d_{i+1}.
     """
     r, c = A.rows, A.cols
-    M = [list(row) for row in A.data]
-    Ut = [list(row) for row in IntMatrix.identity(r).data]
-    V = [list(row) for row in IntMatrix.identity(c).data]
-    for ops in cycle((V, Ut)):
-        _column_echelon(M, ops)
-        if all(x == 0 for i, row in enumerate(M) for j, x in enumerate(row) if i != j):
+    # passes run on the columns of [M; V], keeping the rows of U aside, and
+    # of [M^T; U^T], keeping the columns of V aside
+    cols = [list(col) + _unit(j, c) for j, col in enumerate(A.transpose().data)]
+    aside = [_unit(i, r) for i in range(r)]
+    n, transposed = r, False
+    while True:
+        _column_echelon(cols, n)
+        if all(x == 0 for j, col in enumerate(cols) for i, x in enumerate(col[:n]) if i != j):
             break
-        M = [list(col) for col in zip(*M)]
-    d = [M[i][i] for i in range(min(r, c))]
-    U = [list(col) for col in zip(*Ut)]
+        cols, aside = [[col[i] for col in cols] + aside[i] for i in range(n)], [
+            col[n:] for col in cols]
+        n, transposed = len(aside), not transposed
+    d = [cols[i][i] for i in range(min(r, c))]
+    U, V = [col[n:] for col in cols], aside
+    if not transposed:
+        U, V = V, U
     for i in range(len(d)):
         for j in range(i + 1, len(d)):
             a, b = d[i], d[j]
@@ -286,15 +355,16 @@ def smith_normal_form(A):
             Ui, Uj = U[i], U[j]
             U[i] = [s * x + t * y for x, y in zip(Ui, Uj)]
             U[j] = [a // g * y - b // g * x for x, y in zip(Ui, Uj)]
-            for row in V:
-                x, y = row[i], row[j]
-                row[i] = x + y
-                row[j] = s * (a // g) * y - t * (b // g) * x
+            Vi, Vj = V[i], V[j]
+            V[i] = [x + y for x, y in zip(Vi, Vj)]
+            V[j] = [s * (a // g) * y - t * (b // g) * x for x, y in zip(Vi, Vj)]
             d[i], d[j] = g, a // g * b
     return SmithDecomposition(
-        U=IntMatrix(U, shape=(r, r)),
-        D=IntMatrix([[d[i] if i == j else 0 for j in range(c)] for i in range(r)], shape=(r, c)),
-        V=IntMatrix(V, shape=(c, c)),
+        U=IntMatrix._trusted(U, shape=(r, r)),
+        D=IntMatrix._trusted(
+            [[d[i] if i == j else 0 for j in range(c)] for i in range(r)], shape=(r, c)
+        ),
+        V=_rows(V, 0, c),
         invariant_factors=tuple(x for x in d if x),
     )
 
@@ -331,7 +401,8 @@ def kernel_basis(ch):
     These are the columns of V past the pivots: A @ V == H is zero there and
     V is unimodular.
     """
-    return [ch.V.column(j) for j in range(len(ch.pivots), ch.V.cols)]
+    V = ch.V  # read first: the exact loop that builds V also gives the pivots
+    return [V.column(j) for j in range(len(ch.pivots), V.cols)]
 
 
 def reduce_to_canonical_rep(u, ch):

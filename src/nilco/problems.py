@@ -6,6 +6,8 @@ serialized as the string "infinite", never a sentinel number.
 """
 
 import json
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from math import prod
 
@@ -29,6 +31,20 @@ from .reidemeister import (
 )
 
 KINDS = ("TORUS", "NILMANIFOLD", "PAIRS", "INFRA")
+
+
+@contextmanager
+def unlimited_int_digits():
+    """Integers of any length in and out while the block runs: Python >=
+    3.10.7 converts at most 4,300 digits per integer by default."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 class SchemaError(NilcoError):
@@ -66,7 +82,7 @@ def _int_matrix(value, where):
         raise SchemaError(f"{where}: expected a list of integer rows")
     rows = [[_as_int(x, where) for x in row] for row in value]
     try:
-        return IntMatrix(rows)
+        return IntMatrix._trusted(rows)  # every entry checked just above
     except NilcoError as exc:
         raise SchemaError(f"{where}: {exc}") from None
 
@@ -282,11 +298,12 @@ def parse_problem(path):
             text = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON: {exc}") from None
-    return parse_problem_dict(doc, where=str(path))
+    with unlimited_int_digits():
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path}: invalid JSON: {exc}") from None
+        return parse_problem_dict(doc, where=str(path))
 
 
 def validate_problem(problem):
@@ -356,7 +373,8 @@ def serialize_problem(problem):
 
 
 def canonical_json(doc):
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    with unlimited_int_digits():
+        return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 # -- dispatch ----------------------------------------------------------

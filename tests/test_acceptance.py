@@ -261,5 +261,5 @@ def test_criterion_7_bundled_fixture_regression():
     code = main(["fixtures", "--check"], out=out)
     lines = out.getvalue().strip().splitlines()
     assert code == EXIT_OK
-    assert len(lines) == 8 and all(line.startswith("PASS") for line in lines)
+    assert len(lines) == 9 and all(line.startswith("PASS") for line in lines)
     report_line(7, "fixture-regression", started, 30.0)

@@ -2,12 +2,17 @@
 
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from conftest import heisenberg_period_pairs
+import nilco
+
+from conftest import heisenberg_period_pairs, sympy_cokernel_order
 from nilco.cli import (
     EXIT_BOUND,
     EXIT_ERROR,
@@ -19,6 +24,7 @@ from nilco.cli import (
     bundled_fixture_dir,
     main,
 )
+from nilco.intmat import IntMatrix
 from nilco.problems import (
     SchemaError,
     canonical_json,
@@ -119,6 +125,34 @@ class TestCompute:
         assert run(["validate", str(path)])[0] == EXIT_OK
 
 
+    def test_library_callers_read_and_write_integers_past_the_digit_limit(self, tmp_path):
+        # in a fresh interpreter, because an in-process `main` lifts the limit
+        # while it runs: parse_problem and canonical_json lift it themselves,
+        # and restore it
+        big = "1" + "0" * 4400
+        path = tmp_path / "big.json"
+        path.write_text(
+            f'{{"kind":"TORUS","target":{{"ranks":[1]}},"F":[[{big}]],"G":[["-{big}"]]}}',
+            encoding="utf-8",
+        )
+        script = (
+            "import sys\n"
+            "from nilco.problems import (\n"
+            "    canonical_json, compute_report, parse_problem, report_dict)\n"
+            "limit = getattr(sys, 'get_int_max_str_digits', lambda: None)()\n"
+            f"problem = parse_problem({str(path)!r})\n"
+            "report, cover = compute_report(problem)\n"
+            "sys.stdout.write(canonical_json(report_dict(problem, report, cover)))\n"
+            "assert getattr(sys, 'get_int_max_str_digits', lambda: None)() == limit\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(nilco.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert f'"R":2{big[1:]},' in proc.stdout
+
+
 class TestExitCodes:
     def test_bad_decimal_string_names_its_location_once(self, tmp_path, capsys):
         doc = {"kind": "TORUS", "target": {"ranks": [1]}, "F": [["3x"]], "G": [[0]]}
@@ -183,6 +217,14 @@ class TestExitCodes:
         path = write_problem(tmp_path, HEISENBERG_DOC)
         code, _ = run(["oracle", path, "--max-order", "0"])
         assert code == EXIT_PARSE
+
+    @pytest.mark.parametrize("modulus", ["1", "0", "-4"])
+    def test_modulus_below_two_is_a_parse_error(self, tmp_path, capsys, modulus):
+        path = write_problem(tmp_path, HEISENBERG_DOC)
+        code, _ = run(["oracle", path, "--modulus", modulus])
+        assert code == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err == f"error: --modulus must be an integer >= 2, got {modulus}\n"
 
     def test_other_errors_exit_one(self):
         path = str(bundled_fixture_dir() / "identical_torus_maps.json")
@@ -266,6 +308,9 @@ class TestOracle:
     @pytest.mark.parametrize("name", [
         p.name for p in sorted(bundled_fixture_dir().glob("*.json"))
         if json.loads(p.read_text(encoding="utf-8"))["expected"]["R"] != "infinite"
+        # the oracle enumerates m^rank elements: the rank-12 torus pair's
+        # 60^12 are far past any cap (test_rank12_fixture_count_is_sympys)
+        and sum(json.loads(p.read_text(encoding="utf-8"))["target"]["ranks"]) <= 8
     ])
     def test_default_modulus_counts_every_finite_fixture(self, name):
         path = bundled_fixture_dir() / name
@@ -298,7 +343,7 @@ class TestValidateAndFixtures:
         code, text = run(["fixtures", "--check"])
         assert code == EXIT_OK
         lines = [l for l in text.strip().splitlines()]
-        assert len(lines) == 8
+        assert len(lines) == 9
         assert all(l.startswith("PASS") for l in lines)
 
     def test_fixture_directory_override_with_mismatch(self, tmp_path):
@@ -313,6 +358,19 @@ class TestGoldenReports:
     def test_every_fixture_has_a_golden_report(self):
         fixtures = sorted(p.name for p in bundled_fixture_dir().iterdir() if p.name.endswith(".json"))
         assert fixtures == sorted(p.name for p in GOLDEN_DIR.glob("*.json"))
+
+    def test_rank12_fixture_count_is_sympys(self):
+        # the one finite fixture the oracle cannot enumerate: R against the
+        # invariant factors sympy finds for G - F, and one listed
+        # representative per class
+        path = bundled_fixture_dir() / "torus_rank12_dense.json"
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        (F,), (G,) = doc["F"], doc["G"]
+        delta = IntMatrix([[g - f for f, g in zip(rf, rg)] for rf, rg in zip(F, G)])
+        assert sympy_cokernel_order(delta) == doc["expected"]["R"] == 360
+        code, text = run(["--output", "json", "compute", str(path)])
+        assert code == EXIT_OK
+        assert len({str(rep) for rep in json.loads(text)["reps"]}) == 360
 
     @pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN_DIR.glob("*.json")))
     def test_json_report_is_byte_identical(self, name):

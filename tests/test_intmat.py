@@ -3,9 +3,12 @@ cokernels, canonical coset representatives."""
 
 import random
 import time
+from math import prod
 
 import pytest
 import sympy
+from sympy import ZZ
+from sympy.polys.matrices import DomainMatrix
 
 from conftest import (
     determinant_cofactor,
@@ -13,6 +16,7 @@ from conftest import (
     sympy_cokernel_order,
     sympy_invariant_factors,
 )
+from nilco import intmat
 from nilco.errors import InfiniteResultError, ShapeError
 from nilco.intmat import (
     IntMatrix,
@@ -211,6 +215,96 @@ class TestColumnHermite:
                 assert ch.H.data[prow][i] > 0
                 for r_above in range(prow):
                     assert ch.H.data[r_above][i] == 0
+
+
+def rational(rows):
+    """sympy's exact matrix over Q of integer rows."""
+    entries = [[ZZ(x) for x in row] for row in rows]
+    return DomainMatrix(entries, (len(rows), len(rows[0])), ZZ).to_field()
+
+
+def square_with_det(rng, n, kind):
+    """An n x n matrix whose |det| is 1 ("unimodular"), a product of small
+    factors ("small") or that of random entries up to 1e6 ("large"); "no
+    unit row" scales one row of a large one by 6, so that no entry of that
+    row is a unit mod the determinant."""
+    if kind in ("large", "no unit row"):
+        A = [[rng.randint(-10**6, 10**6) for _ in range(n)] for _ in range(n)]
+        if kind == "no unit row" and n:
+            k = rng.randrange(n)
+            A[k] = [6 * x for x in A[k]]
+        return IntMatrix(A, shape=(n, n))
+    d = [1] * n
+    if kind == "small":
+        d = [rng.choice((1, 1, 2, 3, 4, 6, 12, 30)) for _ in range(n)]
+    M = IntMatrix([[d[i] if i == j else 0 for j in range(n)] for i in range(n)], shape=(n, n))
+    for _ in range(3 * n):  # row and column operations, entries up to about 1e6
+        i, j = rng.sample(range(n), 2) if n >= 2 else (0, 0)
+        k = rng.randint(-40, 40)
+        rows = [list(r) for r in M.data]
+        if i != j and max(abs(x) for r in rows for x in r) < 10**4:
+            rows[i] = [x + k * y for x, y in zip(rows[i], rows[j])]
+            rows = [[r[c] + k * r[i] if c == j else r[c] for c in range(n)] for r in rows]
+        M = IntMatrix(rows, shape=(n, n))
+    return M
+
+
+class TestModularHermite:
+    def test_square_forms_against_sympy(self, rng):
+        kinds = ("unimodular", "small", "large", "no unit row")
+        for trial in range(3200):
+            n = trial % 9
+            A = square_with_det(rng, n, kinds[trial // 9 % len(kinds)])
+            det = determinant(A)
+            ch = column_hermite(A)
+            assert ch.order == (abs(det) or None)
+            if det == 0:
+                continue
+            H = ch.H.data
+            assert ch.pivots == tuple(range(n))
+            for i in range(n):
+                assert H[i][i] > 0
+                assert all(H[i][j] == 0 for j in range(i + 1, n))
+                assert all(0 <= H[i][j] < H[i][i] for j in range(i))
+            # H^-1 A is integral, so im(A) lies in im(H), and the indices agree
+            X = rational(H).lu_solve(rational(A.data)) if n else None
+            assert n == 0 or all(x.denominator == 1 for row in X.to_list() for x in row)
+            assert prod(H[i][i] for i in range(n)) == abs(det)
+
+    def test_v_read_after_a_modular_h(self, rng):
+        for trial in range(300):
+            n = rng.randint(1, 6)
+            A = square_with_det(rng, n, ("small", "large", "no unit row")[trial % 3])
+            ch = column_hermite(A)
+            if ch.order is None:
+                continue
+            H = ch.H
+            assert A @ ch.V == H
+            assert is_unimodular(ch.V)
+
+    def test_fields_are_computed_when_read(self, monkeypatch):
+        A = IntMatrix([[4, 1, 0], [2, 3, 5], [0, 7, 6]])
+        echelon = intmat._column_echelon
+
+        def refuse(cols, rows, modulus=None):
+            raise AssertionError("elimination run")
+
+        def modular_only(cols, rows, modulus=None):
+            if modulus is None:
+                raise AssertionError("exact elimination run")
+            return echelon(cols, rows, modulus)
+
+        monkeypatch.setattr(intmat, "_column_echelon", refuse)
+        assert column_hermite(A).order == abs(determinant(A)) == 80
+        assert column_hermite(IntMatrix([[2, 4], [1, 2]])).order is None
+        monkeypatch.setattr(intmat, "_column_echelon", modular_only)
+        ch = column_hermite(A)
+        assert ch.H == IntMatrix([[1, 0, 0], [3, 5, 0], [7, 6, 16]])
+        assert ch.pivots == (0, 1, 2)
+        with pytest.raises(AssertionError, match="exact elimination"):
+            ch.V
+        monkeypatch.setattr(intmat, "_column_echelon", echelon)
+        assert A @ ch.V == ch.H
 
 
 class TestCanonicalReduction:

@@ -8,7 +8,7 @@ from .errors import (
     ShapeError,
     UnsupportedClassError,
 )
-from .infra import CosetAction, InfraStructure, decide_infra, infra_movers, validate_infra
+from .infra import CosetAction, InfraStructure, decide_infra, infra_action
 from .intmat import (
     CokernelStructure,
     IntMatrix,

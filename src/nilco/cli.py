@@ -2,11 +2,17 @@
 
 Subcommands: compute, oracle, validate, fixtures.  Exit codes:
 0 ok, 1 any other NilcoError (such as `oracle` on an infinite count with no
---modulus), 2 parse error (unreadable file, invalid JSON, an element cap
-from NILCO_MAX_ORDER or --max-order that is not an integer >= 1, or a
---modulus that is not an integer >= 2),
-3 schema/shape error, 4 unsupported class, 5 bound exceeded,
-6 fixture/expected mismatch.
+--modulus), 2 parse error (unreadable file, a file that is not UTF-8,
+invalid JSON or JSON nested too deep, an element cap from NILCO_MAX_ORDER
+or --max-order that is not an integer >= 1, or a --modulus that is not an
+integer >= 2), 3 schema/shape error (also a map that is not a
+homomorphism, or invalid holonomy data; the message names the place in
+the file), 4 unsupported class, 5 bound exceeded, 6 fixture/expected
+mismatch.
+
+`validate` parses the file, which checks every lattice, map, element and
+holonomy datum as it is built, and builds the twisted action it counts;
+it computes nothing.
 """
 
 import argparse
@@ -101,11 +107,10 @@ def cmd_oracle(args, out):
     if modulus is not None and modulus < 2:
         raise ParseError(f"--modulus must be an integer >= 2, got {modulus}")
     problem = parse_problem(args.file)
-    action = validate_problem(problem)
     if modulus is None:
-        report, _ = compute_report(problem, action=action)
-        modulus = default_modulus(problem, report, action=action)
-    count = oracle_orbit_count(problem, modulus, max_order=args.max_order, action=action)
+        report, _ = compute_report(problem)
+        modulus = default_modulus(problem, report)
+    count = oracle_orbit_count(problem, modulus, max_order=args.max_order)
     doc = {"kind": problem.kind, "modulus": modulus, "orbit_count": count}
     if problem.name is not None:
         doc["name"] = problem.name

@@ -13,8 +13,8 @@ class NilcoError(Exception):
 
 
 class ParseError(NilcoError):
-    """Input unreadable: a file that is not valid JSON, or an element cap
-    that is not a positive integer (exit code 2)."""
+    """Input unreadable: a file that is not UTF-8 or not valid JSON, or an
+    element cap that is not a positive integer (exit code 2)."""
 
 
 class ShapeError(NilcoError):

@@ -7,10 +7,12 @@ representatives x, so its twisted classes are the orbits of the
 generator-pair system made of the cover images (phi(s), psi(s)) plus the
 holonomy pairs (f(x), g(x)), counted by the same orbit engine as every
 other input kind.
+
+The holonomy data is checked once, when an InfraStructure is built, and
+`infra_action` checks what ties it to a map pair.
 """
 
 from dataclasses import dataclass
-from math import ceil
 
 from .errors import NilcoError, ShapeError
 from .intmat import determinant
@@ -41,6 +43,17 @@ class CosetAction:
 
 @dataclass(frozen=True)
 class InfraStructure:
+    """Holonomy data over the cover: the holonomy order h and, per nontrivial
+    coset representative x, its action on the cover and its image pair
+    (f(x), g(x)) in the target.
+
+    The constructor checks the data and raises ShapeError listing every
+    violation: h >= 1; h - 1 coset actions and image pairs; level matrices
+    that are unimodular and square of the cover's ranks; translations that
+    lie in the cover.  `infra_action` checks that the images lie in the
+    target of the maps.
+    """
+
     cover: NilpotentLattice
     holonomy_order: int
     coset_actions: tuple  # CosetAction per nontrivial coset representative
@@ -49,85 +62,58 @@ class InfraStructure:
     def __post_init__(self):
         object.__setattr__(self, "coset_actions", tuple(self.coset_actions))
         object.__setattr__(self, "map_images", tuple(self.map_images))
-
-
-def validate_infra(infra, target):
-    """Itemized violations of the holonomy data; empty list when ok."""
-    violations = []
-    if infra.holonomy_order < 1:
-        violations.append("holonomy_order must be >= 1")
-    expected = max(infra.holonomy_order - 1, 0)
-    if len(infra.coset_actions) != expected:
-        violations.append(
-            f"expected {expected} coset actions, got {len(infra.coset_actions)}"
-        )
-    if len(infra.map_images) != expected:
-        violations.append(
-            f"expected {expected} map image pairs, got {len(infra.map_images)}"
-        )
-    cover = infra.cover
-    for idx, act in enumerate(infra.coset_actions):
-        mats = tuple(act.matrices)
-        if len(mats) != cover.class_c:
-            violations.append(
-                f"coset action {idx}: expected {cover.class_c} level matrices"
-            )
-            continue
-        for i, M in enumerate(mats):
-            r = cover.ranks[i]
-            if M.rows != r or M.cols != r:
+        cover, h = self.cover, self.holonomy_order
+        violations = [] if h >= 1 else ["holonomy_order must be >= 1"]
+        expected = max(h - 1, 0)
+        for what, items in (("coset actions", self.coset_actions),
+                             ("map image pairs", self.map_images)):
+            if len(items) != expected:
+                violations.append(f"expected {expected} {what}, got {len(items)}")
+        for idx, act in enumerate(self.coset_actions):
+            if len(act.matrices) != cover.class_c:
                 violations.append(
-                    f"coset action {idx}: level {i + 1} matrix must be {r}x{r}"
+                    f"coset action {idx}: expected {cover.class_c} level matrices"
                 )
-                continue
+            for i, (M, r) in enumerate(zip(act.matrices, cover.ranks)):
+                if M.rows != r or M.cols != r:
+                    violations.append(f"coset action {idx}: level {i + 1} matrix must be {r}x{r}")
+                elif (d := determinant(M)) not in (1, -1):
+                    violations.append(
+                        f"coset action {idx}: level {i + 1} determinant {d} is not +-1"
+                    )
             try:
-                d = determinant(M)
+                cover.element(act.translation.coordinates)
             except NilcoError as exc:
-                violations.append(f"coset action {idx}: {exc}")
-                continue
-            if d not in (1, -1):
-                violations.append(
-                    f"coset action {idx}: level {i + 1} determinant {d} is not +-1"
-                )
-        try:
-            cover.element(act.translation.coordinates)
-        except NilcoError as exc:
-            violations.append(f"coset action {idx}: bad translation part: {exc}")
-    for idx, (fi, gi) in enumerate(infra.map_images):
-        try:
-            target.element(fi.coordinates)
-            target.element(gi.coordinates)
-        except NilcoError as exc:
-            violations.append(f"map images {idx}: {exc}")
-    return violations
+                violations.append(f"coset action {idx}: bad translation part: {exc}")
+        if violations:
+            raise ShapeError("invalid infra data: " + "; ".join(violations))
 
 
-def require_valid_infra(infra, target):
-    violations = validate_infra(infra, target)
-    if violations:
-        raise ShapeError("invalid infra data: " + "; ".join(violations))
+def infra_action(infra, phi, psi):
+    """The twisted action of the infra pair: the cover generator images
+    (phi(s), psi(s)) followed by the holonomy pairs (f(x), g(x)).
 
-
-def infra_movers(infra, cover_action):
-    """Mover pairs of the infra pair: the cover generator images (phi(s), psi(s))
-    of `cover_action` = TwistedAction.from_homs(phi, psi), followed by the
-    holonomy pairs (f(x), g(x)) of the coset representatives."""
-    return cover_action.movers + infra.map_images
-
-
-def decide_infra(infra, phi, psi, action=None):
-    """Coincidence report for the infra-nilmanifold pair itself.
-
-    Returns (cover_report, report).  When the cover count is finite and the
-    target has class > 2, the orbit engine is unavailable and the report
-    carries count bounds with exact=False instead.  A caller that already
-    holds `TwistedAction.from_homs(phi, psi)` passes it as `action`.
+    Checks what ties the infra data to the maps: both are defined on the
+    cover, and every holonomy image lies in their target.
     """
-    require_valid_infra(infra, phi.target)
     if phi.source != infra.cover or psi.source != infra.cover:
         raise ShapeError("lifted homomorphisms must be defined on the cover lattice")
-    cover_action = action if action is not None else TwistedAction.from_homs(phi, psi)
-    cover_report = coincidence_invariants(phi, psi, reps_limit=None, action=cover_action)
+    holonomy = TwistedAction.from_pairs(phi.target, infra.map_images).movers
+    return TwistedAction(
+        target=phi.target, movers=TwistedAction.from_homs(phi, psi).movers + holonomy
+    )
+
+
+def decide_infra(infra, phi, psi):
+    """Coincidence report for the infra-nilmanifold pair itself.
+
+    Returns (cover_report, report).  When the cover count R_cover is finite
+    and the target has class > 2, the orbit engine is unavailable and the
+    report carries the count bounds ceil(R_cover / h) and R_cover with
+    exact=False instead.
+    """
+    action = infra_action(infra, phi, psi)
+    cover_report = coincidence_invariants(phi, psi, reps_limit=None)
     if cover_report.R.status == INFINITE:
         report = CoincidenceReport(
             R=cover_report.R, N=0, deformable=YES, rationale=INFTY_THM
@@ -136,7 +122,7 @@ def decide_infra(infra, phi, psi, action=None):
 
     if phi.target.class_c > 2:
         r_cover = cover_report.R.count
-        bounds = (ceil(r_cover / max(infra.holonomy_order, 1)), r_cover)
+        bounds = (-(-r_cover // infra.holonomy_order), r_cover)
         report = CoincidenceReport(
             R=ReidemeisterResult(
                 status=FINITE,
@@ -151,7 +137,6 @@ def decide_infra(infra, phi, psi, action=None):
         )
         return cover_report, report
 
-    action = TwistedAction(target=phi.target, movers=infra_movers(infra, cover_action))
     R = TwistedOrbitEngine(action).result(reps_limit=1024)
     report = CoincidenceReport(R=R, N=R.count, deformable=NO, rationale=EQ_THM)
     return cover_report, report

@@ -53,18 +53,18 @@ class NilpotentLattice:
         ranks = tuple(int(r) for r in self.ranks)
         object.__setattr__(self, "ranks", ranks)
         if not ranks or ranks[0] < 1 or any(r < 0 for r in ranks):
-            raise NilcoError(f"invalid rank tower {ranks!r}")
+            raise ShapeError(f"invalid rank tower {ranks!r}")
         brackets = tuple(self.brackets)
         object.__setattr__(self, "brackets", brackets)
         if self.class_c == 2:
             r1, r2 = ranks
             if len(brackets) != r2:
-                raise NilcoError(f"class-2 lattice needs {r2} bracket matrices")
+                raise ShapeError(f"class-2 lattice needs {r2} bracket matrices")
             for B in brackets:
                 if not isinstance(B, IntMatrix) or B.rows != r1 or B.cols != r1:
-                    raise NilcoError(f"bracket matrices must be {r1}x{r1} IntMatrix")
+                    raise ShapeError(f"bracket matrices must be {r1}x{r1} IntMatrix")
         elif brackets:
-            raise NilcoError("bracket data is only meaningful for class-2 lattices")
+            raise ShapeError("bracket data is only meaningful for class-2 lattices")
 
     @property
     def class_c(self):
@@ -180,7 +180,10 @@ class LatticeHomomorphism:
     """A map between lattices as compatible level matrices.
 
     matrices[i] has shape (target rank_i) x (source rank_i); levels past a
-    tower's class have rank 0.
+    tower's class have rank 0.  The constructor checks the shapes and then
+    bracket equivariance (`validate_hom`) and raises ShapeError or
+    HomomorphismError, so every instance between class <= 2 lattices is a
+    genuine homomorphism; past class 2 only the shapes can be checked.
     """
 
     source: NilpotentLattice
@@ -201,6 +204,14 @@ class LatticeHomomorphism:
                 raise ShapeError(
                     f"level {i + 1} matrix is {M.rows}x{M.cols}, expected {tr}x{sr}"
                 )
+        violation = validate_hom(self)
+        if violation is not None:
+            i, j, expected, actual = violation
+            raise HomomorphismError(
+                f"bracket equivariance fails on basis pair ({i + 1}, {j + 1}): "
+                f"expected {list(expected)}, got {list(actual)}",
+                violations=[violation],
+            )
 
     @property
     def depth(self):
@@ -208,7 +219,8 @@ class LatticeHomomorphism:
 
 
 def validate_hom(hom):
-    """Bracket equivariance check on basis pairs; None when valid.
+    """Bracket equivariance check on basis pairs; None when valid.  The
+    LatticeHomomorphism constructor runs it, once per map.
 
     For class-2 data the commutator pairing must satisfy
     M2 [e_i, e_j]_src = [M1 e_i, M1 e_j]_tgt for all basis pairs; this is the
@@ -240,17 +252,6 @@ def validate_hom(hom):
             if expected != actual:
                 return (i, j, expected, actual)
     return None
-
-
-def require_valid_hom(hom):
-    violation = validate_hom(hom)
-    if violation is not None:
-        i, j, expected, actual = violation
-        raise HomomorphismError(
-            f"bracket equivariance fails on basis pair ({i + 1}, {j + 1}): "
-            f"expected {list(expected)}, got {list(actual)}",
-            violations=[violation],
-        )
 
 
 def word_defect(lattice, vectors, a):

@@ -3,6 +3,13 @@
 Problem files are UTF-8 JSON with a fixed schema (see README).  Integers
 may be written as arbitrary-precision decimal strings.  INFINITE is always
 serialized as the string "infinite", never a sentinel number.
+
+The parser checks only what JSON needs: types, required keys and the column
+count of a matrix without rows.  Every other check belongs to the type
+being built (NilpotentLattice, LatticeHomomorphism, InfraStructure and
+`element()`), which raises; the parser puts the location in front of the
+message and keeps the error's type.  So a parsed problem is valid, and
+`validate_problem` has only the ties between its parts left to check.
 """
 
 import json
@@ -12,13 +19,7 @@ from dataclasses import dataclass
 from math import prod
 
 from .errors import NilcoError, ParseError, max_order_cap
-from .infra import (
-    CosetAction,
-    InfraStructure,
-    decide_infra,
-    infra_movers,
-    require_valid_infra,
-)
+from .infra import CosetAction, InfraStructure, decide_infra, infra_action
 from .intmat import IntMatrix, cokernel
 from .lattice import LatticeHomomorphism, NilpotentLattice
 from .oracle import twisted_orbits_finite
@@ -70,6 +71,17 @@ def _int_vector(value, where):
     return tuple(_as_int(x, where) for x in value)
 
 
+@contextmanager
+def _located(where):
+    """Prefix `{where}: ` to the message of an error a constructor raises;
+    its type, and so the exit code, stays."""
+    try:
+        yield
+    except NilcoError as exc:
+        exc.args = (f"{where}: {exc}",)
+        raise
+
+
 def _list_field(obj, key, where):
     value = obj.get(key, [])
     if not isinstance(value, list):
@@ -77,23 +89,14 @@ def _list_field(obj, key, where):
     return value
 
 
-def _int_matrix(value, where):
+def _int_matrix(value, where, cols=0):
+    """A list of integer rows; `[]` is the 0 x cols matrix, since JSON cannot
+    give the column count of a matrix without rows."""
     if not isinstance(value, list) or not all(isinstance(r, list) for r in value):
         raise SchemaError(f"{where}: expected a list of integer rows")
     rows = [[_as_int(x, where) for x in row] for row in value]
-    try:
-        return IntMatrix._trusted(rows)  # every entry checked just above
-    except NilcoError as exc:
-        raise SchemaError(f"{where}: {exc}") from None
-
-
-def _shaped_matrix(value, rows, cols, where):
-    if value == [] and rows == 0:
-        return IntMatrix([], shape=(0, cols))
-    M = _int_matrix(value, where)
-    if M.rows != rows or M.cols != cols:
-        raise SchemaError(f"{where}: expected a {rows}x{cols} matrix, got {M.rows}x{M.cols}")
-    return M
+    with _located(where):
+        return IntMatrix._trusted(rows, shape=None if rows else (0, cols))
 
 
 def parse_lattice(obj, where):
@@ -105,23 +108,12 @@ def parse_lattice(obj, where):
     cls = _as_int(obj.get("class", len(ranks)), f"{where}.class")
     if cls != len(ranks):
         raise SchemaError(f"{where}: class {cls} does not match {len(ranks)} ranks")
-    brackets = ()
-    if cls == 2:
-        raw = obj.get("brackets")
-        if raw is None:
-            raise SchemaError(f"{where}: class-2 lattice needs 'brackets'")
-        if not isinstance(raw, list) or len(raw) != ranks[1]:
-            raise SchemaError(f"{where}.brackets: expected {ranks[1]} matrices")
-        brackets = tuple(
-            _shaped_matrix(B, ranks[0], ranks[0], f"{where}.brackets[{i}]")
-            for i, B in enumerate(raw)
-        )
-    elif obj.get("brackets"):
-        raise SchemaError(f"{where}: brackets are only allowed for class-2 lattices")
-    try:
+    raw = obj.get("brackets") or []  # null or [] on a class-1 lattice: no brackets
+    if not isinstance(raw, list):
+        raise SchemaError(f"{where}.brackets: expected a list")
+    brackets = tuple(_int_matrix(B, f"{where}.brackets[{i}]") for i, B in enumerate(raw))
+    with _located(where):
         return NilpotentLattice(ranks=ranks, brackets=brackets)
-    except NilcoError as exc:
-        raise SchemaError(f"{where}: {exc}") from None
 
 
 def parse_element(lattice, obj, where):
@@ -131,34 +123,22 @@ def parse_element(lattice, obj, where):
     # a bare vector is accepted for single-level lattices
     if lattice.class_c == 1 and coords and not isinstance(coords[0], list):
         coords = [coords]
-    if len(coords) != lattice.class_c:
-        raise SchemaError(
-            f"{where}: expected {lattice.class_c} coordinate levels, got {len(coords)}"
-        )
     levels = [_int_vector(level, where) for level in coords]
-    try:
+    with _located(where):
         return lattice.element(levels)
-    except NilcoError as exc:
-        raise SchemaError(f"{where}: {exc}") from None
 
 
 def parse_hom(source, target, obj, where):
-    depth = max(source.class_c, target.class_c)
     raw = obj
-    if isinstance(raw, list) and raw and not isinstance(raw[0], list):
+    if not isinstance(raw, list) or (raw and not isinstance(raw[0], list)):
         raise SchemaError(f"{where}: expected per-level matrices")
-    if isinstance(raw, list) and raw and raw[0] and not isinstance(raw[0][0], list):
+    if raw and raw[0] and not isinstance(raw[0][0], list):
         raw = [raw]  # single matrix for single-level towers
-    if not isinstance(raw, list) or len(raw) != depth:
-        raise SchemaError(f"{where}: expected {depth} level matrices")
     mats = tuple(
-        _shaped_matrix(M, target.rank_at(i), source.rank_at(i), f"{where}[{i}]")
-        for i, M in enumerate(raw)
+        _int_matrix(M, f"{where}[{i}]", cols=source.rank_at(i)) for i, M in enumerate(raw)
     )
-    try:
+    with _located(where):
         return LatticeHomomorphism(source=source, target=target, matrices=mats)
-    except NilcoError as exc:
-        raise SchemaError(f"{where}: {exc}") from None
 
 
 def _parse_expected(obj, where):
@@ -248,24 +228,16 @@ def parse_problem_dict(doc, where="problem"):
     holonomy = _as_int(raw.get("holonomy_order", 1), f"{where}.infra.holonomy_order")
     actions = []
     for i, act in enumerate(_list_field(raw, "coset_actions", f"{where}.infra")):
+        at = f"{where}.infra.coset_actions[{i}]"
         if not isinstance(act, dict):
-            raise SchemaError(f"{where}.infra.coset_actions[{i}]: expected an object")
-        mats_raw = act.get("matrices")
-        if not isinstance(mats_raw, list) or len(mats_raw) != cover.class_c:
-            raise SchemaError(
-                f"{where}.infra.coset_actions[{i}].matrices: expected "
-                f"{cover.class_c} level matrices"
-            )
+            raise SchemaError(f"{at}: expected an object")
         mats = tuple(
-            _shaped_matrix(
-                M, cover.ranks[lvl], cover.ranks[lvl],
-                f"{where}.infra.coset_actions[{i}].matrices[{lvl}]",
-            )
-            for lvl, M in enumerate(mats_raw)
+            _int_matrix(M, f"{at}.matrices[{lvl}]")
+            for lvl, M in enumerate(_list_field(act, "matrices", at))
         )
+        # no translation: zero, of the matrices' shapes (checked against the cover)
         translation = parse_element(
-            cover, act.get("translation", [[0] * r for r in cover.ranks]),
-            f"{where}.infra.coset_actions[{i}].translation",
+            cover, act.get("translation", [[0] * M.cols for M in mats]), f"{at}.translation"
         )
         actions.append(CosetAction(matrices=mats, translation=translation))
     images = []
@@ -275,12 +247,10 @@ def parse_problem_dict(doc, where="problem"):
         fi = parse_element(target, pair[0], f"{where}.infra.map_images[{i}][0]")
         gi = parse_element(target, pair[1], f"{where}.infra.map_images[{i}][1]")
         images.append((fi, gi))
-    infra = InfraStructure(
-        cover=cover,
-        holonomy_order=holonomy,
-        coset_actions=tuple(actions),
-        map_images=tuple(images),
-    )
+    with _located(f"{where}.infra"):
+        infra = InfraStructure(
+            cover=cover, holonomy_order=holonomy, coset_actions=actions, map_images=images
+        )
     for key in ("F", "G"):
         if key not in doc:
             raise SchemaError(f"{where}: missing '{key}' (cover pair)")
@@ -296,29 +266,31 @@ def parse_problem(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
     with unlimited_int_digits():
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ParseError(f"{path}: invalid JSON: {exc}") from None
         return parse_problem_dict(doc, where=str(path))
 
 
 def validate_problem(problem):
-    """Full semantic validation beyond schema shapes.
+    """The twisted action the problem counts: the parsed PAIRS action, the
+    map pair's `from_homs`, or for INFRA `infra_action` (the cover movers
+    plus the holonomy pairs).
 
-    Returns the problem's checked TwistedAction: `from_homs` of the map pair,
-    which validates both homomorphisms, or the parsed PAIRS action.  The
-    infra data is checked after the maps.
+    Maps, lattices and holonomy data checked themselves when the parser
+    built them; what is left to check here is what ties them together: two
+    maps with one source and one target, on the cover for INFRA, and
+    holonomy images in the target.
     """
     if problem.kind == "PAIRS":
         return problem.action
-    action = TwistedAction.from_homs(problem.phi, problem.psi)
-    if problem.infra is not None:
-        require_valid_infra(problem.infra, problem.target)
-    return action
+    if problem.kind == "INFRA":
+        return infra_action(problem.infra, problem.phi, problem.psi)
+    return TwistedAction.from_homs(problem.phi, problem.psi)
 
 
 # -- canonical serialization ------------------------------------------
@@ -380,19 +352,16 @@ def canonical_json(doc):
 # -- dispatch ----------------------------------------------------------
 
 
-def compute_report(problem, action=None):
+def compute_report(problem):
     """Run the computation a problem file asks for.
 
-    Returns (report, cover_report); cover_report is None outside INFRA.  A
-    caller that already ran `validate_problem` passes its action.
+    Returns (report, cover_report); cover_report is None outside INFRA.
     """
-    if action is None:
-        action = validate_problem(problem)
     if problem.kind in ("TORUS", "NILMANIFOLD"):
-        return coincidence_invariants(problem.phi, problem.psi, action=action), None
+        return coincidence_invariants(problem.phi, problem.psi), None
     if problem.kind == "PAIRS":
-        return coincidence_invariants_from_pairs(action), None
-    cover_report, report = decide_infra(problem.infra, problem.phi, problem.psi, action=action)
+        return coincidence_invariants_from_pairs(problem.action), None
+    cover_report, report = decide_infra(problem.infra, problem.phi, problem.psi)
     return report, cover_report
 
 
@@ -457,7 +426,7 @@ def check_expected(problem, report):
 # -- finite-quotient oracle dispatch ----------------------------------
 
 
-def default_modulus(problem, report, action):
+def default_modulus(problem, report):
     """Quotient modulus for the oracle when none is given, at least 2.
 
     For a class-1 target this is the largest invariant factor of the level-1
@@ -469,30 +438,17 @@ def default_modulus(problem, report, action):
     if report.R.count is None:
         raise NilcoError("no finite modulus for an infinite result")
     if problem.target.class_c == 1:
-        level1 = TwistedAction(target=problem.target, movers=problem_movers(problem, action))
-        return max((2, *cokernel(TwistedOrbitEngine(level1).delta1).torsion))
+        return max((2, *cokernel(TwistedOrbitEngine(validate_problem(problem)).delta1).torsion))
     counts = report.R.level_counts
     return max(2, report.R.count if None in counts else prod(counts))
 
 
-def problem_movers(problem, action):
-    """Mover pairs of the problem's twisted action, as target elements, from
-    `action = validate_problem(problem)`.  An INFRA problem adds its holonomy
-    pairs (f(x), g(x)) to the cover movers."""
-    if problem.kind == "INFRA":
-        return infra_movers(problem.infra, action)
-    return action.movers
-
-
-def oracle_orbit_count(problem, modulus, max_order=None, action=None):
-    """Twisted orbit count on the target quotient mod `modulus`.  A caller
-    that already ran `validate_problem` passes its action."""
-    if action is None:
-        action = validate_problem(problem)
+def oracle_orbit_count(problem, modulus, max_order=None):
+    """Twisted orbit count of the problem's action (`validate_problem`) on
+    the target quotient mod `modulus`."""
+    action = validate_problem(problem)
     cap = max_order_cap(max_order)
     table = problem.target.reduce_mod(modulus, max_order=cap)
-    movers = [
-        (table.project(p), table.project(q)) for p, q in problem_movers(problem, action)
-    ]
+    movers = [(table.project(p), table.project(q)) for p, q in action.movers]
     count, _ = twisted_orbits_finite(table, movers)
     return count

@@ -40,7 +40,7 @@ from .intmat import (
     kernel_basis,
     reduce_to_canonical_rep,
 )
-from .lattice import LatticeElement, NilpotentLattice, require_valid_hom, word_defect
+from .lattice import LatticeElement, NilpotentLattice, word_defect
 
 FINITE = "finite"
 INFINITE = "infinite"
@@ -84,10 +84,10 @@ class TwistedAction:
 
     @classmethod
     def from_homs(cls, phi, psi):
+        """The action of a map pair: the images (phi(s), psi(s)) of the source
+        generators.  Both maps were checked when they were built."""
         if phi.source != psi.source or phi.target != psi.target:
             raise ShapeError("the two homomorphisms must share source and target")
-        require_valid_hom(phi)
-        require_valid_hom(psi)
         movers = tuple(zip(_generator_images(phi), _generator_images(psi)))
         return cls(target=phi.target, movers=movers)
 
@@ -155,6 +155,10 @@ class TwistedOrbitEngine:
         ]
         self.delta1 = IntMatrix.from_columns(cols, self.r1)
         self.hermite1 = column_hermite(self.delta1)
+        if self.r2 > 0 and self.k > self.r1:
+            # a finite order needs kernel words: the one exact run that builds
+            # V gives the order of this non-square matrix too
+            self.hermite1.V
         self.order1 = self.hermite1.order
 
         self._fiber_words = None
@@ -375,18 +379,17 @@ class TwistedOrbitEngine:
         return u2, word2 + word1
 
 
-def coincidence_invariants(phi, psi, reps_limit=1024, action=None):
+def coincidence_invariants(phi, psi, reps_limit=1024):
     """R(f,g), N(f,g) and the deformability decision for a lattice pair.
 
     `level_counts` are the orders |coker(G_l - F_l)|, read from column
     Hermite forms.  For class <= 2 targets the orbit engine decides R (which
     may be finite over an infinite level) and lists the representatives;
     class >= 3 targets take R as the product of the level counts.  Both maps
-    are checked and applied once, by `TwistedAction.from_homs(phi, psi)`; a
-    caller that already holds that action passes it as `action`.
+    were checked when they were built (LatticeHomomorphism); here they are
+    only applied, once, by `TwistedAction.from_homs`.
     """
-    if action is None:
-        action = TwistedAction.from_homs(phi, psi)
+    action = TwistedAction.from_homs(phi, psi)
     # the engine's level-1 matrix is G1 - F1 plus a zero column per central
     # source generator, so its order is level 1's
     engine = TwistedOrbitEngine(action) if phi.target.class_c <= 2 else None

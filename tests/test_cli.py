@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import nilco
+import nilco.lattice
 
 from conftest import heisenberg_period_pairs, sympy_cokernel_order
 from nilco.cli import (
@@ -24,6 +25,7 @@ from nilco.cli import (
     bundled_fixture_dir,
     main,
 )
+from nilco.infra import InfraStructure
 from nilco.intmat import IntMatrix
 from nilco.problems import (
     SchemaError,
@@ -180,11 +182,37 @@ class TestExitCodes:
         code, _ = run(["compute", write_problem(tmp_path, doc)])
         assert code == EXIT_SCHEMA
 
-    def test_schema_error_on_invalid_hom(self, tmp_path):
+    def test_schema_error_on_invalid_hom(self, tmp_path, capsys):
         doc = dict(HEISENBERG_DOC)
         doc["F"] = [[[2, 0], [0, 2]], [[5]]]  # central part must be det = 4
-        code, _ = run(["compute", write_problem(tmp_path, doc)])
-        assert code == EXIT_SCHEMA
+        path = write_problem(tmp_path, doc)
+        for command in ("compute", "oracle", "validate"):
+            assert run([command, path])[0] == EXIT_SCHEMA
+            assert capsys.readouterr().err == (
+                f"error: {path}.F: bracket equivariance fails on basis pair (1, 2): "
+                "expected [5], got [4]\n"
+            )
+
+    def test_schema_error_on_invalid_infra_data(self, tmp_path, capsys):
+        doc = json.loads((bundled_fixture_dir() / "klein_bottle_to_circle.json").read_text())
+        doc["infra"]["coset_actions"][0]["matrices"] = [[[-1, 0], [0, 2]]]
+        path = write_problem(tmp_path, doc)
+        for command in ("compute", "oracle", "validate"):
+            assert run([command, path])[0] == EXIT_SCHEMA
+            assert capsys.readouterr().err == (
+                f"error: {path}.infra: invalid infra data: "
+                "coset action 0: level 1 determinant -2 is not +-1\n"
+            )
+
+    def test_file_that_is_not_utf8_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{")
+        assert run(["compute", str(path)])[0] == EXIT_PARSE
+
+    def test_json_nested_too_deep_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000, encoding="utf-8")
+        assert run(["compute", str(path)])[0] == EXIT_PARSE
 
     def test_unsupported_class(self, tmp_path):
         doc = {
@@ -339,6 +367,32 @@ class TestValidateAndFixtures:
         code, text = run(["validate", path])
         assert code == EXIT_OK and "ok" in text
 
+    @pytest.mark.parametrize("command", [["compute"], ["oracle", "--modulus", "2"], ["validate"]])
+    def test_each_check_runs_once_per_file(self, monkeypatch, command):
+        # bracket equivariance once per parsed map, the holonomy checks once
+        # per INFRA file: each type checks itself when built, and no later
+        # stage checks again
+        calls = {"hom": 0, "infra": 0}
+        validate_hom = nilco.lattice.validate_hom
+        post_init = InfraStructure.__post_init__
+
+        def counted_hom(hom):
+            calls["hom"] += 1
+            return validate_hom(hom)
+
+        def counted_infra(infra):
+            calls["infra"] += 1
+            post_init(infra)
+
+        monkeypatch.setattr(nilco.lattice, "validate_hom", counted_hom)
+        monkeypatch.setattr(InfraStructure, "__post_init__", counted_infra)
+        for path in sorted(bundled_fixture_dir().glob("*.json")):
+            kind = json.loads(path.read_text(encoding="utf-8"))["kind"]
+            calls.update(hom=0, infra=0)
+            assert run([command[0], str(path), *command[1:]])[0] == EXIT_OK, path.name
+            assert calls["hom"] == (0 if kind == "PAIRS" else 2), path.name
+            assert calls["infra"] == (kind == "INFRA"), path.name
+
     def test_bundled_fixtures_all_pass(self):
         code, text = run(["fixtures", "--check"])
         assert code == EXIT_OK
@@ -423,7 +477,7 @@ class TestFuzz:
     def test_mutated_fixtures_exit_with_a_documented_code(self, tmp_path, monkeypatch):
         # 400 fixture documents with one or two nodes replaced by a value of
         # the wrong type or range; each run ends with an exit code, never a
-        # traceback
+        # traceback, and validate and compute agree on exit codes 2 and 3
         monkeypatch.setenv("NILCO_MAX_ORDER", "20000")
         rng = random.Random(0xF022)
         fixtures = [
@@ -442,6 +496,10 @@ class TestFuzz:
                 doc = _replaced(doc, node, rng.choice(FUZZ_VALUES))
             with open(path, "w", encoding="utf-8") as fh:
                 json.dump(doc, fh)
-            for command in ("compute", "oracle"):
-                code, _ = run(["--output", "json", command, path])
-                assert EXIT_OK <= code <= EXIT_MISMATCH, (command, doc)
+            codes = {}
+            for command in ("compute", "oracle", "validate"):
+                codes[command], _ = run(["--output", "json", command, path])
+                assert EXIT_OK <= codes[command] <= EXIT_MISMATCH, (command, doc)
+            # validate rejects exactly the files that compute cannot read
+            if {codes["compute"], codes["validate"]} & {EXIT_PARSE, EXIT_SCHEMA}:
+                assert codes["compute"] == codes["validate"], doc

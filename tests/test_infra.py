@@ -1,23 +1,21 @@
 """Infra-nilmanifold pairs: holonomy validation, cover lifting, and the count
 of the infra group as a generator-pair system."""
 
+import io
+import json
 import random
 from math import ceil
 
 import pytest
 
 from conftest import heisenberg, heisenberg_self_map, random_element, torus
+from nilco.cli import main
 from nilco.errors import ShapeError
-from nilco.infra import (
-    CosetAction,
-    InfraStructure,
-    decide_infra,
-    validate_infra,
-)
+from nilco.infra import CosetAction, InfraStructure, decide_infra, infra_action
 from nilco.intmat import IntMatrix
 from nilco.lattice import LatticeHomomorphism, NilpotentLattice
 from nilco.oracle import translation_group, twisted_orbits_finite
-from nilco.problems import ProblemFile, oracle_orbit_count
+from nilco.problems import ProblemFile, oracle_orbit_count, parse_problem_dict
 from nilco.reidemeister import EQ_THM, FINITE, INFINITE, INFTY_THM, NO, YES
 
 
@@ -63,29 +61,53 @@ def brute_force_klein_count(f_deg, g_deg):
 
 class TestValidation:
     def test_valid_fixture_has_no_violations(self):
-        infra, phi, _ = klein_bottle_setup()
-        assert validate_infra(infra, target=phi.target) == []
+        infra, phi, psi = klein_bottle_setup()
+        assert len(infra_action(infra, phi, psi).movers) == 3
 
     def test_non_unimodular_action_flagged(self):
         cover = torus(1)
-        infra = InfraStructure(
-            cover=cover,
-            holonomy_order=2,
-            coset_actions=(
-                CosetAction(matrices=(IntMatrix([[2]]),), translation=cover.identity()),
-            ),
-            map_images=((cover.identity(), cover.identity()),),
-        )
-        violations = validate_infra(infra, cover)
-        assert any("determinant" in v for v in violations)
+        with pytest.raises(ShapeError, match="level 1 determinant 2 is not"):
+            InfraStructure(
+                cover=cover,
+                holonomy_order=2,
+                coset_actions=(
+                    CosetAction(matrices=(IntMatrix([[2]]),), translation=cover.identity()),
+                ),
+                map_images=((cover.identity(), cover.identity()),),
+            )
 
     def test_wrong_coset_count_flagged(self):
         cover = torus(1)
-        infra = InfraStructure(
-            cover=cover, holonomy_order=3, coset_actions=(), map_images=()
+        with pytest.raises(ShapeError, match="expected 2 coset actions, got 0"):
+            InfraStructure(cover=cover, holonomy_order=3, coset_actions=(), map_images=())
+
+    def test_every_violation_is_itemised(self):
+        cover = torus(2)
+        with pytest.raises(ShapeError) as info:
+            InfraStructure(
+                cover=cover,
+                holonomy_order=0,
+                coset_actions=(
+                    CosetAction(matrices=(IntMatrix([[1]]),), translation=torus(1).identity()),
+                ),
+                map_images=(),
+            )
+        assert str(info.value) == (
+            "invalid infra data: holonomy_order must be >= 1; "
+            "expected 0 coset actions, got 1; "
+            "coset action 0: level 1 matrix must be 2x2; "
+            "coset action 0: bad translation part: level vector (0,) does not match rank 2"
         )
-        violations = validate_infra(infra, cover)
-        assert any("coset actions" in v for v in violations)
+
+    def test_holonomy_images_must_lie_in_the_target(self):
+        infra, phi, psi = klein_bottle_setup()
+        cover = infra.cover
+        foreign = InfraStructure(
+            cover=cover, holonomy_order=2, coset_actions=infra.coset_actions,
+            map_images=((cover.identity(), cover.identity()),),
+        )
+        with pytest.raises(ShapeError, match="does not match rank 1"):
+            decide_infra(foreign, phi, psi)
 
 
 class TestDecision:
@@ -147,6 +169,33 @@ class TestDecision:
         assert cover_report.R.count == 27
         assert not report.exact
         assert report.count_bounds == (14, 27)
+
+    @pytest.mark.parametrize("r_cover", [2**60 + 1, 10**400])
+    def test_class3_bounds_are_exact_integers(self, tmp_path, r_cover):
+        # ceil(R_cover / h) in integers: a float quotient rounds 2^60 + 1 to
+        # 2^60 and cannot hold 10^400 at all
+        doc = {
+            "kind": "INFRA",
+            "target": {"ranks": [1, 1, 1]},
+            "F": [[[str(r_cover)]], [[1]], [[1]]],
+            "G": [[[0]], [[0]], [[0]]],
+            "infra": {
+                "cover": {"ranks": [1, 1, 1]},
+                "holonomy_order": 2,
+                "coset_actions": [{"matrices": [[[-1]], [[-1]], [[-1]]]}],
+                "map_images": [[[[0], [0], [0]], [[0], [0], [0]]]],
+            },
+        }
+        cover_report, report = decide_infra(
+            *(getattr(parse_problem_dict(doc), key) for key in ("infra", "phi", "psi"))
+        )
+        assert cover_report.R.count == r_cover
+        assert report.count_bounds == ((r_cover + 1) // 2, r_cover)
+        path = tmp_path / "class3.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        out = io.StringIO()
+        assert main(["--output", "json", "compute", str(path)], out=out) == 0
+        assert json.loads(out.getvalue())["count_bounds"] == [(r_cover + 1) // 2, r_cover]
 
 
 def heisenberg_scalar_infra(rng, k, holonomy):

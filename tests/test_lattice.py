@@ -25,7 +25,6 @@ from nilco.lattice import (
     LatticeHomomorphism,
     NilpotentLattice,
     apply_hom,
-    require_valid_hom,
     validate_hom,
 )
 
@@ -205,12 +204,10 @@ class TestHomValidation:
             M1 = random_matrix(rng, 2, 2)
             d = determinant(M1)
             good = LatticeHomomorphism(h, h, (M1, IntMatrix([[d]])))
-            bad = LatticeHomomorphism(h, h, (M1, IntMatrix([[d + 1]])))
             assert validate_hom(good) is None
-            violation = validate_hom(bad)
-            assert violation is not None
-            with pytest.raises(HomomorphismError):
-                require_valid_hom(bad)
+            with pytest.raises(HomomorphismError) as info:
+                LatticeHomomorphism(h, h, (M1, IntMatrix([[d + 1]])))
+            assert info.value.violations == ((0, 1, (d + 1,), (d,)),)
 
     def test_shape_mismatch_rejected(self):
         h = heisenberg()

@@ -23,6 +23,7 @@ from conftest import (
     torus,
     torus_hom,
 )
+import nilco.intmat as intmat
 from nilco.cli import main
 from nilco.errors import ShapeError, UnsupportedClassError
 from nilco.intmat import IntMatrix, column_hermite, determinant
@@ -452,6 +453,34 @@ class TestMovers:
                 (apply_hom(phi, g), apply_hom(psi, g)) for g in phi.source.generators()
             )
             assert TwistedAction.from_homs(phi, psi).movers == expected
+
+
+class TestLevelOneElimination:
+    @pytest.mark.parametrize("kind", ["heisenberg", "heisenberg_squared", "free_class2"])
+    def test_one_exact_run_on_delta1(self, rng, monkeypatch, kind):
+        # a class-2 source gives Delta_1 a zero column per central generator,
+        # so its order needs an elimination; the one run that builds V (for
+        # the kernel words) gives the order too, and only Delta_1 and the
+        # bracket matrix B, whose kernel words are read, get a V
+        runs = []
+        echelon = intmat._column_echelon
+
+        def recorded(cols, rows, modulus=None):
+            runs.append((tuple(tuple(col[:rows]) for col in cols), cols and len(cols[0]) > rows))
+            return echelon(cols, rows, modulus)
+
+        monkeypatch.setattr(intmat, "_column_echelon", recorded)
+        finite = 0
+        for _ in range(20):
+            engine = TwistedOrbitEngine(TwistedAction.from_homs(*random_hom_pair(rng, kind)))
+            engine.result(reps_limit=1024)
+            delta1 = tuple(engine.delta1.column(j) for j in range(engine.k))
+            assert [with_v for cols, with_v in runs if cols == delta1] == [True]
+            if engine.order1 is not None:
+                finite += 1
+                assert sum(with_v for _, with_v in runs) == 2
+            runs.clear()
+        assert finite >= 5
 
 
 class TestMiscellaneous:

@@ -40,7 +40,6 @@ from .problems import (
     unlimited_int_digits,
     validate_problem,
 )
-from .reidemeister import INFINITE
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -69,7 +68,7 @@ def _render_human(doc, out):
     print(title, file=out)
     if not doc.get("exact", True):
         lo, hi = doc["count_bounds"]
-        print(f"  R(f,g) in [{lo}, {hi}]  (UNSUPPORTED-EXACT: class > 2 merge)", file=out)
+        print(f"  R(f,g) in [{lo}, {hi}]  (UNSUPPORTED-EXACT: class > 2)", file=out)
     else:
         print(f"  R(f,g) = {doc['R']}", file=out)
     print(f"  N(f,g) = {doc['N']}", file=out)
@@ -87,19 +86,15 @@ def _render_human(doc, out):
 
 def cmd_compute(args, out):
     problem = parse_problem(args.file)
-    report, cover_report = compute_report(problem)
-    doc = report_dict(problem, report, cover_report)
+    doc = report_dict(problem, *compute_report(problem))
     if args.output == "json":
         out.write(canonical_json(doc))
     else:
         _render_human(doc, out)
-    if problem.expected is not None:
-        mismatches = check_expected(problem, report)
-        if mismatches:
-            for m in mismatches:
-                print(f"expected mismatch: {m}", file=sys.stderr)
-            return EXIT_MISMATCH
-    return EXIT_OK
+    mismatches = check_expected(problem, doc)
+    for m in mismatches:
+        print(f"expected mismatch: {m}", file=sys.stderr)
+    return EXIT_MISMATCH if mismatches else EXIT_OK
 
 
 def cmd_oracle(args, out):
@@ -150,18 +145,18 @@ def cmd_fixtures(args, out):
             failures += 1
             continue
         try:
-            report, _ = compute_report(problem)
+            doc = report_dict(problem, *compute_report(problem))
         except NilcoError as exc:
             print(f"FAIL {label}: {exc}", file=out)
             failures += 1
             continue
-        mismatches = check_expected(problem, report)
+        mismatches = check_expected(problem, doc)
         if mismatches:
             print(f"FAIL {label}: " + "; ".join(mismatches), file=out)
             failures += 1
         else:
-            shown = INFINITE if report.R.count is None else report.R.count
-            print(f"PASS {label}: R={shown} N={report.N} deformable={report.deformable}", file=out)
+            shown = f"R={doc['R']} N={doc['N']} deformable={doc['deformable']}"
+            print(f"PASS {label}: {shown}", file=out)
     if failures:
         print(f"{failures} fixture(s) failed", file=sys.stderr)
         return EXIT_MISMATCH

@@ -6,7 +6,8 @@ itself: it is generated by the cover generators and the coset
 representatives x, so its twisted classes are the orbits of the
 generator-pair system made of the cover images (phi(s), psi(s)) plus the
 holonomy pairs (f(x), g(x)), counted by the same orbit engine as every
-other input kind.
+other input kind.  Past class 2 only bounds, derived from the cover's, are
+known.  Every branch ends in `reidemeister.verdict`.
 
 The holonomy data is checked once, when an InfraStructure is built, and
 `infra_action` checks what ties it to a map pair.
@@ -19,16 +20,12 @@ from .intmat import determinant
 from .lattice import NilpotentLattice
 from .reidemeister import (
     EQ_THM,
-    FINITE,
     INFINITE,
     INFTY_THM,
-    NO,
-    YES,
-    CoincidenceReport,
-    ReidemeisterResult,
     TwistedAction,
     TwistedOrbitEngine,
     coincidence_invariants,
+    verdict,
 )
 
 
@@ -107,36 +104,19 @@ def infra_action(infra, phi, psi):
 def decide_infra(infra, phi, psi):
     """Coincidence report for the infra-nilmanifold pair itself.
 
-    Returns (cover_report, report).  When the cover count R_cover is finite
-    and the target has class > 2, the orbit engine is unavailable and the
-    report carries the count bounds ceil(R_cover / h) and R_cover with
-    exact=False instead.
+    Returns (cover_report, report).  An infinite cover count gives R =
+    infinity under INFTY_THM.  When the cover count is finite or bounded and
+    the target has class > 2, the orbit engine is unavailable: from the
+    cover's bounds [lo, hi] (lo = hi = R_cover when it is exact) the report
+    carries the bounds [ceil(lo / h), hi].  Otherwise the orbit engine counts
+    `infra_action`, and `verdict` applies EQ_THM.
     """
     action = infra_action(infra, phi, psi)
     cover_report = coincidence_invariants(phi, psi, reps_limit=None)
     if cover_report.R.status == INFINITE:
-        report = CoincidenceReport(
-            R=cover_report.R, N=0, deformable=YES, rationale=INFTY_THM
-        )
-        return cover_report, report
-
+        return cover_report, verdict(cover_report.R, INFTY_THM)
     if phi.target.class_c > 2:
-        r_cover = cover_report.R.count
-        bounds = (-(-r_cover // infra.holonomy_order), r_cover)
-        report = CoincidenceReport(
-            R=ReidemeisterResult(
-                status=FINITE,
-                count=None,
-                level_counts=cover_report.R.level_counts,
-            ),
-            N=None,
-            deformable=NO,
-            rationale=EQ_THM,
-            exact=False,
-            count_bounds=bounds,
-        )
-        return cover_report, report
-
-    R = TwistedOrbitEngine(action).result(reps_limit=1024)
-    report = CoincidenceReport(R=R, N=R.count, deformable=NO, rationale=EQ_THM)
-    return cover_report, report
+        lo, hi = cover_report.count_bounds or (cover_report.R.count,) * 2
+        bounds = (-(-lo // infra.holonomy_order), hi)
+        return cover_report, verdict(cover_report.R, EQ_THM, bounds=bounds)
+    return cover_report, verdict(TwistedOrbitEngine(action).result(reps_limit=1024), EQ_THM)

@@ -51,7 +51,7 @@ class IntMatrix:
     @staticmethod
     def _as_int(x):
         if isinstance(x, bool) or not isinstance(x, int):
-            raise ShapeError(f"matrix entries must be integers, got {x!r}")
+            raise ShapeError(f"expected an integer, got {x!r}")
         return x
 
     def __setattr__(self, name, value):

@@ -50,7 +50,7 @@ class NilpotentLattice:
     brackets: tuple = field(default=())
 
     def __post_init__(self):
-        ranks = tuple(int(r) for r in self.ranks)
+        ranks = tuple(map(IntMatrix._as_int, self.ranks))
         object.__setattr__(self, "ranks", ranks)
         if not ranks or ranks[0] < 1 or any(r < 0 for r in ranks):
             raise ShapeError(f"invalid rank tower {ranks!r}")
@@ -87,10 +87,11 @@ class NilpotentLattice:
     # -- elements -----------------------------------------------------
 
     def element(self, coordinates):
-        """The element with these coordinates, coerced to integer tuples and
-        shape-checked.  Every value from outside the lattice enters here;
-        the arithmetic below builds its results from tuples it computed."""
-        coords = tuple(tuple(int(x) for x in level) for level in coordinates)
+        """The element with these coordinates, checked to be integers (not
+        bools) of the right shape.  Every value from outside the lattice
+        enters here; the arithmetic below builds its results from tuples it
+        computed."""
+        coords = tuple(tuple(map(IntMatrix._as_int, level)) for level in coordinates)
         if len(coords) != self.class_c:
             raise ShapeError(
                 f"element has {len(coords)} levels, lattice has {self.class_c}"

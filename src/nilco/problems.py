@@ -2,7 +2,10 @@
 
 Problem files are UTF-8 JSON with a fixed schema (see README).  Integers
 may be written as arbitrary-precision decimal strings.  INFINITE is always
-serialized as the string "infinite", never a sentinel number.
+serialized as the string "infinite", never a sentinel number, and an
+inexact count as a null R next to its `count_bounds`.  `report_dict` is the
+one encoding of a report: `check_expected` compares an expected block with
+it, and the CLI prints from it.
 
 The parser checks only what JSON needs: types, required keys and the column
 count of a matrix without rows.  Every other check belongs to the type
@@ -164,7 +167,6 @@ class ProblemFile:
     kind: str
     name: object
     target: NilpotentLattice
-    source: object = None
     phi: object = None
     psi: object = None
     action: object = None  # PAIRS: the TwistedAction of the generator pairs
@@ -198,8 +200,7 @@ def parse_problem_dict(doc, where="problem"):
         phi = parse_hom(source, target, doc["F"], f"{where}.F")
         psi = parse_hom(source, target, doc["G"], f"{where}.G")
         return ProblemFile(
-            kind=kind, name=name, target=target, source=source, phi=phi, psi=psi,
-            expected=expected,
+            kind=kind, name=name, target=target, phi=phi, psi=psi, expected=expected,
         )
 
     if kind == "PAIRS":
@@ -257,8 +258,8 @@ def parse_problem_dict(doc, where="problem"):
     phi = parse_hom(cover, target, doc["F"], f"{where}.F")
     psi = parse_hom(cover, target, doc["G"], f"{where}.G")
     return ProblemFile(
-        kind=kind, name=name, target=target, source=cover, phi=phi, psi=psi,
-        infra=infra, expected=expected,
+        kind=kind, name=name, target=target, phi=phi, psi=psi, infra=infra,
+        expected=expected,
     )
 
 
@@ -296,52 +297,8 @@ def validate_problem(problem):
 # -- canonical serialization ------------------------------------------
 
 
-def _lattice_dict(lattice):
-    out = {"class": lattice.class_c, "ranks": list(lattice.ranks)}
-    if lattice.class_c == 2:
-        out["brackets"] = [[list(r) for r in B.data] for B in lattice.brackets]
-    return out
-
-
 def _element_list(e):
     return [list(level) for level in e.coordinates]
-
-
-def serialize_problem(problem):
-    """Canonical dict form of a parsed problem (round-trip stable)."""
-    out = {"kind": problem.kind, "target": _lattice_dict(problem.target)}
-    if problem.name is not None:
-        out["name"] = problem.name
-    if problem.kind in ("TORUS", "NILMANIFOLD"):
-        if problem.source != problem.target:
-            out["source"] = _lattice_dict(problem.source)
-        out["F"] = [[list(r) for r in M.data] for M in problem.phi.matrices]
-        out["G"] = [[list(r) for r in M.data] for M in problem.psi.matrices]
-    elif problem.kind == "PAIRS":
-        out["pairs"] = [
-            [_element_list(p), _element_list(q)] for p, q in problem.action.movers
-        ]
-    else:
-        out["F"] = [[list(r) for r in M.data] for M in problem.phi.matrices]
-        out["G"] = [[list(r) for r in M.data] for M in problem.psi.matrices]
-        out["infra"] = {
-            "cover": _lattice_dict(problem.infra.cover),
-            "holonomy_order": problem.infra.holonomy_order,
-            "coset_actions": [
-                {
-                    "matrices": [[list(r) for r in M.data] for M in act.matrices],
-                    "translation": _element_list(act.translation),
-                }
-                for act in problem.infra.coset_actions
-            ],
-            "map_images": [
-                [_element_list(fi), _element_list(gi)]
-                for fi, gi in problem.infra.map_images
-            ],
-        }
-    if problem.expected is not None:
-        out["expected"] = dict(problem.expected)
-    return out
 
 
 def canonical_json(doc):
@@ -385,7 +342,7 @@ def report_dict(problem, report, cover_report=None):
     if problem.name is not None:
         out["name"] = problem.name
     if report.count_bounds is not None:
-        out["count_bounds"] = list(report.count_bounds)
+        out["count_bounds"] = [_count_or_infinite(b) for b in report.count_bounds]
     if R.reps is not None:
         out["reps"] = [_element_list(e) for e in R.reps]
     if R.fiber_counts is not None:
@@ -393,7 +350,7 @@ def report_dict(problem, report, cover_report=None):
         out["fiber_counts"] = [list(pair) for pair in R.fiber_counts]
     if cover_report is not None:
         out["cover"] = {
-            "R": _count_or_infinite(cover_report.R.count),
+            "R": _count_or_infinite(cover_report.R.count) if cover_report.exact else None,
             "level_counts": [
                 _count_or_infinite(c) for c in cover_report.R.level_counts
             ],
@@ -402,25 +359,14 @@ def report_dict(problem, report, cover_report=None):
     return out
 
 
-def check_expected(problem, report):
-    """List of mismatches against the problem's expected block."""
-    if problem.expected is None:
-        return []
-    mismatches = []
-    exp = problem.expected
-    if "R" in exp:
-        actual = INFINITE if report.R.count is None else report.R.count
-        if not report.exact:
-            actual = None
-        if actual != exp["R"]:
-            mismatches.append(f"R: expected {exp['R']}, got {actual}")
-    if "N" in exp and report.N != exp["N"]:
-        mismatches.append(f"N: expected {exp['N']}, got {report.N}")
-    if "deformable" in exp and report.deformable != exp["deformable"]:
-        mismatches.append(
-            f"deformable: expected {exp['deformable']}, got {report.deformable}"
-        )
-    return mismatches
+def check_expected(problem, doc):
+    """Mismatches of the report document `doc` (from `report_dict`, whose
+    encoding the expected block shares) against the expected block."""
+    return [
+        f"{key}: expected {value}, got {doc[key]}"
+        for key, value in (problem.expected or {}).items()
+        if doc[key] != value
+    ]
 
 
 # -- finite-quotient oracle dispatch ----------------------------------

@@ -20,7 +20,9 @@ witness words come out of the same machinery.
 For class <= 2 targets R is the engine's count for every input kind; when
 G_1 - F_1 has a kernel (dim X > dim Y) it can be finite while a level order
 |coker(G_l - F_l)| is infinite.  Only class >= 3 targets take R as the
-product of the level orders.
+product of the level orders, and only when level 1 is infinite or no
+G_l - F_l below the top level has a kernel; else only c_1 <= R <= prod c_l
+is proven.  `verdict` turns every count into a CoincidenceReport.
 """
 
 from dataclasses import dataclass, replace
@@ -57,8 +59,8 @@ REMARK_GAP = "REMARK-GAP"  # general source, finite R decides nothing
 
 @dataclass(frozen=True)
 class ReidemeisterResult:
-    status: str
-    count: object  # positive int when finite, None when infinite
+    status: str  # FINITE, INFINITE, or UNKNOWN for bounds with no finite upper one
+    count: object  # positive int when finite, None when infinite or inexact
     level_counts: tuple  # per-level orders; None marks an infinite level
     infinite_level: object = None  # 1-based, set when status == INFINITE
     reps: object = None  # canonical representatives (class <= 2, finite, small)
@@ -68,11 +70,37 @@ class ReidemeisterResult:
 @dataclass(frozen=True)
 class CoincidenceReport:
     R: ReidemeisterResult
-    N: object
+    N: object  # None when only count_bounds are known
     deformable: str
     rationale: str
-    exact: bool = True
-    count_bounds: object = None
+    count_bounds: object = None  # (lo, hi) for an inexact count; hi None when infinite
+
+    @property
+    def exact(self):
+        return self.count_bounds is None
+
+
+def verdict(R, theorem, bounds=None):
+    """The one builder of a CoincidenceReport: the count R under `theorem`.
+
+    EQ_THM (nilmanifold or infra-nilmanifold source): R infinite gives N = 0
+    and YES, R finite N = R and NO.  INFTY_THM (any finite complex): R
+    infinite gives N = 0 and YES; R finite decides nothing (N = R, UNKNOWN,
+    REMARK_GAP).  With `bounds` (lo, hi) on an inexact count, N is None and
+    the pair is NO when hi is finite, UNKNOWN when it is infinite (None).
+    """
+    rationale = theorem
+    if bounds is not None:
+        finite = bounds[1] is not None
+        R = replace(R, status=FINITE if finite else UNKNOWN, count=None, infinite_level=None)
+        N, deformable = None, NO if finite else UNKNOWN
+    elif R.status == INFINITE:
+        N, deformable = 0, YES
+    elif theorem == EQ_THM:
+        N, deformable = R.count, NO
+    else:
+        N, deformable, rationale = R.count, UNKNOWN, REMARK_GAP
+    return CoincidenceReport(R, N, deformable, rationale, count_bounds=bounds)
 
 
 @dataclass(frozen=True)
@@ -163,7 +191,7 @@ class TwistedOrbitEngine:
 
         self._fiber_words = None
         self._fiber_columns = None
-        self._uniform_fiber = None
+        self._fibers = {}  # _fiber_key -> fiber form, filled only by _fiber
         if self.order1 is not None and self.r2 > 0:
             self._build_fiber_generators()
 
@@ -222,11 +250,12 @@ class TwistedOrbitEngine:
         self._fiber_words = tuple(words)
         self._fiber_columns = tuple(columns)
         self._moving = tuple(p for p, _ in columns if any(p))
-        constant = [tw for p, tw in columns if not any(p)]
-        constant_hermite = column_hermite(IntMatrix.from_columns(constant, self.r2))
-        self._constant_order = constant_hermite.order
-        if not self._moving:
-            self._uniform_fiber = constant_hermite
+        self._constant_at = tuple(g for g, (p, _) in enumerate(columns) if not any(p))
+        self._constant = column_hermite(
+            IntMatrix.from_columns([columns[g][1] for g in self._constant_at], self.r2)
+        )
+        if not self._moving:  # uniform: every fiber matrix is the constant one
+            self._fibers[()] = self._constant
 
     def _fiber_matrix(self, a):
         """Columns t_w + [p_w, a]: the exact central translations of the fiber
@@ -238,11 +267,13 @@ class TwistedOrbitEngine:
         return IntMatrix.from_columns(cols, self.r2)
 
     def _fiber(self, a):
-        """Column Hermite form of the fiber matrix over a; built once when
-        uniform."""
-        if self._uniform_fiber is not None:
-            return self._uniform_fiber
-        return column_hermite(self._fiber_matrix(a))
+        """Column Hermite form of a fiber matrix with the image of the one over
+        a: one form per _fiber_key, shared by the count, the listing and
+        `label`."""
+        key = self._fiber_key(a)
+        if key not in self._fibers:
+            self._fibers[key] = column_hermite(self._fiber_matrix(a))
+        return self._fibers[key]
 
     def _brackets(self, a):
         """B(a) = ([p_w, a])_w over the moving columns (p_w != 0), flattened."""
@@ -251,7 +282,7 @@ class TwistedOrbitEngine:
     def _fiber_key(self, a):
         """B(a), reduced mod e when e is finite: representatives with equal
         keys have fiber matrices with the same image (see _period_matrix)."""
-        e = self._constant_order
+        e = self._constant.order
         return self._brackets(a) if e is None else tuple(x % e for x in self._brackets(a))
 
     def _period_matrix(self):
@@ -270,7 +301,7 @@ class TwistedOrbitEngine:
             [self._brackets(u) for u in units], self.r2 * len(self._moving)
         )
         cols = [self.delta1.column(j) for j in range(self.k)] + kernel_basis(column_hermite(B))
-        e = self._constant_order
+        e = self._constant.order
         if e is not None:
             cols += [tuple(e * x for x in u) for u in units]
         return IntMatrix.from_columns(cols, self.r1)
@@ -298,16 +329,6 @@ class TwistedOrbitEngine:
                 status=FINITE, count=c1, level_counts=(c1,), reps=reps
             )
 
-        # fibers keyed by _fiber_key: one Hermite form per image, shared by
-        # the count and the listing
-        fibers = {}
-
-        def fiber(a):
-            key = self._fiber_key(a)
-            if key not in fibers:
-                fibers[key] = self._fiber(a)
-            return fibers[key]
-
         # R = (c1 / |Q|) sum_{q in Q} |coker M(q)| with Q = Z^{r1} / L: one
         # fiber per period class, each standing for c1 / |Q| level-1 classes
         period = self._period_matrix()
@@ -315,7 +336,7 @@ class TwistedOrbitEngine:
         classes = c1 // hermite.order
         histogram = {}
         for q in coset_representatives(hermite, max_count=max_order_cap()):
-            order = fiber(q).order
+            order = self._fiber(q).order
             if order is None:
                 return ReidemeisterResult(
                     status=INFINITE,
@@ -329,7 +350,8 @@ class TwistedOrbitEngine:
         if reps_limit is not None and total <= reps_limit:
             listed = []
             for a in coset_representatives(self.hermite1):
-                listed.extend(LatticeElement((a, c)) for c in coset_representatives(fiber(a)))
+                central = coset_representatives(self._fiber(a))
+                listed.extend(LatticeElement((a, c)) for c in central)
             reps = tuple(listed)
         if len(histogram) == 1:
             (order,) = histogram
@@ -368,8 +390,17 @@ class TwistedOrbitEngine:
         ch = self._fiber(a_rep)
         if ch.order is None:
             raise InfiniteResultError("infinitely many central classes over this level-1 class")
-        c = u1.level(1)
-        c_rep, z2 = reduce_to_canonical_rep(c, ch)
+        c_rep, z2 = reduce_to_canonical_rep(u1.level(1), ch)
+        # ch may be the form of M' = M(a') for an a' with a_rep's key: M(a_rep) - M'
+        # is 0 mod e, so (M(a_rep) - M') z2 = C y for the constant columns C, and
+        # taking y off z2 on those columns gives M(a_rep) z2 = c - c_rep
+        M = self._fiber_matrix(a_rep)
+        if M != ch.A:
+            excess = tuple(x - w for x, w in zip(M.apply(z2), ch.A.apply(z2)))
+            _, y = reduce_to_canonical_rep(excess, self._constant)
+            z2 = list(z2)
+            for g, coeff in zip(self._constant_at, y):
+                z2[g] -= coeff
         word2 = ()
         for g, coeff in enumerate(z2):
             word2 = word2 + _word_power(self._fiber_words[g], -coeff)
@@ -384,34 +415,41 @@ def coincidence_invariants(phi, psi, reps_limit=1024):
 
     `level_counts` are the orders |coker(G_l - F_l)|, read from column
     Hermite forms.  For class <= 2 targets the orbit engine decides R (which
-    may be finite over an infinite level) and lists the representatives;
-    class >= 3 targets take R as the product of the level counts.  Both maps
-    were checked when they were built (LatticeHomomorphism); here they are
-    only applied, once, by `TwistedAction.from_homs`.
+    may be finite over an infinite level) and lists the representatives.
+    Class >= 3 targets take R as the product of the level counts when level
+    1 is infinite or no G_l - F_l below the top level has a kernel (then
+    every fiber is the next level's cokernel); otherwise only the bounds
+    c_1 <= R <= prod c_l are proven.  Both maps were checked when they were
+    built (LatticeHomomorphism); here they are only applied, once, by
+    `TwistedAction.from_homs`.
     """
     action = TwistedAction.from_homs(phi, psi)
+    engine = TwistedOrbitEngine(action) if phi.target.class_c <= 2 else None
     # the engine's level-1 matrix is G1 - F1 plus a zero column per central
     # source generator, so its order is level 1's
-    engine = TwistedOrbitEngine(action) if phi.target.class_c <= 2 else None
-    level_counts = tuple(
-        engine.order1 if i == 0 and engine is not None
-        else column_hermite(psi.matrices[i] - phi.matrices[i]).order
+    forms = [
+        engine.hermite1 if i == 0 and engine is not None
+        else column_hermite(psi.matrices[i] - phi.matrices[i])
         for i in range(phi.depth)
-    )
+    ]
+    level_counts = tuple(ch.order for ch in forms)
     if engine is not None:
         R = replace(engine.result(reps_limit=reps_limit), level_counts=level_counts)
-    elif None in level_counts:
-        R = ReidemeisterResult(
-            status=INFINITE,
-            count=None,
-            level_counts=level_counts,
-            infinite_level=level_counts.index(None) + 1,
-        )
-    else:
-        R = ReidemeisterResult(status=FINITE, count=prod(level_counts), level_counts=level_counts)
-    if R.status == INFINITE:
-        return CoincidenceReport(R=R, N=0, deformable=YES, rationale=EQ_THM)
-    return CoincidenceReport(R=R, N=R.count, deformable=NO, rationale=EQ_THM)
+        return verdict(R, EQ_THM)
+    infinite = None in level_counts
+    R = ReidemeisterResult(
+        status=INFINITE if infinite else FINITE,
+        count=None if infinite else prod(level_counts),
+        level_counts=level_counts,
+        infinite_level=level_counts.index(None) + 1 if infinite else None,
+    )
+    # exact when level 1 is infinite or each Delta_l below the top is injective:
+    # a pivot in every column, which a square matrix has iff its order is finite
+    exact = level_counts[0] is None or all(
+        ch.order is not None if ch.A.is_square else len(ch.pivots) == ch.A.cols
+        for ch in forms[:-1]
+    )
+    return verdict(R, EQ_THM, bounds=None if exact else (level_counts[0], R.count))
 
 
 def coincidence_invariants_from_pairs(action):
@@ -419,10 +457,7 @@ def coincidence_invariants_from_pairs(action):
     by `action = TwistedAction.from_pairs(target, pairs)`.
 
     R = infinity forces deformability; a finite R decides nothing for a
-    general source, so the verdict is UNKNOWN in that case.  The orbit
-    engine rejects targets of class > 2.
+    general source, so the verdict is UNKNOWN in that case (see `verdict`).
+    The orbit engine rejects targets of class > 2.
     """
-    R = TwistedOrbitEngine(action).result(reps_limit=1024)
-    if R.status == INFINITE:
-        return CoincidenceReport(R=R, N=0, deformable=YES, rationale=INFTY_THM)
-    return CoincidenceReport(R=R, N=R.count, deformable=UNKNOWN, rationale=REMARK_GAP)
+    return verdict(TwistedOrbitEngine(action).result(reps_limit=1024), INFTY_THM)

@@ -32,7 +32,6 @@ from nilco.problems import (
     canonical_json,
     parse_problem,
     parse_problem_dict,
-    serialize_problem,
 )
 
 # canonical `--output json compute` bytes of each bundled fixture
@@ -407,6 +406,23 @@ class TestValidateAndFixtures:
         code, text = run(["fixtures", "--check", "--dir", str(tmp_path)])
         assert code == EXIT_MISMATCH and "FAIL" in text
 
+    def test_expected_lines_print_the_report_encoding(self, tmp_path, capsys):
+        wrong = dict(HEISENBERG_DOC, name="wrong", expected={"R": 17, "N": 16})
+        path = write_problem(tmp_path, wrong, name="wrong.json")
+        assert run(["compute", path])[0] == EXIT_MISMATCH
+        assert capsys.readouterr().err == "expected mismatch: R: expected 17, got 16\n"
+        same = {
+            "kind": "TORUS", "name": "same", "target": {"ranks": [1]}, "F": [[2]], "G": [[2]],
+            "expected": {"R": "infinite", "N": 0, "deformable": "yes"},
+        }
+        write_problem(tmp_path, same, name="same.json")
+        code, text = run(["fixtures", "--check", "--dir", str(tmp_path)])
+        assert code == EXIT_MISMATCH
+        assert text.splitlines() == [
+            "PASS same: R=infinite N=0 deformable=yes",
+            "FAIL wrong: R: expected 17, got 16",
+        ]
+
 
 class TestGoldenReports:
     def test_every_fixture_has_a_golden_report(self):
@@ -432,6 +448,55 @@ class TestGoldenReports:
         code, text = run(["--output", "json", "compute", str(bundled_fixture_dir() / name)])
         assert code == EXIT_OK
         assert text.encode("utf-8") == (GOLDEN_DIR / name).read_bytes()
+
+
+def _lattice_dict(lattice):
+    out = {"class": lattice.class_c, "ranks": list(lattice.ranks)}
+    if lattice.class_c == 2:
+        out["brackets"] = [[list(r) for r in B.data] for B in lattice.brackets]
+    return out
+
+
+def _element_list(e):
+    return [list(level) for level in e.coordinates]
+
+
+def _matrices(hom):
+    return [[list(r) for r in M.data] for M in hom.matrices]
+
+
+def serialize_problem(problem):
+    """Canonical dict form of a parsed problem (round-trip stable)."""
+    out = {"kind": problem.kind, "target": _lattice_dict(problem.target)}
+    if problem.name is not None:
+        out["name"] = problem.name
+    if problem.kind == "PAIRS":
+        out["pairs"] = [
+            [_element_list(p), _element_list(q)] for p, q in problem.action.movers
+        ]
+    else:
+        out["F"], out["G"] = _matrices(problem.phi), _matrices(problem.psi)
+    if problem.kind in ("TORUS", "NILMANIFOLD") and problem.phi.source != problem.target:
+        out["source"] = _lattice_dict(problem.phi.source)
+    if problem.kind == "INFRA":
+        out["infra"] = {
+            "cover": _lattice_dict(problem.infra.cover),
+            "holonomy_order": problem.infra.holonomy_order,
+            "coset_actions": [
+                {
+                    "matrices": [[list(r) for r in M.data] for M in act.matrices],
+                    "translation": _element_list(act.translation),
+                }
+                for act in problem.infra.coset_actions
+            ],
+            "map_images": [
+                [_element_list(fi), _element_list(gi)]
+                for fi, gi in problem.infra.map_images
+            ],
+        }
+    if problem.expected is not None:
+        out["expected"] = dict(problem.expected)
+    return out
 
 
 class TestRoundTrip:

@@ -170,6 +170,34 @@ class TestDecision:
         assert not report.exact
         assert report.count_bounds == (14, 27)
 
+    def test_class3_bounds_start_from_inexact_cover_bounds(self, tmp_path):
+        # the cover's Delta_1 has a kernel, so the cover count is only known
+        # to lie in [4, 24]; the infra count then lies in [ceil(4 / 2), 24]
+        doc = {
+            "kind": "INFRA",
+            "target": {"ranks": [2, 1, 1]},
+            "F": [[[2, 0, 0], [0, 2, 0]], [[2]], [[3]]],
+            "G": [[[0, 0, 0], [0, 0, 0]], [[0]], [[0]]],
+            "infra": {
+                "cover": {"ranks": [3, 1, 1]},
+                "holonomy_order": 2,
+                "coset_actions": [
+                    {"matrices": [[[1, 0, 0], [0, 1, 0], [0, 0, -1]], [[1]], [[1]]]}
+                ],
+                "map_images": [[[[0, 0], [0], [0]], [[0, 0], [0], [0]]]],
+            },
+        }
+        problem = parse_problem_dict(doc)
+        cover_report, report = decide_infra(problem.infra, problem.phi, problem.psi)
+        assert cover_report.count_bounds == (4, 24)
+        assert report.count_bounds == (2, 24) and (report.N, report.deformable) == (None, NO)
+        path = tmp_path / "class3.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        out = io.StringIO()
+        assert main(["--output", "json", "compute", str(path)], out=out) == 0
+        got = json.loads(out.getvalue())
+        assert (got["R"], got["count_bounds"], got["cover"]["R"]) == (None, [2, 24], None)
+
     @pytest.mark.parametrize("r_cover", [2**60 + 1, 10**400])
     def test_class3_bounds_are_exact_integers(self, tmp_path, r_cover):
         # ceil(R_cover / h) in integers: a float quotient rounds 2^60 + 1 to
@@ -236,8 +264,7 @@ class TestClassTwoInfra:
             cover_report, report = decide_infra(infra, phi, psi)
             assert cover_report.R.count == k**4
             problem = ProblemFile(
-                kind="INFRA", name=None, target=phi.target, source=infra.cover,
-                phi=phi, psi=psi, infra=infra,
+                kind="INFRA", name=None, target=phi.target, phi=phi, psi=psi, infra=infra
             )
             assert report.R.status == FINITE and report.exact
             assert report.R.count == report.N == oracle_orbit_count(problem, k * k)

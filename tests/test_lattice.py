@@ -98,6 +98,11 @@ class TestLatticeConstruction:
         with pytest.raises(NilcoError):
             NilpotentLattice(ranks=(0,))
 
+    @pytest.mark.parametrize("rank", [2.9, True, "2"])
+    def test_non_integer_ranks_rejected(self, rank):
+        with pytest.raises(ShapeError):
+            NilpotentLattice(ranks=(rank,))
+
     def test_class2_needs_brackets(self):
         with pytest.raises(NilcoError):
             NilpotentLattice(ranks=(2, 1))
@@ -114,6 +119,15 @@ class TestLatticeConstruction:
             h.element(((1, 2),))
         with pytest.raises(ShapeError):
             h.element(((1,), (2,)))
+
+    @pytest.mark.parametrize("bad", [2.7, True, "3"])
+    def test_element_coordinates_must_be_integers(self, bad):
+        # the same check as IntMatrix entries: no silent int() coercion
+        h = heisenberg()
+        for coordinates in (((bad, 1), (3,)), ((2, 1), (bad,))):
+            with pytest.raises(ShapeError):
+                h.element(coordinates)
+        assert h.element(((2, 1), (3,))).coordinates == ((2, 1), (3,))
 
     def test_class3_elements_unsupported(self):
         lat = NilpotentLattice(ranks=(2, 1, 1))

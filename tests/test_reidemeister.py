@@ -1,11 +1,13 @@
 """Twisted-conjugacy counting, canonical labels, and the deformability
 verdict for nilpotent targets."""
 
+import inspect
 import io
 import json
 import time
 import tracemalloc
 from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +25,7 @@ from conftest import (
     torus,
     torus_hom,
 )
+import nilco
 import nilco.intmat as intmat
 from nilco.cli import main
 from nilco.errors import ShapeError, UnsupportedClassError
@@ -39,11 +42,13 @@ from nilco.reidemeister import (
     REMARK_GAP,
     UNKNOWN,
     YES,
+    ReidemeisterResult,
     TwistedAction,
     TwistedOrbitEngine,
     _word_power,
     coincidence_invariants,
     coincidence_invariants_from_pairs,
+    verdict,
 )
 
 
@@ -251,12 +256,13 @@ class TestFiberColumns:
                 base = lat.element((a, (0,) * r2))
                 for g, w in enumerate(engine._fiber_words):
                     assert M.column(g) == engine.move(base, w).level(1), (a, w)
-                if engine._uniform_fiber is None:
+                if engine._moving:
                     non_uniform += 1
                 else:
+                    # uniform: one form, built from the constant columns, for every a
                     uniform += 1
-                    assert engine._fiber(a) is engine._uniform_fiber
-                    assert engine._uniform_fiber == column_hermite(M)
+                    assert engine._fiber(a) is engine._fiber((0,) * r1)
+                    assert engine._fiber(a) == column_hermite(M)
         assert kernel_words and commutator_words and non_uniform and uniform
 
 
@@ -281,6 +287,25 @@ def mixed_pairs_engine(rng, lat):
 
 
 class TestPeriodClasses:
+    def test_witnesses_through_a_shared_fiber_form_are_exact(self, rng):
+        # after result() has filled the fiber forms, label often reads a form
+        # built from another representative's matrix with the same key; its
+        # witness word must still replay exactly
+        shared = 0
+        for lattice in (heisenberg, heisenberg_squared, free_class2):
+            lat = lattice()
+            for _ in range(12):
+                engine = mixed_pairs_engine(rng, lat)
+                if engine.result().count is None:
+                    continue
+                for _ in range(6):
+                    u = random_element(rng, lat, -4, 4)
+                    label, witness = engine.label(u)
+                    assert engine.move(u, witness) == label
+                    a = label.level(0)
+                    shared += engine._fiber(a).A != engine._fiber_matrix(a)
+        assert shared >= 40
+
     def test_count_matches_the_per_class_sum(self, rng):
         # one fiber per period class must give the count, level counts and
         # fiber histogram of one fiber per level-1 class
@@ -303,7 +328,7 @@ class TestPeriodClasses:
 
     def test_listed_representatives_are_canonical_labels(self, rng):
         # level-1 classes with equal B(a) mod e share one fiber form in the
-        # listing; label builds each fiber from its own matrix
+        # listing and in label
         non_uniform = 0
         for lattice in (heisenberg, heisenberg_squared, free_class2):
             lat = lattice()
@@ -377,9 +402,7 @@ class TestKernelFill:
         assert report.R.level_counts[1] is None
         assert report.R.status == FINITE and report.R.count == R
         assert (report.N, report.deformable) == (R, NO)
-        problem = ProblemFile(
-            kind="NILMANIFOLD", name=None, target=phi.target, source=phi.source, phi=phi, psi=psi
-        )
+        problem = ProblemFile(kind="NILMANIFOLD", name=None, target=phi.target, phi=phi, psi=psi)
         assert oracle_orbit_count(problem, modulus) == R
 
 
@@ -504,3 +527,103 @@ class TestMiscellaneous:
         lat = NilpotentLattice(ranks=(1, 1, 1))
         with pytest.raises(UnsupportedClassError):
             TwistedOrbitEngine(TwistedAction(target=lat, movers=()))
+
+
+def _result(count):
+    return ReidemeisterResult(
+        status=INFINITE if count is None else FINITE,
+        count=count,
+        level_counts=(count,),
+        infinite_level=1 if count is None else None,
+    )
+
+
+class TestVerdict:
+    @pytest.mark.parametrize("theorem, count, bounds, expected", [
+        (EQ_THM, None, None, (0, YES, EQ_THM)),
+        (EQ_THM, 6, None, (6, NO, EQ_THM)),
+        (INFTY_THM, None, None, (0, YES, INFTY_THM)),
+        (INFTY_THM, 6, None, (6, UNKNOWN, REMARK_GAP)),
+        (EQ_THM, 6, (1, 6), (None, NO, EQ_THM)),
+        (EQ_THM, None, (1, None), (None, UNKNOWN, EQ_THM)),
+    ], ids=["eq-infinite", "eq-finite", "infty-infinite", "infty-finite",
+            "bounds-finite", "bounds-infinite"])
+    def test_table(self, theorem, count, bounds, expected):
+        report = verdict(_result(count), theorem, bounds)
+        assert (report.N, report.deformable, report.rationale) == expected
+        assert report.exact == (bounds is None) and report.count_bounds == bounds
+        if bounds is not None:
+            # an inexact report keeps only the level counts of its count
+            assert report.R.count is None and report.R.infinite_level is None
+            assert report.R.status == (FINITE if bounds[1] is not None else UNKNOWN)
+
+    def test_verdict_is_the_only_report_builder(self):
+        sources = (Path(nilco.__file__).parent).glob("*.py")
+        builders = [path.name for path in sources for _ in range(
+            path.read_text(encoding="utf-8").count("CoincidenceReport("))]
+        assert builders == ["reidemeister.py"]
+        assert "CoincidenceReport(" in inspect.getsource(verdict)
+
+
+def class3_pair(source_ranks, F, G):
+    """A hom pair into the class-3 target of ranks (2, 1, 1); past class 2
+    only the shapes of the level matrices are checked."""
+    source = NilpotentLattice(ranks=source_ranks)
+    target = NilpotentLattice(ranks=(2, 1, 1))
+    return tuple(
+        LatticeHomomorphism(source, target, tuple(IntMatrix(M) for M in mats))
+        for mats in (F, G)
+    )
+
+
+def class3_compute(tmp_path, F, G, *options):
+    """stdout of `nilco compute` on that pair from the source of ranks (3, 1, 1)."""
+    doc = {"kind": "NILMANIFOLD", "source": {"ranks": [3, 1, 1]},
+           "target": {"ranks": [2, 1, 1]}, "F": F, "G": G}
+    path = tmp_path / "class3.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out = io.StringIO()
+    assert main([*options, "compute", str(path)], out=out) == 0
+    return out.getvalue()
+
+
+class TestClassThreeProducts:
+    def test_product_with_a_level_kernel_is_only_bounded(self, tmp_path):
+        # Delta_1 = -[[1, 0, 0], [0, 1, 0]] has a kernel: the product 6 of
+        # the level counts is an upper bound, c_1 = 1 a lower one
+        F = ([[1, 0, 0], [0, 1, 0]], [[2]], [[3]])
+        G = ([[0, 0, 0], [0, 0, 0]], [[0]], [[0]])
+        report = coincidence_invariants(*class3_pair((3, 1, 1), F, G))
+        assert not report.exact and report.count_bounds == (1, 6)
+        assert (report.N, report.deformable, report.R.count) == (None, NO, None)
+        got = json.loads(class3_compute(tmp_path, F, G, "--output", "json"))
+        assert (got["R"], got["N"], got["exact"]) == (None, None, False)
+        assert got["count_bounds"] == [1, 6]
+
+    def test_infinite_upper_bound_decides_nothing(self, tmp_path):
+        F = ([[1, 0, 0], [0, 1, 0]], [[0]], [[3]])
+        G = ([[0, 0, 0], [0, 0, 0]], [[0]], [[0]])
+        report = coincidence_invariants(*class3_pair((3, 1, 1), F, G))
+        assert report.count_bounds == (1, None) and report.deformable == UNKNOWN
+        got = json.loads(class3_compute(tmp_path, F, G, "--output", "json"))
+        assert got["count_bounds"] == [1, "infinite"]
+        text = class3_compute(tmp_path, F, G)
+        assert "R(f,g) in [1, infinite]  (UNSUPPORTED-EXACT: class > 2)" in text
+
+    def test_injective_levels_keep_the_product(self):
+        F = ([[2, 0], [0, 2]], [[4]], [[8]])
+        G = ([[0, 0], [0, 0]], [[0]], [[0]])
+        report = coincidence_invariants(*class3_pair((2, 1, 1), F, G))
+        assert report.exact and (report.R.count, report.N, report.deformable) == (128, 128, NO)
+
+    def test_infinite_first_level_is_exact(self):
+        F = ([[1, 0, 0], [0, 1, 0]], [[2]], [[3]])
+        report = coincidence_invariants(*class3_pair((3, 1, 1), F, F))
+        assert report.exact and report.R.status == INFINITE and report.R.infinite_level == 1
+        assert (report.N, report.deformable) == (0, YES)
+
+    def test_infinite_top_level_over_injective_levels_is_exact(self):
+        F = ([[1, 0], [0, 1]], [[2]], [[0]])
+        G = ([[0, 0], [0, 0]], [[0]], [[0]])
+        report = coincidence_invariants(*class3_pair((2, 1, 1), F, G))
+        assert report.exact and report.R.infinite_level == 3 and report.deformable == YES

@@ -3,12 +3,15 @@
 Subcommands: compute, oracle, validate, fixtures.  Exit codes:
 0 ok, 1 any other NilcoError (such as `oracle` on an infinite count with no
 --modulus), 2 parse error (unreadable file, a file that is not UTF-8,
-invalid JSON or JSON nested too deep, an element cap from NILCO_MAX_ORDER
-or --max-order that is not an integer >= 1, or a --modulus that is not an
-integer >= 2), 3 schema/shape error (also a map that is not a
-homomorphism, or invalid holonomy data; the message names the place in
-the file), 4 unsupported class, 5 bound exceeded, 6 fixture/expected
+invalid JSON or JSON nested too deep, a NILCO_MAX_ORDER that is not an
+integer >= 1, or a --modulus that is not an integer >= 2), 3 schema/shape
+error (also a map that is not a homomorphism, or invalid holonomy data;
+the message names the place in the file), 4 unsupported class (also
+`oracle` on a class >= 3 target), 5 bound exceeded, 6 fixture/expected
 mismatch.
+
+NILCO_MAX_ORDER, the one enumeration setting, caps the quotient elements
+`oracle` enumerates and the period classes `compute` builds fibers for.
 
 `validate` parses the file, which checks every lattice, map, element and
 holonomy datum as it is built, and builds the twisted action it counts;
@@ -62,6 +65,11 @@ def _exit_code_for(exc):
     return EXIT_ERROR
 
 
+def _shown(value):
+    """A report value as human output prints it: `unknown` for a JSON null."""
+    return "unknown" if value is None else value
+
+
 def _render_human(doc, out):
     name = doc.get("name")
     title = f"{doc['kind']}" + (f" [{name}]" if name else "")
@@ -71,14 +79,14 @@ def _render_human(doc, out):
         print(f"  R(f,g) in [{lo}, {hi}]  (UNSUPPORTED-EXACT: class > 2)", file=out)
     else:
         print(f"  R(f,g) = {doc['R']}", file=out)
-    print(f"  N(f,g) = {doc['N']}", file=out)
+    print(f"  N(f,g) = {_shown(doc['N'])}", file=out)
     print(f"  deformable to coincidence free: {doc['deformable']} ({doc['rationale']})", file=out)
     levels = ", ".join(str(c) for c in doc["level_counts"])
     print(f"  level counts: [{levels}]", file=out)
     if doc.get("infinite_level") is not None:
         print(f"  first infinite level: {doc['infinite_level']}", file=out)
     if doc.get("cover") is not None:
-        print(f"  cover R = {doc['cover']['R']}", file=out)
+        print(f"  cover R = {_shown(doc['cover']['R'])}", file=out)
     reps = doc.get("reps")
     if reps is not None and len(reps) <= 64:
         print(f"  class representatives: {reps}", file=out)
@@ -105,7 +113,7 @@ def cmd_oracle(args, out):
     if modulus is None:
         report, _ = compute_report(problem)
         modulus = default_modulus(problem, report)
-    count = oracle_orbit_count(problem, modulus, max_order=args.max_order)
+    count = oracle_orbit_count(problem, modulus)
     doc = {"kind": problem.kind, "modulus": modulus, "orbit_count": count}
     if problem.name is not None:
         doc["name"] = problem.name
@@ -155,8 +163,8 @@ def cmd_fixtures(args, out):
             print(f"FAIL {label}: " + "; ".join(mismatches), file=out)
             failures += 1
         else:
-            shown = f"R={doc['R']} N={doc['N']} deformable={doc['deformable']}"
-            print(f"PASS {label}: {shown}", file=out)
+            R, N = _shown(doc["R"]), _shown(doc["N"])
+            print(f"PASS {label}: R={R} N={N} deformable={doc['deformable']}", file=out)
     if failures:
         print(f"{failures} fixture(s) failed", file=sys.stderr)
         return EXIT_MISMATCH
@@ -188,8 +196,6 @@ def build_parser():
                         "largest invariant factor of the level-1 difference matrix, "
                         "for class 2 the product of the level counts, or R when one "
                         "is infinite; at least 2)")
-    p.add_argument("--max-order", type=int, default=None,
-                   help="element cap for enumeration (env NILCO_MAX_ORDER)")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("validate", help="parse and validate a problem file")

@@ -26,7 +26,7 @@ class UnsupportedClassError(NilcoError):
 
 
 class BoundExceededError(NilcoError):
-    """A configured enumeration bound (order / determinant cap) was exceeded."""
+    """The enumeration cap (`max_order_cap`) was exceeded."""
 
 
 class HomomorphismError(NilcoError):
@@ -41,18 +41,16 @@ class InfiniteResultError(NilcoError):
     """A finite answer was requested but the Reidemeister number is infinite."""
 
 
-def max_order_cap(override=None):
+def max_order_cap():
     """Element cap for exhaustive enumeration (quotient elements in the
-    oracle, period classes of a class-2 count in the orbit engine): the
-    override, else NILCO_MAX_ORDER, else DEFAULT_MAX_ORDER.  A cap that is
-    not an integer >= 1 raises ParseError."""
-    raw, source = override, "max_order"
-    if raw is None:
-        raw, source = os.environ.get("NILCO_MAX_ORDER") or DEFAULT_MAX_ORDER, "NILCO_MAX_ORDER"
+    oracle, period classes of a class-2 count in the orbit engine):
+    NILCO_MAX_ORDER, else DEFAULT_MAX_ORDER.  A cap that is not an integer
+    >= 1 raises ParseError."""
+    raw = os.environ.get("NILCO_MAX_ORDER") or DEFAULT_MAX_ORDER
     try:
         cap = int(raw)
-    except (TypeError, ValueError):
+    except ValueError:
         cap = 0
     if cap < 1:
-        raise ParseError(f"{source} must be an integer >= 1, got {raw!r}")
+        raise ParseError(f"NILCO_MAX_ORDER must be an integer >= 1, got {raw!r}")
     return cap

@@ -380,10 +380,6 @@ class CokernelStructure:
     torsion: tuple
     order: object
 
-    @property
-    def is_finite(self):
-        return self.order is not None
-
 
 def cokernel(A):
     """Cokernel of A viewed as a map Z^cols -> Z^rows."""

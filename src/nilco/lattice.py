@@ -16,13 +16,7 @@ which keeps every coordinate integral (Heisenberg-style normal form).
 
 from dataclasses import dataclass, field
 
-from .errors import (
-    BoundExceededError,
-    HomomorphismError,
-    NilcoError,
-    ShapeError,
-    UnsupportedClassError,
-)
+from .errors import HomomorphismError, NilcoError, ShapeError, UnsupportedClassError
 from .intmat import IntMatrix
 from .oracle import FiniteGroupTable
 
@@ -69,10 +63,6 @@ class NilpotentLattice:
     @property
     def class_c(self):
         return len(self.ranks)
-
-    @property
-    def total_rank(self):
-        return sum(self.ranks)
 
     def rank_at(self, i):
         """Rank of level i (0-based); 0 past the top of the tower."""
@@ -149,30 +139,15 @@ class NilpotentLattice:
         central = tuple(n * x + half * y for x, y in zip(u.level(1), corr))
         return LatticeElement((top, central))
 
-    def commutator(self, u, v):
-        uv = self.multiply(u, v)
-        return self.multiply(uv, self.inverse(self.multiply(v, u)))
-
-    def generators(self):
-        """Level-wise basis elements, level 1 first."""
-        gens = []
-        for lvl, r in enumerate(self.ranks):
-            for i in range(r):
-                coords = [(0,) * rr for rr in self.ranks]
-                coords[lvl] = tuple(1 if j == i else 0 for j in range(r))
-                gens.append(LatticeElement(tuple(coords)))
-        return gens
-
     # -- finite quotients ---------------------------------------------
 
-    def reduce_mod(self, m, max_order=None):
-        """Integer-coded finite quotient with all coordinates mod m; class <= 2 only."""
+    def reduce_mod(self, m):
+        """Integer-coded finite quotient with all coordinates mod m; class <= 2
+        only.  Nothing is enumerated here: `twisted_orbits_finite` checks the
+        enumeration cap."""
         self._require_elements()
         if m < 2:
             raise NilcoError("modulus must be >= 2")
-        order = m**self.total_rank
-        if max_order is not None and order > max_order:
-            raise BoundExceededError(f"quotient order {order} exceeds cap {max_order}")
         return FiniteGroupTable(m, self.ranks, tuple(B.data for B in self.brackets))
 
 
@@ -283,18 +258,13 @@ def apply_hom(hom, u):
     defect the central part of its ordered word (`word_defect`: over the
     unit vectors in the source, over the columns of M1 in the target).  So
     a validated homomorphism is applied exactly:
-    apply_hom(u*v) == apply_hom(u)*apply_hom(v).
+    apply_hom(u*v) == apply_hom(u)*apply_hom(v).  Past class 2 the level
+    matrices do not give the map on coordinates: UnsupportedClassError.
     """
     src, tgt = hom.source, hom.target
+    src._require_elements()
+    tgt._require_elements()
     u = src.element(u.coordinates) if isinstance(u, LatticeElement) else src.element(u)
-    if src.class_c > 2 or tgt.class_c > 2:
-        # matrix tier: plain level-wise application
-        coords = []
-        for i in range(tgt.class_c):
-            vec = u.level(i) if i < src.class_c else (0,) * src.rank_at(i)
-            coords.append(hom.matrices[i].apply(vec))
-        return LatticeElement(tuple(coords))
-
     M1 = hom.matrices[0]
     a = u.level(0)
     top = M1.apply(a)

@@ -7,16 +7,8 @@ finite count the exact machinery produces.
 
 from itertools import product as iproduct
 
-from .errors import (  # DEFAULT_MAX_ORDER is re-exported
-    DEFAULT_MAX_ORDER,
-    BoundExceededError,
-    NilcoError,
-    ShapeError,
-    max_order_cap,
-)
+from .errors import BoundExceededError, NilcoError, ShapeError, max_order_cap
 from .intmat import determinant
-
-DEFAULT_DET_BOUND = 10**4
 
 
 def union_roots(size, image_lists):
@@ -162,7 +154,13 @@ def twisted_orbits_finite(G, movers):
 
     Movers are element indices of G.  Returns (count, partition), where the
     partition lists each orbit as ascending indices, ordered by least element.
+    This is the one enumerator of quotient elements: a G of order past the
+    enumeration cap (`max_order_cap`) raises BoundExceededError before any
+    image is built.
     """
+    cap = max_order_cap()
+    if G.order > cap:
+        raise BoundExceededError(f"quotient order {G.order} exceeds cap {cap}")
     for a, b in movers:
         if a not in G or b not in G:
             raise NilcoError(f"mover {(a, b)!r} contains foreign elements")
@@ -180,23 +178,16 @@ def cokernel_oracle(A):
     """Order of Z^n / im(A) for square nonsingular A by exhaustive orbit count.
 
     Enumerates (Z/m)^n with m = |det A| and translation moves by the columns
-    of A; soundness rests on m * Z^n being contained in im(A).
+    of A; soundness rests on m * Z^n being contained in im(A).  The m^n
+    elements are bounded only by the enumeration cap of
+    `twisted_orbits_finite`.
     """
     if not A.is_square:
         raise ShapeError("cokernel oracle needs a square matrix")
-    n = A.rows
-    if n > 4:
-        raise BoundExceededError(f"oracle dimension {n} exceeds 4")
     d = determinant(A)
     if d == 0:
         raise NilcoError("cokernel oracle requires a nonsingular matrix")
-    m = abs(d)
-    if m > DEFAULT_DET_BOUND:
-        raise BoundExceededError(f"|det| = {m} exceeds bound {DEFAULT_DET_BOUND}")
-    cap = max_order_cap()
-    if m**n > cap:
-        raise BoundExceededError(f"enumeration size {m ** n} exceeds cap {cap}")
-    G = translation_group(m, n)
-    movers = [(G.identity, G.project((A.column(j),))) for j in range(n)]
+    G = translation_group(abs(d), A.rows)
+    movers = [(G.identity, G.project((A.column(j),))) for j in range(A.rows)]
     count, _ = twisted_orbits_finite(G, movers)
     return count

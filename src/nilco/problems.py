@@ -21,7 +21,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from math import prod
 
-from .errors import NilcoError, ParseError, max_order_cap
+from .errors import NilcoError, ParseError, UnsupportedClassError
 from .infra import CosetAction, InfraStructure, decide_infra, infra_action
 from .intmat import IntMatrix, cokernel
 from .lattice import LatticeHomomorphism, NilpotentLattice
@@ -379,8 +379,13 @@ def default_modulus(problem, report):
     difference matrix of the problem's movers: the exponent of the cokernel,
     so the quotient already separates every class.  For a class-2 target it
     is the product of the level counts, or R when one is infinite; that
-    quotient need not separate every class.
+    quotient need not separate every class.  Past class 2 there is no
+    quotient to count on, whatever the report holds: UnsupportedClassError.
     """
+    if problem.target.class_c > 2:
+        raise UnsupportedClassError(
+            f"oracle requires class <= 2, got class {problem.target.class_c}"
+        )
     if report.R.count is None:
         raise NilcoError("no finite modulus for an infinite result")
     if problem.target.class_c == 1:
@@ -389,12 +394,12 @@ def default_modulus(problem, report):
     return max(2, report.R.count if None in counts else prod(counts))
 
 
-def oracle_orbit_count(problem, modulus, max_order=None):
+def oracle_orbit_count(problem, modulus):
     """Twisted orbit count of the problem's action (`validate_problem`) on
-    the target quotient mod `modulus`."""
+    the target quotient mod `modulus`, under the enumeration cap of
+    `twisted_orbits_finite`."""
     action = validate_problem(problem)
-    cap = max_order_cap(max_order)
-    table = problem.target.reduce_mod(modulus, max_order=cap)
+    table = problem.target.reduce_mod(modulus)
     movers = [(table.project(p), table.project(q)) for p, q in action.movers]
     count, _ = twisted_orbits_finite(table, movers)
     return count

@@ -130,7 +130,8 @@ class TwistedAction:
 
 
 def _generator_images(hom):
-    """Images of the source generators, in `generators()` order: generator j
+    """Images of the source generators, level by level and in coordinate
+    order within a level (the unit vectors of each level): generator j
     of level l goes to column j of matrices[l] at level l and to 0 at every
     other level, since a one-letter word has no defect; past the target's
     class it goes to the identity."""

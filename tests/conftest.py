@@ -11,7 +11,27 @@ from sympy.matrices.normalforms import invariant_factors
 
 from nilco.errors import ShapeError
 from nilco.intmat import IntMatrix, coset_representatives
-from nilco.lattice import LatticeHomomorphism, NilpotentLattice
+from nilco.lattice import LatticeElement, LatticeHomomorphism, NilpotentLattice
+
+
+def generators(lattice):
+    """Level-wise basis elements, level 1 first: the generator order of
+    `TwistedAction.from_homs`."""
+    return [
+        LatticeElement(tuple(
+            tuple(int(lvl == level and j == i) for j in range(r))
+            for lvl, r in enumerate(lattice.ranks)
+        ))
+        for level, rank in enumerate(lattice.ranks)
+        for i in range(rank)
+    ]
+
+
+def commutator(lattice, u, v):
+    """u v (v u)^{-1} in a class <= 2 lattice."""
+    return lattice.multiply(
+        lattice.multiply(u, v), lattice.inverse(lattice.multiply(v, u))
+    )
 
 
 def heisenberg():

@@ -45,6 +45,37 @@ HEISENBERG_DOC = {
 }
 
 
+# class-3 pairs into the target of ranks (2, 1, 1): the (3, 1, 1) source's
+# G1 - F1 has a kernel, so its count is only bounded, in [1, 6]; the square
+# pair's count is exact, R = 4 * 4 * 8
+CLASS3_KERNEL_DOC = {
+    "kind": "NILMANIFOLD",
+    "source": {"ranks": [3, 1, 1]},
+    "target": {"ranks": [2, 1, 1]},
+    "F": [[[1, 0, 0], [0, 1, 0]], [[2]], [[3]]],
+    "G": [[[0, 0, 0], [0, 0, 0]], [[0]], [[0]]],
+}
+CLASS3_EXACT_DOC = {
+    "kind": "NILMANIFOLD",
+    "target": {"ranks": [2, 1, 1]},
+    "F": [[[2, 0], [0, 2]], [[4]], [[8]]],
+    "G": [[[0, 0], [0, 0]], [[0]], [[0]]],
+}
+# an INFRA pair whose cover count is inexact too: the cover R is null
+CLASS3_INFRA_DOC = {
+    "kind": "INFRA",
+    "target": {"ranks": [2, 1, 1]},
+    "F": [[[2, 0, 0], [0, 2, 0]], [[2]], [[3]]],
+    "G": [[[0, 0, 0], [0, 0, 0]], [[0]], [[0]]],
+    "infra": {
+        "cover": {"ranks": [3, 1, 1]},
+        "holonomy_order": 2,
+        "coset_actions": [{"matrices": [[[1, 0, 0], [0, 1, 0], [0, 0, -1]], [[1]], [[1]]]}],
+        "map_images": [[[[0, 0], [0], [0]], [[0, 0], [0], [0]]]],
+    },
+}
+
+
 def run(argv):
     out = io.StringIO()
     code = main(argv, out=out)
@@ -85,6 +116,25 @@ class TestCompute:
         assert code == EXIT_OK
         doc = json.loads(text)
         assert doc["R"] == "infinite" and doc["N"] == 0 and doc["deformable"] == "yes"
+
+    def test_human_output_prints_no_python_none(self, tmp_path):
+        # every null of the JSON report reads `unknown` in human output
+        docs = [CLASS3_KERNEL_DOC, CLASS3_INFRA_DOC]
+        paths = [write_problem(tmp_path, doc, name=f"{i}.json") for i, doc in enumerate(docs)]
+        paths += [str(p) for p in sorted(bundled_fixture_dir().glob("*.json"))]
+        texts = []
+        for path in paths:
+            code, text = run(["compute", path])
+            assert code == EXIT_OK and "None" not in text, path
+            texts.append(text)
+        assert "R(f,g) in [1, 6]" in texts[0] and "N(f,g) = unknown" in texts[0]
+        assert "N(f,g) = unknown" in texts[1] and "cover R = unknown" in texts[1]
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        write_problem(corpus, dict(CLASS3_KERNEL_DOC, expected={"deformable": "no"}))
+        code, text = run(["fixtures", "--dir", str(corpus)])
+        assert code == EXIT_OK
+        assert text == "PASS problem: R=unknown N=unknown deformable=no\n"
 
     def test_infra_report_includes_cover(self, tmp_path):
         fixture = str(bundled_fixture_dir() / "klein_bottle_to_circle.json")
@@ -222,11 +272,6 @@ class TestExitCodes:
         code, _ = run(["compute", write_problem(tmp_path, doc)])
         assert code == EXIT_UNSUPPORTED
 
-    def test_bound_exceeded(self, tmp_path):
-        path = write_problem(tmp_path, HEISENBERG_DOC)
-        code, _ = run(["oracle", path, "--max-order", "10"])
-        assert code == EXIT_BOUND
-
     def test_env_cap_respected(self, tmp_path, monkeypatch):
         monkeypatch.setenv("NILCO_MAX_ORDER", "10")
         path = write_problem(tmp_path, HEISENBERG_DOC)
@@ -240,10 +285,13 @@ class TestExitCodes:
         code, _ = run(["oracle", path])
         assert code == EXIT_PARSE
 
-    def test_max_order_flag_below_one_is_a_parse_error(self, tmp_path):
+    def test_max_order_flag_is_rejected(self, tmp_path, capsys):
+        # NILCO_MAX_ORDER is the one enumeration setting
         path = write_problem(tmp_path, HEISENBERG_DOC)
-        code, _ = run(["oracle", path, "--max-order", "0"])
-        assert code == EXIT_PARSE
+        with pytest.raises(SystemExit) as info:
+            run(["oracle", path, "--max-order", "100"])
+        assert info.value.code == EXIT_PARSE
+        assert "unrecognized arguments: --max-order 100" in capsys.readouterr().err
 
     @pytest.mark.parametrize("modulus", ["1", "0", "-4"])
     def test_modulus_below_two_is_a_parse_error(self, tmp_path, capsys, modulus):
@@ -345,6 +393,15 @@ class TestOracle:
         assert code == EXIT_OK
         expected = json.loads(path.read_text(encoding="utf-8"))["expected"]["R"]
         assert json.loads(text)["orbit_count"] == expected
+
+    @pytest.mark.parametrize("doc", [CLASS3_KERNEL_DOC, CLASS3_EXACT_DOC],
+                             ids=["inexact", "exact"])
+    def test_class3_target_is_unsupported(self, tmp_path, capsys, doc):
+        # the class is checked before the count, whether it is exact or not
+        path = write_problem(tmp_path, doc)
+        assert run(["oracle", path])[0] == EXIT_UNSUPPORTED
+        assert run(["oracle", path, "--modulus", "2"])[0] == EXIT_UNSUPPORTED
+        assert "class 3" in capsys.readouterr().err
 
     def test_explicit_modulus(self, tmp_path):
         path = write_problem(tmp_path, HEISENBERG_DOC)

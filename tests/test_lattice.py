@@ -2,10 +2,12 @@
 
 import pytest
 
-import nilco.lattice as lattice_module
+import nilco.oracle as oracle_module
 from conftest import (
     check_group_axioms,
+    commutator,
     free_class2,
+    generators,
     heisenberg,
     heisenberg_squared,
     identity_hom,
@@ -27,6 +29,7 @@ from nilco.lattice import (
     apply_hom,
     validate_hom,
 )
+from nilco.oracle import FiniteGroupTable, twisted_orbits_finite
 
 
 def as_unitriangular(e):
@@ -80,7 +83,7 @@ def ordered_word_image(hom, u):
     src, tgt = hom.source, hom.target
     M1 = hom.matrices[0]
     image, word = tgt.identity(), src.identity()
-    for j, (aj, unit) in enumerate(zip(u.level(0), src.generators())):
+    for j, (aj, unit) in enumerate(zip(u.level(0), generators(src))):
         x = tgt.element((M1.column(j), (0,) * tgt.ranks[1]))
         image = tgt.multiply(image, tgt.power(x, aj))
         word = src.multiply(word, src.power(unit, aj))
@@ -160,7 +163,7 @@ class TestHeisenbergArithmetic:
         for _ in range(50):
             u = random_element(rng, h)
             v = random_element(rng, h)
-            com = h.commutator(u, v)
+            com = commutator(h, u, v)
             assert com.level(0) == (0, 0)
             assert com.level(1) == h.bracket(u.level(0), v.level(0))
 
@@ -190,17 +193,29 @@ class TestFiniteQuotients:
                 h.multiply(u, v)
             )
 
-    def test_order_cap(self):
-        with pytest.raises(BoundExceededError):
-            heisenberg().reduce_mod(10, max_order=100)
+    def test_order_cap(self, monkeypatch):
+        # the cap bounds the order of the quotient enumerated, inclusively
+        table = heisenberg().reduce_mod(10)  # 1000 elements
+        monkeypatch.setenv("NILCO_MAX_ORDER", "1000")
+        assert twisted_orbits_finite(table, [])[0] == 1000
+        monkeypatch.setenv("NILCO_MAX_ORDER", "999")
+        with pytest.raises(BoundExceededError, match="quotient order 1000 exceeds cap 999"):
+            twisted_orbits_finite(table, [(0, 1)])
 
     def test_order_cap_is_checked_before_any_table_is_built(self, monkeypatch):
+        # a quotient of order 10^27 is built lazily; the cap stops its
+        # enumeration before any image list or union-find table exists
         def refuse(*args, **kwargs):
-            raise AssertionError("quotient built past the cap")
+            raise AssertionError("enumerated past the cap")
 
-        monkeypatch.setattr(lattice_module, "FiniteGroupTable", refuse)
+        monkeypatch.setattr(FiniteGroupTable, "twisted_images", refuse)
+        monkeypatch.setattr(oracle_module, "union_roots", refuse)
+        table = heisenberg().reduce_mod(10**9)
+        assert table.order == 10**27
         with pytest.raises(BoundExceededError):
-            heisenberg().reduce_mod(10**9, max_order=10**6)
+            twisted_orbits_finite(table, [])
+        with pytest.raises(BoundExceededError):
+            twisted_orbits_finite(table, [(0, 1)])
 
 
 class TestHomValidation:
@@ -252,6 +267,19 @@ class TestApplyHom:
                         apply_hom(hom, u), apply_hom(hom, v)
                     )
                     assert apply_hom(hom, u) == ordered_word_image(hom, u)
+
+    @pytest.mark.parametrize("source_ranks, target_ranks", [
+        ((2, 1, 1), (2, 1, 1)), ((2, 1, 1), (2,)), ((2,), (1, 1, 1)),
+    ])
+    def test_past_class_two_is_unsupported(self, source_ranks, target_ranks):
+        # past class 2 the level matrices do not give the map on coordinates
+        src, tgt = NilpotentLattice(ranks=source_ranks), NilpotentLattice(ranks=target_ranks)
+        depth = max(len(source_ranks), len(target_ranks))
+        hom = LatticeHomomorphism(src, tgt, tuple(
+            IntMatrix.zeros(tgt.rank_at(i), src.rank_at(i)) for i in range(depth)
+        ))
+        with pytest.raises(UnsupportedClassError):
+            apply_hom(hom, src.identity())
 
     def test_heisenberg_to_circle_projection(self, rng):
         h = heisenberg()

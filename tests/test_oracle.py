@@ -11,15 +11,15 @@ from conftest import (
     random_matrix,
     torus,
 )
-from nilco.errors import BoundExceededError, NilcoError, ParseError
-from nilco.intmat import IntMatrix, cokernel, determinant
-from nilco.oracle import (
+from nilco.errors import (
     DEFAULT_MAX_ORDER,
-    cokernel_oracle,
+    BoundExceededError,
+    NilcoError,
+    ParseError,
     max_order_cap,
-    translation_group,
-    twisted_orbits_finite,
 )
+from nilco.intmat import IntMatrix, cokernel, determinant
+from nilco.oracle import cokernel_oracle, translation_group, twisted_orbits_finite
 
 
 class TestTranslationGroup:
@@ -136,13 +136,24 @@ class TestCokernelOracle:
             assert cokernel_oracle(A) == abs(d) == cokernel(A).order
             checked += 1
 
-    def test_dimension_bound(self):
-        with pytest.raises(BoundExceededError):
-            cokernel_oracle(IntMatrix.identity(5))
+    def test_dimension_bound(self, monkeypatch):
+        # no limit on n: only the cap bounds the |det|^n elements
+        def doubled_corner(n):
+            return IntMatrix([[(1 + (i == 0)) * (i == j) for j in range(n)] for i in range(n)])
 
-    def test_det_bound(self):
+        assert cokernel_oracle(IntMatrix.identity(5)) == 1
+        monkeypatch.setenv("NILCO_MAX_ORDER", "32")
+        assert cokernel_oracle(doubled_corner(5)) == 2  # 2^5 elements
         with pytest.raises(BoundExceededError):
-            cokernel_oracle(IntMatrix([[10**5]]))
+            cokernel_oracle(doubled_corner(6))  # 2^6 elements
+
+    def test_det_bound(self, monkeypatch):
+        # no limit on |det| either: the cap is inclusive on |det|^1
+        monkeypatch.setenv("NILCO_MAX_ORDER", "1000")
+        assert cokernel_oracle(IntMatrix([[1000]])) == 1000
+        monkeypatch.setenv("NILCO_MAX_ORDER", "999")
+        with pytest.raises(BoundExceededError, match="quotient order 1000 exceeds cap 999"):
+            cokernel_oracle(IntMatrix([[1000]]))
 
     def test_singular_rejected(self):
         with pytest.raises(NilcoError):
@@ -150,23 +161,19 @@ class TestCokernelOracle:
 
 
 class TestMaxOrderCap:
-    def test_default_and_override(self, monkeypatch):
+    def test_default_and_env(self, monkeypatch):
         monkeypatch.delenv("NILCO_MAX_ORDER", raising=False)
         assert max_order_cap() == DEFAULT_MAX_ORDER
-        assert max_order_cap(123) == 123
+        monkeypatch.setenv("NILCO_MAX_ORDER", "")  # empty: the default
+        assert max_order_cap() == DEFAULT_MAX_ORDER
         monkeypatch.setenv("NILCO_MAX_ORDER", "500")
         assert max_order_cap() == 500
-        assert max_order_cap(7) == 7  # explicit override beats the env
 
     @pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5"])
     def test_malformed_env_cap_is_a_parse_error(self, monkeypatch, value):
         monkeypatch.setenv("NILCO_MAX_ORDER", value)
         with pytest.raises(ParseError, match="NILCO_MAX_ORDER"):
             max_order_cap()
-
-    def test_override_below_one_is_a_parse_error(self):
-        with pytest.raises(ParseError):
-            max_order_cap(0)
 
     def test_cap_enforced(self, monkeypatch):
         monkeypatch.setenv("NILCO_MAX_ORDER", "3")

@@ -15,6 +15,7 @@ from conftest import (
     fiber_deviation_rank,
     fiber_sum_by_enumeration,
     free_class2,
+    generators,
     heisenberg,
     heisenberg_period_pairs,
     heisenberg_squared,
@@ -30,7 +31,7 @@ import nilco.intmat as intmat
 from nilco.cli import main
 from nilco.errors import ShapeError, UnsupportedClassError
 from nilco.intmat import IntMatrix, column_hermite, determinant
-from nilco.lattice import LatticeHomomorphism, NilpotentLattice, apply_hom
+from nilco.lattice import LatticeElement, LatticeHomomorphism, NilpotentLattice, apply_hom
 from nilco.oracle import twisted_orbits_finite
 from nilco.problems import ProblemFile, oracle_orbit_count, parse_problem_dict
 from nilco.reidemeister import (
@@ -470,11 +471,16 @@ class TestMovers:
          "torus_to_heisenberg", "heisenberg_to_torus", "class3"],
     )
     def test_movers_are_the_generator_images(self, rng, kind):
+        def image(hom, g):
+            if kind != "class3":
+                return apply_hom(hom, g)
+            # past class 2 apply_hom refuses; a one-letter word (a unit
+            # vector at one level) maps level by level
+            return LatticeElement(tuple(M.apply(v) for M, v in zip(hom.matrices, g.coordinates)))
+
         for _ in range(20):
             phi, psi = random_hom_pair(rng, kind)
-            expected = tuple(
-                (apply_hom(phi, g), apply_hom(psi, g)) for g in phi.source.generators()
-            )
+            expected = tuple((image(phi, g), image(psi, g)) for g in generators(phi.source))
             assert TwistedAction.from_homs(phi, psi).movers == expected
 
 

@@ -16,12 +16,14 @@ NILCO_MAX_ORDER, the one enumeration setting, caps the quotient elements
 `validate` parses the file, which checks every lattice, map, element and
 holonomy datum as it is built, and builds the twisted action it counts;
 it computes nothing.
+
+`main(argv, out)` returns the exit code and raises nothing for a usage
+error: an unknown option or a --modulus that is not an integer prints the
+usage to stderr and returns 2, and --help returns 0.
 """
 
 import argparse
 import sys
-from importlib import resources
-from pathlib import Path
 
 from .errors import (
     BoundExceededError,
@@ -135,10 +137,16 @@ def cmd_validate(args, out):
 
 
 def bundled_fixture_dir():
+    from importlib import resources
+
     return resources.files("nilco") / "fixtures"
 
 
 def cmd_fixtures(args, out):
+    # only this command reads package files: a run of any other command
+    # leaves importlib.resources and pathlib unloaded
+    from pathlib import Path
+
     directory = Path(args.dir) if args.dir else bundled_fixture_dir()
     paths = sorted(str(p) for p in directory.glob("*.json"))
     if not paths:
@@ -214,7 +222,10 @@ def build_parser():
 def main(argv=None, out=None):
     out = out if out is not None else sys.stdout
     with unlimited_int_digits():
-        args = build_parser().parse_args(argv)
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:  # usage error (2) or --help (0)
+            return exc.code
         try:
             return args.func(args, out)
         except NilcoError as exc:

@@ -13,11 +13,11 @@ The holonomy data is checked once, when an InfraStructure is built, and
 `infra_action` checks what ties it to a map pair.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import NilcoError, ShapeError
 from .intmat import determinant
-from .lattice import NilpotentLattice
+from .lattice import _checked_make
 from .reidemeister import (
     EQ_THM,
     INFINITE,
@@ -29,17 +29,17 @@ from .reidemeister import (
 )
 
 
-@dataclass(frozen=True)
-class CosetAction:
-    """Action of one nontrivial holonomy coset on the cover lattice:
-    an automorphism given by level matrices plus a translation part."""
-
-    matrices: tuple
-    translation: object  # LatticeElement of the cover
+# action of one nontrivial holonomy coset on the cover lattice: the level
+# matrices of an automorphism plus a translation part, a cover element
+CosetAction = namedtuple("CosetAction", "matrices translation")
 
 
-@dataclass(frozen=True)
-class InfraStructure:
+class InfraStructure(namedtuple("InfraStructure", (
+    "cover",  # NilpotentLattice
+    "holonomy_order",
+    "coset_actions",  # CosetAction per nontrivial coset representative
+    "map_images",  # (f image, g image) in the target, per nontrivial coset
+))):
     """Holonomy data over the cover: the holonomy order h and, per nontrivial
     coset representative x, its action on the cover and its image pair
     (f(x), g(x)) in the target.
@@ -51,14 +51,19 @@ class InfraStructure:
     target of the maps.
     """
 
-    cover: NilpotentLattice
-    holonomy_order: int
-    coset_actions: tuple  # CosetAction per nontrivial coset representative
-    map_images: tuple  # (f image, g image) in the target, per nontrivial coset
+    __slots__ = ()
+
+    def __new__(cls, cover, holonomy_order, coset_actions, map_images):
+        self = super().__new__(
+            cls, cover, holonomy_order, tuple(coset_actions), tuple(map_images)
+        )
+        self.__post_init__()
+        return self
+
+    _make = _checked_make
 
     def __post_init__(self):
-        object.__setattr__(self, "coset_actions", tuple(self.coset_actions))
-        object.__setattr__(self, "map_images", tuple(self.map_images))
+        """The checks of the constructor, run once per new value."""
         cover, h = self.cover, self.holonomy_order
         violations = [] if h >= 1 else ["holonomy_order must be >= 1"]
         expected = max(h - 1, 0)

@@ -10,7 +10,7 @@ normal form alternates the loop on a matrix and its transpose; it serves
 only the invariant factors of `cokernel`.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from itertools import product
 from math import gcd, prod
@@ -298,14 +298,10 @@ def column_hermite(A):
     return ColumnHermite(A)
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
+class SmithDecomposition(namedtuple("SmithDecomposition", "U D V invariant_factors")):
     """U @ A @ V == D with U, V unimodular, D diagonal with divisibility chain."""
 
-    U: IntMatrix
-    D: IntMatrix
-    V: IntMatrix
-    invariant_factors: tuple
+    __slots__ = ()
 
     @property
     def rank(self):
@@ -369,16 +365,8 @@ def smith_normal_form(A):
     )
 
 
-@dataclass(frozen=True)
-class CokernelStructure:
-    """Structure of Z^rows / im(A): free rank plus torsion chain.
-
-    order is None when the cokernel is infinite.
-    """
-
-    free_rank: int
-    torsion: tuple
-    order: object
+# Z^rows / im(A): free rank plus torsion chain; order is None when infinite
+CokernelStructure = namedtuple("CokernelStructure", "free_rank torsion order")
 
 
 def cokernel(A):

@@ -14,43 +14,43 @@ no 1/2 factor,
 which keeps every coordinate integral (Heisenberg-style normal form).
 """
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .errors import HomomorphismError, NilcoError, ShapeError, UnsupportedClassError
 from .intmat import IntMatrix
 from .oracle import FiniteGroupTable
 
+# `_make` of the records that check themselves: `_replace` builds through it,
+# so a copy is checked like every other new value
+_checked_make = classmethod(lambda cls, values: cls(*values))
 
-@dataclass(frozen=True)
-class LatticeElement:
+
+class LatticeElement(namedtuple("LatticeElement", "coordinates")):
     """Mal'cev-style coordinates: one integer vector per tower level."""
 
-    coordinates: tuple
+    __slots__ = ()
 
     def level(self, i):
         return self.coordinates[i]
 
 
-@dataclass(frozen=True)
-class NilpotentLattice:
+class NilpotentLattice(namedtuple("NilpotentLattice", "ranks brackets")):
     """Lower-central-series tower with optional class-2 bracket data.
 
     ranks[i] is the rank of the i-th free-abelian quotient.  For class 2,
     brackets is a tuple of r_2 matrices of shape r_1 x r_1 encoding the
-    bilinear form B: Z^{r_1} x Z^{r_1} -> Z^{r_2}.
+    bilinear form B: Z^{r_1} x Z^{r_1} -> Z^{r_2}.  The constructor checks
+    both and raises ShapeError.
     """
 
-    ranks: tuple
-    brackets: tuple = field(default=())
+    __slots__ = ()
 
-    def __post_init__(self):
-        ranks = tuple(map(IntMatrix._as_int, self.ranks))
-        object.__setattr__(self, "ranks", ranks)
+    def __new__(cls, ranks, brackets=()):
+        ranks = tuple(map(IntMatrix._as_int, ranks))
         if not ranks or ranks[0] < 1 or any(r < 0 for r in ranks):
             raise ShapeError(f"invalid rank tower {ranks!r}")
-        brackets = tuple(self.brackets)
-        object.__setattr__(self, "brackets", brackets)
-        if self.class_c == 2:
+        brackets = tuple(brackets)
+        if len(ranks) == 2:
             r1, r2 = ranks
             if len(brackets) != r2:
                 raise ShapeError(f"class-2 lattice needs {r2} bracket matrices")
@@ -59,6 +59,9 @@ class NilpotentLattice:
                     raise ShapeError(f"bracket matrices must be {r1}x{r1} IntMatrix")
         elif brackets:
             raise ShapeError("bracket data is only meaningful for class-2 lattices")
+        return super().__new__(cls, ranks, brackets)
+
+    _make = _checked_make
 
     @property
     def class_c(self):
@@ -151,8 +154,7 @@ class NilpotentLattice:
         return FiniteGroupTable(m, self.ranks, tuple(B.data for B in self.brackets))
 
 
-@dataclass(frozen=True)
-class LatticeHomomorphism:
+class LatticeHomomorphism(namedtuple("LatticeHomomorphism", "source target matrices")):
     """A map between lattices as compatible level matrices.
 
     matrices[i] has shape (target rank_i) x (source rank_i); levels past a
@@ -162,24 +164,21 @@ class LatticeHomomorphism:
     genuine homomorphism; past class 2 only the shapes can be checked.
     """
 
-    source: NilpotentLattice
-    target: NilpotentLattice
-    matrices: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "matrices", tuple(self.matrices))
-        depth = max(self.source.class_c, self.target.class_c)
-        if len(self.matrices) != depth:
-            raise ShapeError(
-                f"expected {depth} level matrices, got {len(self.matrices)}"
-            )
-        for i, M in enumerate(self.matrices):
-            tr = self.target.rank_at(i)
-            sr = self.source.rank_at(i)
+    def __new__(cls, source, target, matrices):
+        matrices = tuple(matrices)
+        depth = max(source.class_c, target.class_c)
+        if len(matrices) != depth:
+            raise ShapeError(f"expected {depth} level matrices, got {len(matrices)}")
+        for i, M in enumerate(matrices):
+            tr = target.rank_at(i)
+            sr = source.rank_at(i)
             if M.rows != tr or M.cols != sr:
                 raise ShapeError(
                     f"level {i + 1} matrix is {M.rows}x{M.cols}, expected {tr}x{sr}"
                 )
+        self = super().__new__(cls, source, target, matrices)
         violation = validate_hom(self)
         if violation is not None:
             i, j, expected, actual = violation
@@ -188,6 +187,9 @@ class LatticeHomomorphism:
                 f"expected {list(expected)}, got {list(actual)}",
                 violations=[violation],
             )
+        return self
+
+    _make = _checked_make
 
     @property
     def depth(self):

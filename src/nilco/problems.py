@@ -17,8 +17,8 @@ message and keeps the error's type.  So a parsed problem is valid, and
 
 import json
 import sys
+from collections import namedtuple
 from contextlib import contextmanager
-from dataclasses import dataclass
 from math import prod
 
 from .errors import NilcoError, ParseError, UnsupportedClassError
@@ -162,16 +162,9 @@ def _parse_expected(obj, where):
     return out
 
 
-@dataclass(frozen=True)
-class ProblemFile:
-    kind: str
-    name: object
-    target: NilpotentLattice
-    phi: object = None
-    psi: object = None
-    action: object = None  # PAIRS: the TwistedAction of the generator pairs
-    infra: object = None
-    expected: object = None
+# `action` is the TwistedAction of a PAIRS file's generator pairs
+ProblemFile = namedtuple("ProblemFile", "kind name target phi psi action infra expected",
+                         defaults=(None,) * 5)
 
 
 def parse_problem_dict(doc, where="problem"):

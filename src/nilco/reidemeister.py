@@ -25,7 +25,7 @@ G_l - F_l below the top level has a kernel; else only c_1 <= R <= prod c_l
 is proven.  `verdict` turns every count into a CoincidenceReport.
 """
 
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from math import prod
 
 from .errors import (
@@ -42,7 +42,7 @@ from .intmat import (
     kernel_basis,
     reduce_to_canonical_rep,
 )
-from .lattice import LatticeElement, NilpotentLattice, word_defect
+from .lattice import LatticeElement, word_defect
 
 FINITE = "finite"
 INFINITE = "infinite"
@@ -57,27 +57,23 @@ INFTY_THM = "INFTY-THM"  # general source, R=infinite => deformable
 REMARK_GAP = "REMARK-GAP"  # general source, finite R decides nothing
 
 
-@dataclass(frozen=True)
-class ReidemeisterResult:
-    status: str  # FINITE, INFINITE, or UNKNOWN for bounds with no finite upper one
-    count: object  # positive int when finite, None when infinite or inexact
-    level_counts: tuple  # per-level orders; None marks an infinite level
-    infinite_level: object = None  # 1-based, set when status == INFINITE
-    reps: object = None  # canonical representatives (class <= 2, finite, small)
-    fiber_counts: object = None  # (fiber order, level-1 classes) pairs by order
+ReidemeisterResult = namedtuple("ReidemeisterResult", (
+    "status",  # FINITE, INFINITE, or UNKNOWN for bounds with no finite upper one
+    "count",  # positive int when finite, None when infinite or inexact
+    "level_counts",  # per-level orders; None marks an infinite level
+    "infinite_level",  # 1-based, set when status == INFINITE
+    "reps",  # canonical representatives (class <= 2, finite, small)
+    "fiber_counts",  # (fiber order, level-1 classes) pairs by order
+), defaults=(None, None, None))
 
-
-@dataclass(frozen=True)
-class CoincidenceReport:
-    R: ReidemeisterResult
-    N: object  # None when only count_bounds are known
-    deformable: str
-    rationale: str
-    count_bounds: object = None  # (lo, hi) for an inexact count; hi None when infinite
-
-    @property
-    def exact(self):
-        return self.count_bounds is None
+CoincidenceReport = namedtuple("CoincidenceReport", (
+    "R",  # ReidemeisterResult
+    "N",  # None when only count_bounds are known
+    "deformable",
+    "rationale",
+    "count_bounds",  # (lo, hi) for an inexact count; hi None when infinite
+), defaults=(None,))
+CoincidenceReport.exact = property(lambda self: self.count_bounds is None)
 
 
 def verdict(R, theorem, bounds=None):
@@ -92,7 +88,7 @@ def verdict(R, theorem, bounds=None):
     rationale = theorem
     if bounds is not None:
         finite = bounds[1] is not None
-        R = replace(R, status=FINITE if finite else UNKNOWN, count=None, infinite_level=None)
+        R = R._replace(status=FINITE if finite else UNKNOWN, count=None, infinite_level=None)
         N, deformable = None, NO if finite else UNKNOWN
     elif R.status == INFINITE:
         N, deformable = 0, YES
@@ -103,12 +99,11 @@ def verdict(R, theorem, bounds=None):
     return CoincidenceReport(R, N, deformable, rationale, count_bounds=bounds)
 
 
-@dataclass(frozen=True)
-class TwistedAction:
-    """The relation u ~ psi(x) * u * phi(x)^{-1}, given by mover pairs."""
+class TwistedAction(namedtuple("TwistedAction", "target movers")):
+    """The relation u ~ psi(x) * u * phi(x)^{-1} on the target lattice, given
+    by mover pairs (phi(x), psi(x))."""
 
-    target: NilpotentLattice
-    movers: tuple  # pairs (phi image, psi image)
+    __slots__ = ()
 
     @classmethod
     def from_homs(cls, phi, psi):
@@ -435,7 +430,7 @@ def coincidence_invariants(phi, psi, reps_limit=1024):
     ]
     level_counts = tuple(ch.order for ch in forms)
     if engine is not None:
-        R = replace(engine.result(reps_limit=reps_limit), level_counts=level_counts)
+        R = engine.result(reps_limit=reps_limit)._replace(level_counts=level_counts)
         return verdict(R, EQ_THM)
     infinite = None in level_counts
     R = ReidemeisterResult(

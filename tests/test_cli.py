@@ -288,10 +288,17 @@ class TestExitCodes:
     def test_max_order_flag_is_rejected(self, tmp_path, capsys):
         # NILCO_MAX_ORDER is the one enumeration setting
         path = write_problem(tmp_path, HEISENBERG_DOC)
-        with pytest.raises(SystemExit) as info:
-            run(["oracle", path, "--max-order", "100"])
-        assert info.value.code == EXIT_PARSE
+        assert run(["oracle", path, "--max-order", "100"]) == (EXIT_PARSE, "")
         assert "unrecognized arguments: --max-order 100" in capsys.readouterr().err
+
+    def test_modulus_that_is_not_an_integer_is_a_usage_error(self, tmp_path, capsys):
+        path = write_problem(tmp_path, HEISENBERG_DOC)
+        assert run(["oracle", path, "--modulus", "abc"]) == (EXIT_PARSE, "")
+        assert "argument --modulus: invalid int value: 'abc'" in capsys.readouterr().err
+
+    def test_help_returns_zero(self, capsys):
+        assert run(["--help"])[0] == EXIT_OK
+        assert "usage: nilco" in capsys.readouterr().out
 
     @pytest.mark.parametrize("modulus", ["1", "0", "-4"])
     def test_modulus_below_two_is_a_parse_error(self, tmp_path, capsys, modulus):
@@ -479,6 +486,43 @@ class TestValidateAndFixtures:
             "PASS same: R=infinite N=0 deformable=yes",
             "FAIL wrong: R: expected 17, got 16",
         ]
+
+
+# modules `nilco.cli` leaves unloaded: dataclasses brings inspect, ast and
+# dis; importlib.resources and pathlib (with tempfile and zipfile) are
+# loaded by `fixtures` alone, the one command that reads package files
+UNLOADED = ("dataclasses", "inspect", "importlib.resources", "pathlib", "tempfile", "zipfile")
+
+
+def plain_interpreter(script):
+    """Run `script` in `python -S` (no `site`, so nothing is preloaded) with
+    the package on PYTHONPATH; returns its stdout."""
+    env = dict(os.environ, PYTHONPATH=str(Path(nilco.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+class TestImportFootprint:
+    def test_import_and_compute_leave_these_modules_unloaded(self):
+        fixture = bundled_fixture_dir() / "klein_bottle_to_circle.json"
+        loaded = plain_interpreter(
+            "import io, sys\n"
+            "import nilco.cli\n"
+            f"print(*[m for m in {UNLOADED!r} if m in sys.modules])\n"
+            f"assert nilco.cli.main(['compute', {str(fixture)!r}], out=io.StringIO()) == 0\n"
+            f"print(*[m for m in {UNLOADED!r} if m in sys.modules])\n"
+        )
+        assert loaded == "\n\n"
+
+    def test_fixtures_command_loads_package_files_itself(self):
+        out = plain_interpreter(
+            "import nilco.cli\n"
+            "raise SystemExit(nilco.cli.main(['fixtures', '--check']))\n"
+        )
+        assert len(out.splitlines()) == 9 and out.startswith("PASS")
 
 
 class TestGoldenReports:

@@ -19,11 +19,13 @@ it computes nothing.
 
 `main(argv, out)` returns the exit code and raises nothing for a usage
 error: an unknown option or a --modulus that is not an integer prints the
-usage to stderr and returns 2, and --help returns 0.
+usage to stderr and returns 2, and --help writes the help to `out` and
+returns 0.
 """
 
 import argparse
 import sys
+from contextlib import redirect_stdout
 
 from .errors import (
     BoundExceededError,
@@ -200,10 +202,10 @@ def build_parser():
     p = sub.add_parser("oracle", help="brute-force orbit count on a finite quotient")
     p.add_argument("file")
     p.add_argument("--modulus", type=int, default=None,
-                   help="quotient modulus (default: for a class-1 target the "
-                        "largest invariant factor of the level-1 difference matrix, "
-                        "for class 2 the product of the level counts, or R when one "
-                        "is infinite; at least 2)")
+                   help="quotient modulus (default: max(2, e1 n), e1 the largest "
+                        "invariant factor of the level-1 difference matrix, n = E or "
+                        "2E for an odd or even E, the lcm of the fiber cokernel "
+                        "exponents, 1 at class 1; it separates every class)")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("validate", help="parse and validate a problem file")
@@ -223,7 +225,8 @@ def main(argv=None, out=None):
     out = out if out is not None else sys.stdout
     with unlimited_int_digits():
         try:
-            args = build_parser().parse_args(argv)
+            with redirect_stdout(out):
+                args = build_parser().parse_args(argv)
         except SystemExit as exc:  # usage error (2) or --help (0)
             return exc.code
         try:

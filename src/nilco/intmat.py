@@ -57,6 +57,9 @@ class IntMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("IntMatrix is immutable")
 
+    def __reduce__(self):  # pickle and copy rebuild through the constructor
+        return IntMatrix, (self.data, (self.rows, self.cols))
+
     # -- constructors -------------------------------------------------
 
     @classmethod
@@ -69,10 +72,8 @@ class IntMatrix:
 
     @classmethod
     def from_columns(cls, columns, rows):
-        """Build a rows x len(columns) matrix from column vectors."""
-        for c in columns:
-            if len(c) != rows:
-                raise ShapeError("column length mismatch")
+        """Build a rows x len(columns) matrix from column vectors of length
+        rows, which nilco built itself."""
         return cls._trusted(
             [[col[i] for col in columns] for i in range(rows)], shape=(rows, len(columns))
         )
@@ -181,12 +182,6 @@ class ColumnHermite:
 
     def __init__(self, A):
         self.A = A
-
-    def __eq__(self, other):  # H and V determine A = H V^-1
-        return isinstance(other, ColumnHermite) and self.A == other.A
-
-    def __hash__(self):
-        return hash(self.A)
 
     @cached_property
     def order(self):

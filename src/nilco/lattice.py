@@ -98,14 +98,10 @@ class NilpotentLattice(namedtuple("NilpotentLattice", "ranks brackets")):
         return LatticeElement(tuple((0,) * r for r in self.ranks))
 
     def cocycle(self, a, b):
-        """B(a, b) as a vector of length r_2 (empty for class 1)."""
-        if self.class_c == 1:
-            return ()
-        r1 = self.ranks[0]
-        if len(a) != r1 or len(b) != r1:
-            raise ShapeError("cocycle arguments must be level-1 vectors")
-        return tuple(sum(a[i] * B.data[i][j] * b[j] for i in range(r1) for j in range(r1))
-                     for B in self.brackets)
+        """B(a, b) as a vector of length r_2 (empty off class 2, which has no
+        brackets).  a and b are level-1 vectors nilco built or checked."""
+        r = range(self.ranks[0])
+        return tuple(sum(a[i] * B.data[i][j] * b[j] for i in r for j in r) for B in self.brackets)
 
     def bracket(self, a, b):
         """Commutator pairing B(a, b) - B(b, a) on level-1 vectors."""
@@ -207,26 +203,16 @@ def validate_hom(hom):
     Returns the first violating basis pair as (i, j, expected, actual).
     """
     src, tgt = hom.source, hom.target
-    if src.class_c > 2 or tgt.class_c > 2:
-        return None  # matrix tier only; nothing checkable beyond shapes
-    if tgt.class_c == 1 and src.class_c == 1:
-        return None
-    M1 = hom.matrices[0]
-    M2 = hom.matrices[1] if hom.depth > 1 else IntMatrix.zeros(tgt.rank_at(1), src.rank_at(1))
+    if tgt.class_c != 2 or src.class_c > 2:
+        return None  # no brackets to compare, or none checkable past class 2
+    # a class-1 source has no brackets and an r_2 x 0 M2: its side is 0
+    M1, M2 = hom.matrices[:2]
     r1 = src.ranks[0]
+    units = [tuple(int(k == i) for k in range(r1)) for i in range(r1)]
     for i in range(r1):
         for j in range(i + 1, r1):
-            ei = tuple(1 if k == i else 0 for k in range(r1))
-            ej = tuple(1 if k == j else 0 for k in range(r1))
-            if src.class_c == 2:
-                expected = M2.apply(src.bracket(ei, ej))
-            else:
-                expected = (0,) * tgt.rank_at(1)
-            if tgt.class_c == 2:
-                actual = tgt.bracket(M1.apply(ei), M1.apply(ej))
-            else:
-                actual = ()
-                expected = ()
+            expected = M2.apply(src.bracket(units[i], units[j]))
+            actual = tgt.bracket(M1.column(i), M1.column(j))
             if expected != actual:
                 return (i, j, expected, actual)
     return None

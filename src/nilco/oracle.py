@@ -150,13 +150,11 @@ def translation_group(modulus, dim):
 
 
 def twisted_orbits_finite(G, movers):
-    """Orbit partition of G under u -> b_j * u * a_j^{-1} for movers (a_j, b_j).
-
-    Movers are element indices of G.  Returns (count, partition), where the
-    partition lists each orbit as ascending indices, ordered by least element.
-    This is the one enumerator of quotient elements: a G of order past the
-    enumeration cap (`max_order_cap`) raises BoundExceededError before any
-    image is built.
+    """Number of orbits of G under u -> b_j * u * a_j^{-1} for movers (a_j,
+    b_j), given as element indices of G: the indices that are their own
+    root in `union_roots`.  This is the one enumerator of quotient elements:
+    a G of order past the enumeration cap (`max_order_cap`) raises
+    BoundExceededError before any image is built.
     """
     cap = max_order_cap()
     if G.order > cap:
@@ -165,13 +163,7 @@ def twisted_orbits_finite(G, movers):
         if a not in G or b not in G:
             raise NilcoError(f"mover {(a, b)!r} contains foreign elements")
     roots = union_roots(G.order, (G.twisted_images(a, b) for a, b in movers))
-    blocks = {}
-    for u, root in enumerate(roots):
-        if root == u:
-            blocks[u] = [u]
-        else:
-            blocks[root].append(u)
-    return len(blocks), list(blocks.values())
+    return sum(1 for u, root in enumerate(roots) if root == u)
 
 
 def cokernel_oracle(A):
@@ -189,5 +181,4 @@ def cokernel_oracle(A):
         raise NilcoError("cokernel oracle requires a nonsingular matrix")
     G = translation_group(abs(d), A.rows)
     movers = [(G.identity, G.project((A.column(j),))) for j in range(A.rows)]
-    count, _ = twisted_orbits_finite(G, movers)
-    return count
+    return twisted_orbits_finite(G, movers)

@@ -19,7 +19,6 @@ import json
 import sys
 from collections import namedtuple
 from contextlib import contextmanager
-from math import prod
 
 from .errors import NilcoError, ParseError, UnsupportedClassError
 from .infra import CosetAction, InfraStructure, decide_infra, infra_action
@@ -319,17 +318,24 @@ def _count_or_infinite(value):
     return INFINITE if value is None else value
 
 
+def _counts(report):
+    """R, level_counts and infinite_level of a report, in the report encoding."""
+    return {
+        "R": _count_or_infinite(report.R.count) if report.exact else None,
+        "level_counts": [_count_or_infinite(c) for c in report.R.level_counts],
+        "infinite_level": report.R.infinite_level,
+    }
+
+
 def report_dict(problem, report, cover_report=None):
     """Machine-readable report; deterministic for identical inputs."""
     R = report.R
     out = {
         "kind": problem.kind,
-        "R": _count_or_infinite(R.count) if report.exact else None,
+        **_counts(report),
         "N": report.N,
         "deformable": report.deformable,
         "rationale": report.rationale,
-        "level_counts": [_count_or_infinite(c) for c in R.level_counts],
-        "infinite_level": R.infinite_level,
         "exact": report.exact,
     }
     if problem.name is not None:
@@ -342,13 +348,7 @@ def report_dict(problem, report, cover_report=None):
         # [order, classes] pairs: an object would key by strings, "16" < "4"
         out["fiber_counts"] = [list(pair) for pair in R.fiber_counts]
     if cover_report is not None:
-        out["cover"] = {
-            "R": _count_or_infinite(cover_report.R.count) if cover_report.exact else None,
-            "level_counts": [
-                _count_or_infinite(c) for c in cover_report.R.level_counts
-            ],
-            "infinite_level": cover_report.R.infinite_level,
-        }
+        out["cover"] = _counts(cover_report)
     return out
 
 
@@ -366,14 +366,18 @@ def check_expected(problem, doc):
 
 
 def default_modulus(problem, report):
-    """Quotient modulus for the oracle when none is given, at least 2.
+    """Quotient modulus for the oracle when none is given, one rule for class
+    1 and 2: m = max(2, e1 n), e1 the exponent of coker Delta_1, E the
+    engine's `fiber_exponent` (1 at class 1) and n = E for an odd E, else 2E.
 
-    For a class-1 target this is the largest invariant factor of the level-1
-    difference matrix of the problem's movers: the exponent of the cokernel,
-    so the quotient already separates every class.  For a class-2 target it
-    is the product of the level counts, or R when one is infinite; that
-    quotient need not separate every class.  Past class 2 there is no
-    quotient to count on, whatever the report holds: UnsupportedClassError.
+    The count mod m is R: reduction mod m has a normal kernel K_m, and every
+    class is a union of K_m-cosets.  Central part: E Z^{r2} lies in im M(a)
+    for every a, and E | m.  Level 1: for each x a word v has Delta_1 v =
+    e1 x, and w = v^n moves (a, c) to a + m x with central error
+    n (t_v + terms linear in a) + C(n, 2) d_v, which E divides (E | n and
+    E | C(n, 2)); the fiber words over a + m x take it off.  Past class 2
+    there is no quotient to count on, whatever the report holds:
+    UnsupportedClassError.
     """
     if problem.target.class_c > 2:
         raise UnsupportedClassError(
@@ -381,10 +385,10 @@ def default_modulus(problem, report):
         )
     if report.R.count is None:
         raise NilcoError("no finite modulus for an infinite result")
-    if problem.target.class_c == 1:
-        return max((2, *cokernel(TwistedOrbitEngine(validate_problem(problem)).delta1).torsion))
-    counts = report.R.level_counts
-    return max(2, report.R.count if None in counts else prod(counts))
+    engine = TwistedOrbitEngine(validate_problem(problem))
+    e1 = max((1, *cokernel(engine.delta1).torsion))
+    E = engine.fiber_exponent()
+    return max(2, e1 * (E if E % 2 else 2 * E))
 
 
 def oracle_orbit_count(problem, modulus):
@@ -394,5 +398,4 @@ def oracle_orbit_count(problem, modulus):
     action = validate_problem(problem)
     table = problem.target.reduce_mod(modulus)
     movers = [(table.project(p), table.project(q)) for p, q in action.movers]
-    count, _ = twisted_orbits_finite(table, movers)
-    return count
+    return twisted_orbits_finite(table, movers)

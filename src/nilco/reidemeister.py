@@ -26,7 +26,7 @@ is proven.  `verdict` turns every count into a CoincidenceReport.
 """
 
 from collections import namedtuple
-from math import prod
+from math import lcm, prod
 
 from .errors import (
     InfiniteResultError,
@@ -37,6 +37,7 @@ from .errors import (
 )
 from .intmat import (
     IntMatrix,
+    cokernel,
     column_hermite,
     coset_representatives,
     kernel_basis,
@@ -246,9 +247,8 @@ class TwistedOrbitEngine:
         self._fiber_words = tuple(words)
         self._fiber_columns = tuple(columns)
         self._moving = tuple(p for p, _ in columns if any(p))
-        self._constant_at = tuple(g for g, (p, _) in enumerate(columns) if not any(p))
         self._constant = column_hermite(
-            IntMatrix.from_columns([columns[g][1] for g in self._constant_at], self.r2)
+            IntMatrix.from_columns([t for p, t in columns if not any(p)], self.r2)
         )
         if not self._moving:  # uniform: every fiber matrix is the constant one
             self._fibers[()] = self._constant
@@ -264,8 +264,7 @@ class TwistedOrbitEngine:
 
     def _fiber(self, a):
         """Column Hermite form of a fiber matrix with the image of the one over
-        a: one form per _fiber_key, shared by the count, the listing and
-        `label`."""
+        a: one form per _fiber_key, shared by the count and the listing."""
         key = self._fiber_key(a)
         if key not in self._fibers:
             self._fibers[key] = column_hermite(self._fiber_matrix(a))
@@ -301,6 +300,19 @@ class TwistedOrbitEngine:
         if e is not None:
             cols += [tuple(e * x for x in u) for u in units]
         return IntMatrix.from_columns(cols, self.r1)
+
+    def fiber_exponent(self):
+        """The lcm E of the exponents of coker M(q) over the period classes q,
+        1 without a centre.  im M(a) depends only on the coset of a mod L
+        (see _period_matrix), so E Z^{r2} lies in im M(a) for every a.  For
+        a finite count only."""
+        if self.r2 == 0:
+            return 1
+        period = column_hermite(self._period_matrix())
+        return lcm(*(
+            max((1, *cokernel(self._fiber(q).A).torsion))
+            for q in coset_representatives(period, max_count=max_order_cap())
+        ))
 
     # -- counting ------------------------------------------------------
 
@@ -383,20 +395,11 @@ class TwistedOrbitEngine:
         if self.r2 == 0:
             return u1, word1
 
-        ch = self._fiber(a_rep)
+        # the form of a_rep's own matrix, so that M(a_rep) z2 == c - c_rep
+        ch = column_hermite(self._fiber_matrix(a_rep))
         if ch.order is None:
             raise InfiniteResultError("infinitely many central classes over this level-1 class")
         c_rep, z2 = reduce_to_canonical_rep(u1.level(1), ch)
-        # ch may be the form of M' = M(a') for an a' with a_rep's key: M(a_rep) - M'
-        # is 0 mod e, so (M(a_rep) - M') z2 = C y for the constant columns C, and
-        # taking y off z2 on those columns gives M(a_rep) z2 = c - c_rep
-        M = self._fiber_matrix(a_rep)
-        if M != ch.A:
-            excess = tuple(x - w for x, w in zip(M.apply(z2), ch.A.apply(z2)))
-            _, y = reduce_to_canonical_rep(excess, self._constant)
-            z2 = list(z2)
-            for g, coeff in zip(self._constant_at, y):
-                z2[g] -= coeff
         word2 = ()
         for g, coeff in enumerate(z2):
             word2 = word2 + _word_power(self._fiber_words[g], -coeff)

@@ -2,10 +2,11 @@
 
 Each criterion prints exactly one line of the form
 
-    ACCEPTANCE <n> <slug>: PASS (<elapsed>s)
+    ACCEPTANCE <n> <slug>: PASS (<elapsed>s of <budget>s)
 
-on success; any assertion failure fails the whole gate.  Run with
-`pytest -s tests/test_acceptance.py` to see the lines as they appear.
+on success, at the start of a line; any assertion failure fails the whole
+gate.  Run with `pytest -s tests/test_acceptance.py | grep '^ACCEPTANCE'` to
+see how close each criterion is to its budget.
 """
 
 import io
@@ -41,7 +42,8 @@ from nilco.reidemeister import (
 def report_line(index, slug, started, budget):
     elapsed = time.time() - started
     assert elapsed < budget, f"criterion {index} exceeded {budget}s ({elapsed:.1f}s)"
-    print(f"ACCEPTANCE {index} {slug}: PASS ({elapsed:.2f}s)")
+    # a line of its own: pytest -s writes each test's progress dot after it
+    print(f"\nACCEPTANCE {index} {slug}: PASS ({elapsed:.2f}s of {budget:g}s)")
 
 
 def test_criterion_1_surjective_pairs_give_one_class():
@@ -143,7 +145,7 @@ def test_criterion_4_heisenberg_labels_and_oracle():
     # independent finite-quotient confirmation mod 4
     table = h.reduce_mod(4)
     movers = [(table.project(p), table.project(q)) for p, q in engine.movers]
-    count, _ = twisted_orbits_finite(table, movers)
+    count = twisted_orbits_finite(table, movers)
     assert count == 16
     report_line(4, "heisenberg-sixteen-labels", started, 30.0)
 

@@ -55,7 +55,7 @@ def brute_force_klein_count(f_deg, g_deg):
         (G.identity, G.project(((diff,),))),  # lattice generator move
         (G.identity, G.project(((coset_diff,),))),  # holonomy coset move
     ]
-    count, _ = twisted_orbits_finite(G, movers)
+    count = twisted_orbits_finite(G, movers)
     return count
 
 

@@ -197,7 +197,7 @@ class TestFiniteQuotients:
         # the cap bounds the order of the quotient enumerated, inclusively
         table = heisenberg().reduce_mod(10)  # 1000 elements
         monkeypatch.setenv("NILCO_MAX_ORDER", "1000")
-        assert twisted_orbits_finite(table, [])[0] == 1000
+        assert twisted_orbits_finite(table, []) == 1000
         monkeypatch.setenv("NILCO_MAX_ORDER", "999")
         with pytest.raises(BoundExceededError, match="quotient order 1000 exceeds cap 999"):
             twisted_orbits_finite(table, [(0, 1)])
@@ -237,6 +237,15 @@ class TestHomValidation:
             with pytest.raises(HomomorphismError) as info:
                 LatticeHomomorphism(h, h, (M1, IntMatrix([[d + 1]])))
             assert info.value.violations == ((0, 1, (d + 1,), (d,)),)
+
+    def test_class1_source_needs_commuting_images(self):
+        # a class-1 source has no brackets and an r2 x 0 central matrix, so
+        # the images of its generators must commute in a class-2 target
+        with pytest.raises(HomomorphismError) as info:
+            LatticeHomomorphism(
+                torus(2), heisenberg(), (IntMatrix.identity(2), IntMatrix.zeros(1, 0))
+            )
+        assert info.value.violations == ((0, 1, (0,), (1,)),)
 
     def test_shape_mismatch_rejected(self):
         h = heisenberg()

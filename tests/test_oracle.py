@@ -19,7 +19,12 @@ from nilco.errors import (
     max_order_cap,
 )
 from nilco.intmat import IntMatrix, cokernel, determinant
-from nilco.oracle import cokernel_oracle, translation_group, twisted_orbits_finite
+from nilco.oracle import (
+    cokernel_oracle,
+    translation_group,
+    twisted_orbits_finite,
+    union_roots,
+)
 
 
 class TestTranslationGroup:
@@ -46,30 +51,35 @@ class TestTranslationGroup:
 class TestTwistedOrbits:
     def test_translation_by_two_mod_four(self):
         G = translation_group(4, 1)
-        count, partition = twisted_orbits_finite(G, [(2, 0)])
-        assert count == 2
-        assert partition == [[0, 2], [1, 3]]
+        assert twisted_orbits_finite(G, [(2, 0)]) == 2
+        assert union_roots(G.order, [G.twisted_images(2, 0)]) == [0, 1, 0, 1]
 
     def test_no_movers_is_discrete(self):
         G = translation_group(3, 1)
-        count, partition = twisted_orbits_finite(G, [])
-        assert count == 3
+        assert twisted_orbits_finite(G, []) == 3
 
     def test_partition_is_move_closed(self, rng):
+        # every mover image has the root of its preimage, and the count is
+        # the number of roots
         G = translation_group(6, 2)
         movers = [(rng.randrange(G.order), rng.randrange(G.order)) for _ in range(3)]
-        _, partition = twisted_orbits_finite(G, movers)
-        block_of = {u: i for i, blk in enumerate(partition) for u in blk}
+        roots = union_roots(G.order, [G.twisted_images(a, b) for a, b in movers])
         for a, b in movers:
             ai = G.inverse(a)
             for u in range(G.order):
                 moved = G.product(G.product(b, u), ai)
-                assert block_of[moved] == block_of[u]
+                assert roots[moved] == roots[u]
+        assert twisted_orbits_finite(G, movers) == len(set(roots))
 
     def test_deterministic_partition(self):
         G = translation_group(5, 2)
         movers = [(G.project(((1, 2),)), G.project(((3, 4),))),
                   (G.project(((0, 1),)), G.project(((0, 3),)))]
+
+        def roots():
+            return union_roots(G.order, [G.twisted_images(a, b) for a, b in movers])
+
+        assert roots() == roots()
         assert twisted_orbits_finite(G, movers) == twisted_orbits_finite(G, movers)
 
     def test_foreign_movers_rejected(self):

@@ -2,14 +2,18 @@
 value, built by keyword or by position, and the ones that check their data
 check it however they are built, `_replace` included."""
 
+import copy
+import pickle
+
 import pytest
 
 from conftest import heisenberg, torus
+from nilco.cli import bundled_fixture_dir
 from nilco.errors import HomomorphismError, ShapeError
 from nilco.infra import CosetAction, InfraStructure
 from nilco.intmat import CokernelStructure, IntMatrix, SmithDecomposition, smith_normal_form
 from nilco.lattice import LatticeElement, LatticeHomomorphism, NilpotentLattice
-from nilco.problems import ProblemFile
+from nilco.problems import ProblemFile, parse_problem
 from nilco.reidemeister import (
     EQ_THM,
     FINITE,
@@ -131,3 +135,20 @@ class TestChecksRunAtConstruction:
         with pytest.raises(ShapeError):
             infra._replace(holonomy_order=3)
         assert infra._replace(holonomy_order=2) == infra
+
+
+class TestCopies:
+    @pytest.mark.parametrize("make", [
+        lambda: IntMatrix([[1, -2], [3, 4]]),
+        lambda: LatticeHomomorphism(**heisenberg_map_fields(4)),
+        lambda: parse_problem(bundled_fixture_dir() / "klein_bottle_to_circle.json"),
+    ], ids=["IntMatrix", "LatticeHomomorphism", "klein_bottle_problem"])
+    def test_pickle_and_copy_round_trip(self, make):
+        value = make()
+        for duplicate in (
+            pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value),
+        ):
+            assert duplicate == value
+            field = getattr(value, "_fields", ("rows",))[0]
+            with pytest.raises(AttributeError):
+                setattr(duplicate, field, None)

@@ -29,11 +29,16 @@ from conftest import (
 import nilco
 import nilco.intmat as intmat
 from nilco.cli import main
-from nilco.errors import ShapeError, UnsupportedClassError
+from nilco.errors import BoundExceededError, ShapeError, UnsupportedClassError
 from nilco.intmat import IntMatrix, column_hermite, determinant
 from nilco.lattice import LatticeElement, LatticeHomomorphism, NilpotentLattice, apply_hom
 from nilco.oracle import twisted_orbits_finite
-from nilco.problems import ProblemFile, oracle_orbit_count, parse_problem_dict
+from nilco.problems import (
+    ProblemFile,
+    default_modulus,
+    oracle_orbit_count,
+    parse_problem_dict,
+)
 from nilco.reidemeister import (
     EQ_THM,
     FINITE,
@@ -118,7 +123,7 @@ class TestHeisenbergInvariants:
         action = TwistedAction.from_homs(phi, psi)
         table = h.reduce_mod(4)
         movers = [(table.project(p), table.project(q)) for p, q in action.movers]
-        count, _ = twisted_orbits_finite(table, movers)
+        count = twisted_orbits_finite(table, movers)
         assert count == 16
 
 
@@ -146,7 +151,7 @@ class TestGeneratorPairSystems:
         action = heisenberg_pairs_action()
         table = action.target.reduce_mod(4)
         movers = [(table.project(p), table.project(q)) for p, q in action.movers]
-        count, _ = twisted_orbits_finite(table, movers)
+        count = twisted_orbits_finite(table, movers)
         assert count == 6
 
     def test_pairs_off_the_target_are_rejected(self):
@@ -263,7 +268,7 @@ class TestFiberColumns:
                     # uniform: one form, built from the constant columns, for every a
                     uniform += 1
                     assert engine._fiber(a) is engine._fiber((0,) * r1)
-                    assert engine._fiber(a) == column_hermite(M)
+                    assert engine._fiber(a).H == column_hermite(M).H
         assert kernel_words and commutator_words and non_uniform and uniform
 
 
@@ -289,9 +294,9 @@ def mixed_pairs_engine(rng, lat):
 
 class TestPeriodClasses:
     def test_witnesses_through_a_shared_fiber_form_are_exact(self, rng):
-        # after result() has filled the fiber forms, label often reads a form
-        # built from another representative's matrix with the same key; its
-        # witness word must still replay exactly
+        # result() shares one fiber form per key, often built from another
+        # representative's matrix; label reduces by the form of its own
+        # representative's matrix, and its witness word must replay exactly
         shared = 0
         for lattice in (heisenberg, heisenberg_squared, free_class2):
             lat = lattice()
@@ -405,6 +410,31 @@ class TestKernelFill:
         assert (report.N, report.deformable) == (R, NO)
         problem = ProblemFile(kind="NILMANIFOLD", name=None, target=phi.target, phi=phi, psi=psi)
         assert oracle_orbit_count(problem, modulus) == R
+
+    # m = max(2, e1 n) from e1 = exp coker Delta_1 and E = lcm of the fiber
+    # exponents, n = E or 2E; a smaller modulus can merge classes: mod 2 the
+    # first pair has 1 orbit, mod 10 the last has 5
+    @pytest.mark.parametrize("F1, G1, R, modulus", [
+        ([[-3, 0, 3], [0, -2, 2]], [[1, -2, 0], [1, -2, 2]], 2, 4),
+        ([[-1, 1, 1], [-3, 3, 3]], [[0, 0, 0], [0, 2, -1]], 9, 9),
+        ([[-3, 1, 1], [0, -2, 1]], [[-3, -3, 3], [2, 0, -1]], 24, 24),
+        ([[0, 0, -3], [-1, 1, -2]], [[1, -1, -3], [-2, 2, 3]], 10, 20),
+    ], ids=["R2", "R9", "R24", "R10"])
+    def test_default_modulus_separates_every_class(self, F1, G1, R, modulus):
+        phi, psi = free3_to_heisenberg(F1), free3_to_heisenberg(G1)
+        problem = ProblemFile(kind="NILMANIFOLD", name=None, target=phi.target, phi=phi, psi=psi)
+        assert default_modulus(problem, coincidence_invariants(phi, psi)) == modulus
+        assert oracle_orbit_count(problem, modulus) == R
+
+    def test_default_modulus_of_the_r60_pair_exceeds_the_cap(self):
+        # e1 = 2 and E = 30 give m = 120, and 120^3 elements exceed the
+        # default cap; the explicit modulus 60 counts R (the R60 case above)
+        phi = free3_to_heisenberg([[3, -2, 0], [3, -2, 0]])
+        psi = free3_to_heisenberg([[-3, 2, 1], [3, -2, -1]])
+        problem = ProblemFile(kind="NILMANIFOLD", name=None, target=phi.target, phi=phi, psi=psi)
+        assert default_modulus(problem, coincidence_invariants(phi, psi)) == 120
+        with pytest.raises(BoundExceededError):
+            oracle_orbit_count(problem, 120)
 
 
 def random_hom_pair(rng, kind):

@@ -30,7 +30,6 @@ from .lattice import (
 )
 from .oracle import FiniteGroupTable, cokernel_oracle, twisted_orbits_finite
 from .reidemeister import (
-    FINITE,
     INFINITE,
     NO,
     UNKNOWN,

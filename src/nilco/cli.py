@@ -24,6 +24,7 @@ returns 0.
 """
 
 import argparse
+import json
 import sys
 from contextlib import redirect_stdout
 
@@ -37,6 +38,7 @@ from .errors import (
 )
 from .problems import (
     SchemaError,
+    _shown,
     canonical_json,
     check_expected,
     compute_report,
@@ -69,11 +71,6 @@ def _exit_code_for(exc):
     return EXIT_ERROR
 
 
-def _shown(value):
-    """A report value as human output prints it: `unknown` for a JSON null."""
-    return "unknown" if value is None else value
-
-
 def _render_human(doc, out):
     name = doc.get("name")
     title = f"{doc['kind']}" + (f" [{name}]" if name else "")
@@ -93,7 +90,7 @@ def _render_human(doc, out):
         print(f"  cover R = {_shown(doc['cover']['R'])}", file=out)
     reps = doc.get("reps")
     if reps is not None and len(reps) <= 64:
-        print(f"  class representatives: {reps}", file=out)
+        print(f"  class representatives: {json.dumps(reps)}", file=out)
 
 
 def cmd_compute(args, out):

@@ -20,7 +20,6 @@ from .intmat import determinant
 from .lattice import _checked_make
 from .reidemeister import (
     EQ_THM,
-    INFINITE,
     INFTY_THM,
     TwistedAction,
     TwistedOrbitEngine,
@@ -118,7 +117,7 @@ def decide_infra(infra, phi, psi):
     """
     action = infra_action(infra, phi, psi)
     cover_report = coincidence_invariants(phi, psi, reps_limit=None)
-    if cover_report.R.status == INFINITE:
+    if cover_report.R.infinite_level is not None:
         return cover_report, verdict(cover_report.R, INFTY_THM)
     if phi.target.class_c > 2:
         lo, hi = cover_report.count_bounds or (cover_report.R.count,) * 2

@@ -63,14 +63,6 @@ class IntMatrix:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def identity(cls, n):
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zeros(cls, rows, cols):
-        return cls([[0] * cols for _ in range(rows)], shape=(rows, cols))
-
-    @classmethod
     def from_columns(cls, columns, rows):
         """Build a rows x len(columns) matrix from column vectors of length
         rows, which nilco built itself."""
@@ -293,14 +285,8 @@ def column_hermite(A):
     return ColumnHermite(A)
 
 
-class SmithDecomposition(namedtuple("SmithDecomposition", "U D V invariant_factors")):
-    """U @ A @ V == D with U, V unimodular, D diagonal with divisibility chain."""
-
-    __slots__ = ()
-
-    @property
-    def rank(self):
-        return len(self.invariant_factors)
+# U @ A @ V == D with U, V unimodular, D diagonal with divisibility chain
+SmithDecomposition = namedtuple("SmithDecomposition", "U D V invariant_factors")
 
 
 def smith_normal_form(A):
@@ -367,7 +353,7 @@ CokernelStructure = namedtuple("CokernelStructure", "free_rank torsion order")
 def cokernel(A):
     """Cokernel of A viewed as a map Z^cols -> Z^rows."""
     snf = smith_normal_form(A)
-    free_rank = A.rows - snf.rank
+    free_rank = A.rows - len(snf.invariant_factors)
     torsion = tuple(d for d in snf.invariant_factors if d > 1)
     order = None if free_rank > 0 else prod(torsion)
     return CokernelStructure(free_rank=free_rank, torsion=torsion, order=order)

@@ -149,10 +149,11 @@ def _parse_expected(obj, where):
     if not isinstance(obj, dict):
         raise SchemaError(f"{where}: expected an object")
     out = {}
+    # null is the R and N of an inexact count, as the report encodes them
     if "R" in obj:
-        out["R"] = INFINITE if obj["R"] == INFINITE else _as_int(obj["R"], f"{where}.R")
+        out["R"] = obj["R"] if obj["R"] in (None, INFINITE) else _as_int(obj["R"], f"{where}.R")
     if "N" in obj:
-        out["N"] = _as_int(obj["N"], f"{where}.N")
+        out["N"] = None if obj["N"] is None else _as_int(obj["N"], f"{where}.N")
     if "deformable" in obj:
         v = obj["deformable"]
         if v not in ("yes", "no", "unknown"):
@@ -289,10 +290,6 @@ def validate_problem(problem):
 # -- canonical serialization ------------------------------------------
 
 
-def _element_list(e):
-    return [list(level) for level in e.coordinates]
-
-
 def canonical_json(doc):
     with unlimited_int_digits():
         return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
@@ -343,20 +340,25 @@ def report_dict(problem, report, cover_report=None):
     if report.count_bounds is not None:
         out["count_bounds"] = [_count_or_infinite(b) for b in report.count_bounds]
     if R.reps is not None:
-        out["reps"] = [_element_list(e) for e in R.reps]
+        out["reps"] = [e.coordinates for e in R.reps]
     if R.fiber_counts is not None:
         # [order, classes] pairs: an object would key by strings, "16" < "4"
-        out["fiber_counts"] = [list(pair) for pair in R.fiber_counts]
+        out["fiber_counts"] = R.fiber_counts
     if cover_report is not None:
         out["cover"] = _counts(cover_report)
     return out
+
+
+def _shown(value):
+    """A report value as human output prints it: `unknown` for a JSON null."""
+    return "unknown" if value is None else value
 
 
 def check_expected(problem, doc):
     """Mismatches of the report document `doc` (from `report_dict`, whose
     encoding the expected block shares) against the expected block."""
     return [
-        f"{key}: expected {value}, got {doc[key]}"
+        f"{key}: expected {_shown(value)}, got {_shown(doc[key])}"
         for key, value in (problem.expected or {}).items()
         if doc[key] != value
     ]

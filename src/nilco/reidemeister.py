@@ -45,7 +45,6 @@ from .intmat import (
 )
 from .lattice import LatticeElement, word_defect
 
-FINITE = "finite"
 INFINITE = "infinite"
 
 YES = "yes"
@@ -59,10 +58,9 @@ REMARK_GAP = "REMARK-GAP"  # general source, finite R decides nothing
 
 
 ReidemeisterResult = namedtuple("ReidemeisterResult", (
-    "status",  # FINITE, INFINITE, or UNKNOWN for bounds with no finite upper one
     "count",  # positive int when finite, None when infinite or inexact
     "level_counts",  # per-level orders; None marks an infinite level
-    "infinite_level",  # 1-based, set when status == INFINITE
+    "infinite_level",  # 1-based, set exactly when the count is infinite
     "reps",  # canonical representatives (class <= 2, finite, small)
     "fiber_counts",  # (fiber order, level-1 classes) pairs by order
 ), defaults=(None, None, None))
@@ -88,10 +86,9 @@ def verdict(R, theorem, bounds=None):
     """
     rationale = theorem
     if bounds is not None:
-        finite = bounds[1] is not None
-        R = R._replace(status=FINITE if finite else UNKNOWN, count=None, infinite_level=None)
-        N, deformable = None, NO if finite else UNKNOWN
-    elif R.status == INFINITE:
+        R = R._replace(count=None, infinite_level=None)
+        N, deformable = None, NO if bounds[1] is not None else UNKNOWN
+    elif R.infinite_level is not None:
         N, deformable = 0, YES
     elif theorem == EQ_THM:
         N, deformable = R.count, NO
@@ -304,15 +301,12 @@ class TwistedOrbitEngine:
     def fiber_exponent(self):
         """The lcm E of the exponents of coker M(q) over the period classes q,
         1 without a centre.  im M(a) depends only on the coset of a mod L
-        (see _period_matrix), so E Z^{r2} lies in im M(a) for every a.  For
-        a finite count only."""
-        if self.r2 == 0:
-            return 1
-        period = column_hermite(self._period_matrix())
-        return lcm(*(
-            max((1, *cokernel(self._fiber(q).A).torsion))
-            for q in coset_representatives(period, max_count=max_order_cap())
-        ))
+        (see _period_matrix), so E Z^{r2} lies in im M(a) for every a, and
+        the fiber forms `result` caches (one per period class, and any other
+        has the image of one of them) give every image.  For a finite count
+        only."""
+        self.result()
+        return lcm(1, *(max((1, *cokernel(f.A).torsion)) for f in self._fibers.values()))
 
     # -- counting ------------------------------------------------------
 
@@ -320,12 +314,8 @@ class TwistedOrbitEngine:
         """ReidemeisterResult for the action (no deformability decision)."""
         c1 = self.order1
         if c1 is None:
-            return ReidemeisterResult(
-                status=INFINITE,
-                count=None,
-                level_counts=(None,) if self.r2 == 0 else (None, None),
-                infinite_level=1,
-            )
+            levels = (None,) if self.r2 == 0 else (None, None)
+            return ReidemeisterResult(count=None, level_counts=levels, infinite_level=1)
         if self.r2 == 0:
             reps = None
             if reps_limit is not None and c1 <= reps_limit:
@@ -333,9 +323,7 @@ class TwistedOrbitEngine:
                     LatticeElement((a,))
                     for a in coset_representatives(self.hermite1)
                 )
-            return ReidemeisterResult(
-                status=FINITE, count=c1, level_counts=(c1,), reps=reps
-            )
+            return ReidemeisterResult(count=c1, level_counts=(c1,), reps=reps)
 
         # R = (c1 / |Q|) sum_{q in Q} |coker M(q)| with Q = Z^{r1} / L: one
         # fiber per period class, each standing for c1 / |Q| level-1 classes
@@ -346,12 +334,7 @@ class TwistedOrbitEngine:
         for q in coset_representatives(hermite, max_count=max_order_cap()):
             order = self._fiber(q).order
             if order is None:
-                return ReidemeisterResult(
-                    status=INFINITE,
-                    count=None,
-                    level_counts=(c1, None),
-                    infinite_level=2,
-                )
+                return ReidemeisterResult(count=None, level_counts=(c1, None), infinite_level=2)
             histogram[order] = histogram.get(order, 0) + classes
         total = sum(order * n for order, n in histogram.items())
         reps = None
@@ -368,7 +351,6 @@ class TwistedOrbitEngine:
             # no clean per-level factorization; count is the fibered sum
             level_counts = (total,)
         return ReidemeisterResult(
-            status=FINITE,
             count=total,
             level_counts=level_counts,
             reps=reps,
@@ -437,17 +419,13 @@ def coincidence_invariants(phi, psi, reps_limit=1024):
         return verdict(R, EQ_THM)
     infinite = None in level_counts
     R = ReidemeisterResult(
-        status=INFINITE if infinite else FINITE,
         count=None if infinite else prod(level_counts),
         level_counts=level_counts,
         infinite_level=level_counts.index(None) + 1 if infinite else None,
     )
     # exact when level 1 is infinite or each Delta_l below the top is injective:
-    # a pivot in every column, which a square matrix has iff its order is finite
-    exact = level_counts[0] is None or all(
-        ch.order is not None if ch.A.is_square else len(ch.pivots) == ch.A.cols
-        for ch in forms[:-1]
-    )
+    # a pivot in every column
+    exact = level_counts[0] is None or all(len(ch.pivots) == ch.A.cols for ch in forms[:-1])
     return verdict(R, EQ_THM, bounds=None if exact else (level_counts[0], R.count))
 
 

@@ -14,6 +14,14 @@ from nilco.intmat import IntMatrix, coset_representatives
 from nilco.lattice import LatticeElement, LatticeHomomorphism, NilpotentLattice
 
 
+def identity_matrix(n):
+    return IntMatrix([[int(i == j) for j in range(n)] for i in range(n)])
+
+
+def zero_matrix(rows, cols):
+    return IntMatrix([[0] * cols for _ in range(rows)], shape=(rows, cols))
+
+
 def generators(lattice):
     """Level-wise basis elements, level 1 first: the generator order of
     `TwistedAction.from_homs`."""
@@ -181,7 +189,7 @@ def identity_hom(lattice):
     return LatticeHomomorphism(
         source=lattice,
         target=lattice,
-        matrices=tuple(IntMatrix.identity(r) for r in lattice.ranks),
+        matrices=tuple(identity_matrix(r) for r in lattice.ranks),
     )
 
 

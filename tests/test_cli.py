@@ -136,6 +136,23 @@ class TestCompute:
         assert code == EXIT_OK
         assert text == "PASS problem: R=unknown N=unknown deformable=no\n"
 
+    def test_expected_block_may_state_a_null_count(self, tmp_path, capsys):
+        # an expected block encodes the R and N of an inexact count as the
+        # report does, as null
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        expected = {"R": None, "N": None, "deformable": "no"}
+        path = write_problem(corpus, dict(CLASS3_KERNEL_DOC, expected=expected))
+        assert run(["compute", path])[0] == EXIT_OK
+        code, text = run(["fixtures", "--check", "--dir", str(corpus)])
+        assert code == EXIT_OK
+        assert text == "PASS problem: R=unknown N=unknown deformable=no\n"
+        # an exact count does not match a null, which the message prints as
+        # human output does
+        path = write_problem(tmp_path, dict(HEISENBERG_DOC, expected={"N": None}))
+        assert run(["compute", path])[0] == EXIT_MISMATCH
+        assert capsys.readouterr().err == "expected mismatch: N: expected unknown, got 16\n"
+
     def test_infra_report_includes_cover(self, tmp_path):
         fixture = str(bundled_fixture_dir() / "klein_bottle_to_circle.json")
         code, text = run(["--output", "json", "compute", fixture])
@@ -551,6 +568,13 @@ class TestGoldenReports:
         code, text = run(["--output", "json", "compute", str(bundled_fixture_dir() / name)])
         assert code == EXIT_OK
         assert text.encode("utf-8") == (GOLDEN_DIR / name).read_bytes()
+
+    @pytest.mark.parametrize("name", sorted(p.stem for p in GOLDEN_DIR.glob("*.json")))
+    def test_human_report_is_byte_identical(self, name):
+        # the human `compute` output of every fixture, reps line included
+        code, text = run(["compute", str(bundled_fixture_dir() / f"{name}.json")])
+        assert code == EXIT_OK
+        assert text.encode("utf-8") == (GOLDEN_DIR / "human" / f"{name}.txt").read_bytes()
 
 
 def _lattice_dict(lattice):

@@ -8,7 +8,14 @@ from math import ceil
 
 import pytest
 
-from conftest import heisenberg, heisenberg_self_map, random_element, torus
+from conftest import (
+    heisenberg,
+    heisenberg_self_map,
+    identity_matrix,
+    random_element,
+    torus,
+    zero_matrix,
+)
 from nilco.cli import main
 from nilco.errors import ShapeError
 from nilco.infra import CosetAction, InfraStructure, decide_infra, infra_action
@@ -16,7 +23,7 @@ from nilco.intmat import IntMatrix
 from nilco.lattice import LatticeHomomorphism, NilpotentLattice
 from nilco.oracle import translation_group, twisted_orbits_finite
 from nilco.problems import ProblemFile, oracle_orbit_count, parse_problem_dict
-from nilco.reidemeister import EQ_THM, FINITE, INFINITE, INFTY_THM, NO, YES
+from nilco.reidemeister import EQ_THM, INFTY_THM, NO, YES
 
 
 def klein_bottle_setup(f_deg=2, g_deg=6):
@@ -115,7 +122,7 @@ class TestDecision:
         infra, phi, psi = klein_bottle_setup(f_deg=2, g_deg=6)
         cover_report, report = decide_infra(infra, phi, psi)
         assert cover_report.R.count == 4
-        assert report.R.status == FINITE and report.R.count == 2
+        assert report.R.infinite_level is None and report.R.count == 2
         assert report.N == 2 and report.deformable == NO
         assert report.rationale == EQ_THM and report.exact
         assert {e.coordinates for e in report.R.reps} == {((0,),), ((1,),)}
@@ -132,8 +139,8 @@ class TestDecision:
     def test_infinite_cover_settles_the_question(self):
         infra, phi, _ = klein_bottle_setup(f_deg=2, g_deg=2)
         cover_report, report = decide_infra(infra, phi, phi)
-        assert cover_report.R.status == INFINITE
-        assert report.R.status == INFINITE
+        assert cover_report.R.infinite_level is not None
+        assert report.R.infinite_level is not None
         assert report.N == 0 and report.deformable == YES
         assert report.rationale == INFTY_THM
 
@@ -233,12 +240,12 @@ def heisenberg_scalar_infra(rng, k, holonomy):
     generated group is a union of cosets of that normal subgroup and the
     quotient mod k^2 counts the orbits exactly."""
     h = heisenberg()
-    U = IntMatrix.identity(2)
+    U = identity_matrix(2)
     for _ in range(3):
         s = rng.randint(-2, 2)
         U = U @ (IntMatrix([[1, s], [0, 1]]) if rng.random() < 0.5 else IntMatrix([[1, 0], [s, 1]]))
     phi = heisenberg_self_map(h, IntMatrix([[k * x for x in row] for row in U.data]))
-    psi = heisenberg_self_map(h, IntMatrix.zeros(2, 2))
+    psi = heisenberg_self_map(h, zero_matrix(2, 2))
     flip = CosetAction(
         matrices=(IntMatrix([[-1, 0], [0, 1]]), IntMatrix([[-1]])),
         translation=h.element(((0, 1), (0,))),
@@ -266,7 +273,7 @@ class TestClassTwoInfra:
             problem = ProblemFile(
                 kind="INFRA", name=None, target=phi.target, phi=phi, psi=psi, infra=infra
             )
-            assert report.R.status == FINITE and report.exact
+            assert report.R.infinite_level is None and report.exact
             assert report.R.count == report.N == oracle_orbit_count(problem, k * k)
             assert report.deformable == NO and report.rationale == EQ_THM
 

@@ -11,9 +11,11 @@ from conftest import (
     heisenberg,
     heisenberg_squared,
     identity_hom,
+    identity_matrix,
     random_element,
     random_matrix,
     torus,
+    zero_matrix,
 )
 from nilco.errors import (
     BoundExceededError,
@@ -74,7 +76,7 @@ def torus_to_heisenberg_map(rng):
     v = [rng.randint(-3, 3) for _ in range(2)]
     w = [rng.randint(-3, 3) for _ in range(3)]
     M1 = IntMatrix([[x * y for y in w] for x in v])
-    return LatticeHomomorphism(torus(3), heisenberg(), (M1, IntMatrix.zeros(1, 0)))
+    return LatticeHomomorphism(torus(3), heisenberg(), (M1, zero_matrix(1, 0)))
 
 
 def ordered_word_image(hom, u):
@@ -151,8 +153,8 @@ class TestHeisenbergArithmetic:
             )
             assert (
                 as_unitriangular(h.inverse(u)) @ as_unitriangular(u)
-            ) == IntMatrix.identity(3)
-            power_model = IntMatrix.identity(3)
+            ) == identity_matrix(3)
+            power_model = identity_matrix(3)
             step = as_unitriangular(u if n >= 0 else h.inverse(u))
             for _ in range(abs(n)):
                 power_model = power_model @ step
@@ -243,7 +245,7 @@ class TestHomValidation:
         # the images of its generators must commute in a class-2 target
         with pytest.raises(HomomorphismError) as info:
             LatticeHomomorphism(
-                torus(2), heisenberg(), (IntMatrix.identity(2), IntMatrix.zeros(1, 0))
+                torus(2), heisenberg(), (identity_matrix(2), zero_matrix(1, 0))
             )
         assert info.value.violations == ((0, 1, (0,), (1,)),)
 
@@ -252,7 +254,7 @@ class TestHomValidation:
         with pytest.raises(ShapeError):
             LatticeHomomorphism(h, h, (IntMatrix([[1]]), IntMatrix([[1]])))
         with pytest.raises(ShapeError):
-            LatticeHomomorphism(h, h, (IntMatrix.identity(2),))
+            LatticeHomomorphism(h, h, (identity_matrix(2),))
 
 
 class TestApplyHom:
@@ -285,7 +287,7 @@ class TestApplyHom:
         src, tgt = NilpotentLattice(ranks=source_ranks), NilpotentLattice(ranks=target_ranks)
         depth = max(len(source_ranks), len(target_ranks))
         hom = LatticeHomomorphism(src, tgt, tuple(
-            IntMatrix.zeros(tgt.rank_at(i), src.rank_at(i)) for i in range(depth)
+            zero_matrix(tgt.rank_at(i), src.rank_at(i)) for i in range(depth)
         ))
         with pytest.raises(UnsupportedClassError):
             apply_hom(hom, src.identity())

@@ -16,7 +16,6 @@ from nilco.lattice import LatticeElement, LatticeHomomorphism, NilpotentLattice
 from nilco.problems import ProblemFile, parse_problem
 from nilco.reidemeister import (
     EQ_THM,
-    FINITE,
     NO,
     CoincidenceReport,
     ReidemeisterResult,
@@ -53,13 +52,13 @@ def record_fields():
     H = heisenberg()
     snf = smith_normal_form(IntMatrix([[2, 0], [0, 3]]))
     u = H.element(((1, 2), (3,)))
-    result = ReidemeisterResult(status=FINITE, count=6, level_counts=(6,))
+    result = ReidemeisterResult(count=6, level_counts=(6,))
     return [
         (LatticeElement, dict(coordinates=((1, 2), (3,)))),
         (NilpotentLattice, dict(ranks=(2, 1), brackets=(IntMatrix([[0, 1], [0, 0]]),))),
         (LatticeHomomorphism, heisenberg_map_fields(4)),
-        (ReidemeisterResult, dict(status=FINITE, count=6, level_counts=(6,), infinite_level=None,
-                                  reps=None, fiber_counts=None)),
+        (ReidemeisterResult, dict(count=6, level_counts=(6,), infinite_level=None, reps=None,
+                                  fiber_counts=None)),
         (CoincidenceReport, dict(R=result, N=6, deformable=NO, rationale=EQ_THM,
                                  count_bounds=None)),
         (TwistedAction, dict(target=H, movers=((u, H.identity()),))),

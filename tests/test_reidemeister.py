@@ -6,7 +6,7 @@ import io
 import json
 import time
 import tracemalloc
-from math import gcd
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -20,17 +20,25 @@ from conftest import (
     heisenberg_period_pairs,
     heisenberg_squared,
     heisenberg_self_map,
+    identity_matrix,
     pillai,
     random_element,
     random_matrix,
     torus,
     torus_hom,
+    zero_matrix,
 )
 import nilco
 import nilco.intmat as intmat
 from nilco.cli import main
 from nilco.errors import BoundExceededError, ShapeError, UnsupportedClassError
-from nilco.intmat import IntMatrix, column_hermite, determinant
+from nilco.intmat import (
+    IntMatrix,
+    cokernel,
+    column_hermite,
+    coset_representatives,
+    determinant,
+)
 from nilco.lattice import LatticeElement, LatticeHomomorphism, NilpotentLattice, apply_hom
 from nilco.oracle import twisted_orbits_finite
 from nilco.problems import (
@@ -41,8 +49,6 @@ from nilco.problems import (
 )
 from nilco.reidemeister import (
     EQ_THM,
-    FINITE,
-    INFINITE,
     INFTY_THM,
     NO,
     REMARK_GAP,
@@ -75,7 +81,7 @@ class TestTorusInvariants:
         t = torus(1)
         report = coincidence_invariants(torus_hom(t, IntMatrix([[2]])),
                                         torus_hom(t, IntMatrix([[0]])))
-        assert report.R.status == FINITE and report.R.count == 2
+        assert report.R.infinite_level is None and report.R.count == 2
         assert report.N == 2 and report.deformable == NO
         assert report.rationale == EQ_THM
         assert {e.coordinates for e in report.R.reps} == {((0,),), ((1,),)}
@@ -84,7 +90,7 @@ class TestTorusInvariants:
         t = torus(2)
         f = torus_hom(t, IntMatrix([[1, 2], [3, 4]]))
         report = coincidence_invariants(f, f)
-        assert report.R.status == INFINITE and report.R.count is None
+        assert report.R.infinite_level is not None and report.R.count is None
         assert report.N == 0 and report.deformable == YES
         assert report.R.infinite_level == 1
         assert (report.deformable, report.rationale) == (YES, EQ_THM)
@@ -112,8 +118,8 @@ class TestHeisenbergInvariants:
     def test_shear_versus_identity_is_infinite(self):
         h = heisenberg()
         phi = heisenberg_self_map(h, IntMatrix([[1, 1], [0, 1]]))
-        report = coincidence_invariants(phi, heisenberg_self_map(h, IntMatrix.identity(2)))
-        assert report.R.status == INFINITE
+        report = coincidence_invariants(phi, heisenberg_self_map(h, identity_matrix(2)))
+        assert report.R.infinite_level is not None
         assert report.N == 0 and report.deformable == YES
 
     def test_oracle_agreement_on_finite_quotient(self):
@@ -130,7 +136,7 @@ class TestHeisenbergInvariants:
 class TestGeneratorPairSystems:
     def test_empty_system_is_infinite(self):
         report = coincidence_invariants_from_pairs(TwistedAction.from_pairs(torus(1), ()))
-        assert report.R.status == INFINITE
+        assert report.R.infinite_level is not None
         assert report.deformable == YES and report.rationale == INFTY_THM
 
     def test_single_translation_pair(self):
@@ -349,6 +355,34 @@ class TestPeriodClasses:
                 non_uniform += len(R.fiber_counts) > 1
         assert non_uniform >= 5
 
+    def test_fiber_exponent_is_the_lcm_over_the_period_classes(self, rng):
+        # E against its definition, on fiber matrices built afresh for the
+        # period classes: on a new engine, as the oracle's default modulus
+        # calls it, and on one whose listing cached forms of other keys
+        non_uniform = 0
+        for lattice in (heisenberg, heisenberg_squared, free_class2):
+            lat = lattice()
+            r1 = lat.ranks[0]
+            engines = [random_pairs_engine(rng, lat, k) for k in (r1, r1 + 1, r1 + 2) * 2]
+            engines += [mixed_pairs_engine(rng, lat) for _ in range(15)]
+            for engine in engines:
+                R = engine.result(reps_limit=256)
+                if R.count is None:
+                    continue
+                period = column_hermite(engine._period_matrix())
+                E = lcm(*(
+                    max((1, *cokernel(engine._fiber_matrix(q)).torsion))
+                    for q in coset_representatives(period)
+                ))
+                assert TwistedOrbitEngine(engine.action).fiber_exponent() == E
+                assert engine.fiber_exponent() == E
+                non_uniform += len(R.fiber_counts) > 1
+        assert non_uniform >= 5
+
+    def test_fiber_exponent_without_a_centre_is_one(self, rng):
+        for k in (2, 3, 4):
+            assert random_pairs_engine(rng, torus(2), k).fiber_exponent() == 1
+
     def test_period_family_at_a_hundred_million_classes(self):
         # K = 10^4, s = 12: g = 4, R = (10^8 / 4) * pillai(4) = 2 * 10^8
         action = parse_problem_dict(heisenberg_period_pairs(10**4, 12)).action
@@ -406,7 +440,7 @@ class TestKernelFill:
         phi, psi = free3_to_heisenberg(F1), free3_to_heisenberg(G1)
         report = coincidence_invariants(phi, psi)
         assert report.R.level_counts[1] is None
-        assert report.R.status == FINITE and report.R.count == R
+        assert report.R.infinite_level is None and report.R.count == R
         assert (report.N, report.deformable) == (R, NO)
         problem = ProblemFile(kind="NILMANIFOLD", name=None, target=phi.target, phi=phi, psi=psi)
         assert oracle_orbit_count(problem, modulus) == R
@@ -483,7 +517,7 @@ def random_hom_pair(rng, kind):
         def make():
             u = [rng.randint(-4, 4) for _ in range(2)]
             w = [rng.randint(-4, 4) for _ in range(2)]
-            return IntMatrix([[x * y for y in w] for x in u]), IntMatrix.zeros(1, 0)
+            return IntMatrix([[x * y for y in w] for x in u]), zero_matrix(1, 0)
 
         return build(torus(2), heisenberg(), make)
     if kind == "heisenberg_to_torus":
@@ -545,8 +579,8 @@ class TestLevelOneElimination:
 class TestMiscellaneous:
     def test_mismatched_sources_rejected(self):
         t2, t3 = torus(2), torus(3)
-        f = torus_hom(t2, IntMatrix.identity(2))
-        g = torus_hom(t3, IntMatrix.identity(3))
+        f = torus_hom(t2, identity_matrix(2))
+        g = torus_hom(t3, identity_matrix(3))
         with pytest.raises(ShapeError):
             coincidence_invariants(f, g)
 
@@ -567,7 +601,6 @@ class TestMiscellaneous:
 
 def _result(count):
     return ReidemeisterResult(
-        status=INFINITE if count is None else FINITE,
         count=count,
         level_counts=(count,),
         infinite_level=1 if count is None else None,
@@ -591,7 +624,7 @@ class TestVerdict:
         if bounds is not None:
             # an inexact report keeps only the level counts of its count
             assert report.R.count is None and report.R.infinite_level is None
-            assert report.R.status == (FINITE if bounds[1] is not None else UNKNOWN)
+            assert (report.count_bounds[1] is None) == (report.deformable == UNKNOWN)
 
     def test_verdict_is_the_only_report_builder(self):
         sources = (Path(nilco.__file__).parent).glob("*.py")
@@ -655,7 +688,7 @@ class TestClassThreeProducts:
     def test_infinite_first_level_is_exact(self):
         F = ([[1, 0, 0], [0, 1, 0]], [[2]], [[3]])
         report = coincidence_invariants(*class3_pair((3, 1, 1), F, F))
-        assert report.exact and report.R.status == INFINITE and report.R.infinite_level == 1
+        assert report.exact and report.R.infinite_level == 1
         assert (report.N, report.deformable) == (0, YES)
 
     def test_infinite_top_level_over_injective_levels_is_exact(self):

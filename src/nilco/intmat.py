@@ -99,20 +99,6 @@ class IntMatrix:
             shape=(self.rows, self.cols),
         )
 
-    def __matmul__(self, other):
-        if self.cols != other.rows:
-            raise ShapeError(
-                f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
-            )
-        cols = other.cols
-        out = []
-        for i in range(self.rows):
-            ri = self.data[i]
-            out.append(
-                [sum(ri[k] * other.data[k][j] for k in range(self.cols)) for j in range(cols)]
-            )
-        return IntMatrix._trusted(out, shape=(self.rows, cols))
-
     def transpose(self):
         return IntMatrix._trusted(
             [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)],

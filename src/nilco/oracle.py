@@ -48,10 +48,11 @@ class FiniteGroupTable:
 
     Element i is the coordinate vector (level 1, then level 2) mod m read as
     a base-m numeral, first coordinate most significant: the order of
-    itertools.product(range(m), repeat=total rank).  The product is the
-    lattice rule (a, c) * (a', c') = (a + a', c + c' + B(a, a')), where
+    itertools.product(range(m), repeat=total rank).  The group law is the
+    lattice's, (a, c) * (a', c') = (a + a', c + c' + B(a, a')), where
     brackets holds one r1 x r1 integer matrix (row lists) per level-2
-    coordinate.  Nothing is enumerated until an orbit count asks for it.
+    coordinate; the table applies it only through `twisted_images`, in
+    closed form.  Nothing is enumerated until an orbit count asks for it.
     """
 
     identity = 0
@@ -72,13 +73,11 @@ class FiniteGroupTable:
         coords = getattr(e, "coordinates", e)
         if tuple(len(level) for level in coords) != self.ranks:
             raise ShapeError(f"{coords!r} does not match ranks {self.ranks!r}")
-        return self._join(*coords)
-
-    def _join(self, a, c=()):
         m = self.modulus
         i = 0
-        for x in (*a, *c):
-            i = i * m + x % m
+        for level in coords:
+            for x in level:
+                i = i * m + x % m
         return i
 
     def _split(self, i):
@@ -98,16 +97,6 @@ class FiniteGroupTable:
             sum(a[i] * row[j] * b[j] for i, row in enumerate(B) for j in range(len(b)))
             for B in self.brackets
         )
-
-    def product(self, x, y):
-        (a, c), (b, d) = self._split(x), self._split(y)
-        top = tuple(p + q for p, q in zip(a, b))
-        return self._join(top, tuple(p + q + s for p, q, s in zip(c, d, self._cocycle(a, b))))
-
-    def inverse(self, x):
-        a, c = self._split(x)
-        top = tuple(-p for p in a)
-        return self._join(top, tuple(s - p for p, s in zip(c, self._cocycle(a, a))))
 
     def twisted_images(self, a, b):
         """Images of every element under u -> b * u * a^{-1}, in closed form.

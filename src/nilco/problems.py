@@ -110,7 +110,7 @@ def parse_lattice(obj, where):
     cls = _as_int(obj.get("class", len(ranks)), f"{where}.class")
     if cls != len(ranks):
         raise SchemaError(f"{where}: class {cls} does not match {len(ranks)} ranks")
-    raw = obj.get("brackets") or []  # null or [] on a class-1 lattice: no brackets
+    raw = [] if obj.get("brackets") is None else obj["brackets"]  # null: no brackets
     if not isinstance(raw, list):
         raise SchemaError(f"{where}.brackets: expected a list")
     brackets = tuple(_int_matrix(B, f"{where}.brackets[{i}]") for i, B in enumerate(raw))

@@ -30,7 +30,6 @@ from math import lcm, prod
 
 from .errors import (
     InfiniteResultError,
-    NilcoError,
     ShapeError,
     UnsupportedClassError,
     max_order_cap,
@@ -360,35 +359,31 @@ class TwistedOrbitEngine:
     # -- labels --------------------------------------------------------
 
     def label(self, u):
-        """Canonical class representative of u with an exact witness word.
+        """Canonical class representative of u with an exact witness word w,
+        move(u, w) being that representative.  The representative is the one
+        the canonical forms give: (a_rep,) at level 1, (a_rep, c_rep) over
+        it, c_rep reduced by the Hermite form of a_rep's own fiber matrix.
 
         Raises InfiniteResultError when the class set is infinite.
         """
-        t = self.target
-        u = t.element(u.coordinates)
+        u = self.target.element(u.coordinates)
         if self.order1 is None:
             raise InfiniteResultError("infinitely many classes at level 1")
-        a = u.level(0)
-        a_rep, z = reduce_to_canonical_rep(a, self.hermite1)
+        a_rep, z = reduce_to_canonical_rep(u.level(0), self.hermite1)
         word1 = tuple((j, -z[j]) for j in range(self.k) if z[j] != 0)
-        u1 = self.move(u, word1) if word1 else u
-        if u1.level(0) != a_rep:
-            raise NilcoError("level-1 normalization failed")
         if self.r2 == 0:
-            return u1, word1
+            return LatticeElement((a_rep,)), word1
 
         # the form of a_rep's own matrix, so that M(a_rep) z2 == c - c_rep
         ch = column_hermite(self._fiber_matrix(a_rep))
         if ch.order is None:
             raise InfiniteResultError("infinitely many central classes over this level-1 class")
-        c_rep, z2 = reduce_to_canonical_rep(u1.level(1), ch)
+        c = self.move(u, word1).level(1) if word1 else u.level(1)
+        c_rep, z2 = reduce_to_canonical_rep(c, ch)
         word2 = ()
         for g, coeff in enumerate(z2):
             word2 = word2 + _word_power(self._fiber_words[g], -coeff)
-        u2 = self.move(u1, word2) if word2 else u1
-        if u2.level(0) != a_rep or u2.level(1) != tuple(c_rep):
-            raise NilcoError("central normalization failed")
-        return u2, word2 + word1
+        return LatticeElement((a_rep, c_rep)), word2 + word1
 
 
 def coincidence_invariants(phi, psi, reps_limit=1024):

@@ -2,7 +2,6 @@
 
 import random
 from collections import Counter
-from itertools import product as iproduct
 from math import gcd, prod
 
 import pytest
@@ -10,6 +9,7 @@ import sympy
 from sympy.matrices.normalforms import invariant_factors
 
 from nilco.errors import ShapeError
+from nilco.infra import CosetAction, InfraStructure
 from nilco.intmat import IntMatrix, coset_representatives
 from nilco.lattice import LatticeElement, LatticeHomomorphism, NilpotentLattice
 
@@ -20,6 +20,17 @@ def identity_matrix(n):
 
 def zero_matrix(rows, cols):
     return IntMatrix([[0] * cols for _ in range(rows)], shape=(rows, cols))
+
+
+def matmul(A, B):
+    """The product A B, for checks such as A V == H."""
+    if A.cols != B.rows:
+        raise ShapeError(f"cannot multiply {A.rows}x{A.cols} by {B.rows}x{B.cols}")
+    cols = [B.column(j) for j in range(B.cols)]
+    return IntMatrix(
+        [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in A.data],
+        shape=(A.rows, B.cols),
+    )
 
 
 def generators(lattice):
@@ -133,20 +144,24 @@ def sympy_cokernel_order(A):
     return prod(factors) if len(factors) == A.rows else None
 
 
-def check_group_axioms(G, full_triples=2_000_000, sample=2000, rng=None):
-    """Identity and inverse on every element of a finite table; associativity
-    exhaustive while the triple count stays below full_triples, sampled above."""
-    elements = range(G.order)
-    for e in elements:
-        assert G.product(e, G.identity) == e == G.product(G.identity, e)
-        assert G.product(e, G.inverse(e)) == G.identity == G.product(G.inverse(e), e)
-    if G.order**3 <= full_triples:
-        triples = iproduct(elements, repeat=3)
-    else:
-        rng = rng or random.Random(0)
-        triples = (tuple(rng.choice(elements) for _ in range(3)) for _ in range(sample))
-    for a, b, c in triples:
-        assert G.product(G.product(a, b), c) == G.product(a, G.product(b, c)), (a, b, c)
+def lattice_law_images(lattice, table, a, b):
+    """Index of b * u * a^{-1} for every index u of `table`, the quotient of
+    `lattice` mod m, by the lattice law: each index is lifted to its base-m
+    digits (first coordinate most significant), the product is formed with
+    NilpotentLattice.multiply and .inverse, and `project` reduces it.  No
+    closed form of the table is used."""
+    m, n = table.modulus, sum(lattice.ranks)
+
+    def lift(i):
+        digits = [i // m ** (n - 1 - k) % m for k in range(n)]
+        starts = [sum(lattice.ranks[:level]) for level in range(lattice.class_c + 1)]
+        return lattice.element([digits[s:t] for s, t in zip(starts, starts[1:])])
+
+    b, a_inv = lift(b), lattice.inverse(lift(a))
+    return [
+        table.project(lattice.multiply(lattice.multiply(b, lift(u)), a_inv))
+        for u in range(table.order)
+    ]
 
 
 def determinant_cofactor(A):
@@ -209,6 +224,118 @@ def random_element(rng, lat, lo=-4, hi=4):
     return lat.element(
         tuple(tuple(rng.randint(lo, hi) for _ in range(r)) for r in lat.ranks)
     )
+
+
+def random_klein_like_infra(rng):
+    """Random circle-valued pair on a Klein-bottle-like domain: an order-2
+    holonomy action conjugated by a random unimodular basis change, with
+    holonomy map images forced by compatibility (2 * image = matrix @ t)."""
+    U = identity_matrix(2)
+    for _ in range(3):
+        k = rng.randint(-2, 2)
+        E = IntMatrix([[1, k], [0, 1]]) if rng.random() < 0.5 else IntMatrix([[1, 0], [k, 1]])
+        U = matmul(U, E)
+    a, b = U.data[0]
+    c, d = U.data[1]
+    det = a * d - b * c
+    Ui = IntMatrix([[d * det, -b * det], [-c * det, a * det]])
+    A = matmul(matmul(Ui, IntMatrix([[-1, 0], [0, 1]])), U)
+    t = Ui.apply((0, 1))
+    cover = torus(2)
+    circle = torus(1)
+    F = matmul(IntMatrix([[0, 2 * rng.randint(-3, 3)]]), U)
+    G = matmul(IntMatrix([[0, 2 * rng.randint(-3, 3)]]), U)
+    phi = LatticeHomomorphism(cover, circle, (F,))
+    psi = LatticeHomomorphism(cover, circle, (G,))
+    f_img = F.apply(t)[0] // 2
+    g_img = G.apply(t)[0] // 2
+    assert 2 * f_img == F.apply(t)[0] and 2 * g_img == G.apply(t)[0]
+    infra = InfraStructure(
+        cover=cover,
+        holonomy_order=2,
+        coset_actions=(CosetAction(matrices=(A,), translation=cover.element((t,))),),
+        map_images=((circle.element(((f_img,),)), circle.element(((g_img,),))),),
+    )
+    return infra, phi, psi
+
+
+def heisenberg_scalar_infra(rng, k, holonomy):
+    """Heisenberg k*U vs 0 on a Heisenberg cover, with arbitrary holonomy
+    pairs (f(x), g(x)) drawn from rng.  The image of k*U contains every
+    element whose coordinates are all divisible by k^2, so every orbit of the
+    generated group is a union of cosets of that normal subgroup and the
+    quotient mod k^2 counts the orbits exactly."""
+    h = heisenberg()
+    U = identity_matrix(2)
+    for _ in range(3):
+        s = rng.randint(-2, 2)
+        E = IntMatrix([[1, s], [0, 1]]) if rng.random() < 0.5 else IntMatrix([[1, 0], [s, 1]])
+        U = matmul(U, E)
+    phi = heisenberg_self_map(h, IntMatrix([[k * x for x in row] for row in U.data]))
+    psi = heisenberg_self_map(h, zero_matrix(2, 2))
+    flip = CosetAction(
+        matrices=(IntMatrix([[-1, 0], [0, 1]]), IntMatrix([[-1]])),
+        translation=h.element(((0, 1), (0,))),
+    )
+    infra = InfraStructure(
+        cover=h,
+        holonomy_order=holonomy,
+        coset_actions=(flip,) * (holonomy - 1),
+        map_images=tuple(
+            (random_element(rng, h, lo=-5, hi=5), random_element(rng, h, lo=-5, hi=5))
+            for _ in range(holonomy - 1)
+        ),
+    )
+    return infra, phi, psi
+
+
+def _lattice_dict(lattice):
+    out = {"class": lattice.class_c, "ranks": list(lattice.ranks)}
+    if lattice.class_c == 2:
+        out["brackets"] = [[list(r) for r in B.data] for B in lattice.brackets]
+    return out
+
+
+def _element_list(e):
+    return [list(level) for level in e.coordinates]
+
+
+def _matrices(hom):
+    return [[list(r) for r in M.data] for M in hom.matrices]
+
+
+def serialize_problem(problem):
+    """Canonical dict form of a parsed problem (round-trip stable)."""
+    out = {"kind": problem.kind, "target": _lattice_dict(problem.target)}
+    if problem.name is not None:
+        out["name"] = problem.name
+    if problem.kind == "PAIRS":
+        out["pairs"] = [
+            [_element_list(p), _element_list(q)] for p, q in problem.action.movers
+        ]
+    else:
+        out["F"], out["G"] = _matrices(problem.phi), _matrices(problem.psi)
+    if problem.kind in ("TORUS", "NILMANIFOLD") and problem.phi.source != problem.target:
+        out["source"] = _lattice_dict(problem.phi.source)
+    if problem.kind == "INFRA":
+        out["infra"] = {
+            "cover": _lattice_dict(problem.infra.cover),
+            "holonomy_order": problem.infra.holonomy_order,
+            "coset_actions": [
+                {
+                    "matrices": [[list(r) for r in M.data] for M in act.matrices],
+                    "translation": _element_list(act.translation),
+                }
+                for act in problem.infra.coset_actions
+            ],
+            "map_images": [
+                [_element_list(fi), _element_list(gi)]
+                for fi, gi in problem.infra.map_images
+            ],
+        }
+    if problem.expected is not None:
+        out["expected"] = dict(problem.expected)
+    return out
 
 
 @pytest.fixture

@@ -17,8 +17,8 @@ from math import ceil, prod
 from conftest import (
     heisenberg,
     heisenberg_self_map,
-    identity_matrix,
     random_element,
+    random_klein_like_infra,
     random_matrix,
     torus,
     torus_hom,
@@ -26,7 +26,7 @@ from conftest import (
 from nilco.cli import EXIT_OK, main
 from nilco.infra import CosetAction, InfraStructure, decide_infra
 from nilco.intmat import IntMatrix, cokernel, determinant
-from nilco.lattice import LatticeHomomorphism, NilpotentLattice
+from nilco.lattice import LatticeHomomorphism
 from nilco.oracle import cokernel_oracle, twisted_orbits_finite
 from nilco.reidemeister import (
     NO,
@@ -149,39 +149,6 @@ def test_criterion_4_heisenberg_labels_and_oracle():
     report_line(4, "heisenberg-sixteen-labels", started, 30.0)
 
 
-def _random_klein_like_problem(rng):
-    """Random circle-valued pair on a Klein-bottle-like domain: an order-2
-    holonomy action conjugated by a random unimodular basis change, with
-    holonomy map images forced by compatibility (2 * image = matrix @ t)."""
-    U = identity_matrix(2)
-    for _ in range(3):
-        k = rng.randint(-2, 2)
-        E = IntMatrix([[1, k], [0, 1]]) if rng.random() < 0.5 else IntMatrix([[1, 0], [k, 1]])
-        U = U @ E
-    a, b = U.data[0]
-    c, d = U.data[1]
-    det = a * d - b * c
-    Ui = IntMatrix([[d * det, -b * det], [-c * det, a * det]])
-    A = Ui @ IntMatrix([[-1, 0], [0, 1]]) @ U
-    t = Ui.apply((0, 1))
-    cover = torus(2)
-    circle = torus(1)
-    F = IntMatrix([[0, 2 * rng.randint(-3, 3)]]) @ U
-    G = IntMatrix([[0, 2 * rng.randint(-3, 3)]]) @ U
-    phi = LatticeHomomorphism(cover, circle, (F,))
-    psi = LatticeHomomorphism(cover, circle, (G,))
-    f_img = F.apply(t)[0] // 2
-    g_img = G.apply(t)[0] // 2
-    assert 2 * f_img == F.apply(t)[0] and 2 * g_img == G.apply(t)[0]
-    infra = InfraStructure(
-        cover=cover,
-        holonomy_order=2,
-        coset_actions=(CosetAction(matrices=(A,), translation=cover.element((t,))),),
-        map_images=((circle.element(((f_img,),)), circle.element(((g_img,),))),),
-    )
-    return infra, phi, psi
-
-
 def test_criterion_5_infra_merge_and_infinity_equivalence():
     """Klein-bottle fixture merges four cover classes to two, and across 100
     random holonomy problems the merged result is infinite exactly when the
@@ -209,7 +176,7 @@ def test_criterion_5_infra_merge_and_infinity_equivalence():
     rng = random.Random(555)
     finite_cases = 0
     for _ in range(100):
-        infra, phi, psi = _random_klein_like_problem(rng)
+        infra, phi, psi = random_klein_like_infra(rng)
         cover_report, report = decide_infra(infra, phi, psi)
         assert (cover_report.R.infinite_level is None) == (report.R.infinite_level is None)
         if report.R.infinite_level is None:

@@ -13,7 +13,7 @@ import pytest
 import nilco
 import nilco.lattice
 
-from conftest import heisenberg_period_pairs, sympy_cokernel_order
+from conftest import heisenberg_period_pairs, serialize_problem, sympy_cokernel_order
 from nilco.cli import (
     EXIT_BOUND,
     EXIT_ERROR,
@@ -341,6 +341,30 @@ class TestExitCodes:
         code, _ = run(["compute", write_problem(tmp_path, doc)])
         assert code == EXIT_SCHEMA
 
+    @pytest.mark.parametrize("command", ["compute", "validate", "oracle"])
+    @pytest.mark.parametrize("value", [False, 0, "", {}, 1, "[]"],
+                             ids=["false", "zero", "empty-string", "empty-object", "one", "string"])
+    def test_brackets_that_are_not_a_list_are_schema_errors(self, tmp_path, command, value):
+        doc = {
+            "kind": "TORUS",
+            "target": {"ranks": [1], "brackets": value},
+            "F": [[[0]]],
+            "G": [[[2]]],
+        }
+        code, _ = run([command, write_problem(tmp_path, doc)])
+        assert code == EXIT_SCHEMA
+
+    @pytest.mark.parametrize("value", [None, []])
+    def test_null_or_empty_brackets_mean_none(self, tmp_path, value):
+        doc = {
+            "kind": "TORUS",
+            "target": {"ranks": [1], "brackets": value},
+            "F": [[[0]]],
+            "G": [[[2]]],
+        }
+        code, out = run(["--output", "json", "compute", write_problem(tmp_path, doc)])
+        assert code == EXIT_OK and json.loads(out)["R"] == 2
+
     @pytest.mark.parametrize("K", [10**7, 10**10, 10**20])
     def test_level1_classes_beyond_the_cap_exit_before_listing(self, tmp_path, K):
         # the fiber over (a1, a2) has order gcd(K, a2), so K period classes;
@@ -575,55 +599,6 @@ class TestGoldenReports:
         code, text = run(["compute", str(bundled_fixture_dir() / f"{name}.json")])
         assert code == EXIT_OK
         assert text.encode("utf-8") == (GOLDEN_DIR / "human" / f"{name}.txt").read_bytes()
-
-
-def _lattice_dict(lattice):
-    out = {"class": lattice.class_c, "ranks": list(lattice.ranks)}
-    if lattice.class_c == 2:
-        out["brackets"] = [[list(r) for r in B.data] for B in lattice.brackets]
-    return out
-
-
-def _element_list(e):
-    return [list(level) for level in e.coordinates]
-
-
-def _matrices(hom):
-    return [[list(r) for r in M.data] for M in hom.matrices]
-
-
-def serialize_problem(problem):
-    """Canonical dict form of a parsed problem (round-trip stable)."""
-    out = {"kind": problem.kind, "target": _lattice_dict(problem.target)}
-    if problem.name is not None:
-        out["name"] = problem.name
-    if problem.kind == "PAIRS":
-        out["pairs"] = [
-            [_element_list(p), _element_list(q)] for p, q in problem.action.movers
-        ]
-    else:
-        out["F"], out["G"] = _matrices(problem.phi), _matrices(problem.psi)
-    if problem.kind in ("TORUS", "NILMANIFOLD") and problem.phi.source != problem.target:
-        out["source"] = _lattice_dict(problem.phi.source)
-    if problem.kind == "INFRA":
-        out["infra"] = {
-            "cover": _lattice_dict(problem.infra.cover),
-            "holonomy_order": problem.infra.holonomy_order,
-            "coset_actions": [
-                {
-                    "matrices": [[list(r) for r in M.data] for M in act.matrices],
-                    "translation": _element_list(act.translation),
-                }
-                for act in problem.infra.coset_actions
-            ],
-            "map_images": [
-                [_element_list(fi), _element_list(gi)]
-                for fi, gi in problem.infra.map_images
-            ],
-        }
-    if problem.expected is not None:
-        out["expected"] = dict(problem.expected)
-    return out
 
 
 class TestRoundTrip:

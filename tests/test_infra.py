@@ -8,14 +8,7 @@ from math import ceil
 
 import pytest
 
-from conftest import (
-    heisenberg,
-    heisenberg_self_map,
-    identity_matrix,
-    random_element,
-    torus,
-    zero_matrix,
-)
+from conftest import heisenberg_scalar_infra, torus
 from nilco.cli import main
 from nilco.errors import ShapeError
 from nilco.infra import CosetAction, InfraStructure, decide_infra, infra_action
@@ -231,35 +224,6 @@ class TestDecision:
         out = io.StringIO()
         assert main(["--output", "json", "compute", str(path)], out=out) == 0
         assert json.loads(out.getvalue())["count_bounds"] == [(r_cover + 1) // 2, r_cover]
-
-
-def heisenberg_scalar_infra(rng, k, holonomy):
-    """Heisenberg k*U vs 0 on a Heisenberg cover, with arbitrary holonomy
-    pairs (f(x), g(x)) drawn from rng.  The image of k*U contains every
-    element whose coordinates are all divisible by k^2, so every orbit of the
-    generated group is a union of cosets of that normal subgroup and the
-    quotient mod k^2 counts the orbits exactly."""
-    h = heisenberg()
-    U = identity_matrix(2)
-    for _ in range(3):
-        s = rng.randint(-2, 2)
-        U = U @ (IntMatrix([[1, s], [0, 1]]) if rng.random() < 0.5 else IntMatrix([[1, 0], [s, 1]]))
-    phi = heisenberg_self_map(h, IntMatrix([[k * x for x in row] for row in U.data]))
-    psi = heisenberg_self_map(h, zero_matrix(2, 2))
-    flip = CosetAction(
-        matrices=(IntMatrix([[-1, 0], [0, 1]]), IntMatrix([[-1]])),
-        translation=h.element(((0, 1), (0,))),
-    )
-    infra = InfraStructure(
-        cover=h,
-        holonomy_order=holonomy,
-        coset_actions=(flip,) * (holonomy - 1),
-        map_images=tuple(
-            (random_element(rng, h, lo=-5, hi=5), random_element(rng, h, lo=-5, hi=5))
-            for _ in range(holonomy - 1)
-        ),
-    )
-    return infra, phi, psi
 
 
 class TestClassTwoInfra:

@@ -12,6 +12,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from conftest import (
     determinant_cofactor,
+    matmul,
     random_matrix,
     sympy_cokernel_order,
     sympy_invariant_factors,
@@ -63,7 +64,7 @@ class TestMatrixBasics:
     def test_matmul_apply_column(self):
         A = IntMatrix([[1, 2], [3, 4]])
         B = IntMatrix([[0, 1], [1, 0]])
-        assert A @ B == IntMatrix([[2, 1], [4, 3]])
+        assert matmul(A, B) == IntMatrix([[2, 1], [4, 3]])
         assert A.apply((1, 1)) == (3, 7)
         assert A.column(1) == (2, 4)
         assert IntMatrix.from_columns([(1, 3), (2, 4)], 2) == A
@@ -111,7 +112,7 @@ class TestSmithNormalForm:
             if c >= 2 and rng.random() < 0.3:
                 A = IntMatrix([[row[0], *row[:-1]] for row in A.data], shape=(r, c))
             snf = smith_normal_form(A)
-            assert snf.U @ A @ snf.V == snf.D
+            assert matmul(matmul(snf.U, A), snf.V) == snf.D
             assert is_unimodular(snf.U)
             assert is_unimodular(snf.V)
             diag = [snf.D.data[i][i] for i in range(min(r, c))]
@@ -208,7 +209,7 @@ class TestColumnHermite:
         for _ in range(200):
             A = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 4))
             ch = column_hermite(A)
-            assert A @ ch.V == ch.H
+            assert matmul(A, ch.V) == ch.H
             assert is_unimodular(ch.V)
             assert tuple(sorted(ch.pivots)) == ch.pivots
             for i, prow in enumerate(ch.pivots):
@@ -279,7 +280,7 @@ class TestModularHermite:
             if ch.order is None:
                 continue
             H = ch.H
-            assert A @ ch.V == H
+            assert matmul(A, ch.V) == H
             assert is_unimodular(ch.V)
 
     def test_fields_are_computed_when_read(self, monkeypatch):
@@ -304,7 +305,7 @@ class TestModularHermite:
         with pytest.raises(AssertionError, match="exact elimination"):
             ch.V
         monkeypatch.setattr(intmat, "_column_echelon", echelon)
-        assert A @ ch.V == ch.H
+        assert matmul(A, ch.V) == ch.H
 
 
 class TestCanonicalReduction:

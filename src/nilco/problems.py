@@ -20,15 +20,14 @@ import sys
 from collections import namedtuple
 from contextlib import contextmanager
 
-from .errors import NilcoError, ParseError, UnsupportedClassError
+from .errors import NilcoError, ParseError
 from .infra import CosetAction, InfraStructure, decide_infra, infra_action
-from .intmat import IntMatrix, cokernel
+from .intmat import IntMatrix
 from .lattice import LatticeHomomorphism, NilpotentLattice
 from .oracle import twisted_orbits_finite
 from .reidemeister import (
     INFINITE,
     TwistedAction,
-    TwistedOrbitEngine,
     coincidence_invariants,
     coincidence_invariants_from_pairs,
 )
@@ -148,6 +147,8 @@ def _parse_expected(obj, where):
         return None
     if not isinstance(obj, dict):
         raise SchemaError(f"{where}: expected an object")
+    if unknown := sorted(set(obj) - {"R", "N", "deformable"}):  # a typo checks nothing
+        raise SchemaError(f"{where}: unknown key(s) {', '.join(map(repr, unknown))}")
     out = {}
     # null is the R and N of an inexact count, as the report encodes them
     if "R" in obj:
@@ -367,37 +368,10 @@ def check_expected(problem, doc):
 # -- finite-quotient oracle dispatch ----------------------------------
 
 
-def default_modulus(problem, report):
-    """Quotient modulus for the oracle when none is given, one rule for class
-    1 and 2: m = max(2, e1 n), e1 the exponent of coker Delta_1, E the
-    engine's `fiber_exponent` (1 at class 1) and n = E for an odd E, else 2E.
-
-    The count mod m is R: reduction mod m has a normal kernel K_m, and every
-    class is a union of K_m-cosets.  Central part: E Z^{r2} lies in im M(a)
-    for every a, and E | m.  Level 1: for each x a word v has Delta_1 v =
-    e1 x, and w = v^n moves (a, c) to a + m x with central error
-    n (t_v + terms linear in a) + C(n, 2) d_v, which E divides (E | n and
-    E | C(n, 2)); the fiber words over a + m x take it off.  Past class 2
-    there is no quotient to count on, whatever the report holds:
-    UnsupportedClassError.
-    """
-    if problem.target.class_c > 2:
-        raise UnsupportedClassError(
-            f"oracle requires class <= 2, got class {problem.target.class_c}"
-        )
-    if report.R.count is None:
-        raise NilcoError("no finite modulus for an infinite result")
-    engine = TwistedOrbitEngine(validate_problem(problem))
-    e1 = max((1, *cokernel(engine.delta1).torsion))
-    E = engine.fiber_exponent()
-    return max(2, e1 * (E if E % 2 else 2 * E))
-
-
-def oracle_orbit_count(problem, modulus):
-    """Twisted orbit count of the problem's action (`validate_problem`) on
-    the target quotient mod `modulus`, under the enumeration cap of
+def oracle_orbit_count(action, modulus):
+    """Twisted orbit count of a TwistedAction (`validate_problem`'s) on the
+    target quotient mod `modulus`, under the enumeration cap of
     `twisted_orbits_finite`."""
-    action = validate_problem(problem)
-    table = problem.target.reduce_mod(modulus)
+    table = action.target.reduce_mod(modulus)
     movers = [(table.project(p), table.project(q)) for p, q in action.movers]
     return twisted_orbits_finite(table, movers)

@@ -30,6 +30,7 @@ from math import lcm, prod
 
 from .errors import (
     InfiniteResultError,
+    NilcoError,
     ShapeError,
     UnsupportedClassError,
     max_order_cap,
@@ -297,15 +298,26 @@ class TwistedOrbitEngine:
             cols += [tuple(e * x for x in u) for u in units]
         return IntMatrix.from_columns(cols, self.r1)
 
-    def fiber_exponent(self):
-        """The lcm E of the exponents of coker M(q) over the period classes q,
-        1 without a centre.  im M(a) depends only on the coset of a mod L
-        (see _period_matrix), so E Z^{r2} lies in im M(a) for every a, and
-        the fiber forms `result` caches (one per period class, and any other
-        has the image of one of them) give every image.  For a finite count
-        only."""
-        self.result()
-        return lcm(1, *(max((1, *cokernel(f.A).torsion)) for f in self._fibers.values()))
+    def oracle_modulus(self):
+        """Quotient modulus for the brute-force oracle, one rule for class 1
+        and 2: m = max(2, e1 n), e1 the exponent of coker Delta_1, E the lcm
+        of the exponents of coker M(q) over the period classes q (1 without a
+        centre) and n = E for an odd E, else 2E.  It runs `result` once,
+        whose cached fiber forms give every fiber image (see _period_matrix),
+        and raises NilcoError when the count is infinite.
+
+        The count mod m is R: reduction mod m has a normal kernel K_m, and
+        every class is a union of K_m-cosets.  Central part: E Z^{r2} lies in
+        im M(a) for every a, and E | m.  Level 1: for each x a word v has
+        Delta_1 v = e1 x, and w = v^n moves (a, c) to a + m x with central
+        error n (t_v + terms linear in a) + C(n, 2) d_v, which E divides
+        (E | n and E | C(n, 2)); the fiber words over a + m x take it off.
+        """
+        if self.result().count is None:
+            raise NilcoError("no finite modulus for an infinite result")
+        e1 = max((1, *cokernel(self.delta1).torsion))
+        E = lcm(1, *(max((1, *cokernel(f.A).torsion)) for f in self._fibers.values()))
+        return max(2, e1 * (E if E % 2 else 2 * E))
 
     # -- counting ------------------------------------------------------
 

@@ -11,7 +11,9 @@ from pathlib import Path
 import pytest
 
 import nilco
+import nilco.cli
 import nilco.lattice
+import nilco.problems
 
 from conftest import heisenberg_period_pairs, serialize_problem, sympy_cokernel_order
 from nilco.cli import (
@@ -33,6 +35,7 @@ from nilco.problems import (
     parse_problem,
     parse_problem_dict,
 )
+from nilco.reidemeister import TwistedOrbitEngine
 
 # canonical `--output json compute` bytes of each bundled fixture
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -327,10 +330,11 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == f"error: --modulus must be an integer >= 2, got {modulus}\n"
 
-    def test_other_errors_exit_one(self):
+    def test_other_errors_exit_one(self, capsys):
         path = str(bundled_fixture_dir() / "identical_torus_maps.json")
         code, _ = run(["oracle", path])  # infinite count: no default modulus
         assert code == EXIT_ERROR
+        assert capsys.readouterr().err == "error: no finite modulus for an infinite result\n"
 
     @pytest.mark.parametrize("field", ["coset_actions", "map_images"])
     @pytest.mark.parametrize("value", [None, 5, {"0": []}])
@@ -453,6 +457,34 @@ class TestOracle:
         assert run(["oracle", path, "--modulus", "2"])[0] == EXIT_UNSUPPORTED
         assert "class 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("modulus", [[], ["--modulus", "2"]], ids=["default", "explicit"])
+    def test_one_action_and_one_engine_per_run(self, monkeypatch, modulus):
+        # the action is built once, and the default modulus comes from the
+        # one engine that counts it, in one pass: `oracle` runs no `compute`
+        calls = dict.fromkeys(("action", "engine", "result", "compute"), 0)
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module in (nilco.cli, nilco.problems):
+            for key, name in (("action", "validate_problem"), ("compute", "compute_report")):
+                monkeypatch.setattr(module, name, counted(key, getattr(module, name)))
+        for key, name in (("engine", "__init__"), ("result", "result")):
+            monkeypatch.setattr(
+                TwistedOrbitEngine, name, counted(key, getattr(TwistedOrbitEngine, name))
+            )
+        engines = 0 if modulus else 1
+        expected = {"action": 1, "engine": engines, "result": engines, "compute": 0}
+        for path in sorted(bundled_fixture_dir().glob("*.json")):
+            if path.stem == "torus_rank12_dense":  # its quotient is past the cap
+                continue
+            calls.update(dict.fromkeys(calls, 0))
+            assert run(["oracle", str(path), *modulus])[0] in (EXIT_OK, EXIT_ERROR), path.name
+            assert calls == expected, path.name
+
     def test_explicit_modulus(self, tmp_path):
         path = write_problem(tmp_path, HEISENBERG_DOC)
         code, text = run(["--output", "json", "oracle", path, "--modulus", "4"])
@@ -512,6 +544,27 @@ class TestValidateAndFixtures:
         write_problem(tmp_path, doc, name="wrong.json")
         code, text = run(["fixtures", "--check", "--dir", str(tmp_path)])
         assert code == EXIT_MISMATCH and "FAIL" in text
+
+    def test_unknown_expected_keys_are_schema_errors(self, tmp_path, capsys):
+        # a misspelt key would check nothing, so `compute` and `fixtures
+        # --check` reject the file and name every unknown key
+        doc = json.loads((bundled_fixture_dir() / "torus_degree_two.json").read_text("utf-8"))
+        doc["expected"] = {"r": 999, "deformeable": "yes"}
+        path = write_problem(tmp_path, doc)
+        assert run(["compute", path])[0] == EXIT_SCHEMA
+        assert run(["fixtures", "--check", "--dir", str(tmp_path)])[0] == EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert "expected: unknown key(s) 'deformeable', 'r'" in err
+
+    def test_empty_expected_block_fails_the_check(self, tmp_path):
+        doc = json.loads((bundled_fixture_dir() / "torus_degree_two.json").read_text("utf-8"))
+        doc["expected"] = {}
+        write_problem(tmp_path, doc)
+        code, text = run(["fixtures", "--check", "--dir", str(tmp_path)])
+        assert code == EXIT_MISMATCH
+        assert text == "FAIL circle-degree-two-vs-constant: no expected block\n"
+        # without --check an empty block checks nothing and passes
+        assert run(["fixtures", "--dir", str(tmp_path)])[0] == EXIT_OK
 
     def test_expected_lines_print_the_report_encoding(self, tmp_path, capsys):
         wrong = dict(HEISENBERG_DOC, name="wrong", expected={"R": 17, "N": 16})

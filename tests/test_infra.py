@@ -15,8 +15,8 @@ from nilco.infra import CosetAction, InfraStructure, decide_infra, infra_action
 from nilco.intmat import IntMatrix
 from nilco.lattice import LatticeHomomorphism, NilpotentLattice
 from nilco.oracle import translation_group, twisted_orbits_finite
-from nilco.problems import ProblemFile, oracle_orbit_count, parse_problem_dict
-from nilco.reidemeister import EQ_THM, INFTY_THM, NO, YES
+from nilco.problems import oracle_orbit_count, parse_problem_dict
+from nilco.reidemeister import EQ_THM, INFTY_THM, NO, YES, TwistedOrbitEngine
 
 
 def klein_bottle_setup(f_deg=2, g_deg=6):
@@ -234,11 +234,12 @@ class TestClassTwoInfra:
             infra, phi, psi = heisenberg_scalar_infra(rng, k, rng.choice((2, 3)))
             cover_report, report = decide_infra(infra, phi, psi)
             assert cover_report.R.count == k**4
-            problem = ProblemFile(
-                kind="INFRA", name=None, target=phi.target, phi=phi, psi=psi, infra=infra
-            )
+            action = infra_action(infra, phi, psi)
             assert report.R.infinite_level is None and report.exact
-            assert report.R.count == report.N == oracle_orbit_count(problem, k * k)
+            assert report.R.count == report.N == oracle_orbit_count(action, k * k)
+            # the default modulus the `oracle` command reads separates every class too
+            modulus = TwistedOrbitEngine(action).oracle_modulus()
+            assert oracle_orbit_count(action, modulus) == report.R.count
             assert report.deformable == NO and report.rationale == EQ_THM
 
     def test_cover_of_six_hundred_thousand_classes(self):

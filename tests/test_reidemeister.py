@@ -41,12 +41,7 @@ from nilco.intmat import (
 )
 from nilco.lattice import LatticeElement, LatticeHomomorphism, NilpotentLattice, apply_hom
 from nilco.oracle import twisted_orbits_finite
-from nilco.problems import (
-    ProblemFile,
-    default_modulus,
-    oracle_orbit_count,
-    parse_problem_dict,
-)
+from nilco.problems import oracle_orbit_count, parse_problem_dict
 from nilco.reidemeister import (
     EQ_THM,
     INFTY_THM,
@@ -356,8 +351,8 @@ class TestPeriodClasses:
         assert non_uniform >= 5
 
     def test_fiber_exponent_is_the_lcm_over_the_period_classes(self, rng):
-        # E against its definition, on fiber matrices built afresh for the
-        # period classes: on a new engine, as the oracle's default modulus
+        # m = max(2, e1 n) with E against its definition, on fiber matrices
+        # built afresh for the period classes: on a new engine, as `oracle`
         # calls it, and on one whose listing cached forms of other keys
         non_uniform = 0
         for lattice in (heisenberg, heisenberg_squared, free_class2):
@@ -374,14 +369,18 @@ class TestPeriodClasses:
                     max((1, *cokernel(engine._fiber_matrix(q)).torsion))
                     for q in coset_representatives(period)
                 ))
-                assert TwistedOrbitEngine(engine.action).fiber_exponent() == E
-                assert engine.fiber_exponent() == E
+                e1 = max((1, *cokernel(engine.delta1).torsion))
+                m = max(2, e1 * (E if E % 2 else 2 * E))
+                assert TwistedOrbitEngine(engine.action).oracle_modulus() == m
+                assert engine.oracle_modulus() == m
                 non_uniform += len(R.fiber_counts) > 1
         assert non_uniform >= 5
 
     def test_fiber_exponent_without_a_centre_is_one(self, rng):
+        # E = 1 is odd, so the oracle's modulus is max(2, e1)
         for k in (2, 3, 4):
-            assert random_pairs_engine(rng, torus(2), k).fiber_exponent() == 1
+            engine = random_pairs_engine(rng, torus(2), k)
+            assert engine.oracle_modulus() == max((2, *cokernel(engine.delta1).torsion))
 
     def test_period_family_at_a_hundred_million_classes(self):
         # K = 10^4, s = 12: g = 4, R = (10^8 / 4) * pillai(4) = 2 * 10^8
@@ -442,8 +441,7 @@ class TestKernelFill:
         assert report.R.level_counts[1] is None
         assert report.R.infinite_level is None and report.R.count == R
         assert (report.N, report.deformable) == (R, NO)
-        problem = ProblemFile(kind="NILMANIFOLD", name=None, target=phi.target, phi=phi, psi=psi)
-        assert oracle_orbit_count(problem, modulus) == R
+        assert oracle_orbit_count(TwistedAction.from_homs(phi, psi), modulus) == R
 
     # m = max(2, e1 n) from e1 = exp coker Delta_1 and E = lcm of the fiber
     # exponents, n = E or 2E; a smaller modulus can merge classes: mod 2 the
@@ -455,20 +453,19 @@ class TestKernelFill:
         ([[0, 0, -3], [-1, 1, -2]], [[1, -1, -3], [-2, 2, 3]], 10, 20),
     ], ids=["R2", "R9", "R24", "R10"])
     def test_default_modulus_separates_every_class(self, F1, G1, R, modulus):
-        phi, psi = free3_to_heisenberg(F1), free3_to_heisenberg(G1)
-        problem = ProblemFile(kind="NILMANIFOLD", name=None, target=phi.target, phi=phi, psi=psi)
-        assert default_modulus(problem, coincidence_invariants(phi, psi)) == modulus
-        assert oracle_orbit_count(problem, modulus) == R
+        action = TwistedAction.from_homs(free3_to_heisenberg(F1), free3_to_heisenberg(G1))
+        assert TwistedOrbitEngine(action).oracle_modulus() == modulus
+        assert oracle_orbit_count(action, modulus) == R
 
     def test_default_modulus_of_the_r60_pair_exceeds_the_cap(self):
         # e1 = 2 and E = 30 give m = 120, and 120^3 elements exceed the
         # default cap; the explicit modulus 60 counts R (the R60 case above)
         phi = free3_to_heisenberg([[3, -2, 0], [3, -2, 0]])
         psi = free3_to_heisenberg([[-3, 2, 1], [3, -2, -1]])
-        problem = ProblemFile(kind="NILMANIFOLD", name=None, target=phi.target, phi=phi, psi=psi)
-        assert default_modulus(problem, coincidence_invariants(phi, psi)) == 120
+        action = TwistedAction.from_homs(phi, psi)
+        assert TwistedOrbitEngine(action).oracle_modulus() == 120
         with pytest.raises(BoundExceededError):
-            oracle_orbit_count(problem, 120)
+            oracle_orbit_count(action, 120)
 
 
 def random_hom_pair(rng, kind):

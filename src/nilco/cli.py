@@ -8,7 +8,8 @@ integer >= 1, or a --modulus that is not an integer >= 2), 3 schema/shape
 error (also a map that is not a homomorphism, or invalid holonomy data;
 the message names the place in the file), 4 unsupported class (also
 `oracle` on a class >= 3 target), 5 bound exceeded, 6 fixture/expected
-mismatch.
+mismatch.  `fixtures` prints a PASS or FAIL line for every file, also one
+that cannot be parsed or counted, and exits 6 on any FAIL.
 
 NILCO_MAX_ORDER, the one enumeration setting, caps the quotient elements
 `oracle` enumerates and the period classes `compute` builds fibers for.
@@ -95,14 +96,18 @@ def _render_human(doc, out):
         print(f"  class representatives: {json.dumps(reps)}", file=out)
 
 
-def cmd_compute(args, out):
-    problem = parse_problem(args.file)
+def _file_report(problem):
+    """A parsed problem's report document and its expected-block mismatches."""
     doc = report_dict(problem, *compute_report(problem))
+    return doc, check_expected(problem, doc)
+
+
+def cmd_compute(args, out):
+    doc, mismatches = _file_report(parse_problem(args.file))
     if args.output == "json":
         out.write(canonical_json(doc))
     else:
         _render_human(doc, out)
-    mismatches = check_expected(problem, doc)
     for m in mismatches:
         print(f"expected mismatch: {m}", file=sys.stderr)
     return EXIT_MISMATCH if mismatches else EXIT_OK
@@ -155,19 +160,15 @@ def cmd_fixtures(args, out):
         return EXIT_PARSE
     failures = 0
     for path in paths:
-        problem = parse_problem(path)
-        label = problem.name or Path(path).stem
-        if args.check and not problem.expected:  # {} checks nothing either
-            print(f"FAIL {label}: no expected block", file=out)
-            failures += 1
-            continue
+        label = Path(path).stem  # until a name is parsed
         try:
-            doc = report_dict(problem, *compute_report(problem))
+            problem = parse_problem(path)
+            label = problem.name or label
+            if args.check and not problem.expected:  # {} checks nothing either
+                raise NilcoError("no expected block")
+            doc, mismatches = _file_report(problem)
         except NilcoError as exc:
-            print(f"FAIL {label}: {exc}", file=out)
-            failures += 1
-            continue
-        mismatches = check_expected(problem, doc)
+            mismatches = [str(exc)]
         if mismatches:
             print(f"FAIL {label}: " + "; ".join(mismatches), file=out)
             failures += 1

@@ -64,8 +64,8 @@ class IntMatrix:
 
     @classmethod
     def from_columns(cls, columns, rows):
-        """Build a rows x len(columns) matrix from column vectors of length
-        rows, which nilco built itself."""
+        """Build a rows x len(columns) matrix from the first `rows` entries
+        of column vectors that nilco built itself."""
         return cls._trusted(
             [[col[i] for col in columns] for i in range(rows)], shape=(rows, len(columns))
         )
@@ -100,10 +100,7 @@ class IntMatrix:
         )
 
     def transpose(self):
-        return IntMatrix._trusted(
-            [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            shape=(self.cols, self.rows),
-        )
+        return IntMatrix.from_columns(self.data, self.cols)
 
     def column(self, j):
         return tuple(self.data[i][j] for i in range(self.rows))
@@ -175,7 +172,7 @@ class ColumnHermite:
         D = self.order if A.is_square else None
         cols = [[x % D for x in col] if D else list(col) for col in A.transpose().data]
         pivots = tuple(_column_echelon(cols, A.rows, D))
-        return _rows(cols, 0, A.rows), pivots
+        return IntMatrix.from_columns(cols, A.rows), pivots
 
     H = cached_property(lambda self: self._form[0])
     pivots = cached_property(lambda self: self._form[1])
@@ -186,19 +183,12 @@ class ColumnHermite:
         cols = [list(col) + _unit(j, A.cols) for j, col in enumerate(A.transpose().data)]
         pivots = tuple(_column_echelon(cols, A.rows))
         # the exact loop's H is the same canonical H: kept for a later read
-        self.__dict__.setdefault("_form", (_rows(cols, 0, A.rows), pivots))
-        return _rows(cols, A.rows, A.rows + A.cols)
+        self.__dict__.setdefault("_form", (IntMatrix.from_columns(cols, A.rows), pivots))
+        return IntMatrix.from_columns([col[A.rows:] for col in cols], A.cols)
 
 
 def _unit(j, n):
     return [int(i == j) for i in range(n)]
-
-
-def _rows(cols, start, stop):
-    """The matrix of entries start..stop-1 of the columns cols."""
-    return IntMatrix._trusted(
-        [[col[i] for col in cols] for i in range(start, stop)], shape=(stop - start, len(cols))
-    )
 
 
 def _column_echelon(cols, rows, modulus=None):
@@ -327,7 +317,7 @@ def smith_normal_form(A):
         D=IntMatrix._trusted(
             [[d[i] if i == j else 0 for j in range(c)] for i in range(r)], shape=(r, c)
         ),
-        V=_rows(V, 0, c),
+        V=IntMatrix.from_columns(V, c),
         invariant_factors=tuple(x for x in d if x),
     )
 

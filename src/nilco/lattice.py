@@ -226,7 +226,7 @@ def word_defect(lattice, vectors, a):
     defect = (0,) * lattice.ranks[1]
     prefix = (0,) * lattice.ranks[0]  # sum_{i<j} a_i v_i
     for aj, v in zip(a, vectors):
-        if aj == 0:
+        if aj == 0:  # adds nothing: skipping it saves two cocycles per zero exponent
             continue
         half = aj * (aj - 1) // 2
         defect = tuple(

@@ -168,6 +168,50 @@ ProblemFile = namedtuple("ProblemFile", "kind name target phi psi action infra e
                          defaults=(None,) * 5)
 
 
+def _element_pairs(lattice, raw, where, what):
+    """The [x, y] entries of the list `raw` as element pairs; `what` names
+    the two in the message of an entry that is not a pair."""
+    pairs = []
+    for i, pair in enumerate(raw):
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise SchemaError(f"{where}[{i}]: expected [{what}] coordinates")
+        pairs.append(tuple(parse_element(lattice, x, f"{where}[{i}][{j}]")
+                           for j, x in enumerate(pair)))
+    return pairs
+
+
+def _parse_infra(raw, target, where):
+    """The holonomy block `raw` of an INFRA file, over the cover it names."""
+    if not isinstance(raw, dict):
+        raise SchemaError(f"{where}: missing 'infra' object")
+    where = f"{where}.infra"
+    if "cover" not in raw:
+        raise SchemaError(f"{where}: missing 'cover'")
+    cover = parse_lattice(raw["cover"], f"{where}.cover")
+    holonomy = _as_int(raw.get("holonomy_order", 1), f"{where}.holonomy_order")
+    actions = []
+    for i, act in enumerate(_list_field(raw, "coset_actions", where)):
+        at = f"{where}.coset_actions[{i}]"
+        if not isinstance(act, dict):
+            raise SchemaError(f"{at}: expected an object")
+        mats = tuple(
+            _int_matrix(M, f"{at}.matrices[{lvl}]")
+            for lvl, M in enumerate(_list_field(act, "matrices", at))
+        )
+        # no translation: zero, of the matrices' shapes (checked against the cover)
+        translation = parse_element(
+            cover, act.get("translation", [[0] * M.cols for M in mats]), f"{at}.translation"
+        )
+        actions.append(CosetAction(matrices=mats, translation=translation))
+    images = _element_pairs(
+        target, _list_field(raw, "map_images", where), f"{where}.map_images", "f, g"
+    )
+    with _located(where):
+        return InfraStructure(
+            cover=cover, holonomy_order=holonomy, coset_actions=actions, map_images=images
+        )
+
+
 def parse_problem_dict(doc, where="problem"):
     if not isinstance(doc, dict):
         raise SchemaError(f"{where}: top level must be an object")
@@ -180,81 +224,31 @@ def parse_problem_dict(doc, where="problem"):
     if "target" not in doc:
         raise SchemaError(f"{where}: missing 'target'")
     target = parse_lattice(doc["target"], f"{where}.target")
-    expected = _parse_expected(doc.get("expected"), f"{where}.expected")
-
-    if kind in ("TORUS", "NILMANIFOLD"):
-        if kind == "TORUS" and target.class_c != 1:
-            raise SchemaError(f"{where}: TORUS problems need a class-1 target")
-        source = (
-            parse_lattice(doc["source"], f"{where}.source") if "source" in doc else target
-        )
-        for key in ("F", "G"):
-            if key not in doc:
-                raise SchemaError(f"{where}: missing '{key}'")
-        phi = parse_hom(source, target, doc["F"], f"{where}.F")
-        psi = parse_hom(source, target, doc["G"], f"{where}.G")
-        return ProblemFile(
-            kind=kind, name=name, target=target, phi=phi, psi=psi, expected=expected,
-        )
+    head = dict(kind=kind, name=name, target=target,
+                expected=_parse_expected(doc.get("expected"), f"{where}.expected"))
 
     if kind == "PAIRS":
         raw = doc.get("pairs")
         if not isinstance(raw, list):
             raise SchemaError(f"{where}: missing 'pairs' list")
-        pairs = []
-        for i, pair in enumerate(raw):
-            if not isinstance(pair, list) or len(pair) != 2:
-                raise SchemaError(f"{where}.pairs[{i}]: expected [phi, psi] coordinates")
-            p = parse_element(target, pair[0], f"{where}.pairs[{i}][0]")
-            q = parse_element(target, pair[1], f"{where}.pairs[{i}][1]")
-            pairs.append((p, q))
-        return ProblemFile(
-            kind=kind, name=name, target=target,
-            action=TwistedAction(target=target, movers=tuple(pairs)), expected=expected,
-        )
+        pairs = _element_pairs(target, raw, f"{where}.pairs", "phi, psi")
+        return ProblemFile(**head, action=TwistedAction(target=target, movers=tuple(pairs)))
 
-    # INFRA
-    raw = doc.get("infra")
-    if not isinstance(raw, dict):
-        raise SchemaError(f"{where}: missing 'infra' object")
-    if "cover" not in raw:
-        raise SchemaError(f"{where}.infra: missing 'cover'")
-    cover = parse_lattice(raw["cover"], f"{where}.infra.cover")
-    holonomy = _as_int(raw.get("holonomy_order", 1), f"{where}.infra.holonomy_order")
-    actions = []
-    for i, act in enumerate(_list_field(raw, "coset_actions", f"{where}.infra")):
-        at = f"{where}.infra.coset_actions[{i}]"
-        if not isinstance(act, dict):
-            raise SchemaError(f"{at}: expected an object")
-        mats = tuple(
-            _int_matrix(M, f"{at}.matrices[{lvl}]")
-            for lvl, M in enumerate(_list_field(act, "matrices", at))
-        )
-        # no translation: zero, of the matrices' shapes (checked against the cover)
-        translation = parse_element(
-            cover, act.get("translation", [[0] * M.cols for M in mats]), f"{at}.translation"
-        )
-        actions.append(CosetAction(matrices=mats, translation=translation))
-    images = []
-    for i, pair in enumerate(_list_field(raw, "map_images", f"{where}.infra")):
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise SchemaError(f"{where}.infra.map_images[{i}]: expected [f, g] coordinates")
-        fi = parse_element(target, pair[0], f"{where}.infra.map_images[{i}][0]")
-        gi = parse_element(target, pair[1], f"{where}.infra.map_images[{i}][1]")
-        images.append((fi, gi))
-    with _located(f"{where}.infra"):
-        infra = InfraStructure(
-            cover=cover, holonomy_order=holonomy, coset_actions=actions, map_images=images
-        )
+    # a map pair, on the cover for INFRA
+    if kind == "TORUS" and target.class_c != 1:
+        raise SchemaError(f"{where}: TORUS problems need a class-1 target")
+    if kind == "INFRA":
+        infra = _parse_infra(doc.get("infra"), target, where)
+        source, cover_pair = infra.cover, " (cover pair)"
+    else:
+        infra, cover_pair = None, ""
+        source = parse_lattice(doc["source"], f"{where}.source") if "source" in doc else target
+    maps = []
     for key in ("F", "G"):
         if key not in doc:
-            raise SchemaError(f"{where}: missing '{key}' (cover pair)")
-    phi = parse_hom(cover, target, doc["F"], f"{where}.F")
-    psi = parse_hom(cover, target, doc["G"], f"{where}.G")
-    return ProblemFile(
-        kind=kind, name=name, target=target, phi=phi, psi=psi, infra=infra,
-        expected=expected,
-    )
+            raise SchemaError(f"{where}: missing '{key}'{cover_pair}")
+        maps.append(parse_hom(source, target, doc[key], f"{where}.{key}"))
+    return ProblemFile(**head, phi=maps[0], psi=maps[1], infra=infra)
 
 
 def parse_problem(path):

@@ -400,6 +400,22 @@ class TestExitCodes:
         code, _ = run(["compute", write_problem(tmp_path, doc)])
         assert code == EXIT_MISMATCH
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"kind": "TORUS", "F": [[1]], "G": [[0]]}, ": missing 'target'"),
+        (dict(HEISENBERG_DOC, kind="TORUS"), ": TORUS problems need a class-1 target"),
+        ({"kind": "NILMANIFOLD", "target": {"ranks": [1]}, "G": [[0]]}, ": missing 'F'"),
+        ({"kind": "PAIRS", "target": {"ranks": [1]}, "pairs": [[[1]]]},
+         ".pairs[0]: expected [phi, psi] coordinates"),
+        (dict(CLASS3_INFRA_DOC, infra={"holonomy_order": 1}), ".infra: missing 'cover'"),
+        (dict(CLASS3_INFRA_DOC, infra=dict(CLASS3_INFRA_DOC["infra"], map_images=[5])),
+         ".infra.map_images[0]: expected [f, g] coordinates"),
+        ({k: v for k, v in CLASS3_INFRA_DOC.items() if k != "G"}, ": missing 'G' (cover pair)"),
+    ], ids=["target", "torus-class", "F", "pairs-entry", "cover", "map-images-entry", "G-cover"])
+    def test_missing_and_malformed_fields_name_their_place(self, tmp_path, capsys, doc, message):
+        path = write_problem(tmp_path, doc)
+        assert run(["compute", path])[0] == EXIT_SCHEMA
+        assert capsys.readouterr().err == f"error: {path}{message}\n"
+
 
 class TestOracle:
     def test_default_modulus_agrees_with_exact_count(self, tmp_path):
@@ -546,15 +562,44 @@ class TestValidateAndFixtures:
         assert code == EXIT_MISMATCH and "FAIL" in text
 
     def test_unknown_expected_keys_are_schema_errors(self, tmp_path, capsys):
-        # a misspelt key would check nothing, so `compute` and `fixtures
-        # --check` reject the file and name every unknown key
+        # a misspelt key would check nothing, so `compute` rejects the file,
+        # `fixtures --check` fails it, and both name every unknown key
         doc = json.loads((bundled_fixture_dir() / "torus_degree_two.json").read_text("utf-8"))
         doc["expected"] = {"r": 999, "deformeable": "yes"}
         path = write_problem(tmp_path, doc)
         assert run(["compute", path])[0] == EXIT_SCHEMA
-        assert run(["fixtures", "--check", "--dir", str(tmp_path)])[0] == EXIT_SCHEMA
-        err = capsys.readouterr().err
-        assert "expected: unknown key(s) 'deformeable', 'r'" in err
+        unknown = "expected: unknown key(s) 'deformeable', 'r'"
+        assert unknown in capsys.readouterr().err
+        code, text = run(["fixtures", "--check", "--dir", str(tmp_path)])
+        assert code == EXIT_MISMATCH
+        assert text.startswith("FAIL problem: ") and unknown in text
+
+    def test_empty_directory_is_a_parse_error(self, tmp_path, capsys):
+        assert run(["fixtures", "--dir", str(tmp_path)]) == (EXIT_PARSE, "")
+        assert capsys.readouterr().err == f"no fixtures found in {tmp_path}\n"
+
+    def test_a_count_that_raises_is_a_fail_line(self, tmp_path):
+        doc = {
+            "kind": "PAIRS", "name": "class-three",
+            "target": {"class": 3, "ranks": [1, 1, 1]},
+            "pairs": [[[[1], [0], [0]], [[0], [0], [0]]]],
+        }
+        write_problem(tmp_path, doc)
+        code, text = run(["fixtures", "--dir", str(tmp_path)])
+        assert code == EXIT_MISMATCH
+        assert text == "FAIL class-three: orbit engine requires class <= 2, got class 3\n"
+
+    def test_a_file_that_fails_to_parse_does_not_stop_the_run(self, tmp_path):
+        # the unparsed file is named by its stem; the next file still runs
+        doc = json.loads((bundled_fixture_dir() / "torus_degree_two.json").read_text("utf-8"))
+        write_problem(tmp_path, doc, name="b_good.json")
+        bad = write_problem(tmp_path, dict(doc, expected={"r": 2}), name="a_bad.json")
+        code, text = run(["fixtures", "--check", "--dir", str(tmp_path)])
+        assert code == EXIT_MISMATCH
+        assert text.splitlines() == [
+            f"FAIL a_bad: {bad}.expected: unknown key(s) 'r'",
+            "PASS circle-degree-two-vs-constant: R=2 N=2 deformable=no",
+        ]
 
     def test_empty_expected_block_fails_the_check(self, tmp_path):
         doc = json.loads((bundled_fixture_dir() / "torus_degree_two.json").read_text("utf-8"))

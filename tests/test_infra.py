@@ -81,6 +81,16 @@ class TestValidation:
         with pytest.raises(ShapeError, match="expected 2 coset actions, got 0"):
             InfraStructure(cover=cover, holonomy_order=3, coset_actions=(), map_images=())
 
+    def test_wrong_level_count_flagged(self):
+        cover = torus(1)
+        with pytest.raises(ShapeError, match="coset action 0: expected 1 level matrices"):
+            InfraStructure(
+                cover=cover,
+                holonomy_order=2,
+                coset_actions=(CosetAction(matrices=(), translation=cover.identity()),),
+                map_images=((cover.identity(), cover.identity()),),
+            )
+
     def test_every_violation_is_itemised(self):
         cover = torus(2)
         with pytest.raises(ShapeError) as info:

@@ -68,10 +68,23 @@ class TestMatrixBasics:
         assert A.apply((1, 1)) == (3, 7)
         assert A.column(1) == (2, 4)
         assert IntMatrix.from_columns([(1, 3), (2, 4)], 2) == A
+        assert IntMatrix.from_columns([(1, 3, 9), (2, 4, 9)], 2) == A  # first `rows` entries
 
     def test_empty_row_matrix(self):
         Z = IntMatrix([], shape=(0, 3))
         assert (Z.rows, Z.cols) == (0, 3)
+        assert Z.transpose() == IntMatrix([[], [], []])
+
+    def test_shape_errors(self):
+        A = IntMatrix([[1, 2], [3, 4]])
+        with pytest.raises(ShapeError, match="expected 2 rows, got 1"):
+            IntMatrix([[1]], shape=(2, 1))
+        with pytest.raises(ShapeError, match="shape mismatch: 2x2 vs 1x2"):
+            A - IntMatrix([[1, 2]])
+        with pytest.raises(ShapeError, match="vector length 1 != cols 2"):
+            A.apply((1,))
+        with pytest.raises(ShapeError, match="vector length 3 != rows 2"):
+            reduce_to_canonical_rep((1, 2, 3), column_hermite(A))
 
 
 class TestDeterminant:

@@ -200,6 +200,10 @@ class TestFiniteQuotients:
             assert left[table.project(u)] == table.project(h.multiply(v, u))
             assert right[table.project(u)] == table.project(h.multiply(u, h.inverse(v)))
 
+    def test_modulus_below_two_is_rejected(self):
+        with pytest.raises(NilcoError, match="modulus must be >= 2"):
+            heisenberg().reduce_mod(1)
+
     def test_order_cap(self, monkeypatch):
         # the cap bounds the order of the quotient enumerated, inclusively
         table = heisenberg().reduce_mod(10)  # 1000 elements

@@ -17,10 +17,12 @@ from nilco.errors import (
     BoundExceededError,
     NilcoError,
     ParseError,
+    ShapeError,
     max_order_cap,
 )
 from nilco.intmat import IntMatrix, cokernel, determinant
 from nilco.oracle import (
+    FiniteGroupTable,
     cokernel_oracle,
     translation_group,
     twisted_orbits_finite,
@@ -36,6 +38,12 @@ class TestTranslationGroup:
         H = heisenberg().reduce_mod(3)
         coords = [((x, y), (z,)) for x in range(3) for y in range(3) for z in range(3)]
         assert [H.project(c) for c in coords] == list(range(H.order))
+
+    def test_bad_modulus_and_shape_are_rejected(self):
+        with pytest.raises(NilcoError, match="modulus must be >= 1"):
+            FiniteGroupTable(0, (1,))
+        with pytest.raises(ShapeError, match=r"does not match ranks \(2,\)"):
+            translation_group(3, 2).project(((1,),))
 
 
 class TestTwistedOrbits:
@@ -155,6 +163,10 @@ class TestCokernelOracle:
     def test_singular_rejected(self):
         with pytest.raises(NilcoError):
             cokernel_oracle(IntMatrix([[0]]))
+
+    def test_non_square_rejected(self):
+        with pytest.raises(ShapeError, match="cokernel oracle needs a square matrix"):
+            cokernel_oracle(IntMatrix([[1, 0]]))
 
 
 class TestMaxOrderCap:

@@ -31,7 +31,12 @@ from conftest import (
 import nilco
 import nilco.intmat as intmat
 from nilco.cli import main
-from nilco.errors import BoundExceededError, ShapeError, UnsupportedClassError
+from nilco.errors import (
+    BoundExceededError,
+    InfiniteResultError,
+    ShapeError,
+    UnsupportedClassError,
+)
 from nilco.intmat import (
     IntMatrix,
     cokernel,
@@ -218,6 +223,23 @@ class TestLabels:
             assert engine.move(u, witness) == label
             lengths.append(len(witness))
             assert len(witness) == lengths[0], lengths
+
+    def test_infinite_class_sets_have_no_label(self):
+        t = torus(1)
+        engine = TwistedOrbitEngine(TwistedAction.from_pairs(t, ()))
+        with pytest.raises(InfiniteResultError, match="infinitely many classes at level 1"):
+            engine.label(t.identity())
+        # Delta_1 = 2I with a zero commutator column: four level-1 classes,
+        # each over an infinite central fiber
+        h = heisenberg()
+        pairs = tuple(
+            (h.element((tuple(-x for x in e), (0,))), h.element((e, (0,))))
+            for e in ((1, 0), (0, 1))
+        )
+        engine = TwistedOrbitEngine(TwistedAction.from_pairs(h, pairs))
+        assert engine.result().level_counts == (4, None)
+        with pytest.raises(InfiniteResultError, match="infinitely many central classes"):
+            engine.label(h.identity())
 
     def test_word_powers_match_repetition(self, rng):
         lat = free_class2(3)

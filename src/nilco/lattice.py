@@ -4,7 +4,10 @@ A lattice is stored as its lower-central-series tower: the ranks of the
 free-abelian quotients plus, for nilpotency class <= 2, an integer bilinear
 form giving the central part of the product.  Element arithmetic (normal
 form coordinates) is exact for class <= 2; deeper towers are handled at the
-level-matrix tier only.
+level-matrix tier only.  All of it is ordered products of powers
+(`NilpotentLattice.product`): `multiply`, `inverse` and `power` are products
+of one or two factors, and `apply_hom` is the product of the generator
+images.
 
 Coordinate convention for class 2: the product adds the cocycle value with
 no 1/2 factor,
@@ -107,36 +110,30 @@ class NilpotentLattice(namedtuple("NilpotentLattice", "ranks brackets")):
         """Commutator pairing B(a, b) - B(b, a) on level-1 vectors."""
         return tuple(x - y for x, y in zip(self.cocycle(a, b), self.cocycle(b, a)))
 
-    def multiply(self, u, v):
+    def product(self, factors):
+        """The ordered product u_1^{n_1} ... u_k^{n_k} over the (u, n) pairs of
+        `factors`; the identity when there are none.  The n u add level by
+        level.  At class 2, u = (a, c) is (a, 0) * (0, c) with (0, c) central,
+        so the central part also gains that of the level-1 word
+        (`word_defect`)."""
         self._require_elements()
-        a, ap = u.level(0), v.level(0)
-        top = tuple(x + y for x, y in zip(a, ap))
-        if self.class_c == 1:
-            return LatticeElement((top,))
-        corr = self.cocycle(a, ap)
-        central = tuple(x + y + z for x, y, z in zip(u.level(1), v.level(1), corr))
-        return LatticeElement((top, central))
+        factors = tuple(factors)
+        sums = [(0,) * r for r in self.ranks]
+        for u, n in factors:
+            sums = [[s + n * x for s, x in zip(*levels)] for levels in zip(sums, u.coordinates)]
+        if self.class_c == 2:
+            defect = word_defect(self, [u.level(0) for u, _ in factors], [n for _, n in factors])
+            sums[1] = [x + y for x, y in zip(sums[1], defect)]
+        return LatticeElement(tuple(map(tuple, sums)))
+
+    def multiply(self, u, v):
+        return self.product(((u, 1), (v, 1)))
 
     def inverse(self, u):
-        self._require_elements()
-        a = u.level(0)
-        top = tuple(-x for x in a)
-        if self.class_c == 1:
-            return LatticeElement((top,))
-        corr = self.cocycle(a, a)
-        central = tuple(-x + y for x, y in zip(u.level(1), corr))
-        return LatticeElement((top, central))
+        return self.product(((u, -1),))
 
     def power(self, u, n):
-        self._require_elements()
-        a = u.level(0)
-        top = tuple(n * x for x in a)
-        if self.class_c == 1:
-            return LatticeElement((top,))
-        half = n * (n - 1) // 2
-        corr = self.cocycle(a, a)
-        central = tuple(n * x + half * y for x, y in zip(u.level(1), corr))
-        return LatticeElement((top, central))
+        return self.product(((u, n),))
 
     # -- finite quotients ---------------------------------------------
 
@@ -191,6 +188,21 @@ class LatticeHomomorphism(namedtuple("LatticeHomomorphism", "source target matri
     def depth(self):
         return len(self.matrices)
 
+    def generator_images(self):
+        """Images of the source generators, level by level and in coordinate
+        order within a level (the unit vectors of each level): generator j
+        of level l goes to column j of matrices[l] at level l and to 0 at
+        every other level, since a one-letter word has no defect; past the
+        target's class it goes to the identity."""
+        return [
+            LatticeElement(tuple(
+                self.matrices[level].column(j) if lvl == level else (0,) * r
+                for lvl, r in enumerate(self.target.ranks)
+            ))
+            for level, rank in enumerate(self.source.ranks)
+            for j in range(rank)
+        ]
+
 
 def validate_hom(hom):
     """Bracket equivariance check on basis pairs; None when valid.  The
@@ -240,28 +252,22 @@ def word_defect(lattice, vectors, a):
 def apply_hom(hom, u):
     """Image of u under the homomorphism defined by the level matrices.
 
-    For class <= 2, level-1 generators map with zero central tail.  Writing
-    u = (a, c) as the ordered word x_1^{a_1} ... x_r^{a_r} * z^{c - defect_src(a)},
-    the image is (M1 a, defect_tgt(a) + M2 (c - defect_src(a))), with each
-    defect the central part of its ordered word (`word_defect`: over the
-    unit vectors in the source, over the columns of M1 in the target).  So
-    a validated homomorphism is applied exactly:
+    For class <= 2, u = (a, c) is the ordered word
+    x_1^{a_1} ... x_r^{a_r} * z^{c - defect(a)} in the source generators,
+    with defect(a) the central part of its level-1 word (`word_defect` over
+    the unit vectors).  The image is the ordered product (`product`) of the
+    generator images (`generator_images`) with these exponents; there is no
+    separate closed form.  So a validated homomorphism is applied exactly:
     apply_hom(u*v) == apply_hom(u)*apply_hom(v).  Past class 2 the level
     matrices do not give the map on coordinates: UnsupportedClassError.
     """
-    src, tgt = hom.source, hom.target
+    src = hom.source
     src._require_elements()
-    tgt._require_elements()
     u = src.element(u.coordinates) if isinstance(u, LatticeElement) else src.element(u)
-    M1 = hom.matrices[0]
     a = u.level(0)
-    top = M1.apply(a)
-    if tgt.class_c == 1:
-        return LatticeElement((top,))
-    central = word_defect(tgt, [M1.column(j) for j in range(M1.cols)], a)
+    exponents = list(a)
     if src.class_c == 2:
         r1 = src.ranks[0]
         units = [tuple(int(k == j) for k in range(r1)) for j in range(r1)]
-        rest = tuple(c - d for c, d in zip(u.level(1), word_defect(src, units, a)))
-        central = tuple(x + y for x, y in zip(central, hom.matrices[1].apply(rest)))
-    return LatticeElement((top, central))
+        exponents += [c - d for c, d in zip(u.level(1), word_defect(src, units, a))]
+    return hom.target.product(zip(hom.generator_images(), exponents))

@@ -7,7 +7,8 @@ translation subgroup is generated by the moves that stabilize the level-1
 coordinate (kernel words of Delta_1 plus commutator words).  A fiber word w
 with images phi(w) = (p_w, p2) and psi(w) = (p_w, q2) translates the fiber
 over a by the affine column t_w + [p_w, a], with t_w = q2 - p2; (p_w, t_w)
-is written in closed form from the generator images, once per word.  The
+is read from the word's two images (a kernel word's from `word_images`, a
+commutator word's from the brackets of its letters), once per word.  The
 fiber order is constant on the cosets of the period lattice
 L = im Delta_1 + ker B + e Z^{r1} (B(a) = ([p_w, a])_w, e the order of the
 constant columns' cokernel), so the count is (c1 / |Q|) times the sum of
@@ -43,7 +44,7 @@ from .intmat import (
     kernel_basis,
     reduce_to_canonical_rep,
 )
-from .lattice import LatticeElement, word_defect
+from .lattice import LatticeElement
 
 INFINITE = "infinite"
 
@@ -109,7 +110,7 @@ class TwistedAction(namedtuple("TwistedAction", "target movers")):
         generators.  Both maps were checked when they were built."""
         if phi.source != psi.source or phi.target != psi.target:
             raise ShapeError("the two homomorphisms must share source and target")
-        movers = tuple(zip(_generator_images(phi), _generator_images(psi)))
+        movers = tuple(zip(phi.generator_images(), psi.generator_images()))
         return cls(target=phi.target, movers=movers)
 
     @classmethod
@@ -120,22 +121,6 @@ class TwistedAction(namedtuple("TwistedAction", "target movers")):
             (target.element(p.coordinates), target.element(q.coordinates)) for p, q in pairs
         )
         return cls(target=target, movers=movers)
-
-
-def _generator_images(hom):
-    """Images of the source generators, level by level and in coordinate
-    order within a level (the unit vectors of each level): generator j
-    of level l goes to column j of matrices[l] at level l and to 0 at every
-    other level, since a one-letter word has no defect; past the target's
-    class it goes to the identity."""
-    return [
-        LatticeElement(tuple(
-            hom.matrices[level].column(j) if lvl == level else (0,) * r
-            for lvl, r in enumerate(hom.target.ranks)
-        ))
-        for level, rank in enumerate(hom.source.ranks)
-        for j in range(rank)
-    ]
 
 
 def _word_power(word, n):
@@ -193,22 +178,15 @@ class TwistedOrbitEngine:
 
     def word_images(self, word):
         """(phi(word), psi(word)) as exact target elements."""
-        t = self.target
-        P = t.identity()
-        Q = t.identity()
-        for j, e in word:
-            if e == 0:
-                continue
-            p, q = self.movers[j]
-            P = t.multiply(P, t.power(p, e))
-            Q = t.multiply(Q, t.power(q, e))
+        t, movers = self.target, self.movers
+        P = t.product([(movers[j][0], e) for j, e in word])
+        Q = t.product([(movers[j][1], e) for j, e in word])
         return P, Q
 
     def move(self, u, word):
         """psi(word) * u * phi(word)^{-1}."""
-        t = self.target
         P, Q = self.word_images(word)
-        return t.multiply(t.multiply(Q, u), t.inverse(P))
+        return self.target.product(((Q, 1), (u, 1), (P, -1)))
 
     # -- central fibers -----------------------------------------------
 
@@ -219,20 +197,14 @@ class TwistedOrbitEngine:
         lat = self.target
         a = [p.level(0) for p, _ in self.movers]
         b = [q.level(0) for _, q in self.movers]
-        dc = [tuple(y - x for x, y in zip(p.level(1), q.level(1))) for p, q in self.movers]
         words = []
         columns = []
-        # kernel words: the ordered product of p_j^{v_j} is
-        # (sum v_j a_j, sum v_j c_j + defect_a(v)), and its level-1 part
-        # equals that of psi's product since v is in the kernel of Delta_1
+        # kernel words: v in the kernel of Delta_1 gives the word prod x_j^{v_j},
+        # whose images P and Q (`word_images`) share their level-1 part p_w
         for v in kernel_basis(self.hermite1):
             words.append(tuple((j, v[j]) for j in range(self.k) if v[j] != 0))
-            p = tuple(sum(v[j] * a[j][i] for j in range(self.k)) for i in range(self.r1))
-            tw = tuple(
-                sum(v[j] * dc[j][i] for j in range(self.k)) + y - x
-                for i, (x, y) in enumerate(zip(word_defect(lat, a, v), word_defect(lat, b, v)))
-            )
-            columns.append((p, tw))
+            P, Q = self.word_images(words[-1])
+            columns.append((P.level(0), tuple(y - x for x, y in zip(P.level(1), Q.level(1)))))
         # commutator words stabilize level 1 as well: p_w = 0 and
         # t_w = [b_i, b_j] - [a_i, a_j]
         zero = (0,) * self.r1

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import random
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -546,6 +547,20 @@ class TestValidateAndFixtures:
             assert run([command[0], str(path), *command[1:]])[0] == EXIT_OK, path.name
             assert calls["hom"] == (0 if kind == "PAIRS" else 2), path.name
             assert calls["infra"] == (kind == "INFRA"), path.name
+
+    def test_console_script_and_module_entry_exit_with_the_code(self, monkeypatch, capsys):
+        # the `nilco` console script (`entrypoint`) and `python -m nilco.cli`
+        # both raise SystemExit with main's exit code
+        fixture = str(bundled_fixture_dir() / "heisenberg_sixteen.json")
+        monkeypatch.setattr(sys, "argv", ["nilco", "validate", fixture])
+        # as under `python -m`, the module is not imported before it runs
+        monkeypatch.delitem(sys.modules, "nilco.cli")
+        for start in (nilco.cli.entrypoint,
+                      lambda: runpy.run_module("nilco.cli", run_name="__main__")):
+            with pytest.raises(SystemExit) as info:
+                start()
+            assert info.value.code == EXIT_OK
+            assert "ok" in capsys.readouterr().out
 
     def test_bundled_fixtures_all_pass(self):
         code, text = run(["fixtures", "--check"])

@@ -75,6 +75,10 @@ class TestMatrixBasics:
         assert (Z.rows, Z.cols) == (0, 3)
         assert Z.transpose() == IntMatrix([[], [], []])
 
+    def test_repr(self):
+        assert repr(IntMatrix([[1, -2], [3, 4]])) == "IntMatrix([[1, -2], [3, 4]])"
+        assert repr(IntMatrix([], shape=(0, 3))) == "IntMatrix([])"
+
     def test_shape_errors(self):
         A = IntMatrix([[1, 2], [3, 4]])
         with pytest.raises(ShapeError, match="expected 2 rows, got 1"):

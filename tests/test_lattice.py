@@ -41,6 +41,20 @@ def as_unitriangular(e):
     return IntMatrix([[1, a1, c], [0, 1, a2], [0, 0, 1]])
 
 
+def unitriangular_power(e, n):
+    """as_unitriangular(e) to the n-th power by repeated matrix products; a
+    negative n steps by the inverse matrix [[1, -a1, a1 a2 - c], [0, 1, -a2],
+    [0, 0, 1]], so no lattice arithmetic enters the model."""
+    (a1, a2), (c,) = e.coordinates
+    step = as_unitriangular(e) if n >= 0 else IntMatrix(
+        [[1, -a1, a1 * a2 - c], [0, 1, -a2], [0, 0, 1]]
+    )
+    out = identity_matrix(3)
+    for _ in range(abs(n)):
+        out = matmul(out, step)
+    return out
+
+
 def heisenberg_map(rng):
     M1 = random_matrix(rng, 2, 2, lo=-3, hi=3)
     h = heisenberg()
@@ -153,11 +167,14 @@ class TestHeisenbergArithmetic:
                 as_unitriangular(u), as_unitriangular(v)
             )
             assert matmul(as_unitriangular(h.inverse(u)), as_unitriangular(u)) == identity_matrix(3)
-            power_model = identity_matrix(3)
-            step = as_unitriangular(u if n >= 0 else h.inverse(u))
-            for _ in range(abs(n)):
-                power_model = matmul(power_model, step)
-            assert as_unitriangular(h.power(u, n)) == power_model
+            assert as_unitriangular(h.power(u, n)) == unitriangular_power(u, n)
+            # 0 to 5 factors drawn from three elements, so factors repeat
+            pool = (u, v, random_element(rng, h))
+            factors = [(rng.choice(pool), rng.randint(-4, 4)) for _ in range(rng.randint(0, 5))]
+            model = identity_matrix(3)
+            for w, k in factors:
+                model = matmul(model, unitriangular_power(w, k))
+            assert as_unitriangular(h.product(factors)) == model
 
     def test_commutator_is_central(self, rng):
         h = heisenberg()

@@ -127,6 +127,8 @@ class TestClosedFormImages:
             images = table.twisted_images(table.project(p), table.project(q))
             moved = lattice.multiply(lattice.multiply(q, u), lattice.inverse(p))
             assert images[table.project(u)] == table.project(moved)
+            moved = lattice.product(((q, 1), (u, 1), (p, -1)))
+            assert images[table.project(u)] == table.project(moved)
 
 
 class TestCokernelOracle:

@@ -44,7 +44,7 @@ from nilco.intmat import (
     coset_representatives,
     determinant,
 )
-from nilco.lattice import LatticeElement, LatticeHomomorphism, NilpotentLattice, apply_hom
+from nilco.lattice import LatticeElement, LatticeHomomorphism, NilpotentLattice
 from nilco.oracle import twisted_orbits_finite
 from nilco.problems import oracle_orbit_count, parse_problem_dict
 from nilco.reidemeister import (
@@ -555,11 +555,11 @@ class TestMovers:
     )
     def test_movers_are_the_generator_images(self, rng, kind):
         def image(hom, g):
-            if kind != "class3":
-                return apply_hom(hom, g)
-            # past class 2 apply_hom refuses; a one-letter word (a unit
-            # vector at one level) maps level by level
-            return LatticeElement(tuple(M.apply(v) for M, v in zip(hom.matrices, g.coordinates)))
+            # a one-letter word (a unit vector at one level) maps level by
+            # level through the level matrices, cut to the target's class
+            levels = g.coordinates + ((),) * (hom.depth - len(g.coordinates))
+            images = tuple(M.apply(v) for M, v in zip(hom.matrices, levels))
+            return LatticeElement(images[:hom.target.class_c])
 
         for _ in range(20):
             phi, psi = random_hom_pair(rng, kind)

@@ -23,10 +23,16 @@ it computes nothing.  `oracle` builds the same action once; without
 `main(argv, out)` returns the exit code and raises nothing for a usage
 error: an unknown option or a --modulus that is not an integer prints the
 usage to stderr and returns 2, and --help writes the help to `out` and
-returns 0.
+returns 0.  The parser is built on the first `main` call, not at import,
+and reused by every later call in the process (`parse_args` leaves it
+unchanged), so `main` may be called repeatedly; only a caller that does
+so saves time, as a one-shot `nilco` process builds it once either way.  A
+parser built before a later monkeypatch of a `cmd_*` function keeps the
+old function.
 """
 
 import argparse
+import functools
 import json
 import sys
 from contextlib import redirect_stdout
@@ -181,6 +187,7 @@ def cmd_fixtures(args, out):
     return EXIT_OK
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="nilco",

@@ -107,8 +107,11 @@ class NilpotentLattice(namedtuple("NilpotentLattice", "ranks brackets")):
         return tuple(sum(a[i] * B.data[i][j] * b[j] for i in r for j in r) for B in self.brackets)
 
     def bracket(self, a, b):
-        """Commutator pairing B(a, b) - B(b, a) on level-1 vectors."""
-        return tuple(x - y for x, y in zip(self.cocycle(a, b), self.cocycle(b, a)))
+        """Commutator pairing B(a, b) - B(b, a) on level-1 vectors, summed in
+        one pass per bracket matrix: sum_ij (a_i b_j - a_j b_i) B_ij."""
+        r = range(self.ranks[0])
+        return tuple(sum((a[i] * b[j] - a[j] * b[i]) * B.data[i][j] for i in r for j in r)
+                     for B in self.brackets)
 
     def product(self, factors):
         """The ordered product u_1^{n_1} ... u_k^{n_k} over the (u, n) pairs of

@@ -681,6 +681,66 @@ class TestImportFootprint:
         assert len(out.splitlines()) == 9 and out.startswith("PASS")
 
 
+class TestParserReuse:
+    def test_reused_parser_carries_no_state_between_calls(self, tmp_path, monkeypatch, capsys):
+        # one sequence through the process's parser and again through a
+        # parser built afresh for every call: the same codes and bytes
+        path = write_problem(tmp_path, HEISENBERG_DOC)
+        sequence = [
+            ["--output", "json", "oracle", path, "--modulus", "4"],
+            ["--output", "json", "oracle", path],  # the default modulus again
+            ["fixtures", "--check"],
+            ["fixtures"],
+            ["--output", "json", "compute", path],
+            ["compute", path],  # human output again
+            ["oracle", path, "--modulus", "x"],
+            ["validate", path],
+            ["--help"],
+            ["--help"],
+            ["oracle", "--help"],
+            ["frobnicate"],
+        ]
+
+        def outcomes():
+            results = []
+            for argv in sequence:
+                code, text = run(argv)
+                results.append((code, text, capsys.readouterr()))
+            return results
+
+        reused = outcomes()
+        assert nilco.cli.build_parser.cache_info().currsize == 1
+        monkeypatch.setattr(nilco.cli, "build_parser", nilco.cli.build_parser.__wrapped__)
+        assert reused == outcomes()
+        codes = [code for code, _, _ in reused]
+        assert codes == [EXIT_OK] * 6 + [EXIT_PARSE, EXIT_OK, EXIT_OK, EXIT_OK, EXIT_OK, EXIT_PARSE]
+        assert json.loads(reused[0][1])["modulus"] == 4
+        assert json.loads(reused[1][1])["modulus"] == 16
+        assert reused[8][1] == reused[9][1] and reused[8][1].startswith("usage: nilco")
+
+    def test_the_parser_is_built_on_the_first_call_and_once(self):
+        # import builds no parser (it would add to start-up); the first call
+        # builds the tree of five parsers (nilco and its four commands) and
+        # later calls build none
+        fixture = bundled_fixture_dir() / "heisenberg_sixteen.json"
+        counts = plain_interpreter(
+            "import argparse, io\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counted(self, *args, **kwargs):\n"
+            "    built.append(1)\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counted\n"
+            "import nilco.cli\n"
+            "print(len(built))\n"
+            f"for argv in (['validate', {str(fixture)!r}], ['compute', {str(fixture)!r}],"
+            " ['--help']):\n"
+            "    nilco.cli.main(argv, out=io.StringIO())\n"
+            "    print(len(built))\n"
+        )
+        assert counts.split() == ["0", "5", "5", "5"]
+
+
 class TestGoldenReports:
     def test_every_fixture_has_a_golden_report(self):
         fixtures = sorted(p.name for p in bundled_fixture_dir().iterdir() if p.name.endswith(".json"))

@@ -185,6 +185,18 @@ class TestHeisenbergArithmetic:
             assert com.level(0) == (0, 0)
             assert com.level(1) == h.bracket(u.level(0), v.level(0))
 
+    @pytest.mark.parametrize("ranks", [(2, 1), (4, 2), (3, 3)])
+    def test_bracket_is_the_antisymmetrised_cocycle(self, rng, ranks):
+        # the one-pass pairing against the difference of two cocycles, on
+        # random bracket data (not necessarily antisymmetric)
+        r1, r2 = ranks
+        for _ in range(20):
+            lat = NilpotentLattice(ranks, [random_matrix(rng, r1, r1) for _ in range(r2)])
+            a, b = (tuple(rng.randint(-9, 9) for _ in range(r1)) for _ in range(2))
+            difference = tuple(x - y for x, y in zip(lat.cocycle(a, b), lat.cocycle(b, a)))
+            assert lat.bracket(a, b) == difference
+            assert lat.bracket(a, a) == (0,) * r2
+
     def test_torus_is_plain_addition(self, rng):
         t = torus(3)
         u = random_element(rng, t)

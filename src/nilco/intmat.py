@@ -12,8 +12,9 @@ only the invariant factors of `cokernel`.
 
 from collections import namedtuple
 from functools import cached_property
-from itertools import product
+from itertools import islice, product
 from math import gcd, prod
+from operator import itemgetter
 
 from .errors import BoundExceededError, InfiniteResultError, ShapeError
 
@@ -66,9 +67,8 @@ class IntMatrix:
     def from_columns(cls, columns, rows):
         """Build a rows x len(columns) matrix from the first `rows` entries
         of column vectors that nilco built itself."""
-        return cls._trusted(
-            [[col[i] for col in columns] for i in range(rows)], shape=(rows, len(columns))
-        )
+        entries = islice(zip(*columns), rows) if columns else [()] * rows
+        return cls._trusted(entries, shape=(rows, len(columns)))
 
     # -- basic algebra ------------------------------------------------
 
@@ -103,7 +103,7 @@ class IntMatrix:
         return IntMatrix.from_columns(self.data, self.cols)
 
     def column(self, j):
-        return tuple(self.data[i][j] for i in range(self.rows))
+        return tuple(map(itemgetter(j), self.data))
 
     def apply(self, vec):
         """Matrix-vector product, vec of length cols."""
@@ -135,11 +135,14 @@ def determinant(A):
                     break
             else:
                 return 0
+        Mk = M[k]
+        p = Mk[k]
         for i in range(k + 1, n):
+            Mi = M[i]
+            m = Mi[k]
             for j in range(k + 1, n):
-                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
-            M[i][k] = 0
-        prev = M[k][k]
+                Mi[j] = (Mi[j] * p - m * Mk[j]) // prev
+        prev = p
     return sign * M[n - 1][n - 1]
 
 
@@ -209,21 +212,27 @@ def _column_echelon(cols, rows, modulus=None):
         pc = len(pivots)
         if pc == c:
             break
-        for j in range(pc, c) if R else ():
+        nz = [j for j in range(pc, c) if cols[j][row]]
+        for j in nz if R else ():
             if gcd(cols[j][row], R) == 1:  # a unit: scaled to 1, one pass clears the row
-                inv = pow(cols[j][row], -1, R)
-                cols[j] = [x * inv % R for x in cols[j]]
+                t = cols[j]
+                inv = pow(t[row], -1, R)
+                t[:] = [x * inv % R for x in t]
+                for i in nz:
+                    if i != j:
+                        _sub(cols[i], cols[i][row], t, row, R)
+                nz = [j]
                 break
-        # gcd-combine the nonzero entries of this row among columns >= pc
-        while True:
-            nz = [j for j in range(pc, c) if cols[j][row] != 0]
-            if len(nz) <= 1:
-                break
-            j0 = min(nz, key=lambda j: abs(cols[j][row]))
+        # gcd-combine the nonzero entries of this row among columns >= pc;
+        # an entry that is zero stays zero
+        while len(nz) > 1:
+            sizes = [abs(cols[j][row]) for j in nz]
+            j0 = nz[sizes.index(min(sizes))]  # the first smallest: V depends on which
             t = cols[j0]
             for j in nz:
                 if j != j0:
-                    cols[j] = _sub(cols[j], cols[j][row] // t[row], t, row, R)
+                    _sub(cols[j], cols[j][row] // t[row], t, row, R)
+            nz = [j for j in nz if cols[j][row]]
         if nz:
             cols[pc], cols[nz[0]] = cols[nz[0]], cols[pc]
         elif R is None:
@@ -240,7 +249,7 @@ def _column_echelon(cols, rows, modulus=None):
         p = cols[pc]  # reduce the entries left of the pivot into [0, pivot)
         for j in range(pc):
             if q := cols[j][row] // p[row]:
-                cols[j] = _sub(cols[j], q, p, row, R)
+                _sub(cols[j], q, p, row, R)
         pivots.append(row)
         if R is not None and p[row] > 1:
             R //= p[row]
@@ -249,11 +258,11 @@ def _column_echelon(cols, rows, modulus=None):
 
 
 def _sub(a, q, b, start, R):
-    """a - q b for a column b zero above `start`; from there on mod R if set."""
-    head, a, b = a[:start], a[start:], b[start:]
+    """a -= q b in place for a column b zero above `start`; from there on mod R if set."""
     if R is None:
-        return head + [x - q * y for x, y in zip(a, b)]
-    return head + [(x - q * y) % R for x, y in zip(a, b)]
+        a[start:] = [x - q * y for x, y in zip(a[start:], b[start:])]
+    else:
+        a[start:] = [(x - q * y) % R for x, y in zip(a[start:], b[start:])]
 
 
 def column_hermite(A):
@@ -383,4 +392,4 @@ def coset_representatives(ch, max_count=None):
     if max_count is not None and ch.order > max_count:
         raise BoundExceededError(f"coset count {ch.order} exceeds bound {max_count}")
     diag = [ch.H.data[row][i] for i, row in enumerate(ch.pivots)]
-    return [tuple(v) for v in product(*(range(d) for d in diag))]
+    return list(product(*(range(d) for d in diag)))

@@ -199,11 +199,10 @@ class LatticeHomomorphism(namedtuple("LatticeHomomorphism", "source target matri
         target's class it goes to the identity."""
         return [
             LatticeElement(tuple(
-                self.matrices[level].column(j) if lvl == level else (0,) * r
-                for lvl, r in enumerate(self.target.ranks)
+                column if lvl == level else (0,) * r for lvl, r in enumerate(self.target.ranks)
             ))
-            for level, rank in enumerate(self.source.ranks)
-            for j in range(rank)
+            for level in range(self.source.class_c)
+            for column in self.matrices[level].transpose().data
         ]
 
 

@@ -95,7 +95,10 @@ def _int_matrix(value, where, cols=0):
     give the column count of a matrix without rows."""
     if not isinstance(value, list) or not all(isinstance(r, list) for r in value):
         raise SchemaError(f"{where}: expected a list of integer rows")
-    rows = [[_as_int(x, where) for x in row] for row in value]
+    # a row of JSON integers needs no conversion; any other row goes entry
+    # by entry, so that a bad entry gets `_as_int`'s message
+    rows = [row if set(map(type, row)) <= {int} else [_as_int(x, where) for x in row]
+            for row in value]
     with _located(where):
         return IntMatrix._trusted(rows, shape=None if rows else (0, cols))
 
@@ -287,7 +290,8 @@ def validate_problem(problem):
 
 def canonical_json(doc):
     with unlimited_int_digits():
-        return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+        # report_dict builds trees, so there is no cycle to look for
+        return json.dumps(doc, sort_keys=True, separators=(",", ":"), check_circular=False) + "\n"
 
 
 # -- dispatch ----------------------------------------------------------

@@ -27,7 +27,9 @@ is proven.  `verdict` turns every count into a CoincidenceReport.
 """
 
 from collections import namedtuple
+from itertools import repeat
 from math import lcm, prod
+from operator import sub
 
 from .errors import (
     InfiniteResultError,
@@ -156,10 +158,7 @@ class TwistedOrbitEngine:
         self.r1 = target.ranks[0]
         self.r2 = target.rank_at(1)
 
-        cols = [
-            tuple(y - x for x, y in zip(p.level(0), q.level(0)))
-            for p, q in self.movers
-        ]
+        cols = [tuple(map(sub, q.level(0), p.level(0))) for p, q in self.movers]
         self.delta1 = IntMatrix.from_columns(cols, self.r1)
         self.hermite1 = column_hermite(self.delta1)
         if self.r2 > 0 and self.k > self.r1:
@@ -302,10 +301,7 @@ class TwistedOrbitEngine:
         if self.r2 == 0:
             reps = None
             if reps_limit is not None and c1 <= reps_limit:
-                reps = tuple(
-                    LatticeElement((a,))
-                    for a in coset_representatives(self.hermite1)
-                )
+                reps = tuple(map(LatticeElement, zip(coset_representatives(self.hermite1))))
             return ReidemeisterResult(count=c1, level_counts=(c1,), reps=reps)
 
         # R = (c1 / |Q|) sum_{q in Q} |coker M(q)| with Q = Z^{r1} / L: one
@@ -325,7 +321,7 @@ class TwistedOrbitEngine:
             listed = []
             for a in coset_representatives(self.hermite1):
                 central = coset_representatives(self._fiber(a))
-                listed.extend(LatticeElement((a, c)) for c in central)
+                listed.extend(map(LatticeElement, zip(repeat(a), central)))
             reps = tuple(listed)
         if len(histogram) == 1:
             (order,) = histogram

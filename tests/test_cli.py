@@ -180,8 +180,10 @@ class TestCompute:
             (1, f"[[1{'0' * 4400}]]", "1" + "0" * 4400),
             (1, f'[["1{"0" * 4400}"]]', "1" + "0" * 4400),
             (2, f"[[1{'0' * 2300},0],[0,1{'0' * 2300}]]", "1" + "0" * 4600),
+            (2, f'[[1{"0" * 4400},"0"],["-2",1]]', "1" + "0" * 4400),
+            (2, '[["3","1"],["-2","5"]]', "17"),
         ],
-        ids=["json-number", "decimal-string", "long-R"],
+        ids=["json-number", "decimal-string", "long-R", "mixed-rows", "string-rows"],
     )
     def test_integers_past_the_default_digit_limit(self, tmp_path, n, F, R):
         # written as text: Python's default limit is 4,300 digits per int
@@ -411,7 +413,19 @@ class TestExitCodes:
         (dict(CLASS3_INFRA_DOC, infra=dict(CLASS3_INFRA_DOC["infra"], map_images=[5])),
          ".infra.map_images[0]: expected [f, g] coordinates"),
         ({k: v for k, v in CLASS3_INFRA_DOC.items() if k != "G"}, ": missing 'G' (cover pair)"),
-    ], ids=["target", "torus-class", "F", "pairs-entry", "cover", "map-images-entry", "G-cover"])
+        # a matrix row with one entry that is not an integer, after one that is
+        *(({"kind": "TORUS", "target": {"ranks": [2]}, "F": [[1, x], [0, 1]], "G": [[0, 0]] * 2},
+           f".F[0]: {message}") for x, message in [
+            (True, "booleans are not integers"),
+            (1.5, "expected integer or decimal string, got 1.5"),
+            (None, "expected integer or decimal string, got None"),
+            ([1], "expected integer or decimal string, got [1]"),
+            ("x", "'x' is not a decimal integer"),
+        ]),
+        (dict(HEISENBERG_DOC, target={"ranks": [2, 1], "brackets": [[[0, 1], [False, 0]]]}),
+         ".target.brackets[0]: booleans are not integers"),
+    ], ids=["target", "torus-class", "F", "pairs-entry", "cover", "map-images-entry", "G-cover",
+            "row-bool", "row-float", "row-null", "row-list", "row-string", "bracket-bool"])
     def test_missing_and_malformed_fields_name_their_place(self, tmp_path, capsys, doc, message):
         path = write_problem(tmp_path, doc)
         assert run(["compute", path])[0] == EXIT_SCHEMA

@@ -70,6 +70,25 @@ class TestMatrixBasics:
         assert IntMatrix.from_columns([(1, 3), (2, 4)], 2) == A
         assert IntMatrix.from_columns([(1, 3, 9), (2, 4, 9)], 2) == A  # first `rows` entries
 
+    def test_from_columns_shapes(self):
+        def per_column(columns, rows):  # the matrix entry by entry
+            entries = [[col[i] for col in columns] for i in range(rows)]
+            return IntMatrix(entries, shape=(rows, len(columns)))
+
+        cases = [
+            ([], 3),  # no columns: 3 x 0
+            ([], 0),
+            ([(1, 2), (3, 4)], 0),  # no rows: 0 x 2
+            ([(1, 2, 3), (4, 5, 6)], 2),  # columns longer than `rows`
+            ([[7, 8, 9]], 1),  # a list column, as the elimination leaves them
+        ]
+        for columns, rows in cases:
+            M = IntMatrix.from_columns(columns, rows)
+            assert (M.rows, M.cols) == (rows, len(columns))
+            assert M == per_column(columns, rows)
+        assert IntMatrix.from_columns([], 3) == IntMatrix([[], [], []])
+        assert IntMatrix.from_columns([(1, 2)], 0) == IntMatrix([], shape=(0, 1))
+
     def test_empty_row_matrix(self):
         Z = IntMatrix([], shape=(0, 3))
         assert (Z.rows, Z.cols) == (0, 3)
@@ -105,6 +124,18 @@ class TestDeterminant:
             d = determinant(A)
             assert d == determinant_cofactor(A)
             assert d == int(sympy.Matrix([list(r) for r in A.data]).det())
+
+    def test_torus_regime_against_cofactor_and_sympy(self, rng):
+        for trial in range(120):
+            n, kind, zero_lead = torus_regime_case(trial)
+            A = torus_regime_matrix(rng, n, kind, zero_lead)
+            assert not (zero_lead and n >= 2) or A.data[0][0] == 0  # Bareiss swaps rows
+            d = determinant(A)
+            assert d == DomainMatrix([[ZZ(x) for x in row] for row in A.data], (n, n), ZZ).det()
+            assert kind != "singular" or d == 0
+            assert kind == "singular" or 0 < abs(d) <= 1024
+            if n <= 5:
+                assert d == determinant_cofactor(A)
 
     def test_big_integers_exact(self):
         big = 10**40
@@ -267,6 +298,51 @@ def square_with_det(rng, n, kind):
     return M
 
 
+def torus_regime_case(trial):
+    """(rank, kind, zero lead) of trial number `trial`: every rank 1..20
+    with every kind, with and without a zero leading entry."""
+    return 1 + trial % 20, ("small", "prime power", "singular")[trial // 20 % 3], trial // 60 % 2
+
+
+def torus_regime_matrix(rng, n, kind, zero_lead):
+    """An n x n matrix like the torus benchmark's: |det| <= 1024, a product
+    of small factors ("small") or a power p^e spread over the diagonal
+    ("prime power", so that the modulus of the modular loop can fall to 1
+    before the last row), or 0 ("singular"), hidden by row and column operations
+    that leave entries up to about 1e5.  With `zero_lead` (and n >= 2) the
+    (0, 0) entry is 0: the diagonal's first two columns are swapped and no
+    operation adds to row 0 or column 0."""
+    d = [1] * n
+    if kind == "prime power":
+        p = rng.choice((2, 3, 5, 7, 31, 1021))
+        for _ in range(rng.randint(1, max(e for e in range(1, 11) if p**e <= 1024))):
+            d[rng.randrange(n)] *= p
+    else:
+        for i in range(n):
+            if prod(d) * 6 <= 1024:
+                d[i] = rng.choice((1, 1, 1, 2, 3, 4, 6))
+        if kind == "singular":
+            d[rng.randrange(n)] = 0
+    rows = [[d[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    lo = 0
+    if zero_lead and n >= 2:
+        for row in rows:
+            row[0], row[1] = row[1], row[0]
+        lo = 1
+    for _ in range(6 * n):
+        if max(abs(x) for row in rows for x in row) >= 10**5:
+            break
+        k = rng.randint(-3, 3)
+        i, j = rng.randrange(lo, n), rng.randrange(n)  # row i += k row j
+        if i != j:
+            rows[i] = [x + k * y for x, y in zip(rows[i], rows[j])]
+        i, j = rng.randrange(lo, n), rng.randrange(n)  # column i += k column j
+        if i != j:
+            for row in rows:
+                row[i] += k * row[j]
+    return IntMatrix(rows, shape=(n, n))
+
+
 class TestModularHermite:
     def test_square_forms_against_sympy(self, rng):
         kinds = ("unimodular", "small", "large", "no unit row")
@@ -288,6 +364,19 @@ class TestModularHermite:
             X = rational(H).lu_solve(rational(A.data)) if n else None
             assert n == 0 or all(x.denominator == 1 for row in X.to_list() for x in row)
             assert prod(H[i][i] for i in range(n)) == abs(det)
+
+    def test_exact_and_modular_forms_agree_in_the_torus_regime(self, rng):
+        for trial in range(120):
+            A = torus_regime_matrix(rng, *torus_regime_case(trial))
+            first = column_hermite(A)
+            H, pivots = first.H, first.pivots  # by the modular loop when det != 0
+            V = first.V
+            assert (first.H, first.pivots) == (H, pivots)
+            second = column_hermite(A)
+            assert second.V == V  # the exact loop first, and its H and pivots kept
+            assert (second.H, second.pivots) == (H, pivots)
+            assert matmul(A, V) == H and is_unimodular(V)
+            assert first.order == (abs(determinant(A)) or None)
 
     def test_v_read_after_a_modular_h(self, rng):
         for trial in range(300):

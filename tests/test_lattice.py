@@ -27,6 +27,7 @@ from nilco.errors import (
 )
 from nilco.intmat import IntMatrix, determinant
 from nilco.lattice import (
+    LatticeElement,
     LatticeHomomorphism,
     NilpotentLattice,
     apply_hom,
@@ -293,6 +294,43 @@ class TestHomValidation:
             LatticeHomomorphism(h, h, (IntMatrix([[1]]), IntMatrix([[1]])))
         with pytest.raises(ShapeError):
             LatticeHomomorphism(h, h, (identity_matrix(2),))
+
+
+class TestGeneratorImages:
+    def test_levels_are_the_matrix_columns(self, rng):
+        def per_column(hom):  # generator j of level l: column j of matrices[l] at level l
+            return [
+                LatticeElement(tuple(
+                    tuple(row[j] for row in hom.matrices[level].data) if lvl == level
+                    else (0,) * r
+                    for lvl, r in enumerate(hom.target.ranks)
+                ))
+                for level, rank in enumerate(hom.source.ranks)
+                for j in range(rank)
+            ]
+
+        free3 = NilpotentLattice(ranks=(2, 1, 1))
+        for _ in range(10):
+            to_torus = LatticeHomomorphism(  # class 2 into class 1: a 0 x 1 level matrix
+                heisenberg(), torus(3), (random_matrix(rng, 3, 2), zero_matrix(0, 1))
+            )
+            past_target = LatticeHomomorphism(  # class 3 into class 2
+                free3, heisenberg(),
+                (random_matrix(rng, 2, 2), random_matrix(rng, 1, 1), zero_matrix(0, 1)),
+            )
+            for hom in (to_torus, past_target, torus_to_heisenberg_map(rng)):
+                images = hom.generator_images()
+                assert images == per_column(hom)
+                assert len(images) == sum(hom.source.ranks)
+                assert all(len(g.coordinates) == hom.target.class_c for g in images)
+
+    def test_empty_levels(self):
+        # a rank-0 level matrix has no columns; a rank-0 target level gives ()
+        lat = NilpotentLattice(ranks=(2, 0))
+        hom = LatticeHomomorphism(lat, torus(1), (IntMatrix([[3, 4]]), zero_matrix(0, 0)))
+        assert hom.generator_images() == [LatticeElement(((3,),)), LatticeElement(((4,),))]
+        into = LatticeHomomorphism(torus(1), lat, (IntMatrix([[5], [6]]), zero_matrix(0, 0)))
+        assert into.generator_images() == [LatticeElement(((5, 6), ()))]
 
 
 class TestApplyHom:

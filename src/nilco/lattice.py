@@ -142,8 +142,8 @@ class NilpotentLattice(namedtuple("NilpotentLattice", "ranks brackets")):
 
     def reduce_mod(self, m):
         """Integer-coded finite quotient with all coordinates mod m; class <= 2
-        only.  Nothing is enumerated here: `twisted_orbits_finite` checks the
-        enumeration cap."""
+        only.  Nothing is built here: `twisted_orbits_finite` counts level by
+        level, once the cap allows the order m^(r1 + r2)."""
         self._require_elements()
         if m < 2:
             raise NilcoError("modulus must be >= 2")

@@ -164,6 +164,61 @@ def lattice_law_images(lattice, table, a, b):
     ]
 
 
+def closed_form_image(table, form, u):
+    """Index of the image of index u under `form`, a mover's
+    `table.closed_form`: level 1 moves by the step, level 2 by
+    const + slopes . x over the level-1 vector x."""
+    m, n, r1 = table.modulus, sum(table.ranks), table.ranks[0]
+    digits = [u // m ** (n - 1 - k) % m for k in range(n)]
+    x, z = digits[:r1], digits[r1:]
+    d, const, slopes = form
+    shift = [c + sum(s * t for s, t in zip(row, x)) for c, row in zip(const, slopes)]
+    levels = [[p + q for p, q in zip(x, d)], [p + q for p, q in zip(z, shift)]]
+    return table.project(levels[: len(table.ranks)])
+
+
+def twisted_images(table, a, b):
+    """Index images of every element of `table` under u -> b * u * a^{-1},
+    expanded from `table.closed_form(a, b)`, the form the orbit count reads."""
+    form = table.closed_form(a, b)
+    return [closed_form_image(table, form, u) for u in range(table.order)]
+
+
+def union_roots(size, image_lists):
+    """Least member of each index's block once every u in range(size) is
+    joined with images[u], for each list in image_lists: one list-based
+    union-find.  Roots only ever point to smaller indices, so one ascending
+    pass resolves every index to its root."""
+    parent = list(range(size))
+    for images in image_lists:
+        for u, v in enumerate(images):
+            while parent[u] != u:
+                parent[u] = parent[parent[u]]
+                u = parent[u]
+            while parent[v] != v:
+                parent[v] = parent[parent[v]]
+                v = parent[v]
+            if u < v:
+                parent[v] = u
+            elif v < u:
+                parent[u] = v
+    for u in range(size):
+        parent[u] = parent[parent[u]]
+    return parent
+
+
+def flat_orbit_count(lattice, table, movers):
+    """The flat reference count: the blocks of one union-find over every
+    index of `table`, joined with its `lattice_law_images` under each
+    mover.  A rank-0 torus has no lattice (`lattice` None): its one element
+    is fixed."""
+    image_lists = [
+        lattice_law_images(lattice, table, a, b) if lattice else [0] for a, b in movers
+    ]
+    roots = union_roots(table.order, image_lists)
+    return sum(1 for u, root in enumerate(roots) if root == u)
+
+
 def determinant_cofactor(A):
     """Naive cofactor expansion: an independent determinant for small matrices."""
     n = A.rows

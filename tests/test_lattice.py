@@ -16,6 +16,7 @@ from conftest import (
     random_element,
     random_matrix,
     torus,
+    twisted_images,
     zero_matrix,
 )
 from nilco.errors import (
@@ -216,7 +217,7 @@ class TestFiniteQuotients:
         assert table.order == 8
         for a in range(8):
             for b in range(8):
-                assert table.twisted_images(a, b) == lattice_law_images(h, table, a, b)
+                assert twisted_images(table, a, b) == lattice_law_images(h, table, a, b)
 
     def test_quotient_respects_projection(self, rng):
         h = heisenberg()
@@ -225,8 +226,8 @@ class TestFiniteQuotients:
             u = random_element(rng, h, lo=-6, hi=6)
             v = random_element(rng, h, lo=-6, hi=6)
             # u -> v * u and u -> u * v^{-1}, reduced mod 3
-            left = table.twisted_images(table.identity, table.project(v))
-            right = table.twisted_images(table.project(v), table.identity)
+            left = twisted_images(table, table.identity, table.project(v))
+            right = twisted_images(table, table.project(v), table.identity)
             assert left[table.project(u)] == table.project(h.multiply(v, u))
             assert right[table.project(u)] == table.project(h.multiply(u, h.inverse(v)))
 
@@ -244,13 +245,14 @@ class TestFiniteQuotients:
             twisted_orbits_finite(table, [(0, 1)])
 
     def test_order_cap_is_checked_before_any_table_is_built(self, monkeypatch):
-        # a quotient of order 10^27 is built lazily; the cap stops its
-        # enumeration before any image list or union-find table exists
+        # a quotient of order 10^27 is built lazily; the cap stops the count
+        # before any mover's closed form, level-1 point or subgroup exists
         def refuse(*args, **kwargs):
             raise AssertionError("enumerated past the cap")
 
-        monkeypatch.setattr(FiniteGroupTable, "twisted_images", refuse)
-        monkeypatch.setattr(oracle_module, "union_roots", refuse)
+        monkeypatch.setattr(FiniteGroupTable, "closed_form", refuse)
+        monkeypatch.setattr(oracle_module, "iproduct", refuse)
+        monkeypatch.setattr(oracle_module, "_extend", refuse)
         table = heisenberg().reduce_mod(10**9)
         assert table.order == 10**27
         with pytest.raises(BoundExceededError):

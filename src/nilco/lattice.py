@@ -141,7 +141,7 @@ class NilpotentLattice(namedtuple("NilpotentLattice", "ranks brackets")):
     # -- finite quotients ---------------------------------------------
 
     def reduce_mod(self, m):
-        """Integer-coded finite quotient with all coordinates mod m; class <= 2
+        """The finite quotient with all coordinates mod m; class <= 2
         only.  Nothing is built here: `twisted_orbits_finite` counts level by
         level, once the cap allows the order m^(r1 + r2)."""
         self._require_elements()

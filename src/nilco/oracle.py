@@ -1,7 +1,7 @@
 """Brute-force verification on finite quotients.
 
-Twisted-conjugacy orbit counts over integer-coded finite quotients of class
-<= 2 lattices, level by level with only the group law mod m, used as an
+Twisted-conjugacy orbit counts over the finite quotients mod m of class <= 2
+lattices, level by level with only the group law mod m, used as an
 independent check on every finite count the exact machinery produces.
 """
 
@@ -31,17 +31,14 @@ def _extend(group, v, m):
 class FiniteGroupTable:
     """A class <= 2 lattice with every coordinate taken mod m.
 
-    Element i is the coordinate vector (level 1, then level 2) mod m read as
-    a base-m numeral, first coordinate most significant: the order of
-    itertools.product(range(m), repeat=total rank).  The group law is the
-    lattice's, (a, c) * (a', c') = (a + a', c + c' + B(a, a')), where
-    brackets holds one r1 x r1 integer matrix (row lists) per level-2
-    coordinate; the table applies it only through `closed_form`.  Nothing is
-    enumerated until an orbit count asks for it, and the count walks level 1
-    and each level-1 orbit's stabiliser, not the m^(r1 + r2) elements.
+    An element is its pair (level-1 vector, level-2 vector) mod m, level 2
+    () at class 1.  The group law is the lattice's, (a, c) * (a', c') =
+    (a + a', c + c' + B(a, a')), where brackets holds one r1 x r1 integer
+    matrix (row lists) per level-2 coordinate; the table applies it only
+    through `closed_form`.  Nothing is enumerated until an orbit count asks
+    for it, and the count walks level 1 and each level-1 orbit's
+    stabiliser, not the m^(r1 + r2) elements.
     """
-
-    identity = 0
 
     def __init__(self, modulus, ranks, brackets=()):
         if modulus < 1:
@@ -51,37 +48,29 @@ class FiniteGroupTable:
         self.brackets = tuple(brackets)
         self.order = modulus ** sum(self.ranks)
 
-    def __contains__(self, i):
-        return isinstance(i, int) and not isinstance(i, bool) and 0 <= i < self.order
-
     def project(self, e):
-        """Index of a lattice element, or of per-level coordinates, mod m."""
+        """(level-1, level-2) vectors mod m of a lattice element, or of
+        per-level coordinates: plain ints (no bools) in the table's ranks."""
         coords = getattr(e, "coordinates", e)
-        if tuple(len(level) for level in coords) != self.ranks:
-            raise ShapeError(f"{coords!r} does not match ranks {self.ranks!r}")
-        m = self.modulus
-        i = 0
-        for level in coords:
-            for x in level:
-                i = i * m + x % m
-        return i
-
-    def _split(self, i):
-        """(level-1, level-2) digit lists of i; level 2 is [] for class 1."""
-        m, n, r1 = self.modulus, sum(self.ranks), self.ranks[0]
-        digits = [i // m ** (n - 1 - k) % m for k in range(n)]
-        return digits[:r1], digits[r1:]
+        try:
+            fits = tuple(map(len, coords)) == self.ranks
+        except TypeError:
+            fits = False
+        if not fits or {type(x) for level in coords for x in level} - {int}:
+            raise ShapeError(f"{coords!r} does not match ranks {self.ranks!r} as integers")
+        x, *z = [tuple([c % self.modulus for c in level]) for level in coords]
+        return x, z[0] if z else ()
 
     def closed_form(self, a, b):
-        """u -> b * u * a^{-1} as (step, const, slopes), every entry mod m.
+        """u -> b * u * a^{-1} as (step, const, slopes), every entry mod m, for
+        a and b as `project` returns them.
 
         Level 1 moves by step d = b1 - a1; over a level-1 vector x, level 2
         moves by shift(x) = const + slopes . x, where const_k = b2 - a2 -
         B_k(d, a1) and slopes_k . x = B_k(b1, x) - B_k(x, a1).  Class 1 has
         const = slopes = ().
         """
-        m = self.modulus
-        (a1, a2), (b1, b2) = self._split(a), self._split(b)
+        m, (a1, a2), (b1, b2) = self.modulus, a, b
         d, r = _add(b1, [-p for p in a1], m), range(len(a1))
         const = tuple(
             (q - p - sum(d[i] * B[i][j] * a1[j] for i in r for j in r)) % m
@@ -101,9 +90,10 @@ def translation_group(modulus, dim):
 
 def twisted_orbits_finite(G, movers):
     """Number of orbits of G under u -> b_j * u * a_j^{-1} for movers (a_j,
-    b_j), given as element indices of G.  A G of order m^(r1 + r2) past the
-    enumeration cap (`max_order_cap`) raises BoundExceededError before
-    anything is built.
+    b_j), each a lattice element or per-level coordinates, which
+    `G.project` reduces mod m.  A G of order m^(r1 + r2) past the
+    enumeration cap (`max_order_cap`) raises BoundExceededError before any
+    mover is read.
 
     Counted level by level from each mover's `closed_form`.  Level 1 moves
     by the translations d_j, so its orbits are the cosets of H1 = <d_j>, and
@@ -122,11 +112,8 @@ def twisted_orbits_finite(G, movers):
     cap = max_order_cap()
     if G.order > cap:
         raise BoundExceededError(f"quotient order {G.order} exceeds cap {cap}")
-    for a, b in movers:
-        if a not in G or b not in G:
-            raise NilcoError(f"mover {(a, b)!r} contains foreign elements")
     m, r1, r2 = G.modulus, G.ranks[0], sum(G.ranks[1:])
-    forms = [G.closed_form(a, b) for a, b in movers]
+    forms = [G.closed_form(G.project(a), G.project(b)) for a, b in movers]
     if not r2:
         level1 = {(0,) * r1}
         for step, _, _ in forms:
@@ -166,6 +153,6 @@ def cokernel_oracle(A):
     d = determinant(A)
     if d == 0:
         raise NilcoError("cokernel oracle requires a nonsingular matrix")
-    G = translation_group(abs(d), A.rows)
-    movers = [(G.identity, G.project((A.column(j),))) for j in range(A.rows)]
-    return twisted_orbits_finite(G, movers)
+    zero = ((0,) * A.rows,)
+    movers = [(zero, (A.column(j),)) for j in range(A.rows)]
+    return twisted_orbits_finite(translation_group(abs(d), A.rows), movers)

@@ -1,7 +1,7 @@
 """Problem files: parsing, validation, canonical serialization, dispatch.
 
 Problem files are UTF-8 JSON with a fixed schema (see README).  Integers
-may be written as arbitrary-precision decimal strings.  INFINITE is always
+may be written as arbitrary-precision ASCII decimal strings.  INFINITE is always
 serialized as the string "infinite", never a sentinel number, and an
 inexact count as a null R next to its `count_bounds`.  `report_dict` is the
 one encoding of a report: `check_expected` compares an expected block with
@@ -16,6 +16,7 @@ message and keeps the error's type.  So a parsed problem is valid, and
 """
 
 import json
+import re
 import sys
 from collections import namedtuple
 from contextlib import contextmanager
@@ -59,10 +60,9 @@ def _as_int(value, where):
     if isinstance(value, int):
         return value
     if isinstance(value, str):
-        try:
-            return int(value, 10)
-        except ValueError:
-            raise SchemaError(f"{where}: {value!r} is not a decimal integer") from None
+        if re.fullmatch("[+-]?[0-9]+", value):
+            return int(value)
+        raise SchemaError(f"{where}: {value!r} is not a decimal integer")
     raise SchemaError(f"{where}: expected integer or decimal string, got {value!r}")
 
 
@@ -370,6 +370,4 @@ def oracle_orbit_count(action, modulus):
     """Twisted orbit count of a TwistedAction (`validate_problem`'s) on the
     target quotient mod `modulus`, under the enumeration cap of
     `twisted_orbits_finite`."""
-    table = action.target.reduce_mod(modulus)
-    movers = [(table.project(p), table.project(q)) for p, q in action.movers]
-    return twisted_orbits_finite(table, movers)
+    return twisted_orbits_finite(action.target.reduce_mod(modulus), action.movers)

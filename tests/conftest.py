@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from itertools import product as iproduct
 from math import gcd, prod
 
 import pytest
@@ -144,44 +145,51 @@ def sympy_cokernel_order(A):
     return prod(factors) if len(factors) == A.rows else None
 
 
+def quotient_elements(table):
+    """Every element of `table` as per-level coordinates in [0, m), level 1
+    outermost and the first coordinate most significant: the order the flat
+    reference numbers them in."""
+    m = table.modulus
+    return list(iproduct(*[list(iproduct(range(m), repeat=r)) for r in table.ranks]))
+
+
 def lattice_law_images(lattice, table, a, b):
-    """Index of b * u * a^{-1} for every index u of `table`, the quotient of
-    `lattice` mod m, by the lattice law: each index is lifted to its base-m
-    digits (first coordinate most significant), the product is formed with
-    NilpotentLattice.multiply and .inverse, and `project` reduces it.  No
-    closed form of the table is used."""
-    m, n = table.modulus, sum(lattice.ranks)
-
-    def lift(i):
-        digits = [i // m ** (n - 1 - k) % m for k in range(n)]
-        starts = [sum(lattice.ranks[:level]) for level in range(lattice.class_c + 1)]
-        return lattice.element([digits[s:t] for s, t in zip(starts, starts[1:])])
-
-    b, a_inv = lift(b), lattice.inverse(lift(a))
-    return [
-        table.project(lattice.multiply(lattice.multiply(b, lift(u)), a_inv))
-        for u in range(table.order)
-    ]
+    """`table.project` of b * u * a^{-1} for every u of `quotient_elements(table)`,
+    by the law of `lattice` (the quotient's lattice); a and b are lattice
+    elements or per-level coordinates.  Level 2 is central, so
+    b * (x, z) * a^{-1} = (b * (x, 0) * a^{-1}) * (0, z): one
+    NilpotentLattice.product per level-1 vector x, then z is added to its
+    level 2.  No closed form of the table is used."""
+    m = table.modulus
+    fiber = list(iproduct(range(m), repeat=sum(table.ranks[1:])))
+    a, b = (lattice.element(getattr(e, "coordinates", e)) for e in (a, b))
+    zero = tuple((0,) * r for r in lattice.ranks[1:])
+    images = []
+    for x in iproduct(range(m), repeat=lattice.ranks[0]):
+        x_0 = lattice.element((x,) + zero)
+        w1, w2 = table.project(lattice.product(((b, 1), (x_0, 1), (a, -1))))
+        images += [(w1, tuple([(p + q) % m for p, q in zip(w2, z)])) for z in fiber]
+    return images
 
 
 def closed_form_image(table, form, u):
-    """Index of the image of index u under `form`, a mover's
-    `table.closed_form`: level 1 moves by the step, level 2 by
-    const + slopes . x over the level-1 vector x."""
-    m, n, r1 = table.modulus, sum(table.ranks), table.ranks[0]
-    digits = [u // m ** (n - 1 - k) % m for k in range(n)]
-    x, z = digits[:r1], digits[r1:]
-    d, const, slopes = form
+    """`table.project` of the image of u (a lattice element or per-level
+    coordinates) under `form`, a mover's `table.closed_form`: level 1 moves
+    by the step, level 2 by const + slopes . x over the level-1 vector x."""
+    m, (x, z), (d, const, slopes) = table.modulus, table.project(u), form
     shift = [c + sum(s * t for s, t in zip(row, x)) for c, row in zip(const, slopes)]
-    levels = [[p + q for p, q in zip(x, d)], [p + q for p, q in zip(z, shift)]]
-    return table.project(levels[: len(table.ranks)])
+    return (
+        tuple([(p + q) % m for p, q in zip(x, d)]),
+        tuple([(p + q) % m for p, q in zip(z, shift)]),
+    )
 
 
 def twisted_images(table, a, b):
-    """Index images of every element of `table` under u -> b * u * a^{-1},
-    expanded from `table.closed_form(a, b)`, the form the orbit count reads."""
-    form = table.closed_form(a, b)
-    return [closed_form_image(table, form, u) for u in range(table.order)]
+    """Images of every u of `quotient_elements(table)` under
+    u -> b * u * a^{-1}, expanded from the closed form the orbit count
+    reads."""
+    form = table.closed_form(table.project(a), table.project(b))
+    return [closed_form_image(table, form, u) for u in quotient_elements(table)]
 
 
 def union_roots(size, image_lists):
@@ -207,15 +215,22 @@ def union_roots(size, image_lists):
     return parent
 
 
-def flat_orbit_count(lattice, table, movers):
-    """The flat reference count: the blocks of one union-find over every
-    index of `table`, joined with its `lattice_law_images` under each
-    mover.  A rank-0 torus has no lattice (`lattice` None): its one element
-    is fixed."""
+def flat_blocks(lattice, table, movers):
+    """The flat reference: each mover's `lattice_law_images` as indices into
+    `quotient_elements(table)`, and the roots of one union-find over every
+    index joined with those images.  A rank-0 torus has no lattice
+    (`lattice` None): its one element is fixed."""
+    index = {table.project(u): i for i, u in enumerate(quotient_elements(table))}
     image_lists = [
-        lattice_law_images(lattice, table, a, b) if lattice else [0] for a, b in movers
+        [index[v] for v in lattice_law_images(lattice, table, a, b)] if lattice else [0]
+        for a, b in movers
     ]
-    roots = union_roots(table.order, image_lists)
+    return image_lists, union_roots(table.order, image_lists)
+
+
+def flat_orbit_count(lattice, table, movers):
+    """The number of blocks of `flat_blocks`."""
+    roots = flat_blocks(lattice, table, movers)[1]
     return sum(1 for u, root in enumerate(roots) if root == u)
 
 

@@ -142,9 +142,7 @@ def test_criterion_4_heisenberg_labels_and_oracle():
     }
     assert len(labels) == 16
     # independent finite-quotient confirmation mod 4
-    table = h.reduce_mod(4)
-    movers = [(table.project(p), table.project(q)) for p, q in engine.movers]
-    count = twisted_orbits_finite(table, movers)
+    count = twisted_orbits_finite(h.reduce_mod(4), engine.movers)
     assert count == 16
     report_line(4, "heisenberg-sixteen-labels", started, 30.0)
 

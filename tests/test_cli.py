@@ -421,11 +421,17 @@ class TestExitCodes:
             (None, "expected integer or decimal string, got None"),
             ([1], "expected integer or decimal string, got [1]"),
             ("x", "'x' is not a decimal integer"),
+            # only ASCII digits with an optional sign: no spaces, underscores
+            # or other scripts' digits, which int() would take
+            (" 12 ", "' 12 ' is not a decimal integer"),
+            ("1_000", "'1_000' is not a decimal integer"),
+            ("\u0661\u0662", "'\u0661\u0662' is not a decimal integer"),
         ]),
         (dict(HEISENBERG_DOC, target={"ranks": [2, 1], "brackets": [[[0, 1], [False, 0]]]}),
          ".target.brackets[0]: booleans are not integers"),
     ], ids=["target", "torus-class", "F", "pairs-entry", "cover", "map-images-entry", "G-cover",
-            "row-bool", "row-float", "row-null", "row-list", "row-string", "bracket-bool"])
+            "row-bool", "row-float", "row-null", "row-list", "row-string", "row-spaces",
+            "row-underscore", "row-arabic-indic", "bracket-bool"])
     def test_missing_and_malformed_fields_name_their_place(self, tmp_path, capsys, doc, message):
         path = write_problem(tmp_path, doc)
         assert run(["compute", path])[0] == EXIT_SCHEMA

@@ -52,8 +52,8 @@ def brute_force_klein_count(f_deg, g_deg):
     modulus = max(2 * diff, 2)
     G = translation_group(modulus, 1)
     movers = [
-        (G.identity, G.project(((diff,),))),  # lattice generator move
-        (G.identity, G.project(((coset_diff,),))),  # holonomy coset move
+        (((0,),), ((diff,),)),  # lattice generator move
+        (((0,),), ((coset_diff,),)),  # holonomy coset move
     ]
     count = twisted_orbits_finite(G, movers)
     return count

@@ -12,6 +12,7 @@ from conftest import (
     identity_hom,
     identity_matrix,
     lattice_law_images,
+    quotient_elements,
     matmul,
     random_element,
     random_matrix,
@@ -215,21 +216,23 @@ class TestFiniteQuotients:
         h = heisenberg()
         table = h.reduce_mod(2)
         assert table.order == 8
-        for a in range(8):
-            for b in range(8):
+        elements = quotient_elements(table)
+        for a in elements:
+            for b in elements:
                 assert twisted_images(table, a, b) == lattice_law_images(h, table, a, b)
 
     def test_quotient_respects_projection(self, rng):
         h = heisenberg()
         table = h.reduce_mod(3)
+        index = {table.project(u): i for i, u in enumerate(quotient_elements(table))}
         for _ in range(50):
             u = random_element(rng, h, lo=-6, hi=6)
             v = random_element(rng, h, lo=-6, hi=6)
             # u -> v * u and u -> u * v^{-1}, reduced mod 3
-            left = twisted_images(table, table.identity, table.project(v))
-            right = twisted_images(table, table.project(v), table.identity)
-            assert left[table.project(u)] == table.project(h.multiply(v, u))
-            assert right[table.project(u)] == table.project(h.multiply(u, h.inverse(v)))
+            left = twisted_images(table, h.identity(), v)
+            right = twisted_images(table, v, h.identity())
+            assert left[index[table.project(u)]] == table.project(h.multiply(v, u))
+            assert right[index[table.project(u)]] == table.project(h.multiply(u, h.inverse(v)))
 
     def test_modulus_below_two_is_rejected(self):
         with pytest.raises(NilcoError, match="modulus must be >= 2"):
@@ -242,14 +245,16 @@ class TestFiniteQuotients:
         assert twisted_orbits_finite(table, []) == 1000
         monkeypatch.setenv("NILCO_MAX_ORDER", "999")
         with pytest.raises(BoundExceededError, match="quotient order 1000 exceeds cap 999"):
-            twisted_orbits_finite(table, [(0, 1)])
+            twisted_orbits_finite(table, [(((0, 0), (0,)), ((0, 0), (1,)))])
 
     def test_order_cap_is_checked_before_any_table_is_built(self, monkeypatch):
         # a quotient of order 10^27 is built lazily; the cap stops the count
-        # before any mover's closed form, level-1 point or subgroup exists
+        # before any mover is projected or has a closed form, and before any
+        # level-1 point or subgroup exists
         def refuse(*args, **kwargs):
             raise AssertionError("enumerated past the cap")
 
+        monkeypatch.setattr(FiniteGroupTable, "project", refuse)
         monkeypatch.setattr(FiniteGroupTable, "closed_form", refuse)
         monkeypatch.setattr(oracle_module, "iproduct", refuse)
         monkeypatch.setattr(oracle_module, "_extend", refuse)
@@ -258,7 +263,7 @@ class TestFiniteQuotients:
         with pytest.raises(BoundExceededError):
             twisted_orbits_finite(table, [])
         with pytest.raises(BoundExceededError):
-            twisted_orbits_finite(table, [(0, 1)])
+            twisted_orbits_finite(table, [(((0, 0), (0,)), ((0, 0), (1,)))])
 
 
 class TestHomValidation:

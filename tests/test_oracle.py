@@ -2,19 +2,21 @@
 
 import pytest
 
+import nilco.oracle as oracle_module
 from conftest import (
     closed_form_image,
+    flat_blocks,
     flat_orbit_count,
     free_class2,
     heisenberg,
     heisenberg_squared,
     identity_matrix,
     lattice_law_images,
+    quotient_elements,
     random_element,
     random_matrix,
     torus,
     twisted_images,
-    union_roots,
 )
 from nilco.errors import (
     DEFAULT_MAX_ORDER,
@@ -35,13 +37,12 @@ from nilco.oracle import (
 
 
 class TestTranslationGroup:
-    def test_index_order_is_the_coordinate_product_order(self):
+    def test_project_reduces_each_level_mod_m(self):
         G = translation_group(3, 2)
-        coords = [((x, y),) for x in range(3) for y in range(3)]
-        assert [G.project(c) for c in coords] == list(range(G.order))
+        assert G.project(((4, -1),)) == ((1, 2), ())
         H = heisenberg().reduce_mod(3)
-        coords = [((x, y), (z,)) for x in range(3) for y in range(3) for z in range(3)]
-        assert [H.project(c) for c in coords] == list(range(H.order))
+        assert H.project(((3, -4), (-1,))) == ((0, 2), (2,))
+        assert H.project(heisenberg().element(((3, -4), (-1,)))) == ((0, 2), (2,))
 
     def test_bad_modulus_and_shape_are_rejected(self):
         with pytest.raises(NilcoError, match="modulus must be >= 1"):
@@ -50,12 +51,21 @@ class TestTranslationGroup:
             translation_group(3, 2).project(((1,),))
 
 
+def refuse_counting(monkeypatch):
+    """Make the counter's first steps past the movers fail the test."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("counted a mover that is not of the quotient")
+
+    monkeypatch.setattr(oracle_module, "iproduct", refuse)
+    monkeypatch.setattr(oracle_module, "_extend", refuse)
+
+
 class TestTwistedOrbits:
     def test_translation_by_two_mod_four(self):
         G = translation_group(4, 1)
-        assert G.closed_form(2, 0) == ((2,), (), ())
-        assert twisted_orbits_finite(G, [(2, 0)]) == 2
-        assert flat_orbit_count(torus(1), G, [(2, 0)]) == 2
+        assert G.closed_form(G.project(((2,),)), G.project(((0,),))) == ((2,), (), ())
+        assert twisted_orbits_finite(G, [(((2,),), ((0,),))]) == 2
+        assert flat_orbit_count(torus(1), G, [(((2,),), ((0,),))]) == 2
 
     def test_no_movers_is_discrete(self):
         G = translation_group(3, 1)
@@ -65,9 +75,10 @@ class TestTwistedOrbits:
         # the flat reference's blocks are closed under every lattice-law
         # move, and the level-by-level count is their number
         G = translation_group(6, 2)
-        movers = [(rng.randrange(G.order), rng.randrange(G.order)) for _ in range(3)]
-        images = [lattice_law_images(torus(2), G, a, b) for a, b in movers]
-        roots = union_roots(G.order, images)
+        elements = quotient_elements(G)
+        movers = [(elements[rng.randrange(G.order)], elements[rng.randrange(G.order)])
+                  for _ in range(3)]
+        images, roots = flat_blocks(torus(2), G, movers)
         for moved in images:
             for u, v in enumerate(moved):
                 assert roots[v] == roots[u]
@@ -75,31 +86,60 @@ class TestTwistedOrbits:
 
     def test_deterministic_partition(self):
         G = heisenberg().reduce_mod(5)
-        movers = [(G.project(((1, 2), (3,))), G.project(((3, 4), (0,)))),
-                  (G.project(((0, 1), (2,))), G.project(((0, 3), (1,))))]
+        movers = [(((1, 2), (3,)), ((3, 4), (0,))), (((0, 1), (2,)), ((0, 3), (1,)))]
         count = twisted_orbits_finite(G, movers)
         assert twisted_orbits_finite(G, movers) == count
         assert flat_orbit_count(heisenberg(), G, movers) == count
 
-    def test_foreign_movers_rejected(self):
+    def test_foreign_movers_rejected(self, monkeypatch):
+        # wrong shape, or entries that are not ints: ShapeError before
+        # anything is counted
+        refuse_counting(monkeypatch)
         G = translation_group(3, 1)
-        for mover in ((7, 0), (0, -1), (((1,),), 0), (1.0, 0)):
-            with pytest.raises(NilcoError):
+        zero = ((0,),)
+        for mover in ((7, zero), (zero, ((1, 2),)), (((1,), (0,)), zero), (((1.0,),), zero),
+                      (zero, (("1",),)), (zero, ("1",))):
+            with pytest.raises(ShapeError):
                 twisted_orbits_finite(G, [mover])
 
-    def test_foreign_movers_rejected_on_lattice_quotients(self):
+    def test_foreign_movers_rejected_on_lattice_quotients(self, monkeypatch):
+        refuse_counting(monkeypatch)
         table = heisenberg().reduce_mod(3)
-        for mover in ((27, 0), (0, -1), (((1, 0), (0,)), 0)):
-            with pytest.raises(NilcoError):
+        zero = ((0, 0), (0,))
+        for mover in ((27, zero), (zero, ((1, 0),)), (((1, 0), (0, 0)), zero),
+                      (zero, ((1, 0), (0.5,))), (zero, torus(3).element(((1, 2, 3),)))):
+            with pytest.raises(ShapeError):
                 twisted_orbits_finite(table, [mover])
 
     @pytest.mark.parametrize("mover", [(True, False), (0, True), (False, 1)])
-    def test_booleans_are_foreign_movers(self, mover):
-        # as everywhere else in nilco, a bool is not an integer
+    def test_booleans_are_foreign_movers(self, monkeypatch, mover):
+        # as everywhere else in nilco, a bool is not an integer: not as a
+        # mover, and not as a coordinate
+        refuse_counting(monkeypatch)
         for table in (translation_group(4, 1), heisenberg().reduce_mod(2)):
-            assert True not in table and False not in table
-            with pytest.raises(NilcoError, match="contains foreign elements"):
-                twisted_orbits_finite(table, [mover])
+            spread = tuple(tuple((s,) * r for r in table.ranks) for s in mover)
+            for bad in (mover, spread):
+                with pytest.raises(ShapeError):
+                    twisted_orbits_finite(table, [bad])
+
+    def test_lattice_elements_and_their_coordinates_count_alike(self, rng):
+        # entries outside [0, m) count as their residues, so -1 as m - 1
+        h = heisenberg()
+        table = h.reduce_mod(4)
+        for _ in range(10):
+            movers = [(random_element(rng, h, lo=-9, hi=9), random_element(rng, h, lo=-9, hi=9))
+                      for _ in range(2)]
+            count = twisted_orbits_finite(table, movers)
+            as_coordinates = [(p.coordinates, q.coordinates) for p, q in movers]
+            residues = [(table.project(p), table.project(q)) for p, q in movers]
+            assert twisted_orbits_finite(table, as_coordinates) == count
+            assert twisted_orbits_finite(table, residues) == count
+            assert flat_orbit_count(h, table, movers) == count
+        G = translation_group(6, 1)
+        assert G.closed_form(G.project(((0,),)), G.project(((-1,),))) == ((5,), (), ())
+        assert twisted_orbits_finite(G, [(((0,),), ((-2,),))]) == 2
+        assert twisted_orbits_finite(G, [(((1,),), ((-2,),))]) == 3
+        assert twisted_orbits_finite(G, [(((1,),), ((4,),))]) == 3
 
 
 def quotient(lattice, m):
@@ -130,19 +170,21 @@ def agreement_cases(rng):
 def random_movers(rng, table, lattice, count):
     """`count` movers: random pairs, identity movers (0, 0) and purely
     central movers (0, (0; c))."""
-    movers = []
+    elements = quotient_elements(table)
+    zero, movers = elements[0], []
     for _ in range(count):
         kind = rng.choice(("random", "random", "identity", "central"))
         if kind == "identity":
-            movers.append((0, 0))
+            movers.append((zero, zero))
         elif kind == "central" and lattice is not None:
             ranks = lattice.ranks
             central = [(0,) * ranks[0]] + [
                 tuple(rng.randrange(table.modulus) for _ in range(r)) for r in ranks[1:]
             ]
-            movers.append((0, table.project(central)))
+            movers.append((zero, central))
         else:
-            movers.append((rng.randrange(table.order), rng.randrange(table.order)))
+            a, b = rng.randrange(table.order), rng.randrange(table.order)
+            movers.append((elements[a], elements[b]))
     return movers
 
 
@@ -166,22 +208,22 @@ class TestLevelByLevelCount:
         # <x2>: the orbit adds gcd(x2, 4), that is 4, 1, 2 or 1
         h = heisenberg()
         table = h.reduce_mod(4)
-        e1 = table.project(((1, 0), (0,)))
+        e1 = ((1, 0), (0,))
         assert twisted_orbits_finite(table, [(e1, e1)]) == 4 * (4 + 1 + 2 + 1)
         assert flat_orbit_count(h, table, [(e1, e1)]) == 32
 
     def test_small_and_degenerate_quotients(self):
         # rank 0, m = 1, a generator already in the subgroup, a trivial and a
         # nontrivial stabiliser
-        assert twisted_orbits_finite(translation_group(5, 0), [(0, 0)]) == 1
-        assert twisted_orbits_finite(translation_group(1, 3), [(0, 0)]) == 1
-        assert twisted_orbits_finite(quotient(heisenberg(), 1), [(0, 0)]) == 1
+        for table in (translation_group(5, 0), translation_group(1, 3), quotient(heisenberg(), 1)):
+            zero = quotient_elements(table)[0]
+            assert twisted_orbits_finite(table, [(zero, zero)]) == 1
         G = translation_group(6, 1)
-        assert twisted_orbits_finite(G, [(0, 2), (0, 4), (0, 0)]) == 2
+        assert twisted_orbits_finite(G, [(((0,),), ((k,),)) for k in (2, 4, 0)]) == 2
         H = heisenberg().reduce_mod(3)
-        centre = H.project(((0, 0), (1,)))
+        centre = ((0, 0), (1,))
         assert twisted_orbits_finite(H, []) == 27
-        assert twisted_orbits_finite(H, [(0, centre)]) == 9
+        assert twisted_orbits_finite(H, [(((0, 0), (0,)), centre)]) == 9
 
 
 CLOSED_FORM_LATTICES = {
@@ -195,16 +237,19 @@ CLOSED_FORM_LATTICES = {
 
 
 class TestClosedFormImages:
-    """Every index image of u -> b * u * a^{-1} equals the index the lattice
-    law gives on a lift of u, so the orbit count stays an independent check."""
+    """Every image of u -> b * u * a^{-1} in closed form equals the one the
+    lattice law gives on a lift of u, so the orbit count stays an
+    independent check."""
 
     @pytest.mark.parametrize("name", sorted(CLOSED_FORM_LATTICES))
     def test_images_match_product_rule(self, name, rng):
         lattice = CLOSED_FORM_LATTICES[name]()
         for m in (2, 3, 4, 5):
             table = lattice.reduce_mod(m)
-            movers = [(rng.randrange(table.order), rng.randrange(table.order)) for _ in range(2)]
-            movers.append((rng.randrange(table.order), table.identity))
+            elements = quotient_elements(table)
+            movers = [(elements[rng.randrange(table.order)], elements[rng.randrange(table.order)])
+                      for _ in range(2)]
+            movers.append((elements[rng.randrange(table.order)], elements[0]))
             for a, b in movers:
                 expected = lattice_law_images(lattice, table, a, b)
                 assert twisted_images(table, a, b) == expected, (name, m, a, b)
@@ -218,7 +263,7 @@ class TestClosedFormImages:
         for _ in range(40):
             p, q, u = (random_element(rng, lattice, lo=-9, hi=9) for _ in range(3))
             form = table.closed_form(table.project(p), table.project(q))
-            image = closed_form_image(table, form, table.project(u))
+            image = closed_form_image(table, form, u)
             moved = lattice.multiply(lattice.multiply(q, u), lattice.inverse(p))
             assert image == table.project(moved)
             moved = lattice.product(((q, 1), (u, 1), (p, -1)))

@@ -127,9 +127,7 @@ class TestHeisenbergInvariants:
         phi = heisenberg_self_map(h, IntMatrix([[2, 0], [0, 2]]))
         psi = heisenberg_self_map(h, IntMatrix([[0, 0], [0, 0]]))
         action = TwistedAction.from_homs(phi, psi)
-        table = h.reduce_mod(4)
-        movers = [(table.project(p), table.project(q)) for p, q in action.movers]
-        count = twisted_orbits_finite(table, movers)
+        count = twisted_orbits_finite(h.reduce_mod(4), action.movers)
         assert count == 16
 
 
@@ -155,9 +153,7 @@ class TestGeneratorPairSystems:
 
     def test_non_uniform_count_matches_finite_oracle(self):
         action = heisenberg_pairs_action()
-        table = action.target.reduce_mod(4)
-        movers = [(table.project(p), table.project(q)) for p, q in action.movers]
-        count = twisted_orbits_finite(table, movers)
+        count = twisted_orbits_finite(action.target.reduce_mod(4), action.movers)
         assert count == 6
 
     def test_pairs_off_the_target_are_rejected(self):

@@ -33,7 +33,6 @@ old function.
 
 import argparse
 import functools
-import json
 import sys
 from contextlib import redirect_stdout
 
@@ -53,6 +52,7 @@ from .problems import (
     compute_report,
     oracle_orbit_count,
     parse_problem,
+    render_reps,
     report_dict,
     unlimited_int_digits,
     validate_problem,
@@ -97,9 +97,8 @@ def _render_human(doc, out):
         print(f"  first infinite level: {doc['infinite_level']}", file=out)
     if doc.get("cover") is not None:
         print(f"  cover R = {_shown(doc['cover']['R'])}", file=out)
-    reps = doc.get("reps")
-    if reps is not None and len(reps) <= 64:
-        print(f"  class representatives: {json.dumps(reps)}", file=out)
+    if doc.get("reps") is not None and doc["R"] <= 64:
+        print(f"  class representatives: {render_reps(doc['reps'], ', ')}", file=out)
 
 
 def _file_report(problem):

@@ -149,7 +149,8 @@ def determinant(A):
 class ColumnHermite:
     """Column Hermite form of A: A @ V == H, V unimodular, pivots positive.
 
-    pivots[i] is the row of the pivot in column i; pivot rows are strictly
+    pivots[i] is the row of the pivot in column i, diagonal[i] the pivot
+    (the radices of the coset representatives); pivot rows are strictly
     increasing, each pivot column is zero above its pivot row and the
     entries left of a pivot lie in [0, pivot), so H is the unique Hermite
     form of im(A).  order is |Z^rows / im(A)|, None when infinite: |det A|
@@ -166,8 +167,7 @@ class ColumnHermite:
         A = self.A
         if A.is_square:
             return abs(determinant(A)) or None
-        diag = [self.H.data[row][i] for i, row in enumerate(self.pivots)]
-        return prod(diag) if len(diag) == A.rows else None
+        return prod(self.diagonal) if len(self.pivots) == A.rows else None
 
     @cached_property
     def _form(self):
@@ -179,6 +179,7 @@ class ColumnHermite:
 
     H = cached_property(lambda self: self._form[0])
     pivots = cached_property(lambda self: self._form[1])
+    diagonal = cached_property(lambda s: tuple(s.H.data[r][i] for i, r in enumerate(s.pivots)))
 
     @cached_property
     def V(self):
@@ -391,5 +392,4 @@ def coset_representatives(ch, max_count=None):
         raise InfiniteResultError("cokernel is infinite; no finite representative set")
     if max_count is not None and ch.order > max_count:
         raise BoundExceededError(f"coset count {ch.order} exceeds bound {max_count}")
-    diag = [ch.H.data[row][i] for i, row in enumerate(ch.pivots)]
-    return list(product(*(range(d) for d in diag)))
+    return list(product(*(range(d) for d in ch.diagonal)))

@@ -89,11 +89,11 @@ def translation_group(modulus, dim):
 
 
 def twisted_orbits_finite(G, movers):
-    """Number of orbits of G under u -> b_j * u * a_j^{-1} for movers (a_j,
-    b_j), each a lattice element or per-level coordinates, which
-    `G.project` reduces mod m.  A G of order m^(r1 + r2) past the
-    enumeration cap (`max_order_cap`) raises BoundExceededError before any
-    mover is read.
+    """Number of orbits of G under u -> b_j * u * a_j^{-1} for the sequence
+    of movers (a_j, b_j), tuple or list pairs (else ShapeError) of lattice
+    elements or per-level coordinates, which `G.project` reduces mod m.  A
+    G of order m^(r1 + r2) past the enumeration cap (`max_order_cap`)
+    raises BoundExceededError before any mover is read.
 
     Counted level by level from each mover's `closed_form`.  Level 1 moves
     by the translations d_j, so its orbits are the cosets of H1 = <d_j>, and
@@ -113,6 +113,8 @@ def twisted_orbits_finite(G, movers):
     if G.order > cap:
         raise BoundExceededError(f"quotient order {G.order} exceeds cap {cap}")
     m, r1, r2 = G.modulus, G.ranks[0], sum(G.ranks[1:])
+    if bad := [mv for mv in movers if not (isinstance(mv, (tuple, list)) and len(mv) == 2)]:
+        raise ShapeError(f"mover {bad[0]!r} is not a pair (a, b)")
     forms = [G.closed_form(G.project(a), G.project(b)) for a, b in movers]
     if not r2:
         level1 = {(0,) * r1}

@@ -20,6 +20,7 @@ import re
 import sys
 from collections import namedtuple
 from contextlib import contextmanager
+from itertools import product
 
 from .errors import NilcoError, ParseError
 from .infra import CosetAction, InfraStructure, decide_infra, infra_action
@@ -288,10 +289,29 @@ def validate_problem(problem):
 # -- canonical serialization ------------------------------------------
 
 
+def render_reps(boxes, sep=","):
+    """`json.dumps` (item separator `sep`) of the representatives that the
+    boxes of ReidemeisterResult.reps stand for, with str(x) made once for
+    each x in range(d) of each diagonal entry d of a box."""
+    items = []
+    for prefix, diagonal in boxes:
+        head = "[" + "".join(f"[{sep.join(map(str, level))}]{sep}" for level in prefix) + "["
+        digits = [list(map(str, range(d))) for d in diagonal]
+        items += [head + sep.join(v) + "]]" for v in product(*digits)]
+    return "[" + sep.join(items) + "]"
+
+
 def canonical_json(doc):
+    """The document as JSON with sorted keys and no spaces.  A report's
+    "reps" boxes are written by `render_reps` and appended last, which is
+    where sort_keys puts "reps": it sorts after every other report key (N,
+    R, count_bounds, cover, ..., rationale)."""
+    rest = {key: value for key, value in doc.items() if key != "reps"}
     with unlimited_int_digits():
         # report_dict builds trees, so there is no cycle to look for
-        return json.dumps(doc, sort_keys=True, separators=(",", ":"), check_circular=False) + "\n"
+        text = json.dumps(rest, sort_keys=True, separators=(",", ":"), check_circular=False)
+        reps = f',"reps":{render_reps(doc["reps"])}' if "reps" in doc else ""
+        return f"{text[:-1]}{reps}}}\n"
 
 
 # -- dispatch ----------------------------------------------------------
@@ -339,7 +359,7 @@ def report_dict(problem, report, cover_report=None):
     if report.count_bounds is not None:
         out["count_bounds"] = [_count_or_infinite(b) for b in report.count_bounds]
     if R.reps is not None:
-        out["reps"] = [e.coordinates for e in R.reps]
+        out["reps"] = R.reps  # boxes, written by render_reps
     if R.fiber_counts is not None:
         # [order, classes] pairs: an object would key by strings, "16" < "4"
         out["fiber_counts"] = R.fiber_counts

@@ -27,7 +27,6 @@ is proven.  `verdict` turns every count into a CoincidenceReport.
 """
 
 from collections import namedtuple
-from itertools import repeat
 from math import lcm, prod
 from operator import sub
 
@@ -64,7 +63,8 @@ ReidemeisterResult = namedtuple("ReidemeisterResult", (
     "count",  # positive int when finite, None when infinite or inexact
     "level_counts",  # per-level orders; None marks an infinite level
     "infinite_level",  # 1-based, set exactly when the count is infinite
-    "reps",  # canonical representatives (class <= 2, finite, small)
+    "reps",  # canonical representatives (class <= 2, finite, small) as boxes
+    # (prefix, diagonal), each standing for prefix + (v,), v in product(*map(range, diagonal))
     "fiber_counts",  # (fiber order, level-1 classes) pairs by order
 ), defaults=(None, None, None))
 
@@ -300,14 +300,14 @@ class TwistedOrbitEngine:
             return ReidemeisterResult(count=None, level_counts=levels, infinite_level=1)
         if self.r2 == 0:
             reps = None
-            if reps_limit is not None and c1 <= reps_limit:
-                reps = tuple(map(LatticeElement, zip(coset_representatives(self.hermite1))))
+            if reps_limit is not None and c1 <= reps_limit:  # ranks (r1, 0): level 2 is ()
+                reps = ((((), self.hermite1.diagonal),) if self.target.class_c == 1 else
+                        tuple(((a,), ()) for a in coset_representatives(self.hermite1)))
             return ReidemeisterResult(count=c1, level_counts=(c1,), reps=reps)
 
         # R = (c1 / |Q|) sum_{q in Q} |coker M(q)| with Q = Z^{r1} / L: one
         # fiber per period class, each standing for c1 / |Q| level-1 classes
-        period = self._period_matrix()
-        hermite = column_hermite(period)
+        hermite = column_hermite(self._period_matrix())
         classes = c1 // hermite.order
         histogram = {}
         for q in coset_representatives(hermite, max_count=max_order_cap()):
@@ -318,20 +318,12 @@ class TwistedOrbitEngine:
         total = sum(order * n for order, n in histogram.items())
         reps = None
         if reps_limit is not None and total <= reps_limit:
-            listed = []
-            for a in coset_representatives(self.hermite1):
-                central = coset_representatives(self._fiber(a))
-                listed.extend(map(LatticeElement, zip(repeat(a), central)))
-            reps = tuple(listed)
-        if len(histogram) == 1:
-            (order,) = histogram
-            level_counts = (c1, order)
-        else:
-            # no clean per-level factorization; count is the fibered sum
-            level_counts = (total,)
+            level1 = coset_representatives(self.hermite1)
+            reps = tuple(((a,), self._fiber(a).diagonal) for a in level1)
         return ReidemeisterResult(
             count=total,
-            level_counts=level_counts,
+            # with several fiber orders the count has no per-level factorization
+            level_counts=(c1, *histogram) if len(histogram) == 1 else (total,),
             reps=reps,
             fiber_counts=tuple(sorted(histogram.items())),
         )
@@ -351,8 +343,8 @@ class TwistedOrbitEngine:
             raise InfiniteResultError("infinitely many classes at level 1")
         a_rep, z = reduce_to_canonical_rep(u.level(0), self.hermite1)
         word1 = tuple((j, -z[j]) for j in range(self.k) if z[j] != 0)
-        if self.r2 == 0:
-            return LatticeElement((a_rep,)), word1
+        if self.r2 == 0:  # u's level 2, if any, is ()
+            return LatticeElement((a_rep, *u.coordinates[1:])), word1
 
         # the form of a_rep's own matrix, so that M(a_rep) z2 == c - c_rep
         ch = column_hermite(self._fiber_matrix(a_rep))

@@ -132,6 +132,18 @@ def fiber_sum_by_enumeration(engine):
     return total, level_counts, histogram
 
 
+def expand_reps(boxes):
+    """The representatives that `ReidemeisterResult.reps` stands for, as
+    LatticeElements in listing order: prefix + (v,) for each box (prefix,
+    diagonal) and each v in the mixed-radix box product(range(d) for d in
+    diagonal)."""
+    return [
+        LatticeElement(prefix + (v,))
+        for prefix, diagonal in boxes
+        for v in iproduct(*(range(d) for d in diagonal))
+    ]
+
+
 def sympy_invariant_factors(A):
     """Nonzero invariant factors of A, computed by sympy: a reference that
     shares no code with nilco."""

@@ -16,7 +16,12 @@ import nilco.cli
 import nilco.lattice
 import nilco.problems
 
-from conftest import heisenberg_period_pairs, serialize_problem, sympy_cokernel_order
+from conftest import (
+    expand_reps,
+    heisenberg_period_pairs,
+    serialize_problem,
+    sympy_cokernel_order,
+)
 from nilco.cli import (
     EXIT_BOUND,
     EXIT_ERROR,
@@ -35,6 +40,7 @@ from nilco.problems import (
     canonical_json,
     parse_problem,
     parse_problem_dict,
+    render_reps,
 )
 from nilco.reidemeister import TwistedOrbitEngine
 
@@ -792,6 +798,92 @@ class TestGoldenReports:
         code, text = run(["compute", str(bundled_fixture_dir() / f"{name}.json")])
         assert code == EXIT_OK
         assert text.encode("utf-8") == (GOLDEN_DIR / "human" / f"{name}.txt").read_bytes()
+
+
+def torus_doc(R):
+    """A rank-1 TORUS pair with R(f,g) = R."""
+    return {"kind": "TORUS", "target": {"ranks": [1]}, "F": [[R]], "G": [[0]]}
+
+
+def random_boxes(rng, r1, r2, count, hi=4):
+    """`count` random reps boxes (prefix, diagonal): class 1 (one box with
+    an empty prefix) when r1 is None, else class-2 blocks ((a,), diagonal)
+    with a level-1 vector a of rank r1 and a diagonal of length r2."""
+    def diagonal(n):
+        return tuple(rng.randint(1, hi) for _ in range(n))
+
+    if r1 is None:
+        return (((), diagonal(r2)),)
+    return tuple(((tuple(rng.randint(0, 9) for _ in range(r1)),), diagonal(r2))
+                 for _ in range(count))
+
+
+class TestRepresentatives:
+    """`reps` goes from the engine to the report bytes as boxes: the
+    renderers must give `json.dumps` of the expanded list."""
+
+    @pytest.mark.parametrize("sep", [",", ", "])
+    @pytest.mark.parametrize(
+        "r1, r2, count",
+        [(None, 0, 1), (None, 1, 1), (None, 4, 1), (1, 1, 3), (2, 1, 5), (3, 3, 4), (2, 0, 3)],
+        ids=["class1-rank0", "class1-rank1", "class1-rank4", "class2-(1,1)", "class2-(2,1)",
+             "class2-(3,3)", "empty-level"],
+    )
+    def test_rendered_boxes_are_json_dumps_of_the_expanded_list(self, rng, sep, r1, r2, count):
+        for hi in (1, 4):  # hi = 1: every diagonal entry 1, one class per box
+            for _ in range(10):
+                boxes = random_boxes(rng, r1, r2, count, hi)
+                listed = [e.coordinates for e in expand_reps(boxes)]
+                assert render_reps(boxes, sep) == json.dumps(listed, separators=(sep, ":"))
+
+    def test_one_class(self):
+        # R = 1: the all-ones diagonal lists the zero vector, an empty
+        # diagonal the empty one
+        assert render_reps((((), (1, 1, 1)),)) == "[[[0,0,0]]]"
+        assert render_reps((((), ()),), ", ") == "[[[]]]"
+        assert render_reps(((((2, 0),), ()),), ", ") == "[[[2, 0], []]]"
+
+    def test_reps_are_the_last_key_of_a_report_with_every_optional_key(self, rng):
+        boxes = random_boxes(rng, 2, 1, 3)
+        doc = {
+            "kind": "INFRA", "R": 6, "N": 6, "deformable": "no", "rationale": "EQ-THM",
+            "exact": True, "infinite_level": None, "level_counts": [6],
+            "count_bounds": [1, 6], "cover": {"R": 12, "level_counts": [12],
+                                              "infinite_level": None},
+            "fiber_counts": [[2, 3]], "name": "every key", "reps": boxes,
+        }
+        text = canonical_json(doc)
+        assert text.index('"reps":') > max(text.index(f'"{key}":') for key in doc if key != "reps")
+        assert text.endswith(f',"reps":{render_reps(boxes)}}}\n')
+        expanded = dict(doc, reps=[e.coordinates for e in expand_reps(boxes)])
+        assert text == json.dumps(expanded, sort_keys=True, separators=(",", ":")) + "\n"
+        assert "reps" in doc  # the caller's document is left as it was
+
+    @pytest.mark.parametrize("R, listed", [(64, True), (65, False)])
+    def test_human_output_lists_at_most_64_classes(self, tmp_path, R, listed):
+        code, text = run(["compute", write_problem(tmp_path, torus_doc(R))])
+        assert code == EXIT_OK and f"R(f,g) = {R}\n" in text
+        line = "  class representatives: " + json.dumps([[[x]] for x in range(R)]) + "\n"
+        assert (line in text) is listed
+        assert ("class representatives" in text) is listed
+
+    @pytest.mark.parametrize("R, listed", [(1024, True), (1025, False)])
+    def test_json_output_lists_at_most_1024_classes(self, tmp_path, R, listed):
+        code, text = run(["--output", "json", "compute", write_problem(tmp_path, torus_doc(R))])
+        assert code == EXIT_OK
+        doc = json.loads(text)
+        assert doc["R"] == R
+        assert doc.get("reps") == ([[[x]] for x in range(R)] if listed else None)
+
+    def test_target_without_a_centre_lists_both_levels(self, tmp_path):
+        # ranks (2, 0): every representative carries an empty second level
+        doc = {"kind": "NILMANIFOLD", "target": {"class": 2, "ranks": [2, 0], "brackets": []},
+               "F": [[[2, 0], [0, 1]], []], "G": [[[0, 0], [0, 0]], []]}
+        path = write_problem(tmp_path, doc)
+        code, text = run(["--output", "json", "compute", path])
+        assert code == EXIT_OK and text.endswith(',"reps":[[[0,0],[]],[[1,0],[]]]}\n')
+        code, text = run(["compute", path])
+        assert code == EXIT_OK and "  class representatives: [[[0, 0], []], [[1, 0], []]]\n" in text
 
 
 class TestRoundTrip:

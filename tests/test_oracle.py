@@ -102,6 +102,14 @@ class TestTwistedOrbits:
             with pytest.raises(ShapeError):
                 twisted_orbits_finite(G, [mover])
 
+    @pytest.mark.parametrize("movers", [[((0,),)], [5]], ids=["one-element", "int"])
+    def test_movers_that_are_not_pairs_are_shape_errors(self, monkeypatch, movers):
+        # the ShapeError of a wrong-shaped element, not the ValueError or
+        # TypeError of unpacking a mover that is not a pair
+        refuse_counting(monkeypatch)
+        with pytest.raises(ShapeError, match="is not a pair"):
+            twisted_orbits_finite(translation_group(3, 1), movers)
+
     def test_foreign_movers_rejected_on_lattice_quotients(self, monkeypatch):
         refuse_counting(monkeypatch)
         table = heisenberg().reduce_mod(3)

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from conftest import (
+    expand_reps,
     fiber_deviation_rank,
     fiber_sum_by_enumeration,
     free_class2,
@@ -84,7 +85,7 @@ class TestTorusInvariants:
         assert report.R.infinite_level is None and report.R.count == 2
         assert report.N == 2 and report.deformable == NO
         assert report.rationale == EQ_THM
-        assert {e.coordinates for e in report.R.reps} == {((0,),), ((1,),)}
+        assert {e.coordinates for e in expand_reps(report.R.reps)} == {((0,),), ((1,),)}
 
     def test_identical_maps_are_deformable(self):
         t = torus(2)
@@ -112,7 +113,7 @@ class TestHeisenbergInvariants:
         assert report.R.count == 16 and report.N == 16
         assert report.deformable == NO
         assert report.R.level_counts == (4, 4)
-        assert len(report.R.reps) == 16
+        assert len(expand_reps(report.R.reps)) == 16
         assert report.R.fiber_counts == ((4, 4),)  # four level-1 classes, fiber order 4
 
     def test_shear_versus_identity_is_infinite(self):
@@ -195,8 +196,24 @@ class TestLabels:
                     lab, _ = engine.label(h.element(((a1, a2), (c,))))
                     labels.add(lab.coordinates)
         assert len(labels) == 16
-        reps = {e.coordinates for e in engine.result(reps_limit=64).reps}
+        reps = {e.coordinates for e in expand_reps(engine.result(reps_limit=64).reps)}
         assert labels == reps
+
+    def test_target_without_a_centre_keeps_both_levels(self):
+        # ranks (2, 0): a listed representative and a label have two levels,
+        # the second empty, like every element of the target
+        problem = parse_problem_dict({
+            "kind": "NILMANIFOLD", "target": {"class": 2, "ranks": [2, 0], "brackets": []},
+            "F": [[[2, 0], [0, 1]], []], "G": [[[0, 0], [0, 0]], []],
+        })
+        engine = TwistedOrbitEngine(TwistedAction.from_homs(problem.phi, problem.psi))
+        reps = expand_reps(engine.result(reps_limit=10).reps)
+        assert [u.coordinates for u in reps] == [((0, 0), ()), ((1, 0), ())]
+        for u in reps:
+            assert engine.label(u)[0] == u
+        u = problem.target.element(((5, 3), ()))
+        rep, word = engine.label(u)
+        assert rep.coordinates == ((1, 0), ()) and engine.move(u, word) == rep
 
     def test_witness_replay_is_exact(self, rng):
         h, engine = self.engine()
@@ -362,8 +379,9 @@ class TestPeriodClasses:
                 R = engine.result(reps_limit=256)
                 if R.reps is None:
                     continue
-                assert len(set(R.reps)) == len(R.reps) == R.count
-                for u in R.reps:
+                reps = expand_reps(R.reps)
+                assert len(set(reps)) == len(reps) == R.count
+                for u in reps:
                     assert engine.label(u)[0] == u
                 non_uniform += len(R.fiber_counts) > 1
         assert non_uniform >= 5

@@ -29,8 +29,8 @@ from .lattice import (
     validate_hom,
 )
 from .oracle import FiniteGroupTable, cokernel_oracle, twisted_orbits_finite
+from .problems import INFINITE
 from .reidemeister import (
-    INFINITE,
     NO,
     UNKNOWN,
     YES,

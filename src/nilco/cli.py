@@ -1,15 +1,17 @@
 """Batch front door.
 
-Subcommands: compute, oracle, validate, fixtures.  Exit codes:
-0 ok, 1 any other NilcoError (such as `oracle` on an infinite count with no
---modulus), 2 parse error (unreadable file, a file that is not UTF-8,
-invalid JSON or JSON nested too deep, a NILCO_MAX_ORDER that is not an
-integer >= 1, or a --modulus that is not an integer >= 2), 3 schema/shape
-error (also a map that is not a homomorphism, or invalid holonomy data;
-the message names the place in the file), 4 unsupported class (also
-`oracle` on a class >= 3 target), 5 bound exceeded, 6 fixture/expected
-mismatch.  `fixtures` prints a PASS or FAIL line for every file, also one
-that cannot be parsed or counted, and exits 6 on any FAIL.
+Subcommands: compute, oracle, validate, fixtures.  A NilcoError exits
+with the `exit_code` of its class (nilco.errors): 1 any other error (such
+as `oracle` on an infinite count with no --modulus), 2 parse error
+(unreadable file, a file that is not UTF-8, invalid JSON or JSON nested
+too deep, a NILCO_MAX_ORDER that is not an integer >= 1, or a --modulus
+below 2), 3 schema/shape error (also a map that is not a homomorphism, or
+invalid holonomy data; the message names the place in the file), 4
+unsupported class (also `oracle` on a class >= 3 target), 5 bound
+exceeded.  The codes this module returns itself are 0 ok, 6
+fixture/expected mismatch, and 2 for an empty fixture directory or a
+usage error.  `fixtures` prints a PASS or FAIL line for every file, also
+one that cannot be parsed or counted, and exits 6 on any FAIL.
 
 NILCO_MAX_ORDER, the one enumeration setting, caps the quotient elements
 `oracle` enumerates and the period classes `compute` builds fibers for.
@@ -36,16 +38,8 @@ import functools
 import sys
 from contextlib import redirect_stdout
 
-from .errors import (
-    BoundExceededError,
-    HomomorphismError,
-    NilcoError,
-    ParseError,
-    ShapeError,
-    UnsupportedClassError,
-)
+from .errors import NilcoError, ParseError
 from .problems import (
-    SchemaError,
     _shown,
     canonical_json,
     check_expected,
@@ -60,24 +54,8 @@ from .problems import (
 from .reidemeister import TwistedOrbitEngine
 
 EXIT_OK = 0
-EXIT_ERROR = 1
-EXIT_PARSE = 2
-EXIT_SCHEMA = 3
-EXIT_UNSUPPORTED = 4
-EXIT_BOUND = 5
+EXIT_PARSE = 2  # an empty fixture directory (argparse exits 2 on a usage error too)
 EXIT_MISMATCH = 6
-
-
-def _exit_code_for(exc):
-    if isinstance(exc, ParseError):
-        return EXIT_PARSE
-    if isinstance(exc, (SchemaError, ShapeError, HomomorphismError)):
-        return EXIT_SCHEMA
-    if isinstance(exc, UnsupportedClassError):
-        return EXIT_UNSUPPORTED
-    if isinstance(exc, BoundExceededError):
-        return EXIT_BOUND
-    return EXIT_ERROR
 
 
 def _render_human(doc, out):
@@ -239,7 +217,7 @@ def main(argv=None, out=None):
             return args.func(args, out)
         except NilcoError as exc:
             print(f"error: {exc}", file=sys.stderr)
-            return _exit_code_for(exc)
+            return exc.exit_code
 
 
 def entrypoint():

@@ -1,6 +1,7 @@
 """Exception taxonomy shared across the package, and the enumeration cap.
 
-Each exception maps to a distinct CLI exit code (see the cli module docstring).
+Each class carries its CLI exit code as `exit_code`, inherited where a
+class names none: `cli.main` returns the code of the error it catches.
 """
 
 import os
@@ -11,26 +12,44 @@ DEFAULT_MAX_ORDER = 10**6
 class NilcoError(Exception):
     """Base class for all package errors."""
 
+    exit_code = 1
+
 
 class ParseError(NilcoError):
     """Input unreadable: a file that is not UTF-8 or not valid JSON, or an
-    element cap that is not a positive integer (exit code 2)."""
+    element cap that is not a positive integer."""
+
+    exit_code = 2
+
+
+class SchemaError(NilcoError):
+    """JSON readable but structurally invalid."""
+
+    exit_code = 3
 
 
 class ShapeError(NilcoError):
     """Dimension or shape mismatch between matrices, vectors or elements."""
 
+    exit_code = 3
+
 
 class UnsupportedClassError(NilcoError):
     """Operation requires element arithmetic beyond nilpotency class 2."""
+
+    exit_code = 4
 
 
 class BoundExceededError(NilcoError):
     """The enumeration cap (`max_order_cap`) was exceeded."""
 
+    exit_code = 5
+
 
 class HomomorphismError(NilcoError):
     """A homomorphism failed validation (bracket equivariance or shapes)."""
+
+    exit_code = 3
 
     def __init__(self, message, violations=None):
         super().__init__(message)

@@ -21,6 +21,7 @@ from .lattice import _checked_make
 from .reidemeister import (
     EQ_THM,
     INFTY_THM,
+    REPS_LIMIT,
     TwistedAction,
     TwistedOrbitEngine,
     coincidence_invariants,
@@ -123,4 +124,4 @@ def decide_infra(infra, phi, psi):
         lo, hi = cover_report.count_bounds or (cover_report.R.count,) * 2
         bounds = (-(-lo // infra.holonomy_order), hi)
         return cover_report, verdict(cover_report.R, EQ_THM, bounds=bounds)
-    return cover_report, verdict(TwistedOrbitEngine(action).result(reps_limit=1024), EQ_THM)
+    return cover_report, verdict(TwistedOrbitEngine(action).result(reps_limit=REPS_LIMIT), EQ_THM)

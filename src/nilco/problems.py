@@ -22,18 +22,14 @@ from collections import namedtuple
 from contextlib import contextmanager
 from itertools import product
 
-from .errors import NilcoError, ParseError
+from .errors import NilcoError, ParseError, SchemaError
 from .infra import CosetAction, InfraStructure, decide_infra, infra_action
 from .intmat import IntMatrix
 from .lattice import LatticeHomomorphism, NilpotentLattice
 from .oracle import twisted_orbits_finite
-from .reidemeister import (
-    INFINITE,
-    TwistedAction,
-    coincidence_invariants,
-    coincidence_invariants_from_pairs,
-)
+from .reidemeister import TwistedAction, coincidence_invariants, coincidence_invariants_from_pairs
 
+INFINITE = "infinite"  # the report encoding of a count the engine gives as None
 KINDS = ("TORUS", "NILMANIFOLD", "PAIRS", "INFRA")
 
 
@@ -49,10 +45,6 @@ def unlimited_int_digits():
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)
-
-
-class SchemaError(NilcoError):
-    """JSON readable but structurally invalid (exit code 3)."""
 
 
 def _as_int(value, where):

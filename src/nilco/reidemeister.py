@@ -47,8 +47,6 @@ from .intmat import (
 )
 from .lattice import LatticeElement
 
-INFINITE = "infinite"
-
 YES = "yes"
 NO = "no"
 UNKNOWN = "unknown"
@@ -67,6 +65,7 @@ ReidemeisterResult = namedtuple("ReidemeisterResult", (
     # (prefix, diagonal), each standing for prefix + (v,), v in product(*map(range, diagonal))
     "fiber_counts",  # (fiber order, level-1 classes) pairs by order
 ), defaults=(None, None, None))
+REPS_LIMIT = 1024  # the most representatives a report lists
 
 CoincidenceReport = namedtuple("CoincidenceReport", (
     "R",  # ReidemeisterResult
@@ -151,7 +150,6 @@ class TwistedOrbitEngine:
             raise UnsupportedClassError(
                 f"orbit engine requires class <= 2, got class {target.class_c}"
             )
-        self.action = action
         self.target = target
         self.movers = tuple(action.movers)
         self.k = len(self.movers)
@@ -161,7 +159,7 @@ class TwistedOrbitEngine:
         cols = [tuple(map(sub, q.level(0), p.level(0))) for p, q in self.movers]
         self.delta1 = IntMatrix.from_columns(cols, self.r1)
         self.hermite1 = column_hermite(self.delta1)
-        if self.r2 > 0 and self.k > self.r1:
+        if target.class_c == 2 and self.k > self.r1:
             # a finite order needs kernel words: the one exact run that builds
             # V gives the order of this non-square matrix too
             self.hermite1.V
@@ -170,7 +168,7 @@ class TwistedOrbitEngine:
         self._fiber_words = None
         self._fiber_columns = None
         self._fibers = {}  # _fiber_key -> fiber form, filled only by _fiber
-        if self.order1 is not None and self.r2 > 0:
+        if self.order1 is not None and target.class_c == 2:
             self._build_fiber_generators()
 
     # -- move application --------------------------------------------
@@ -294,15 +292,12 @@ class TwistedOrbitEngine:
 
     def result(self, reps_limit=None):
         """ReidemeisterResult for the action (no deformability decision)."""
-        c1 = self.order1
+        c1, class_c = self.order1, self.target.class_c
         if c1 is None:
-            levels = (None,) if self.r2 == 0 else (None, None)
-            return ReidemeisterResult(count=None, level_counts=levels, infinite_level=1)
-        if self.r2 == 0:
-            reps = None
-            if reps_limit is not None and c1 <= reps_limit:  # ranks (r1, 0): level 2 is ()
-                reps = ((((), self.hermite1.diagonal),) if self.target.class_c == 1 else
-                        tuple(((a,), ()) for a in coset_representatives(self.hermite1)))
+            return ReidemeisterResult(count=None, level_counts=(None,) * class_c, infinite_level=1)
+        if class_c == 1:
+            listed = reps_limit is not None and c1 <= reps_limit
+            reps = (((), self.hermite1.diagonal),) if listed else None
             return ReidemeisterResult(count=c1, level_counts=(c1,), reps=reps)
 
         # R = (c1 / |Q|) sum_{q in Q} |coker M(q)| with Q = Z^{r1} / L: one
@@ -343,8 +338,8 @@ class TwistedOrbitEngine:
             raise InfiniteResultError("infinitely many classes at level 1")
         a_rep, z = reduce_to_canonical_rep(u.level(0), self.hermite1)
         word1 = tuple((j, -z[j]) for j in range(self.k) if z[j] != 0)
-        if self.r2 == 0:  # u's level 2, if any, is ()
-            return LatticeElement((a_rep, *u.coordinates[1:])), word1
+        if self.target.class_c == 1:
+            return LatticeElement((a_rep,)), word1
 
         # the form of a_rep's own matrix, so that M(a_rep) z2 == c - c_rep
         ch = column_hermite(self._fiber_matrix(a_rep))
@@ -358,7 +353,7 @@ class TwistedOrbitEngine:
         return LatticeElement((a_rep, c_rep)), word2 + word1
 
 
-def coincidence_invariants(phi, psi, reps_limit=1024):
+def coincidence_invariants(phi, psi, reps_limit=REPS_LIMIT):
     """R(f,g), N(f,g) and the deformability decision for a lattice pair.
 
     `level_counts` are the orders |coker(G_l - F_l)|, read from column
@@ -404,4 +399,4 @@ def coincidence_invariants_from_pairs(action):
     general source, so the verdict is UNKNOWN in that case (see `verdict`).
     The orbit engine rejects targets of class > 2.
     """
-    return verdict(TwistedOrbitEngine(action).result(reps_limit=1024), INFTY_THM)
+    return verdict(TwistedOrbitEngine(action).result(reps_limit=REPS_LIMIT), INFTY_THM)

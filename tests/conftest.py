@@ -14,6 +14,27 @@ from nilco.infra import CosetAction, InfraStructure
 from nilco.intmat import IntMatrix, coset_representatives
 from nilco.lattice import LatticeElement, LatticeHomomorphism, NilpotentLattice
 
+# the exit codes README gives for each class of nilco.errors, as literals;
+# the CLI returns 0, 2 (an empty fixture directory) and 6 itself
+EXIT_CODES = {
+    "NilcoError": 1, "InfiniteResultError": 1, "ParseError": 2, "SchemaError": 3,
+    "ShapeError": 3, "HomomorphismError": 3, "UnsupportedClassError": 4, "BoundExceededError": 5,
+}
+EXIT_ERROR = EXIT_CODES["NilcoError"]
+EXIT_SCHEMA = EXIT_CODES["SchemaError"]
+EXIT_UNSUPPORTED = EXIT_CODES["UnsupportedClassError"]
+EXIT_BOUND = EXIT_CODES["BoundExceededError"]
+
+# a class-2 target with no centre, ranks (2, 0), as a map pair and as
+# generator pairs with the same Delta_1 image 2Z x Z: two classes, each with
+# a trivial fiber.  Without the second generator pair level 1 is infinite.
+NO_CENTRE_TARGET = {"class": 2, "ranks": [2, 0], "brackets": []}
+NO_CENTRE_MAPS = {"kind": "NILMANIFOLD", "target": NO_CENTRE_TARGET,
+                  "F": [[[2, 0], [0, 1]], []], "G": [[[0, 0], [0, 0]], []]}
+NO_CENTRE_PAIRS = {"kind": "PAIRS", "target": NO_CENTRE_TARGET,
+                   "pairs": [[[[0, 0], []], [[2, 0], []]], [[[0, 0], []], [[0, 1], []]]]}
+NO_CENTRE_INFINITE = dict(NO_CENTRE_PAIRS, pairs=NO_CENTRE_PAIRS["pairs"][:1])
+
 
 def identity_matrix(n):
     return IntMatrix([[int(i == j) for j in range(n)] for i in range(n)])

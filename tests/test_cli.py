@@ -13,26 +13,25 @@ import pytest
 
 import nilco
 import nilco.cli
+import nilco.errors
 import nilco.lattice
 import nilco.problems
 
 from conftest import (
+    EXIT_BOUND,
+    EXIT_CODES,
+    EXIT_ERROR,
+    EXIT_SCHEMA,
+    EXIT_UNSUPPORTED,
+    NO_CENTRE_INFINITE,
+    NO_CENTRE_MAPS,
+    NO_CENTRE_PAIRS,
     expand_reps,
     heisenberg_period_pairs,
     serialize_problem,
     sympy_cokernel_order,
 )
-from nilco.cli import (
-    EXIT_BOUND,
-    EXIT_ERROR,
-    EXIT_MISMATCH,
-    EXIT_OK,
-    EXIT_PARSE,
-    EXIT_SCHEMA,
-    EXIT_UNSUPPORTED,
-    bundled_fixture_dir,
-    main,
-)
+from nilco.cli import EXIT_MISMATCH, EXIT_OK, EXIT_PARSE, bundled_fixture_dir, main
 from nilco.infra import InfraStructure
 from nilco.intmat import IntMatrix
 from nilco.problems import (
@@ -234,6 +233,23 @@ class TestCompute:
 
 
 class TestExitCodes:
+    def test_the_table_names_every_error_class(self):
+        classes = {name for name, value in vars(nilco.errors).items()
+                   if isinstance(value, type) and issubclass(value, nilco.errors.NilcoError)}
+        assert classes == set(EXIT_CODES)
+
+    @pytest.mark.parametrize("name", sorted(EXIT_CODES))
+    def test_an_error_exits_with_its_class_code(self, tmp_path, monkeypatch, capsys, name):
+        error = getattr(nilco.errors, name)
+        assert error.exit_code == EXIT_CODES[name]
+
+        def compute_report(problem):
+            raise error("raised on purpose")
+
+        monkeypatch.setattr(nilco.cli, "compute_report", compute_report)
+        assert run(["compute", write_problem(tmp_path, torus_doc(2))]) == (EXIT_CODES[name], "")
+        assert capsys.readouterr().err == "error: raised on purpose\n"
+
     def test_bad_decimal_string_names_its_location_once(self, tmp_path, capsys):
         doc = {"kind": "TORUS", "target": {"ranks": [1]}, "F": [["3x"]], "G": [[0]]}
         path = write_problem(tmp_path, doc)
@@ -876,14 +892,22 @@ class TestRepresentatives:
         assert doc.get("reps") == ([[[x]] for x in range(R)] if listed else None)
 
     def test_target_without_a_centre_lists_both_levels(self, tmp_path):
-        # ranks (2, 0): every representative carries an empty second level
-        doc = {"kind": "NILMANIFOLD", "target": {"class": 2, "ranks": [2, 0], "brackets": []},
-               "F": [[[2, 0], [0, 1]], []], "G": [[[0, 0], [0, 0]], []]}
-        path = write_problem(tmp_path, doc)
+        # ranks (2, 0): both levels are counted, the second with a trivial
+        # fiber, and every representative carries an empty second level,
+        # whether the pair is given by maps or by generator pairs
+        for name, doc in (("maps", NO_CENTRE_MAPS), ("pairs", NO_CENTRE_PAIRS)):
+            path = write_problem(tmp_path, doc, f"{name}.json")
+            code, text = run(["--output", "json", "compute", path])
+            assert code == EXIT_OK and text.endswith(',"reps":[[[0,0],[]],[[1,0],[]]]}\n')
+            assert '"level_counts":[2,1],' in text and '"fiber_counts":[[1,2]],' in text, name
+            code, text = run(["compute", path])
+            assert code == EXIT_OK
+            assert "  class representatives: [[[0, 0], []], [[1, 0], []]]\n" in text
+            code, text = run(["--output", "json", "oracle", path])
+            assert code == EXIT_OK and json.loads(text)["orbit_count"] == 2
+        path = write_problem(tmp_path, NO_CENTRE_INFINITE, "infinite.json")
         code, text = run(["--output", "json", "compute", path])
-        assert code == EXIT_OK and text.endswith(',"reps":[[[0,0],[]],[[1,0],[]]]}\n')
-        code, text = run(["compute", path])
-        assert code == EXIT_OK and "  class representatives: [[[0, 0], []], [[1, 0], []]]\n" in text
+        assert code == EXIT_OK and '"level_counts":["infinite","infinite"],' in text
 
 
 class TestRoundTrip:

@@ -12,6 +12,9 @@ from pathlib import Path
 import pytest
 
 from conftest import (
+    NO_CENTRE_INFINITE,
+    NO_CENTRE_MAPS,
+    NO_CENTRE_PAIRS,
     expand_reps,
     fiber_deviation_rank,
     fiber_sum_by_enumeration,
@@ -47,7 +50,12 @@ from nilco.intmat import (
 )
 from nilco.lattice import LatticeElement, LatticeHomomorphism, NilpotentLattice
 from nilco.oracle import twisted_orbits_finite
-from nilco.problems import oracle_orbit_count, parse_problem_dict
+from nilco.problems import (
+    compute_report,
+    oracle_orbit_count,
+    parse_problem_dict,
+    validate_problem,
+)
 from nilco.reidemeister import (
     EQ_THM,
     INFTY_THM,
@@ -200,20 +208,23 @@ class TestLabels:
         assert labels == reps
 
     def test_target_without_a_centre_keeps_both_levels(self):
-        # ranks (2, 0): a listed representative and a label have two levels,
-        # the second empty, like every element of the target
-        problem = parse_problem_dict({
-            "kind": "NILMANIFOLD", "target": {"class": 2, "ranks": [2, 0], "brackets": []},
-            "F": [[[2, 0], [0, 1]], []], "G": [[[0, 0], [0, 0]], []],
-        })
-        engine = TwistedOrbitEngine(TwistedAction.from_homs(problem.phi, problem.psi))
-        reps = expand_reps(engine.result(reps_limit=10).reps)
-        assert [u.coordinates for u in reps] == [((0, 0), ()), ((1, 0), ())]
-        for u in reps:
-            assert engine.label(u)[0] == u
-        u = problem.target.element(((5, 3), ()))
-        rep, word = engine.label(u)
-        assert rep.coordinates == ((1, 0), ()) and engine.move(u, word) == rep
+        # ranks (2, 0): the count, a listed representative and a label have
+        # two levels, the second trivial, like every element of the target,
+        # for a map pair and for generator pairs alike
+        for doc in (NO_CENTRE_MAPS, NO_CENTRE_PAIRS):
+            problem = parse_problem_dict(doc)
+            R = compute_report(problem)[0].R
+            assert (R.count, R.level_counts, R.fiber_counts) == (2, (2, 1), ((1, 2),)), doc["kind"]
+            engine = TwistedOrbitEngine(validate_problem(problem))
+            reps = expand_reps(R.reps)
+            assert [u.coordinates for u in reps] == [((0, 0), ()), ((1, 0), ())]
+            for u in reps:
+                assert engine.label(u)[0] == u
+            u = problem.target.element(((5, 3), ()))
+            rep, word = engine.label(u)
+            assert rep.coordinates == ((1, 0), ()) and engine.move(u, word) == rep
+        R = compute_report(parse_problem_dict(NO_CENTRE_INFINITE))[0].R
+        assert R.level_counts == (None, None) and R.infinite_level == 1
 
     def test_witness_replay_is_exact(self, rng):
         h, engine = self.engine()
@@ -225,7 +236,8 @@ class TestLabels:
     def test_label_depends_only_on_the_action(self):
         h, engine = self.engine()
         u = h.element(((5, -3), (7,)))
-        assert TwistedOrbitEngine(engine.action).label(u) == engine.label(u)
+        action = TwistedAction(engine.target, engine.movers)
+        assert TwistedOrbitEngine(action).label(u) == engine.label(u)
 
     def test_witness_length_does_not_grow_with_the_coordinates(self):
         h, engine = self.engine()
@@ -407,7 +419,8 @@ class TestPeriodClasses:
                 ))
                 e1 = max((1, *cokernel(engine.delta1).torsion))
                 m = max(2, e1 * (E if E % 2 else 2 * E))
-                assert TwistedOrbitEngine(engine.action).oracle_modulus() == m
+                action = TwistedAction(engine.target, engine.movers)
+                assert TwistedOrbitEngine(action).oracle_modulus() == m
                 assert engine.oracle_modulus() == m
                 non_uniform += len(R.fiber_counts) > 1
         assert non_uniform >= 5

@@ -5,6 +5,8 @@ from .errors import (
     HomomorphismError,
     InfiniteResultError,
     NilcoError,
+    ParseError,
+    SchemaError,
     ShapeError,
     UnsupportedClassError,
 )

@@ -7,11 +7,13 @@ as `oracle` on an infinite count with no --modulus), 2 parse error
 too deep, a NILCO_MAX_ORDER that is not an integer >= 1, or a --modulus
 below 2), 3 schema/shape error (also a map that is not a homomorphism, or
 invalid holonomy data; the message names the place in the file), 4
-unsupported class (also `oracle` on a class >= 3 target), 5 bound
-exceeded.  The codes this module returns itself are 0 ok, 6
-fixture/expected mismatch, and 2 for an empty fixture directory or a
-usage error.  `fixtures` prints a PASS or FAIL line for every file, also
-one that cannot be parsed or counted, and exits 6 on any FAIL.
+unsupported class (class >= 3 targets, and class >= 3 sources into a
+class-2 target, until a presentation is given: `compute`, `validate` and
+`oracle` all refuse them when the file is parsed), 5 bound exceeded.
+The codes this module returns itself are 0 ok, 6 fixture/expected
+mismatch, and 2 for an empty fixture directory or a usage error.
+`fixtures` prints a PASS or FAIL line for every file, also one that
+cannot be parsed or counted, and exits 6 on any FAIL.
 
 NILCO_MAX_ORDER, the one enumeration setting, caps the quotient elements
 `oracle` enumerates and the period classes `compute` builds fibers for.
@@ -40,7 +42,6 @@ from contextlib import redirect_stdout
 
 from .errors import NilcoError, ParseError
 from .problems import (
-    _shown,
     canonical_json,
     check_expected,
     compute_report,
@@ -62,19 +63,15 @@ def _render_human(doc, out):
     name = doc.get("name")
     title = f"{doc['kind']}" + (f" [{name}]" if name else "")
     print(title, file=out)
-    if not doc.get("exact", True):
-        lo, hi = doc["count_bounds"]
-        print(f"  R(f,g) in [{lo}, {hi}]  (UNSUPPORTED-EXACT: class > 2)", file=out)
-    else:
-        print(f"  R(f,g) = {doc['R']}", file=out)
-    print(f"  N(f,g) = {_shown(doc['N'])}", file=out)
+    print(f"  R(f,g) = {doc['R']}", file=out)
+    print(f"  N(f,g) = {doc['N']}", file=out)
     print(f"  deformable to coincidence free: {doc['deformable']} ({doc['rationale']})", file=out)
     levels = ", ".join(str(c) for c in doc["level_counts"])
     print(f"  level counts: [{levels}]", file=out)
     if doc.get("infinite_level") is not None:
         print(f"  first infinite level: {doc['infinite_level']}", file=out)
     if doc.get("cover") is not None:
-        print(f"  cover R = {_shown(doc['cover']['R'])}", file=out)
+        print(f"  cover R = {doc['cover']['R']}", file=out)
     if doc.get("reps") is not None and doc["R"] <= 64:
         print(f"  class representatives: {render_reps(doc['reps'], ', ')}", file=out)
 
@@ -156,8 +153,8 @@ def cmd_fixtures(args, out):
             print(f"FAIL {label}: " + "; ".join(mismatches), file=out)
             failures += 1
         else:
-            R, N = _shown(doc["R"]), _shown(doc["N"])
-            print(f"PASS {label}: R={R} N={N} deformable={doc['deformable']}", file=out)
+            print(f"PASS {label}: R={doc['R']} N={doc['N']} deformable={doc['deformable']}",
+                  file=out)
     if failures:
         print(f"{failures} fixture(s) failed", file=sys.stderr)
         return EXIT_MISMATCH

@@ -6,8 +6,9 @@ itself: it is generated by the cover generators and the coset
 representatives x, so its twisted classes are the orbits of the
 generator-pair system made of the cover images (phi(s), psi(s)) plus the
 holonomy pairs (f(x), g(x)), counted by the same orbit engine as every
-other input kind.  Past class 2 only bounds, derived from the cover's, are
-known.  Every branch ends in `reidemeister.verdict`.
+other input kind.  Class >= 3 targets, and class >= 3 covers into a class-2
+target, exit 4 until a presentation is given (the lifted maps refuse to be
+built).  Every branch ends in `reidemeister.verdict`.
 
 The holonomy data is checked once, when an InfraStructure is built, and
 `infra_action` checks what ties it to a map pair.
@@ -110,18 +111,11 @@ def decide_infra(infra, phi, psi):
     """Coincidence report for the infra-nilmanifold pair itself.
 
     Returns (cover_report, report).  An infinite cover count gives R =
-    infinity under INFTY_THM.  When the cover count is finite or bounded and
-    the target has class > 2, the orbit engine is unavailable: from the
-    cover's bounds [lo, hi] (lo = hi = R_cover when it is exact) the report
-    carries the bounds [ceil(lo / h), hi].  Otherwise the orbit engine counts
+    infinity under INFTY_THM.  Otherwise the orbit engine counts
     `infra_action`, and `verdict` applies EQ_THM.
     """
     action = infra_action(infra, phi, psi)
     cover_report = coincidence_invariants(phi, psi, reps_limit=None)
     if cover_report.R.infinite_level is not None:
         return cover_report, verdict(cover_report.R, INFTY_THM)
-    if phi.target.class_c > 2:
-        lo, hi = cover_report.count_bounds or (cover_report.R.count,) * 2
-        bounds = (-(-lo // infra.holonomy_order), hi)
-        return cover_report, verdict(cover_report.R, EQ_THM, bounds=bounds)
     return cover_report, verdict(TwistedOrbitEngine(action).result(reps_limit=REPS_LIMIT), EQ_THM)

@@ -3,8 +3,11 @@
 A lattice is stored as its lower-central-series tower: the ranks of the
 free-abelian quotients plus, for nilpotency class <= 2, an integer bilinear
 form giving the central part of the product.  Element arithmetic (normal
-form coordinates) is exact for class <= 2; deeper towers are handled at the
-level-matrix tier only.  All of it is ordered products of powers
+form coordinates) is exact for class <= 2.  A deeper tower has no group law
+here, so nothing can tell a map into it from a non-map: class >= 3 targets,
+and class >= 3 sources into a class-2 target, exit 4 until a presentation
+is given (a map from any source into a torus is a homomorphism on level 1
+alone).  All of the arithmetic is ordered products of powers
 (`NilpotentLattice.product`): `multiply`, `inverse` and `power` are products
 of one or two factors, and `apply_hom` is the product of the generator
 images.
@@ -154,15 +157,22 @@ class LatticeHomomorphism(namedtuple("LatticeHomomorphism", "source target matri
     """A map between lattices as compatible level matrices.
 
     matrices[i] has shape (target rank_i) x (source rank_i); levels past a
-    tower's class have rank 0.  The constructor checks the shapes and then
-    bracket equivariance (`validate_hom`) and raises ShapeError or
-    HomomorphismError, so every instance between class <= 2 lattices is a
-    genuine homomorphism; past class 2 only the shapes can be checked.
+    tower's class have rank 0.  The constructor refuses what it cannot
+    check, class >= 3 targets and class >= 3 sources into a class-2 target,
+    with UnsupportedClassError (exit 4 until a presentation is given); then
+    it checks the shapes and bracket equivariance (`validate_hom`) and
+    raises ShapeError or HomomorphismError.  So every instance is a genuine
+    homomorphism.
     """
 
     __slots__ = ()
 
     def __new__(cls, source, target, matrices):
+        if target.class_c > 2 or (target.class_c == 2 and source.class_c > 2):
+            raise UnsupportedClassError(
+                f"no group law past class 2, so a map from class {source.class_c} "
+                f"into class {target.class_c} cannot be checked"
+            )
         matrices = tuple(matrices)
         depth = max(source.class_c, target.class_c)
         if len(matrices) != depth:
@@ -217,8 +227,8 @@ def validate_hom(hom):
     Returns the first violating basis pair as (i, j, expected, actual).
     """
     src, tgt = hom.source, hom.target
-    if tgt.class_c != 2 or src.class_c > 2:
-        return None  # no brackets to compare, or none checkable past class 2
+    if tgt.class_c != 2:
+        return None  # no brackets to compare
     # a class-1 source has no brackets and an r_2 x 0 M2: its side is 0
     M1, M2 = hom.matrices[:2]
     r1 = src.ranks[0]

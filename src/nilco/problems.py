@@ -2,10 +2,12 @@
 
 Problem files are UTF-8 JSON with a fixed schema (see README).  Integers
 may be written as arbitrary-precision ASCII decimal strings.  INFINITE is always
-serialized as the string "infinite", never a sentinel number, and an
-inexact count as a null R next to its `count_bounds`.  `report_dict` is the
-one encoding of a report: `check_expected` compares an expected block with
-it, and the CLI prints from it.
+serialized as the string "infinite", never a sentinel number, and every
+count is exact.  `report_dict` is the one encoding of a report:
+`check_expected` compares an expected block with it, and the CLI prints
+from it.  Class >= 3 targets, and class >= 3 sources into a class-2
+target, exit 4 until a presentation is given: the maps and actions into
+them refuse to be built, so the parser rejects them.
 
 The parser checks only what JSON needs: types, required keys and the column
 count of a matrix without rows.  Every other check belongs to the type
@@ -146,11 +148,10 @@ def _parse_expected(obj, where):
     if unknown := sorted(set(obj) - {"R", "N", "deformable"}):  # a typo checks nothing
         raise SchemaError(f"{where}: unknown key(s) {', '.join(map(repr, unknown))}")
     out = {}
-    # null is the R and N of an inexact count, as the report encodes them
     if "R" in obj:
-        out["R"] = obj["R"] if obj["R"] in (None, INFINITE) else _as_int(obj["R"], f"{where}.R")
+        out["R"] = INFINITE if obj["R"] == INFINITE else _as_int(obj["R"], f"{where}.R")
     if "N" in obj:
-        out["N"] = None if obj["N"] is None else _as_int(obj["N"], f"{where}.N")
+        out["N"] = _as_int(obj["N"], f"{where}.N")
     if "deformable" in obj:
         v = obj["deformable"]
         if v not in ("yes", "no", "unknown"):
@@ -228,7 +229,9 @@ def parse_problem_dict(doc, where="problem"):
         if not isinstance(raw, list):
             raise SchemaError(f"{where}: missing 'pairs' list")
         pairs = _element_pairs(target, raw, f"{where}.pairs", "phi, psi")
-        return ProblemFile(**head, action=TwistedAction(target=target, movers=tuple(pairs)))
+        with _located(where):
+            action = TwistedAction(target=target, movers=pairs)
+        return ProblemFile(**head, action=action)
 
     # a map pair, on the cover for INFRA
     if kind == "TORUS" and target.class_c != 1:
@@ -297,7 +300,7 @@ def canonical_json(doc):
     """The document as JSON with sorted keys and no spaces.  A report's
     "reps" boxes are written by `render_reps` and appended last, which is
     where sort_keys puts "reps": it sorts after every other report key (N,
-    R, count_bounds, cover, ..., rationale)."""
+    R, cover, ..., rationale)."""
     rest = {key: value for key, value in doc.items() if key != "reps"}
     with unlimited_int_digits():
         # report_dict builds trees, so there is no cycle to look for
@@ -329,7 +332,7 @@ def _count_or_infinite(value):
 def _counts(report):
     """R, level_counts and infinite_level of a report, in the report encoding."""
     return {
-        "R": _count_or_infinite(report.R.count) if report.exact else None,
+        "R": _count_or_infinite(report.R.count),
         "level_counts": [_count_or_infinite(c) for c in report.R.level_counts],
         "infinite_level": report.R.infinite_level,
     }
@@ -344,12 +347,10 @@ def report_dict(problem, report, cover_report=None):
         "N": report.N,
         "deformable": report.deformable,
         "rationale": report.rationale,
-        "exact": report.exact,
+        "exact": True,  # every count is exact; the key stays for readers of the format
     }
     if problem.name is not None:
         out["name"] = problem.name
-    if report.count_bounds is not None:
-        out["count_bounds"] = [_count_or_infinite(b) for b in report.count_bounds]
     if R.reps is not None:
         out["reps"] = R.reps  # boxes, written by render_reps
     if R.fiber_counts is not None:
@@ -360,16 +361,11 @@ def report_dict(problem, report, cover_report=None):
     return out
 
 
-def _shown(value):
-    """A report value as human output prints it: `unknown` for a JSON null."""
-    return "unknown" if value is None else value
-
-
 def check_expected(problem, doc):
     """Mismatches of the report document `doc` (from `report_dict`, whose
     encoding the expected block shares) against the expected block."""
     return [
-        f"{key}: expected {_shown(value)}, got {_shown(doc[key])}"
+        f"{key}: expected {value}, got {doc[key]}"
         for key, value in (problem.expected or {}).items()
         if doc[key] != value
     ]

@@ -18,16 +18,16 @@ Hermite form, and the same form lists the canonical representatives, gives
 the kernel words and reduces labels, so canonical class labels with exact
 witness words come out of the same machinery.
 
-For class <= 2 targets R is the engine's count for every input kind; when
-G_1 - F_1 has a kernel (dim X > dim Y) it can be finite while a level order
-|coker(G_l - F_l)| is infinite.  Only class >= 3 targets take R as the
-product of the level orders, and only when level 1 is infinite or no
-G_l - F_l below the top level has a kernel; else only c_1 <= R <= prod c_l
-is proven.  `verdict` turns every count into a CoincidenceReport.
+R is the engine's count for every input kind; when G_1 - F_1 has a kernel
+(dim X > dim Y) it can be finite while a level order |coker(G_l - F_l)| is
+infinite.  Class >= 3 targets, and class >= 3 sources into a class-2
+target, exit 4 until a presentation is given: no map or action into them
+can be built (`LatticeHomomorphism`, `TwistedAction`).  `verdict` turns
+every count into a CoincidenceReport.
 """
 
 from collections import namedtuple
-from math import lcm, prod
+from math import lcm
 from operator import sub
 
 from .errors import (
@@ -45,7 +45,7 @@ from .intmat import (
     kernel_basis,
     reduce_to_canonical_rep,
 )
-from .lattice import LatticeElement
+from .lattice import LatticeElement, _checked_make
 
 YES = "yes"
 NO = "no"
@@ -58,7 +58,7 @@ REMARK_GAP = "REMARK-GAP"  # general source, finite R decides nothing
 
 
 ReidemeisterResult = namedtuple("ReidemeisterResult", (
-    "count",  # positive int when finite, None when infinite or inexact
+    "count",  # positive int when finite, None when infinite
     "level_counts",  # per-level orders; None marks an infinite level
     "infinite_level",  # 1-based, set exactly when the count is infinite
     "reps",  # canonical representatives (class <= 2, finite, small) as boxes
@@ -67,43 +67,43 @@ ReidemeisterResult = namedtuple("ReidemeisterResult", (
 ), defaults=(None, None, None))
 REPS_LIMIT = 1024  # the most representatives a report lists
 
-CoincidenceReport = namedtuple("CoincidenceReport", (
-    "R",  # ReidemeisterResult
-    "N",  # None when only count_bounds are known
-    "deformable",
-    "rationale",
-    "count_bounds",  # (lo, hi) for an inexact count; hi None when infinite
-), defaults=(None,))
-CoincidenceReport.exact = property(lambda self: self.count_bounds is None)
+CoincidenceReport = namedtuple("CoincidenceReport", "R N deformable rationale")
 
 
-def verdict(R, theorem, bounds=None):
+def verdict(R, theorem):
     """The one builder of a CoincidenceReport: the count R under `theorem`.
 
     EQ_THM (nilmanifold or infra-nilmanifold source): R infinite gives N = 0
     and YES, R finite N = R and NO.  INFTY_THM (any finite complex): R
     infinite gives N = 0 and YES; R finite decides nothing (N = R, UNKNOWN,
-    REMARK_GAP).  With `bounds` (lo, hi) on an inexact count, N is None and
-    the pair is NO when hi is finite, UNKNOWN when it is infinite (None).
+    REMARK_GAP).
     """
     rationale = theorem
-    if bounds is not None:
-        R = R._replace(count=None, infinite_level=None)
-        N, deformable = None, NO if bounds[1] is not None else UNKNOWN
-    elif R.infinite_level is not None:
+    if R.infinite_level is not None:
         N, deformable = 0, YES
     elif theorem == EQ_THM:
         N, deformable = R.count, NO
     else:
         N, deformable, rationale = R.count, UNKNOWN, REMARK_GAP
-    return CoincidenceReport(R, N, deformable, rationale, count_bounds=bounds)
+    return CoincidenceReport(R, N, deformable, rationale)
 
 
 class TwistedAction(namedtuple("TwistedAction", "target movers")):
     """The relation u ~ psi(x) * u * phi(x)^{-1} on the target lattice, given
-    by mover pairs (phi(x), psi(x))."""
+    by mover pairs (phi(x), psi(x)).  The constructor refuses a target of
+    class > 2, which has no group law here, with UnsupportedClassError."""
 
     __slots__ = ()
+
+    def __new__(cls, target, movers):
+        if target.class_c > 2:
+            raise UnsupportedClassError(
+                f"no group law past class 2, so an action on a class {target.class_c} "
+                "target cannot be counted"
+            )
+        return super().__new__(cls, target, tuple(movers))
+
+    _make = _checked_make
 
     @classmethod
     def from_homs(cls, phi, psi):
@@ -146,10 +146,6 @@ class TwistedOrbitEngine:
 
     def __init__(self, action):
         target = action.target
-        if target.class_c > 2:
-            raise UnsupportedClassError(
-                f"orbit engine requires class <= 2, got class {target.class_c}"
-            )
         self.target = target
         self.movers = tuple(action.movers)
         self.k = len(self.movers)
@@ -357,38 +353,19 @@ def coincidence_invariants(phi, psi, reps_limit=REPS_LIMIT):
     """R(f,g), N(f,g) and the deformability decision for a lattice pair.
 
     `level_counts` are the orders |coker(G_l - F_l)|, read from column
-    Hermite forms.  For class <= 2 targets the orbit engine decides R (which
-    may be finite over an infinite level) and lists the representatives.
-    Class >= 3 targets take R as the product of the level counts when level
-    1 is infinite or no G_l - F_l below the top level has a kernel (then
-    every fiber is the next level's cokernel); otherwise only the bounds
-    c_1 <= R <= prod c_l are proven.  Both maps were checked when they were
-    built (LatticeHomomorphism); here they are only applied, once, by
-    `TwistedAction.from_homs`.
+    Hermite forms; the orbit engine decides R (which may be finite over an
+    infinite level) and lists the representatives.  Both maps were checked
+    when they were built (LatticeHomomorphism); here they are only applied,
+    once, by `TwistedAction.from_homs`.
     """
-    action = TwistedAction.from_homs(phi, psi)
-    engine = TwistedOrbitEngine(action) if phi.target.class_c <= 2 else None
+    engine = TwistedOrbitEngine(TwistedAction.from_homs(phi, psi))
     # the engine's level-1 matrix is G1 - F1 plus a zero column per central
     # source generator, so its order is level 1's
-    forms = [
-        engine.hermite1 if i == 0 and engine is not None
-        else column_hermite(psi.matrices[i] - phi.matrices[i])
-        for i in range(phi.depth)
-    ]
-    level_counts = tuple(ch.order for ch in forms)
-    if engine is not None:
-        R = engine.result(reps_limit=reps_limit)._replace(level_counts=level_counts)
-        return verdict(R, EQ_THM)
-    infinite = None in level_counts
-    R = ReidemeisterResult(
-        count=None if infinite else prod(level_counts),
-        level_counts=level_counts,
-        infinite_level=level_counts.index(None) + 1 if infinite else None,
-    )
-    # exact when level 1 is infinite or each Delta_l below the top is injective:
-    # a pivot in every column
-    exact = level_counts[0] is None or all(len(ch.pivots) == ch.A.cols for ch in forms[:-1])
-    return verdict(R, EQ_THM, bounds=None if exact else (level_counts[0], R.count))
+    level_counts = (engine.order1, *(
+        column_hermite(psi.matrices[i] - phi.matrices[i]).order for i in range(1, phi.depth)
+    ))
+    R = engine.result(reps_limit=reps_limit)._replace(level_counts=level_counts)
+    return verdict(R, EQ_THM)
 
 
 def coincidence_invariants_from_pairs(action):
@@ -397,6 +374,5 @@ def coincidence_invariants_from_pairs(action):
 
     R = infinity forces deformability; a finite R decides nothing for a
     general source, so the verdict is UNKNOWN in that case (see `verdict`).
-    The orbit engine rejects targets of class > 2.
     """
     return verdict(TwistedOrbitEngine(action).result(reps_limit=REPS_LIMIT), INFTY_THM)

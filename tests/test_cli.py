@@ -54,34 +54,42 @@ HEISENBERG_DOC = {
 }
 
 
-# class-3 pairs into the target of ranks (2, 1, 1): the (3, 1, 1) source's
-# G1 - F1 has a kernel, so its count is only bounded, in [1, 6]; the square
-# pair's count is exact, R = 4 * 4 * 8
-CLASS3_KERNEL_DOC = {
-    "kind": "NILMANIFOLD",
-    "source": {"ranks": [3, 1, 1]},
-    "target": {"ranks": [2, 1, 1]},
-    "F": [[[1, 0, 0], [0, 1, 0]], [[2]], [[3]]],
-    "G": [[[0, 0, 0], [0, 0, 0]], [[0]], [[0]]],
-}
-CLASS3_EXACT_DOC = {
-    "kind": "NILMANIFOLD",
-    "target": {"ranks": [2, 1, 1]},
-    "F": [[[2, 0], [0, 2]], [[4]], [[8]]],
-    "G": [[[0, 0], [0, 0]], [[0]], [[0]]],
-}
-# an INFRA pair whose cover count is inexact too: the cover R is null
-CLASS3_INFRA_DOC = {
-    "kind": "INFRA",
-    "target": {"ranks": [2, 1, 1]},
-    "F": [[[2, 0, 0], [0, 2, 0]], [[2]], [[3]]],
-    "G": [[[0, 0, 0], [0, 0, 0]], [[0]], [[0]]],
-    "infra": {
-        "cover": {"ranks": [3, 1, 1]},
-        "holonomy_order": 2,
-        "coset_actions": [{"matrices": [[[1, 0, 0], [0, 1, 0], [0, 0, -1]], [[1]], [[1]]]}],
-        "map_images": [[[[0, 0], [0], [0]], [[0, 0], [0], [0]]]],
+KLEIN_DOC = json.loads(
+    (bundled_fixture_dir() / "klein_bottle_to_circle.json").read_text(encoding="utf-8")
+)
+
+# problems with no group law to check their maps against, each refused with
+# exit 4: the filiform pair into ranks (2, 1, 1) (no homomorphism, since G = 0
+# and F = (I, [5], [7])), a class-3 source into the Heisenberg lattice, and
+# generator pairs on a class-3 target
+CLASS3_DOCS = {
+    "filiform": {
+        "kind": "NILMANIFOLD",
+        "target": {"ranks": [2, 1, 1]},
+        "F": [[[1, 0], [0, 1]], [[5]], [[7]]],
+        "G": [[[0, 0], [0, 0]], [[0]], [[0]]],
     },
+    "class3-into-heisenberg": {
+        "kind": "NILMANIFOLD",
+        "source": {"ranks": [2, 1, 1]},
+        "target": HEISENBERG_DOC["target"],
+        "F": [[[2, 0], [0, 2]], [[5]], []],
+        "G": [[[0, 0], [0, 0]], [[0]], []],
+    },
+    "pairs": {
+        "kind": "PAIRS",
+        "target": {"ranks": [2, 1, 1]},
+        "pairs": [[[[1, 0], [0], [0]], [[0, 0], [0], [0]]],
+                  [[[0, 1], [0], [0]], [[0, 0], [0], [0]]]],
+    },
+}
+# a class-3 source into T^2: every F1 is a homomorphism into an abelian group
+CLASS3_INTO_TORUS_DOC = {
+    "kind": "NILMANIFOLD",
+    "source": {"ranks": [2, 1, 1]},
+    "target": {"ranks": [2]},
+    "F": [[[2, 1], [0, 3]], [], []],
+    "G": [[[0, 0], [0, 0]], [], []],
 }
 
 
@@ -126,41 +134,32 @@ class TestCompute:
         doc = json.loads(text)
         assert doc["R"] == "infinite" and doc["N"] == 0 and doc["deformable"] == "yes"
 
-    def test_human_output_prints_no_python_none(self, tmp_path):
-        # every null of the JSON report reads `unknown` in human output
-        docs = [CLASS3_KERNEL_DOC, CLASS3_INFRA_DOC]
-        paths = [write_problem(tmp_path, doc, name=f"{i}.json") for i, doc in enumerate(docs)]
-        paths += [str(p) for p in sorted(bundled_fixture_dir().glob("*.json"))]
-        texts = []
-        for path in paths:
-            code, text = run(["compute", path])
+    def test_human_output_prints_no_python_none(self):
+        # the one null of a JSON report, infinite_level, is left out
+        for path in sorted(bundled_fixture_dir().glob("*.json")):
+            code, text = run(["compute", str(path)])
             assert code == EXIT_OK and "None" not in text, path
-            texts.append(text)
-        assert "R(f,g) in [1, 6]" in texts[0] and "N(f,g) = unknown" in texts[0]
-        assert "N(f,g) = unknown" in texts[1] and "cover R = unknown" in texts[1]
-        corpus = tmp_path / "corpus"
-        corpus.mkdir()
-        write_problem(corpus, dict(CLASS3_KERNEL_DOC, expected={"deformable": "no"}))
-        code, text = run(["fixtures", "--dir", str(corpus)])
-        assert code == EXIT_OK
-        assert text == "PASS problem: R=unknown N=unknown deformable=no\n"
 
-    def test_expected_block_may_state_a_null_count(self, tmp_path, capsys):
-        # an expected block encodes the R and N of an inexact count as the
-        # report does, as null
-        corpus = tmp_path / "corpus"
-        corpus.mkdir()
-        expected = {"R": None, "N": None, "deformable": "no"}
-        path = write_problem(corpus, dict(CLASS3_KERNEL_DOC, expected=expected))
-        assert run(["compute", path])[0] == EXIT_OK
-        code, text = run(["fixtures", "--check", "--dir", str(corpus)])
-        assert code == EXIT_OK
-        assert text == "PASS problem: R=unknown N=unknown deformable=no\n"
-        # an exact count does not match a null, which the message prints as
-        # human output does
-        path = write_problem(tmp_path, dict(HEISENBERG_DOC, expected={"N": None}))
-        assert run(["compute", path])[0] == EXIT_MISMATCH
-        assert capsys.readouterr().err == "expected mismatch: N: expected unknown, got 16\n"
+    @pytest.mark.parametrize("key", ["R", "N"])
+    def test_expected_block_may_not_state_a_null_count(self, tmp_path, capsys, key):
+        # every count is exact, so a null R or N is a schema error
+        path = write_problem(tmp_path, dict(HEISENBERG_DOC, expected={key: None}))
+        assert run(["compute", path])[0] == EXIT_SCHEMA
+        assert capsys.readouterr().err == (
+            f"error: {path}.expected.{key}: expected integer or decimal string, got None\n"
+        )
+
+    def test_class3_source_into_a_torus_is_answered(self, tmp_path):
+        path = write_problem(tmp_path, CLASS3_INTO_TORUS_DOC)
+        code, text = run(["--output", "json", "compute", path])
+        assert (code, text) == (EXIT_OK, (
+            '{"N":6,"R":6,"deformable":"no","exact":true,"infinite_level":null,'
+            '"kind":"NILMANIFOLD","level_counts":[6,1,1],"rationale":"EQ-THM",'
+            '"reps":[[[0,0]],[[0,1]],[[0,2]],[[0,3]],[[0,4]],[[0,5]]]}\n'
+        ))
+        assert run(["validate", path])[0] == EXIT_OK
+        code, text = run(["--output", "json", "oracle", path])
+        assert code == EXIT_OK and json.loads(text)["orbit_count"] == 6
 
     def test_infra_report_includes_cover(self, tmp_path):
         fixture = str(bundled_fixture_dir() / "klein_bottle_to_circle.json")
@@ -237,6 +236,8 @@ class TestExitCodes:
         classes = {name for name, value in vars(nilco.errors).items()
                    if isinstance(value, type) and issubclass(value, nilco.errors.NilcoError)}
         assert classes == set(EXIT_CODES)
+        # the package re-exports each one, ParseError and SchemaError included
+        assert classes <= set(nilco.__all__)
 
     @pytest.mark.parametrize("name", sorted(EXIT_CODES))
     def test_an_error_exits_with_its_class_code(self, tmp_path, monkeypatch, capsys, name):
@@ -308,14 +309,17 @@ class TestExitCodes:
         path.write_text("[" * 100_000, encoding="utf-8")
         assert run(["compute", str(path)])[0] == EXIT_PARSE
 
-    def test_unsupported_class(self, tmp_path):
-        doc = {
-            "kind": "PAIRS",
-            "target": {"class": 3, "ranks": [1, 1, 1]},
-            "pairs": [[[[1], [0], [0]], [[0], [0], [0]]]],
-        }
-        code, _ = run(["compute", write_problem(tmp_path, doc)])
-        assert code == EXIT_UNSUPPORTED
+    @pytest.mark.parametrize("name", sorted(CLASS3_DOCS))
+    def test_unsupported_class(self, tmp_path, capsys, name):
+        # refused when the file is parsed, so validate refuses what compute
+        # and oracle refuse, with the same message
+        path = write_problem(tmp_path, CLASS3_DOCS[name])
+        errors = set()
+        for argv in (["compute"], ["validate"], ["oracle"], ["oracle", "--modulus", "2"]):
+            assert run([argv[0], path, *argv[1:]]) == (EXIT_UNSUPPORTED, "")
+            errors.add(capsys.readouterr().err)
+        [error] = errors
+        assert error.startswith(f"error: {path}") and "no group law past class 2" in error
 
     def test_env_cap_respected(self, tmp_path, monkeypatch):
         monkeypatch.setenv("NILCO_MAX_ORDER", "10")
@@ -431,10 +435,10 @@ class TestExitCodes:
         ({"kind": "NILMANIFOLD", "target": {"ranks": [1]}, "G": [[0]]}, ": missing 'F'"),
         ({"kind": "PAIRS", "target": {"ranks": [1]}, "pairs": [[[1]]]},
          ".pairs[0]: expected [phi, psi] coordinates"),
-        (dict(CLASS3_INFRA_DOC, infra={"holonomy_order": 1}), ".infra: missing 'cover'"),
-        (dict(CLASS3_INFRA_DOC, infra=dict(CLASS3_INFRA_DOC["infra"], map_images=[5])),
+        (dict(KLEIN_DOC, infra={"holonomy_order": 1}), ".infra: missing 'cover'"),
+        (dict(KLEIN_DOC, infra=dict(KLEIN_DOC["infra"], map_images=[5])),
          ".infra.map_images[0]: expected [f, g] coordinates"),
-        ({k: v for k, v in CLASS3_INFRA_DOC.items() if k != "G"}, ": missing 'G' (cover pair)"),
+        ({k: v for k, v in KLEIN_DOC.items() if k != "G"}, ": missing 'G' (cover pair)"),
         # a matrix row with one entry that is not an integer, after one that is
         *(({"kind": "TORUS", "target": {"ranks": [2]}, "F": [[1, x], [0, 1]], "G": [[0, 0]] * 2},
            f".F[0]: {message}") for x, message in [
@@ -506,15 +510,6 @@ class TestOracle:
         assert code == EXIT_OK
         expected = json.loads(path.read_text(encoding="utf-8"))["expected"]["R"]
         assert json.loads(text)["orbit_count"] == expected
-
-    @pytest.mark.parametrize("doc", [CLASS3_KERNEL_DOC, CLASS3_EXACT_DOC],
-                             ids=["inexact", "exact"])
-    def test_class3_target_is_unsupported(self, tmp_path, capsys, doc):
-        # the class is checked before the count, whether it is exact or not
-        path = write_problem(tmp_path, doc)
-        assert run(["oracle", path])[0] == EXIT_UNSUPPORTED
-        assert run(["oracle", path, "--modulus", "2"])[0] == EXIT_UNSUPPORTED
-        assert "class 3" in capsys.readouterr().err
 
     @pytest.mark.parametrize("modulus", [[], ["--modulus", "2"]], ids=["default", "explicit"])
     def test_one_action_and_one_engine_per_run(self, monkeypatch, modulus):
@@ -635,16 +630,12 @@ class TestValidateAndFixtures:
         assert run(["fixtures", "--dir", str(tmp_path)]) == (EXIT_PARSE, "")
         assert capsys.readouterr().err == f"no fixtures found in {tmp_path}\n"
 
-    def test_a_count_that_raises_is_a_fail_line(self, tmp_path):
-        doc = {
-            "kind": "PAIRS", "name": "class-three",
-            "target": {"class": 3, "ranks": [1, 1, 1]},
-            "pairs": [[[[1], [0], [0]], [[0], [0], [0]]]],
-        }
-        write_problem(tmp_path, doc)
+    def test_a_count_that_raises_is_a_fail_line(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("NILCO_MAX_ORDER", "99")
+        write_problem(tmp_path, dict(heisenberg_period_pairs(100), name="past-the-cap"))
         code, text = run(["fixtures", "--dir", str(tmp_path)])
         assert code == EXIT_MISMATCH
-        assert text == "FAIL class-three: orbit engine requires class <= 2, got class 3\n"
+        assert text == "FAIL past-the-cap: coset count 100 exceeds bound 99\n"
 
     def test_a_file_that_fails_to_parse_does_not_stop_the_run(self, tmp_path):
         # the unparsed file is named by its stem; the next file still runs
@@ -864,8 +855,7 @@ class TestRepresentatives:
         doc = {
             "kind": "INFRA", "R": 6, "N": 6, "deformable": "no", "rationale": "EQ-THM",
             "exact": True, "infinite_level": None, "level_counts": [6],
-            "count_bounds": [1, 6], "cover": {"R": 12, "level_counts": [12],
-                                              "infinite_level": None},
+            "cover": {"R": 12, "level_counts": [12], "infinite_level": None},
             "fiber_counts": [[2, 3]], "name": "every key", "reps": boxes,
         }
         text = canonical_json(doc)
@@ -953,7 +943,7 @@ class TestFuzz:
     def test_mutated_fixtures_exit_with_a_documented_code(self, tmp_path, monkeypatch):
         # 400 fixture documents with one or two nodes replaced by a value of
         # the wrong type or range; each run ends with an exit code, never a
-        # traceback, and validate and compute agree on exit codes 2 and 3
+        # traceback, and validate and compute agree on exit codes 2, 3 and 4
         monkeypatch.setenv("NILCO_MAX_ORDER", "20000")
         rng = random.Random(0xF022)
         fixtures = [
@@ -976,6 +966,7 @@ class TestFuzz:
             for command in ("compute", "oracle", "validate"):
                 codes[command], _ = run(["--output", "json", command, path])
                 assert EXIT_OK <= codes[command] <= EXIT_MISMATCH, (command, doc)
-            # validate rejects exactly the files that compute cannot read
-            if {codes["compute"], codes["validate"]} & {EXIT_PARSE, EXIT_SCHEMA}:
+            # validate rejects exactly the files that compute cannot read or
+            # refuses for their class
+            if {codes["compute"], codes["validate"]} & {EXIT_PARSE, EXIT_SCHEMA, EXIT_UNSUPPORTED}:
                 assert codes["compute"] == codes["validate"], doc

@@ -4,14 +4,16 @@ nilco answers for it.
 A line of tests/golden/corpus.jsonl names a generator and a seed (and, for
 a benchmark family, the index of the problem in the family's pass) and
 holds the exit code and the SHA-256 of the problem's `--output json
-compute` document.  For a finite count on a class <= 2 target it also holds
-the SHA-256 of `TwistedOrbitEngine.label`'s (representative, witness)
-pairs for three elements drawn from the seed.  The problems are rebuilt
-here from their generator and seed, so the file holds no problem data.
+compute` document.  On a nonzero exit it also holds the SHA-256 of the
+error message, with the problem file's path written as `problem.json`, so
+it pins which refusal the problem gets.  For a finite count it holds the
+SHA-256 of `TwistedOrbitEngine.label`'s (representative, witness) pairs for
+three elements drawn from the seed.  The problems are rebuilt here from
+their generator and seed, so the file holds no problem data.
 
 The generators are the four families of bench/gen.py and random TORUS,
-NILMANIFOLD, PAIRS, INFRA and class-3 problems built from the conftest
-helpers.  After an intended change of output, rewrite the corpus with
+NILMANIFOLD, PAIRS and INFRA problems built from the conftest helpers, and
+class-3 problem documents, which nilco refuses (exit 4).  After an intended change of output, rewrite the corpus with
 
     PYTHONPATH=src python tests/test_corpus.py > tests/golden/corpus.jsonl
 
@@ -24,6 +26,7 @@ import json
 import random
 import runpy
 import tempfile
+from contextlib import redirect_stderr
 from pathlib import Path
 
 import pytest
@@ -40,7 +43,7 @@ from conftest import (
 )
 from nilco.cli import main
 from nilco.intmat import IntMatrix
-from nilco.lattice import LatticeHomomorphism, NilpotentLattice
+from nilco.lattice import LatticeHomomorphism
 from nilco.problems import ProblemFile, parse_problem_dict, validate_problem
 from nilco.reidemeister import TwistedAction, TwistedOrbitEngine
 
@@ -122,17 +125,18 @@ def random_infra(rng):
 
 
 def random_class3(rng):
-    """A pair into ranks (2, 1, 1).  From a (3, 1, 1) source G1 - F1 has a
-    kernel, so a finite count is only bounded."""
-    target = NilpotentLattice(ranks=(2, 1, 1))
-    source = NilpotentLattice(ranks=(rng.choice((2, 3)), 1, 1))
-    phi, psi = (
-        LatticeHomomorphism(source, target, tuple(
-            random_matrix(rng, r, s, -3, 3) for r, s in zip(target.ranks, source.ranks)
-        ))
+    """The document of a pair into ranks (2, 1, 1) from a source of ranks
+    (2, 1, 1) or (3, 1, 1).  nilco has no group law to check such a map
+    against and refuses it, so the document is written here, not built."""
+    target = {"class": 3, "ranks": [2, 1, 1]}
+    source = {"class": 3, "ranks": [rng.choice((2, 3)), 1, 1]}
+    F, G = (
+        [[list(row) for row in random_matrix(rng, r, s, -3, 3).data]
+         for r, s in zip(target["ranks"], source["ranks"])]
         for _ in range(2)
     )
-    return ProblemFile(kind="NILMANIFOLD", name=None, target=target, phi=phi, psi=psi)
+    doc = {"kind": "NILMANIFOLD", "target": target, "F": F, "G": G}
+    return doc if source == target else dict(doc, source=source)
 
 
 RANDOM_GENERATORS = {
@@ -148,16 +152,15 @@ GENERATORS = tuple(f"bench:{w}" for w in BENCH_WORKLOADS) + tuple(RANDOM_GENERAT
 
 def problems(generator):
     """(seed, index, problem document) of every corpus problem of one
-    generator; index is None outside the benchmark families."""
+    generator; index is None outside the benchmark families.  A random
+    generator returns a ProblemFile, or the document of one nilco refuses."""
     if generator.startswith("bench:"):
         generate = runpy.run_path(str(ROOT / "bench" / "gen.py"))["generate"]
         ops = generate(generator[len("bench:"):], BENCH_SEED)
         return [(BENCH_SEED, i, op["doc"]) for i, op in enumerate(ops) if "doc" in op]
     build = RANDOM_GENERATORS[generator]
-    return [
-        (seed, None, serialize_problem(build(random.Random(f"{generator}:{seed}"))))
-        for seed in RANDOM_SEEDS
-    ]
+    built = [(seed, build(random.Random(f"{generator}:{seed}"))) for seed in RANDOM_SEEDS]
+    return [(seed, None, p if isinstance(p, dict) else serialize_problem(p)) for seed, p in built]
 
 
 def _sha(text):
@@ -166,10 +169,10 @@ def _sha(text):
 
 def _labels(doc, report, rng):
     """Hash of label's (representative, witness) pairs on three elements,
-    for a finite count on a class <= 2 target; None otherwise."""
-    problem = parse_problem_dict(doc)
-    if problem.target.class_c > 2 or not isinstance(report["R"], int):
+    for a finite count; None otherwise."""
+    if not isinstance(report["R"], int):
         return None
+    problem = parse_problem_dict(doc)
     engine = TwistedOrbitEngine(validate_problem(problem))
     pairs = []
     for _ in range(3):
@@ -180,14 +183,17 @@ def _labels(doc, report, rng):
 
 def corpus_line(path, generator, seed, index, doc):
     path.write_text(json.dumps(doc), encoding="utf-8")
-    out = io.StringIO()
-    code = main(["--output", "json", "compute", str(path)], out)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stderr(err):
+        code = main(["--output", "json", "compute", str(path)], out)
     line = {"generator": generator, "seed": seed}
     if index is not None:
         line["index"] = index
     line["exit"] = code
     line["compute"] = _sha(out.getvalue())
-    if code == 0:
+    if code != 0:
+        line["error"] = _sha(err.getvalue().replace(str(path), "problem.json"))
+    else:
         rng = random.Random(f"{generator}:{seed}:{index}:labels")
         labels = _labels(doc, json.loads(out.getvalue()), rng)
         if labels is not None:

@@ -8,9 +8,9 @@ from math import ceil
 
 import pytest
 
-from conftest import expand_reps, heisenberg_scalar_infra, torus
+from conftest import EXIT_UNSUPPORTED, expand_reps, heisenberg_scalar_infra, torus
 from nilco.cli import main
-from nilco.errors import ShapeError
+from nilco.errors import ShapeError, UnsupportedClassError
 from nilco.infra import CosetAction, InfraStructure, decide_infra, infra_action
 from nilco.intmat import IntMatrix
 from nilco.lattice import LatticeHomomorphism, NilpotentLattice
@@ -127,7 +127,7 @@ class TestDecision:
         assert cover_report.R.count == 4
         assert report.R.infinite_level is None and report.R.count == 2
         assert report.N == 2 and report.deformable == NO
-        assert report.rationale == EQ_THM and report.exact
+        assert report.rationale == EQ_THM
         assert {e.coordinates for e in expand_reps(report.R.reps)} == {((0,),), ((1,),)}
         assert brute_force_klein_count(2, 6) == 2
 
@@ -154,86 +154,36 @@ class TestDecision:
         with pytest.raises(ShapeError):
             decide_infra(infra, wrong, wrong)
 
-    def test_class3_cover_yields_bounds_only(self):
+    def test_class3_cover_maps_are_refused(self):
+        # no group law past class 2 to check the lifted maps against
         cover = NilpotentLattice(ranks=(1, 1, 1))
-        phi = LatticeHomomorphism(
-            cover, cover,
-            (IntMatrix([[3]]), IntMatrix([[3]]), IntMatrix([[3]])),
-        )
-        psi = LatticeHomomorphism(
-            cover, cover,
-            (IntMatrix([[0]]), IntMatrix([[0]]), IntMatrix([[0]])),
-        )
-        infra = InfraStructure(
-            cover=cover,
-            holonomy_order=2,
-            coset_actions=(
-                CosetAction(
-                    matrices=(IntMatrix([[-1]]),) * 3,
-                    translation=cover.identity(),
-                ),
-            ),
-            map_images=((cover.identity(), cover.identity()),),
-        )
-        cover_report, report = decide_infra(infra, phi, psi)
-        assert cover_report.R.count == 27
-        assert not report.exact
-        assert report.count_bounds == (14, 27)
+        with pytest.raises(UnsupportedClassError):
+            LatticeHomomorphism(cover, cover, (IntMatrix([[3]]),) * 3)
 
-    def test_class3_bounds_start_from_inexact_cover_bounds(self, tmp_path):
-        # the cover's Delta_1 has a kernel, so the cover count is only known
-        # to lie in [4, 24]; the infra count then lies in [ceil(4 / 2), 24]
+    @pytest.mark.parametrize("target, F, G, image", [
+        ({"ranks": [2, 1, 1]}, [[[2, 0, 0], [0, 2, 0]], [[2]], [[3]]],
+         [[[0, 0, 0], [0, 0, 0]], [[0]], [[0]]], [[0, 0], [0], [0]]),
+        ({"ranks": [2, 1], "brackets": [[[0, 1], [0, 0]]]}, [[[2, 0, 0], [0, 2, 0]], [[4]], []],
+         [[[0, 0, 0], [0, 0, 0]], [[0]], []], [[0, 0], [0]]),
+    ], ids=["class3-target", "class3-cover-into-heisenberg"])
+    def test_class3_infra_file_exits_4(self, tmp_path, target, F, G, image):
         doc = {
-            "kind": "INFRA",
-            "target": {"ranks": [2, 1, 1]},
-            "F": [[[2, 0, 0], [0, 2, 0]], [[2]], [[3]]],
-            "G": [[[0, 0, 0], [0, 0, 0]], [[0]], [[0]]],
+            "kind": "INFRA", "target": target, "F": F, "G": G,
             "infra": {
                 "cover": {"ranks": [3, 1, 1]},
                 "holonomy_order": 2,
                 "coset_actions": [
                     {"matrices": [[[1, 0, 0], [0, 1, 0], [0, 0, -1]], [[1]], [[1]]]}
                 ],
-                "map_images": [[[[0, 0], [0], [0]], [[0, 0], [0], [0]]]],
+                "map_images": [[image, image]],
             },
         }
-        problem = parse_problem_dict(doc)
-        cover_report, report = decide_infra(problem.infra, problem.phi, problem.psi)
-        assert cover_report.count_bounds == (4, 24)
-        assert report.count_bounds == (2, 24) and (report.N, report.deformable) == (None, NO)
+        with pytest.raises(UnsupportedClassError):
+            parse_problem_dict(doc)
         path = tmp_path / "class3.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
-        out = io.StringIO()
-        assert main(["--output", "json", "compute", str(path)], out=out) == 0
-        got = json.loads(out.getvalue())
-        assert (got["R"], got["count_bounds"], got["cover"]["R"]) == (None, [2, 24], None)
-
-    @pytest.mark.parametrize("r_cover", [2**60 + 1, 10**400])
-    def test_class3_bounds_are_exact_integers(self, tmp_path, r_cover):
-        # ceil(R_cover / h) in integers: a float quotient rounds 2^60 + 1 to
-        # 2^60 and cannot hold 10^400 at all
-        doc = {
-            "kind": "INFRA",
-            "target": {"ranks": [1, 1, 1]},
-            "F": [[[str(r_cover)]], [[1]], [[1]]],
-            "G": [[[0]], [[0]], [[0]]],
-            "infra": {
-                "cover": {"ranks": [1, 1, 1]},
-                "holonomy_order": 2,
-                "coset_actions": [{"matrices": [[[-1]], [[-1]], [[-1]]]}],
-                "map_images": [[[[0], [0], [0]], [[0], [0], [0]]]],
-            },
-        }
-        cover_report, report = decide_infra(
-            *(getattr(parse_problem_dict(doc), key) for key in ("infra", "phi", "psi"))
-        )
-        assert cover_report.R.count == r_cover
-        assert report.count_bounds == ((r_cover + 1) // 2, r_cover)
-        path = tmp_path / "class3.json"
-        path.write_text(json.dumps(doc), encoding="utf-8")
-        out = io.StringIO()
-        assert main(["--output", "json", "compute", str(path)], out=out) == 0
-        assert json.loads(out.getvalue())["count_bounds"] == [(r_cover + 1) // 2, r_cover]
+        code = main(["--output", "json", "compute", str(path)], out=io.StringIO())
+        assert code == EXIT_UNSUPPORTED
 
 
 class TestClassTwoInfra:
@@ -245,7 +195,7 @@ class TestClassTwoInfra:
             cover_report, report = decide_infra(infra, phi, psi)
             assert cover_report.R.count == k**4
             action = infra_action(infra, phi, psi)
-            assert report.R.infinite_level is None and report.exact
+            assert report.R.infinite_level is None
             assert report.R.count == report.N == oracle_orbit_count(action, k * k)
             # the default modulus the `oracle` command reads separates every class too
             modulus = TwistedOrbitEngine(action).oracle_modulus()

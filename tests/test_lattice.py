@@ -321,9 +321,8 @@ class TestGeneratorImages:
             to_torus = LatticeHomomorphism(  # class 2 into class 1: a 0 x 1 level matrix
                 heisenberg(), torus(3), (random_matrix(rng, 3, 2), zero_matrix(0, 1))
             )
-            past_target = LatticeHomomorphism(  # class 3 into class 2
-                free3, heisenberg(),
-                (random_matrix(rng, 2, 2), random_matrix(rng, 1, 1), zero_matrix(0, 1)),
+            past_target = LatticeHomomorphism(  # class 3 into class 1
+                free3, torus(2), (random_matrix(rng, 2, 2), zero_matrix(0, 1), zero_matrix(0, 1)),
             )
             for hom in (to_torus, past_target, torus_to_heisenberg_map(rng)):
                 images = hom.generator_images()
@@ -366,13 +365,16 @@ class TestApplyHom:
         ((2, 1, 1), (2, 1, 1)), ((2, 1, 1), (2,)), ((2,), (1, 1, 1)),
     ])
     def test_past_class_two_is_unsupported(self, source_ranks, target_ranks):
-        # past class 2 the level matrices do not give the map on coordinates
+        # a map into a class-3 target cannot be built; one from a class-3
+        # source into a torus can, but its level matrices do not give it on
+        # coordinates
         src, tgt = NilpotentLattice(ranks=source_ranks), NilpotentLattice(ranks=target_ranks)
         depth = max(len(source_ranks), len(target_ranks))
-        hom = LatticeHomomorphism(src, tgt, tuple(
-            zero_matrix(tgt.rank_at(i), src.rank_at(i)) for i in range(depth)
-        ))
         with pytest.raises(UnsupportedClassError):
+            hom = LatticeHomomorphism(src, tgt, tuple(
+                zero_matrix(tgt.rank_at(i), src.rank_at(i)) for i in range(depth)
+            ))
+            assert tgt.class_c == 1
             apply_hom(hom, src.identity())
 
     def test_heisenberg_to_circle_projection(self, rng):

@@ -59,8 +59,7 @@ def record_fields():
         (LatticeHomomorphism, heisenberg_map_fields(4)),
         (ReidemeisterResult, dict(count=6, level_counts=(6,), infinite_level=None, reps=None,
                                   fiber_counts=None)),
-        (CoincidenceReport, dict(R=result, N=6, deformable=NO, rationale=EQ_THM,
-                                 count_bounds=None)),
+        (CoincidenceReport, dict(R=result, N=6, deformable=NO, rationale=EQ_THM)),
         (TwistedAction, dict(target=H, movers=((u, H.identity()),))),
         (CosetAction, klein_bottle_fields()["coset_actions"][0]._asdict()),
         (InfraStructure, klein_bottle_fields()),

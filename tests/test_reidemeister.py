@@ -172,9 +172,8 @@ class TestGeneratorPairSystems:
 
     def test_class3_target_unsupported(self):
         lat = NilpotentLattice(ranks=(2, 1, 1))
-        action = TwistedAction.from_pairs(lat, ((lat.element(((1, 0), (0,), (0,))),) * 2,))
         with pytest.raises(UnsupportedClassError):
-            coincidence_invariants_from_pairs(action)
+            TwistedAction.from_pairs(lat, ((lat.element(((1, 0), (0,), (0,))),) * 2,))
 
 
 class TestLabels:
@@ -568,9 +567,9 @@ def random_hom_pair(rng, kind):
         return build(torus(2), heisenberg(), make)
     if kind == "heisenberg_to_torus":
         return build(heisenberg(), torus(2), lambda: (square(2), IntMatrix([], shape=(0, 1))))
-    if kind == "class3":
+    if kind == "class3_to_torus":
         lat = NilpotentLattice(ranks=(2, 1, 1))
-        return build(lat, lat, lambda: (square(2), square(1), square(1)))
+        return build(lat, torus(2), lambda: (square(2), zero_matrix(0, 1), zero_matrix(0, 1)))
     raise ValueError(kind)
 
 
@@ -578,7 +577,7 @@ class TestMovers:
     @pytest.mark.parametrize(
         "kind",
         ["torus", "heisenberg", "heisenberg_squared", "free_class2",
-         "torus_to_heisenberg", "heisenberg_to_torus", "class3"],
+         "torus_to_heisenberg", "heisenberg_to_torus", "class3_to_torus"],
     )
     def test_movers_are_the_generator_images(self, rng, kind):
         def image(hom, g):
@@ -639,10 +638,14 @@ class TestMiscellaneous:
         with pytest.raises(ShapeError):
             fiber_deviation_rank(phi, psi, 3)
 
-    def test_engine_rejects_class3(self):
+    def test_action_rejects_class3(self):
+        # the one home of the rule: no action, and so no engine, is built on
+        # a class-3 target, by the constructor or by `_replace`
         lat = NilpotentLattice(ranks=(1, 1, 1))
         with pytest.raises(UnsupportedClassError):
-            TwistedOrbitEngine(TwistedAction(target=lat, movers=()))
+            TwistedAction(target=lat, movers=())
+        with pytest.raises(UnsupportedClassError):
+            TwistedAction(target=torus(1), movers=())._replace(target=lat)
 
 
 def _result(count):
@@ -654,23 +657,16 @@ def _result(count):
 
 
 class TestVerdict:
-    @pytest.mark.parametrize("theorem, count, bounds, expected", [
-        (EQ_THM, None, None, (0, YES, EQ_THM)),
-        (EQ_THM, 6, None, (6, NO, EQ_THM)),
-        (INFTY_THM, None, None, (0, YES, INFTY_THM)),
-        (INFTY_THM, 6, None, (6, UNKNOWN, REMARK_GAP)),
-        (EQ_THM, 6, (1, 6), (None, NO, EQ_THM)),
-        (EQ_THM, None, (1, None), (None, UNKNOWN, EQ_THM)),
-    ], ids=["eq-infinite", "eq-finite", "infty-infinite", "infty-finite",
-            "bounds-finite", "bounds-infinite"])
-    def test_table(self, theorem, count, bounds, expected):
-        report = verdict(_result(count), theorem, bounds)
+    @pytest.mark.parametrize("theorem, count, expected", [
+        (EQ_THM, None, (0, YES, EQ_THM)),
+        (EQ_THM, 6, (6, NO, EQ_THM)),
+        (INFTY_THM, None, (0, YES, INFTY_THM)),
+        (INFTY_THM, 6, (6, UNKNOWN, REMARK_GAP)),
+    ], ids=["eq-infinite", "eq-finite", "infty-infinite", "infty-finite"])
+    def test_table(self, theorem, count, expected):
+        report = verdict(_result(count), theorem)
         assert (report.N, report.deformable, report.rationale) == expected
-        assert report.exact == (bounds is None) and report.count_bounds == bounds
-        if bounds is not None:
-            # an inexact report keeps only the level counts of its count
-            assert report.R.count is None and report.R.infinite_level is None
-            assert (report.count_bounds[1] is None) == (report.deformable == UNKNOWN)
+        assert report.R == _result(count)
 
     def test_verdict_is_the_only_report_builder(self):
         sources = (Path(nilco.__file__).parent).glob("*.py")
@@ -680,65 +676,39 @@ class TestVerdict:
         assert "CoincidenceReport(" in inspect.getsource(verdict)
 
 
-def class3_pair(source_ranks, F, G):
-    """A hom pair into the class-3 target of ranks (2, 1, 1); past class 2
-    only the shapes of the level matrices are checked."""
-    source = NilpotentLattice(ranks=source_ranks)
-    target = NilpotentLattice(ranks=(2, 1, 1))
-    return tuple(
-        LatticeHomomorphism(source, target, tuple(IntMatrix(M) for M in mats))
-        for mats in (F, G)
-    )
+def class3_matrices(source, rows):
+    """Level matrices from row lists; [] is the 0-row matrix of its level."""
+    return tuple(IntMatrix(M) if M else zero_matrix(0, source.rank_at(i))
+                 for i, M in enumerate(rows))
 
 
-def class3_compute(tmp_path, F, G, *options):
-    """stdout of `nilco compute` on that pair from the source of ranks (3, 1, 1)."""
-    doc = {"kind": "NILMANIFOLD", "source": {"ranks": [3, 1, 1]},
-           "target": {"ranks": [2, 1, 1]}, "F": F, "G": G}
-    path = tmp_path / "class3.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
-    out = io.StringIO()
-    assert main([*options, "compute", str(path)], out=out) == 0
-    return out.getvalue()
+class TestClassThree:
+    # no group law past class 2: a map into a class-3 target, or from a
+    # class-3 source into a class-2 one, cannot be checked, so it is refused
+    @pytest.mark.parametrize("source_ranks, target, rows", [
+        ((3, 1, 1), NilpotentLattice(ranks=(2, 1, 1)), ([[1, 0, 0], [0, 1, 0]], [[2]], [[3]])),
+        ((2, 1, 1), NilpotentLattice(ranks=(2, 1, 1)), ([[2, 0], [0, 2]], [[4]], [[8]])),
+        # the filiform pair's F, which is no homomorphism
+        ((2, 1, 1), NilpotentLattice(ranks=(2, 1, 1)), ([[1, 0], [0, 1]], [[5]], [[7]])),
+        ((2, 1, 1), heisenberg(), ([[2, 0], [0, 2]], [[5]], [])),
+        ((2,), NilpotentLattice(ranks=(1, 1, 1)), ([[1, 0]], [], [])),
+    ], ids=["kernel", "square", "filiform", "into-heisenberg", "torus-into-class3"])
+    def test_maps_that_cannot_be_checked_are_refused(self, source_ranks, target, rows):
+        source = NilpotentLattice(ranks=source_ranks)
+        with pytest.raises(UnsupportedClassError, match="no group law past class 2"):
+            LatticeHomomorphism(source, target, class3_matrices(source, rows))
 
-
-class TestClassThreeProducts:
-    def test_product_with_a_level_kernel_is_only_bounded(self, tmp_path):
-        # Delta_1 = -[[1, 0, 0], [0, 1, 0]] has a kernel: the product 6 of
-        # the level counts is an upper bound, c_1 = 1 a lower one
-        F = ([[1, 0, 0], [0, 1, 0]], [[2]], [[3]])
-        G = ([[0, 0, 0], [0, 0, 0]], [[0]], [[0]])
-        report = coincidence_invariants(*class3_pair((3, 1, 1), F, G))
-        assert not report.exact and report.count_bounds == (1, 6)
-        assert (report.N, report.deformable, report.R.count) == (None, NO, None)
-        got = json.loads(class3_compute(tmp_path, F, G, "--output", "json"))
-        assert (got["R"], got["N"], got["exact"]) == (None, None, False)
-        assert got["count_bounds"] == [1, 6]
-
-    def test_infinite_upper_bound_decides_nothing(self, tmp_path):
-        F = ([[1, 0, 0], [0, 1, 0]], [[0]], [[3]])
-        G = ([[0, 0, 0], [0, 0, 0]], [[0]], [[0]])
-        report = coincidence_invariants(*class3_pair((3, 1, 1), F, G))
-        assert report.count_bounds == (1, None) and report.deformable == UNKNOWN
-        got = json.loads(class3_compute(tmp_path, F, G, "--output", "json"))
-        assert got["count_bounds"] == [1, "infinite"]
-        text = class3_compute(tmp_path, F, G)
-        assert "R(f,g) in [1, infinite]  (UNSUPPORTED-EXACT: class > 2)" in text
-
-    def test_injective_levels_keep_the_product(self):
-        F = ([[2, 0], [0, 2]], [[4]], [[8]])
-        G = ([[0, 0], [0, 0]], [[0]], [[0]])
-        report = coincidence_invariants(*class3_pair((2, 1, 1), F, G))
-        assert report.exact and (report.R.count, report.N, report.deformable) == (128, 128, NO)
-
-    def test_infinite_first_level_is_exact(self):
-        F = ([[1, 0, 0], [0, 1, 0]], [[2]], [[3]])
-        report = coincidence_invariants(*class3_pair((3, 1, 1), F, F))
-        assert report.exact and report.R.infinite_level == 1
-        assert (report.N, report.deformable) == (0, YES)
-
-    def test_infinite_top_level_over_injective_levels_is_exact(self):
-        F = ([[1, 0], [0, 1]], [[2]], [[0]])
-        G = ([[0, 0], [0, 0]], [[0]], [[0]])
-        report = coincidence_invariants(*class3_pair((2, 1, 1), F, G))
-        assert report.exact and report.R.infinite_level == 3 and report.deformable == YES
+    def test_class3_source_into_a_torus_is_counted(self):
+        # every F1 is a homomorphism into an abelian group
+        source = NilpotentLattice(ranks=(2, 1, 1))
+        phi, psi = (
+            LatticeHomomorphism(source, torus(2), class3_matrices(source, (M1, [], [])))
+            for M1 in ([[2, 1], [0, 3]], [[0, 0], [0, 0]])
+        )
+        report = coincidence_invariants(phi, psi)
+        assert (report.R.count, report.N, report.deformable) == (6, 6, NO)
+        assert report.R.level_counts == (6, 1, 1)
+        action = TwistedAction.from_homs(phi, psi)
+        assert oracle_orbit_count(action, TwistedOrbitEngine(action).oracle_modulus()) == 6
+        report = coincidence_invariants(phi, phi)
+        assert report.R.level_counts == (None, 1, 1) and report.deformable == YES

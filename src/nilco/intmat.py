@@ -3,11 +3,15 @@
 Arbitrary-precision integer matrices with fraction-free determinants, the
 column Hermite form, the Smith normal form, cokernel structure and
 canonical coset representatives.  One column echelon loop, exact or modulo
-a determinant, does every elimination.  The column Hermite form, each field
-built when first read, serves every count (its order), the kernel words (V
-past the pivots) and the canonical coset representatives (H).  The Smith
-normal form alternates the loop on a matrix and its transpose; it serves
-only the invariant factors of `cokernel`.
+a determinant, does every elimination.  It stops at a triangular form,
+whose pivot diagonal gives every count; one more pass (`_reduce_left`)
+brings the entries left of the pivots into range, which makes the form
+canonical, and runs only where H or V is read.  The column Hermite form,
+each field built when first read, serves every count (its order), the
+kernel words (V past the pivots) and the canonical coset representatives
+(H).  The Smith normal form alternates the loop, with the left pass, on a
+matrix and its transpose; it serves only the invariant factors of
+`cokernel`.
 """
 
 from collections import namedtuple
@@ -155,8 +159,10 @@ class ColumnHermite:
     entries left of a pivot lie in [0, pivot), so H is the unique Hermite
     form of im(A).  order is |Z^rows / im(A)|, None when infinite: |det A|
     for a square A, found without elimination, else the pivot product.
-    Each field is computed when first read: H modulo |det A| for a square
-    nonsingular A, and V by the exact loop, only when V is read.
+    Each field is computed when first read: pivots and diagonal from the
+    triangular form (`_column_echelon`), modulo |det A| for a square
+    nonsingular A; H from that triangle once `_reduce_left` has made it
+    canonical; V by the exact loop, only when V is read.
     """
 
     def __init__(self, A):
@@ -170,24 +176,31 @@ class ColumnHermite:
         return prod(self.diagonal) if len(self.pivots) == A.rows else None
 
     @cached_property
-    def _form(self):
+    def _triangle(self):
         A = self.A
         D = self.order if A.is_square else None
         cols = [[x % D for x in col] if D else list(col) for col in A.transpose().data]
-        pivots = tuple(_column_echelon(cols, A.rows, D))
-        return IntMatrix.from_columns(cols, A.rows), pivots
+        return cols, tuple(_column_echelon(cols, A.rows, D)), D
 
-    H = cached_property(lambda self: self._form[0])
-    pivots = cached_property(lambda self: self._form[1])
-    diagonal = cached_property(lambda s: tuple(s.H.data[r][i] for i, r in enumerate(s.pivots)))
+    pivots = cached_property(lambda self: self._triangle[1])
+    diagonal = cached_property(
+        lambda s: tuple(s._triangle[0][i][r] for i, r in enumerate(s.pivots)))
+
+    @cached_property
+    def H(self):
+        cols, pivots, D = self._triangle
+        _reduce_left(cols, pivots, D)  # in place: the pivots and diagonal stay
+        return IntMatrix.from_columns(cols, self.A.rows)
 
     @cached_property
     def V(self):
         A = self.A
         cols = [list(col) + _unit(j, A.cols) for j, col in enumerate(A.transpose().data)]
         pivots = tuple(_column_echelon(cols, A.rows))
+        _reduce_left(cols, pivots)
         # the exact loop's H is the same canonical H: kept for a later read
-        self.__dict__.setdefault("_form", (IntMatrix.from_columns(cols, A.rows), pivots))
+        self.__dict__.setdefault("_triangle", (cols, pivots, None))
+        self.__dict__.setdefault("H", IntMatrix.from_columns(cols, A.rows))
         return IntMatrix.from_columns([col[A.rows:] for col in cols], A.cols)
 
 
@@ -196,9 +209,13 @@ def _unit(j, n):
 
 
 def _column_echelon(cols, rows, modulus=None):
-    """Bring the first `rows` entries of the columns `cols` to column Hermite
-    form (see ColumnHermite) in place and return the pivot rows; the entries
-    past `rows` (V under H, or U^T under M^T) record every column operation.
+    """Bring the first `rows` entries of the columns `cols` to triangular
+    column echelon form in place and return the pivot rows: pivot rows
+    strictly increasing, pivots positive, each pivot column zero above its
+    pivot row.  The entries left of a pivot are not reduced: `_reduce_left`
+    makes the triangle the canonical form (see ColumnHermite), and only
+    what reads H or V runs it.  The entries past `rows` (V under H, or U^T
+    under M^T) record every column operation.
 
     With `modulus` D = |det A| of a square nonsingular A, D Z^n lies in
     im(A) and entries are kept mod R, R = D at the first row (Domich,
@@ -247,15 +264,29 @@ def _column_echelon(cols, rows, modulus=None):
             u = pow(h // d, -1, R // d)  # u h == d (mod R)
             cols[pc] = [x * u % R for x in cols[pc]]
             cols[pc][row] = d
-        p = cols[pc]  # reduce the entries left of the pivot into [0, pivot)
+        pivots.append(row)
+        if R is not None and cols[pc][row] > 1:
+            R //= cols[pc][row]
+            cols[pc + 1:] = [[x % R for x in col] for col in cols[pc + 1:]]
+    return pivots
+
+
+def _reduce_left(cols, pivots, modulus=None):
+    """Bring the entries left of each pivot of a triangular form from
+    `_column_echelon(cols, rows, modulus)` into [0, pivot), in place: the
+    canonical form.  Rows go in order, each modulo the R it had in the loop
+    (R //= pivot after each row).  A step changes only finished pivot
+    columns, which the loop never reads again, so running the steps after
+    the loop gives the columns that running each at its row would.
+    """
+    R = modulus
+    for pc, row in enumerate(pivots):
+        p = cols[pc]
         for j in range(pc):
             if q := cols[j][row] // p[row]:
                 _sub(cols[j], q, p, row, R)
-        pivots.append(row)
         if R is not None and p[row] > 1:
             R //= p[row]
-            cols[pc + 1:] = [[x % R for x in col] for col in cols[pc + 1:]]
-    return pivots
 
 
 def _sub(a, q, b, start, R):
@@ -294,7 +325,7 @@ def smith_normal_form(A):
     aside = [_unit(i, r) for i in range(r)]
     n, transposed = r, False
     while True:
-        _column_echelon(cols, n)
+        _reduce_left(cols, _column_echelon(cols, n))
         if all(x == 0 for j, col in enumerate(cols) for i, x in enumerate(col[:n]) if i != j):
             break
         cols, aside = [[col[i] for col in cols] + aside[i] for i in range(n)], [

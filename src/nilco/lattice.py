@@ -10,7 +10,10 @@ is given (a map from any source into a torus is a homomorphism on level 1
 alone).  All of the arithmetic is ordered products of powers
 (`NilpotentLattice.product`): `multiply`, `inverse` and `power` are products
 of one or two factors, and `apply_hom` is the product of the generator
-images.
+images.  The bracket matrices are compiled once per lattice into sparse
+term lists, their nonzero entries for the cocycle and their nonzero
+alternating entries for the commutator pairing, so a cocycle or bracket
+costs one product per term, not r_1^2.
 
 Coordinate convention for class 2: the product adds the cocycle value with
 no 1/2 factor,
@@ -21,6 +24,8 @@ which keeps every coordinate integral (Heisenberg-style normal form).
 """
 
 from collections import namedtuple
+from functools import cached_property
+from itertools import combinations
 
 from .errors import HomomorphismError, NilcoError, ShapeError, UnsupportedClassError
 from .intmat import IntMatrix
@@ -46,10 +51,9 @@ class NilpotentLattice(namedtuple("NilpotentLattice", "ranks brackets")):
     ranks[i] is the rank of the i-th free-abelian quotient.  For class 2,
     brackets is a tuple of r_2 matrices of shape r_1 x r_1 encoding the
     bilinear form B: Z^{r_1} x Z^{r_1} -> Z^{r_2}.  The constructor checks
-    both and raises ShapeError.
+    both and raises ShapeError.  The term lists compiled from the brackets
+    are not fields: equality and hash stay those of (ranks, brackets).
     """
-
-    __slots__ = ()
 
     def __new__(cls, ranks, brackets=()):
         ranks = tuple(map(IntMatrix._as_int, ranks))
@@ -68,6 +72,27 @@ class NilpotentLattice(namedtuple("NilpotentLattice", "ranks brackets")):
         return super().__new__(cls, ranks, brackets)
 
     _make = _checked_make
+
+    def __setattr__(self, name, value):
+        raise AttributeError("NilpotentLattice is immutable")
+
+    @cached_property
+    def _cocycle_terms(self):
+        """Per bracket matrix, its nonzero entries (i, j, B_ij)."""
+        return tuple(
+            tuple((i, j, x) for i, row in enumerate(B.data) for j, x in enumerate(row) if x)
+            for B in self.brackets
+        )
+
+    @cached_property
+    def _bracket_terms(self):
+        """Per bracket matrix, its nonzero alternating entries (i, j, B_ij - B_ji), i < j."""
+        r = range(self.ranks[0])
+        return tuple(
+            tuple((i, j, B.data[i][j] - B.data[j][i])
+                  for i in r for j in r[i + 1:] if B.data[i][j] != B.data[j][i])
+            for B in self.brackets
+        )
 
     @property
     def class_c(self):
@@ -105,16 +130,28 @@ class NilpotentLattice(namedtuple("NilpotentLattice", "ranks brackets")):
 
     def cocycle(self, a, b):
         """B(a, b) as a vector of length r_2 (empty off class 2, which has no
-        brackets).  a and b are level-1 vectors nilco built or checked."""
-        r = range(self.ranks[0])
-        return tuple(sum(a[i] * B.data[i][j] * b[j] for i in r for j in r) for B in self.brackets)
+        brackets): sum a_i B_ij b_j over the nonzero entries of each bracket
+        matrix.  a and b are level-1 vectors nilco built or checked."""
+        return tuple(sum(a[i] * x * b[j] for i, j, x in terms) for terms in self._cocycle_terms)
 
     def bracket(self, a, b):
-        """Commutator pairing B(a, b) - B(b, a) on level-1 vectors, summed in
-        one pass per bracket matrix: sum_ij (a_i b_j - a_j b_i) B_ij."""
-        r = range(self.ranks[0])
-        return tuple(sum((a[i] * b[j] - a[j] * b[i]) * B.data[i][j] for i in r for j in r)
-                     for B in self.brackets)
+        """Commutator pairing B(a, b) - B(b, a) on level-1 vectors: the sum of
+        (a_i b_j - a_j b_i) (B_ij - B_ji) over the nonzero alternating entries
+        of each bracket matrix, i < j."""
+        return tuple(sum((a[i] * b[j] - a[j] * b[i]) * x for i, j, x in terms)
+                     for terms in self._bracket_terms)
+
+    def pair_brackets(self, vectors):
+        """bracket(v_p, v_q) for every pair p < q of `vectors`, in that
+        lexicographic order, built term by term over all pairs at once."""
+        pairs = list(combinations(vectors, 2))
+        levels = []
+        for terms in self._bracket_terms:
+            level = [0] * len(pairs)
+            for i, j, x in terms:
+                level = [s + (u[i] * v[j] - u[j] * v[i]) * x for s, (u, v) in zip(level, pairs)]
+            levels.append(level)
+        return list(zip(*levels)) if levels else [()] * len(pairs)
 
     def product(self, factors):
         """The ordered product u_1^{n_1} ... u_k^{n_k} over the (u, n) pairs of
@@ -146,7 +183,10 @@ class NilpotentLattice(namedtuple("NilpotentLattice", "ranks brackets")):
     def reduce_mod(self, m):
         """The finite quotient with all coordinates mod m; class <= 2
         only.  Nothing is built here: `twisted_orbits_finite` counts level by
-        level, once the cap allows the order m^(r1 + r2)."""
+        level, once the cap allows the order m^(r1 + r2).  The table takes the
+        dense bracket matrices and keeps its own dense sums
+        (`FiniteGroupTable.closed_form`), so the oracle stays an independent
+        check of the compiled terms."""
         self._require_elements()
         if m < 2:
             raise NilcoError("modulus must be >= 2")
@@ -233,12 +273,13 @@ def validate_hom(hom):
     M1, M2 = hom.matrices[:2]
     r1 = src.ranks[0]
     units = [tuple(int(k == i) for k in range(r1)) for i in range(r1)]
-    for i in range(r1):
-        for j in range(i + 1, r1):
-            expected = M2.apply(src.bracket(units[i], units[j]))
-            actual = tgt.bracket(M1.column(i), M1.column(j))
-            if expected != actual:
-                return (i, j, expected, actual)
+    columns = list(zip(*M1.data))
+    for (i, j), unit_bracket, actual in zip(
+        combinations(range(r1), 2), src.pair_brackets(units), tgt.pair_brackets(columns)
+    ):
+        expected = M2.apply(unit_bracket)
+        if expected != actual:
+            return (i, j, expected, actual)
     return None
 
 
@@ -270,11 +311,11 @@ def apply_hom(hom, u):
     the unit vectors).  The image is the ordered product (`product`) of the
     generator images (`generator_images`) with these exponents; there is no
     separate closed form.  So a validated homomorphism is applied exactly:
-    apply_hom(u*v) == apply_hom(u)*apply_hom(v).  Past class 2 the level
-    matrices do not give the map on coordinates: UnsupportedClassError.
+    apply_hom(u*v) == apply_hom(u)*apply_hom(v).  The one map from a class
+    >= 3 source that can be built goes into a torus, where only the level-1
+    word counts: its image is F_1 u.level(0).
     """
     src = hom.source
-    src._require_elements()
     u = src.element(u.coordinates) if isinstance(u, LatticeElement) else src.element(u)
     a = u.level(0)
     exponents = list(a)

@@ -27,6 +27,7 @@ every count into a CoincidenceReport.
 """
 
 from collections import namedtuple
+from itertools import combinations
 from math import lcm
 from operator import sub
 
@@ -199,13 +200,11 @@ class TwistedOrbitEngine:
             P, Q = self.word_images(words[-1])
             columns.append((P.level(0), tuple(y - x for x, y in zip(P.level(1), Q.level(1)))))
         # commutator words stabilize level 1 as well: p_w = 0 and
-        # t_w = [b_i, b_j] - [a_i, a_j]
+        # t_w = [b_i, b_j] - [a_i, a_j], for all pairs i < j at once
         zero = (0,) * self.r1
-        for i in range(self.k):
-            for j in range(i + 1, self.k):
-                words.append(((i, 1), (j, 1), (i, -1), (j, -1)))
-                tw = tuple(y - x for x, y in zip(lat.bracket(a[i], a[j]), lat.bracket(b[i], b[j])))
-                columns.append((zero, tw))
+        words += [((i, 1), (j, 1), (i, -1), (j, -1)) for i, j in combinations(range(self.k), 2)]
+        columns += [(zero, tuple(map(sub, tb, ta)))
+                    for ta, tb in zip(lat.pair_brackets(a), lat.pair_brackets(b))]
         self._fiber_words = tuple(words)
         self._fiber_columns = tuple(columns)
         self._moving = tuple(p for p, _ in columns if any(p))

@@ -283,6 +283,87 @@ def determinant_cofactor(A):
     return total
 
 
+def canonical_echelon(cols, rows, modulus=None, events=None):
+    """The column Hermite loop that reduces the entries left of each pivot
+    at its own row, in place, returning the pivot rows: the reference for
+    `_column_echelon` followed by `_reduce_left`.  `events`, when given,
+    collects "shrink" for each row whose pivot divides R down and "zero mod
+    R" for each row whose entries are all 0 mod R."""
+    def sub(a, q, b, start, R):
+        a[start:] = [x - q * y if R is None else (x - q * y) % R
+                     for x, y in zip(a[start:], b[start:])]
+
+    R = modulus
+    c = len(cols)
+    pivots = []
+    for row in range(rows):
+        pc = len(pivots)
+        if pc == c:
+            break
+        nz = [j for j in range(pc, c) if cols[j][row]]
+        for j in nz if R else ():
+            if gcd(cols[j][row], R) == 1:
+                t = cols[j]
+                inv = pow(t[row], -1, R)
+                t[:] = [x * inv % R for x in t]
+                for i in nz:
+                    if i != j:
+                        sub(cols[i], cols[i][row], t, row, R)
+                nz = [j]
+                break
+        while len(nz) > 1:
+            sizes = [abs(cols[j][row]) for j in nz]
+            j0 = nz[sizes.index(min(sizes))]
+            t = cols[j0]
+            for j in nz:
+                if j != j0:
+                    sub(cols[j], cols[j][row] // t[row], t, row, R)
+            nz = [j for j in nz if cols[j][row]]
+        if nz:
+            cols[pc], cols[nz[0]] = cols[nz[0]], cols[pc]
+        elif R is None:
+            continue
+        else:
+            if events is not None:
+                events.append("zero mod R")
+            cols[pc] = [R * (i == row) for i in range(len(cols[pc]))]
+        h = cols[pc][row]
+        if R is None and h < 0:
+            cols[pc] = [-x for x in cols[pc]]
+        elif R is not None and (d := gcd(h, R)) != h:
+            u = pow(h // d, -1, R // d)
+            cols[pc] = [x * u % R for x in cols[pc]]
+            cols[pc][row] = d
+        p = cols[pc]
+        for j in range(pc):
+            if q := cols[j][row] // p[row]:
+                sub(cols[j], q, p, row, R)
+        pivots.append(row)
+        if R is not None and p[row] > 1:
+            if events is not None and p[row] < R:
+                events.append("shrink")
+            R //= p[row]
+            cols[pc + 1:] = [[x % R for x in col] for col in cols[pc + 1:]]
+    return pivots
+
+
+def dense_cocycle(lattice, a, b):
+    """B(a, b) summed over all r_1^2 entries of each bracket matrix: the
+    reference for the compiled terms of `NilpotentLattice.cocycle`."""
+    r = range(lattice.ranks[0])
+    return tuple(sum(a[i] * B.data[i][j] * b[j] for i in r for j in r) for B in lattice.brackets)
+
+
+def dense_bracket(lattice, a, b):
+    """sum_ij (a_i b_j - a_j b_i) B_ij over all r_1^2 entries of each bracket
+    matrix: the reference for `NilpotentLattice.bracket`."""
+    r = range(lattice.ranks[0])
+    return tuple(
+        sum((a[i] * b[j] - a[j] * b[i]) * B.data[i][j] for i in r for j in r)
+        for B in lattice.brackets
+    )
+
+
 def random_matrix(rng, rows, cols, lo=-5, hi=5):
     return IntMatrix(
         [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)], shape=(rows, cols)

@@ -10,6 +10,7 @@ import sympy
 from sympy import ZZ
 from sympy.polys.matrices import DomainMatrix
 
+import conftest
 from conftest import (
     determinant_cofactor,
     matmul,
@@ -391,7 +392,7 @@ class TestModularHermite:
 
     def test_fields_are_computed_when_read(self, monkeypatch):
         A = IntMatrix([[4, 1, 0], [2, 3, 5], [0, 7, 6]])
-        echelon = intmat._column_echelon
+        echelon, reduce_left = intmat._column_echelon, intmat._reduce_left
 
         def refuse(cols, rows, modulus=None):
             raise AssertionError("elimination run")
@@ -401,17 +402,78 @@ class TestModularHermite:
                 raise AssertionError("exact elimination run")
             return echelon(cols, rows, modulus)
 
+        def no_left_pass(cols, pivots, modulus=None):
+            raise AssertionError("left reduction run")
+
         monkeypatch.setattr(intmat, "_column_echelon", refuse)
         assert column_hermite(A).order == abs(determinant(A)) == 80
         assert column_hermite(IntMatrix([[2, 4], [1, 2]])).order is None
+        # the counts read the triangle: no left reduction
+        monkeypatch.setattr(intmat, "_reduce_left", no_left_pass)
+        monkeypatch.setattr(intmat, "_column_echelon", echelon)
+        wide = column_hermite(IntMatrix([[4, 6, 0], [0, 3, 9]]))
+        assert (wide.order, wide.diagonal) == (6, (2, 3))
         monkeypatch.setattr(intmat, "_column_echelon", modular_only)
         ch = column_hermite(A)
+        assert (ch.order, ch.diagonal, ch.pivots) == (80, (1, 5, 16), (0, 1, 2))
+        with pytest.raises(AssertionError, match="left reduction"):
+            ch.H
+        monkeypatch.setattr(intmat, "_reduce_left", reduce_left)
         assert ch.H == IntMatrix([[1, 0, 0], [3, 5, 0], [7, 6, 16]])
-        assert ch.pivots == (0, 1, 2)
         with pytest.raises(AssertionError, match="exact elimination"):
             ch.V
         monkeypatch.setattr(intmat, "_column_echelon", echelon)
         assert matmul(A, ch.V) == ch.H
+
+
+class TestDeferredLeftReduction:
+    """The triangular loop and then `_reduce_left` against the loop that
+    reduced left of each pivot at its own row (conftest.canonical_echelon)."""
+
+    # square forms whose modulus shrinks at a row, and whose last rows are
+    # all 0 mod R (the pivot is then R)
+    STRUCTURED = [
+        [[2, 0], [0, 3]], [[1, 0], [0, 4]], [[4, 2], [2, 4]], [[6, 4, 0], [0, 2, 0], [0, 0, 3]],
+    ]
+
+    def cases(self, rng):
+        for A in self.STRUCTURED:
+            yield IntMatrix(A)
+        for trial in range(600):
+            n = trial % 5 + 1
+            rows, cols = ((n, n), (n, n + 2), (n + 2, n))[trial // 5 % 3]
+            yield random_matrix(rng, rows, cols, *((-5, 5), (-40, 40))[trial % 2])
+
+    @staticmethod
+    def columns(A, D=None):
+        """The loop's input: the columns of A mod D, or exact over V's unit columns."""
+        if D:
+            return [[x % D for x in col] for col in A.transpose().data]
+        return [list(col) + [int(i == j) for i in range(A.cols)]
+                for j, col in enumerate(A.transpose().data)]
+
+    def test_same_columns_and_pivots(self, rng):
+        events = []
+        modular = 0
+        for A in self.cases(rng):
+            moduli = [None]
+            if A.is_square and (D := abs(determinant(A))):
+                moduli.append(D)
+            for D in moduli:
+                reference, deferred = self.columns(A, D), self.columns(A, D)
+                pivots = conftest.canonical_echelon(reference, A.rows, D, events)
+                assert intmat._column_echelon(deferred, A.rows, D) == pivots
+                intmat._reduce_left(deferred, pivots, D)
+                assert deferred == reference, (A, D)
+                modular += D is not None
+            # the form's fields, whichever loop builds them, are the reference's
+            ch, exact = column_hermite(A), self.columns(A)
+            pivots = tuple(conftest.canonical_echelon(exact, A.rows))
+            assert ch.pivots == pivots
+            assert ch.diagonal == tuple(exact[i][r] for i, r in enumerate(pivots))
+            assert ch.H == IntMatrix.from_columns(exact, A.rows)
+            assert ch.V == IntMatrix.from_columns([col[A.rows:] for col in exact], A.cols)
+        assert modular > 100 and "shrink" in events and "zero mod R" in events
 
 
 class TestCanonicalReduction:

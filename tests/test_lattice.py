@@ -5,6 +5,8 @@ import pytest
 import nilco.oracle as oracle_module
 from conftest import (
     commutator,
+    dense_bracket,
+    dense_cocycle,
     free_class2,
     generators,
     heisenberg,
@@ -188,17 +190,33 @@ class TestHeisenbergArithmetic:
             assert com.level(0) == (0, 0)
             assert com.level(1) == h.bracket(u.level(0), v.level(0))
 
-    @pytest.mark.parametrize("ranks", [(2, 1), (4, 2), (3, 3)])
-    def test_bracket_is_the_antisymmetrised_cocycle(self, rng, ranks):
-        # the one-pass pairing against the difference of two cocycles, on
-        # random bracket data (not necessarily antisymmetric)
+    @pytest.mark.parametrize("ranks", [(2, 1), (4, 2), (3, 3), (5, 4)])
+    @pytest.mark.parametrize("entries", ["random", "dense", "zero"])
+    def test_bracket_is_the_antisymmetrised_cocycle(self, rng, ranks, entries):
+        # the compiled term lists against the dense r_1^2 sums, and the
+        # bracket against the difference of two cocycles, on bracket data
+        # that is random (not necessarily antisymmetric), has no zero entry,
+        # or is all zero; the all-pairs brackets against each pair's own
         r1, r2 = ranks
+        draw = {
+            "random": lambda: rng.randint(-5, 5),
+            "dense": lambda: rng.choice((-1, 1)) * rng.randint(1, 5),
+            "zero": lambda: 0,
+        }[entries]
         for _ in range(20):
-            lat = NilpotentLattice(ranks, [random_matrix(rng, r1, r1) for _ in range(r2)])
+            lat = NilpotentLattice(ranks, [
+                IntMatrix([[draw() for _ in range(r1)] for _ in range(r1)]) for _ in range(r2)
+            ])
             a, b = (tuple(rng.randint(-9, 9) for _ in range(r1)) for _ in range(2))
+            assert lat.cocycle(a, b) == dense_cocycle(lat, a, b)
+            assert lat.bracket(a, b) == dense_bracket(lat, a, b)
             difference = tuple(x - y for x, y in zip(lat.cocycle(a, b), lat.cocycle(b, a)))
             assert lat.bracket(a, b) == difference
             assert lat.bracket(a, a) == (0,) * r2
+            vectors = [tuple(rng.randint(-9, 9) for _ in range(r1)) for _ in range(4)]
+            assert lat.pair_brackets(vectors) == [
+                dense_bracket(lat, u, v) for p, u in enumerate(vectors) for v in vectors[p + 1:]
+            ]
 
     def test_torus_is_plain_addition(self, rng):
         t = torus(3)
@@ -362,20 +380,26 @@ class TestApplyHom:
                     assert apply_hom(hom, u) == ordered_word_image(hom, u)
 
     @pytest.mark.parametrize("source_ranks, target_ranks", [
-        ((2, 1, 1), (2, 1, 1)), ((2, 1, 1), (2,)), ((2,), (1, 1, 1)),
+        ((2, 1, 1), (2, 1, 1)), ((2,), (1, 1, 1)),
     ])
     def test_past_class_two_is_unsupported(self, source_ranks, target_ranks):
-        # a map into a class-3 target cannot be built; one from a class-3
-        # source into a torus can, but its level matrices do not give it on
-        # coordinates
+        # a map into a class-3 target cannot be built
         src, tgt = NilpotentLattice(ranks=source_ranks), NilpotentLattice(ranks=target_ranks)
         depth = max(len(source_ranks), len(target_ranks))
         with pytest.raises(UnsupportedClassError):
-            hom = LatticeHomomorphism(src, tgt, tuple(
+            LatticeHomomorphism(src, tgt, tuple(
                 zero_matrix(tgt.rank_at(i), src.rank_at(i)) for i in range(depth)
             ))
-            assert tgt.class_c == 1
-            apply_hom(hom, src.identity())
+
+    def test_class_three_source_into_a_torus(self, rng):
+        # the map is built, and only the level-1 word counts: the image of u
+        # is F_1 u.level(0), whatever its higher levels
+        src, tgt = NilpotentLattice(ranks=(2, 1, 1)), torus(2)
+        F1 = random_matrix(rng, 2, 2)
+        hom = LatticeHomomorphism(src, tgt, (F1, zero_matrix(0, 1), zero_matrix(0, 1)))
+        for _ in range(20):
+            u = random_element(rng, src)
+            assert apply_hom(hom, u) == tgt.element((F1.apply(u.level(0)),))
 
     def test_heisenberg_to_circle_projection(self, rng):
         h = heisenberg()

@@ -15,6 +15,7 @@ from conftest import (
     NO_CENTRE_INFINITE,
     NO_CENTRE_MAPS,
     NO_CENTRE_PAIRS,
+    dense_bracket,
     expand_reps,
     fiber_deviation_rank,
     fiber_sum_by_enumeration,
@@ -303,6 +304,13 @@ class TestFiberColumns:
             commutators = k * (k - 1) // 2
             kernel_words += len(engine._fiber_words) - commutators
             commutator_words += commutators
+            # the all-pairs commutator block against pairwise dense brackets
+            a, b = ([m[s].level(0) for m in engine.movers] for s in (0, 1))
+            assert engine._fiber_columns[-commutators:] == tuple(
+                ((0,) * r1, tuple(y - x for x, y in zip(
+                    dense_bracket(lat, a[i], a[j]), dense_bracket(lat, b[i], b[j]))))
+                for i in range(k) for j in range(i + 1, k)
+            )
             for _ in range(5):
                 a = tuple(rng.randint(-6, 6) for _ in range(r1))
                 M = engine._fiber_matrix(a)

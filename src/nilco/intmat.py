@@ -274,19 +274,18 @@ def _column_echelon(cols, rows, modulus=None):
 def _reduce_left(cols, pivots, modulus=None):
     """Bring the entries left of each pivot of a triangular form from
     `_column_echelon(cols, rows, modulus)` into [0, pivot), in place: the
-    canonical form.  Rows go in order, each modulo the R it had in the loop
-    (R //= pivot after each row).  A step changes only finished pivot
-    columns, which the loop never reads again, so running the steps after
-    the loop gives the columns that running each at its row would.
+    canonical form.  Rows go in order, entries kept mod `modulus` when set.
+    Each step subtracts a multiple of a pivot column from a column to its
+    left, so the columns stay triangular with the same diagonal and, with
+    modulus * Z^n, still span im(A).  The Hermite form of im(A) is unique,
+    so reducing mod the smaller R of each row, as the loop does, gives the
+    same columns.
     """
-    R = modulus
     for pc, row in enumerate(pivots):
         p = cols[pc]
         for j in range(pc):
             if q := cols[j][row] // p[row]:
-                _sub(cols[j], q, p, row, R)
-        if R is not None and p[row] > 1:
-            R //= p[row]
+                _sub(cols[j], q, p, row, modulus)
 
 
 def _sub(a, q, b, start, R):

@@ -5,7 +5,6 @@ lattices, level by level with only the group law mod m, used as an
 independent check on every finite count the exact machinery produces.
 """
 
-from itertools import product as iproduct
 from operator import mul
 
 from .errors import BoundExceededError, NilcoError, ShapeError, max_order_cap
@@ -28,6 +27,38 @@ def _extend(group, v, m):
         step = _add(step, v, m)
 
 
+def _moves(v, places, m):
+    """x -> x + v on the codes of (Z/m)^n: one (place, limit, up, down) per
+    nonzero v_i.  A vector's code is the mixed-radix number of its entries
+    mod m, the first most significant, so entry i sits at place m^(n-1-i)
+    (`places`).  There the code gains up = place * v_i while x_i < limit =
+    m - v_i, and down = place * (v_i - m) otherwise: the entry wraps and
+    carries nothing."""
+    return [(p, m - c, p * c, p * (c - m)) for p, c in zip(places, v) if c]
+
+
+def _subgroup_order(steps, places, m):
+    """|<steps>| in (Z/m)^n, the subgroup H held as a bytearray of flags over
+    the codes and the list of its codes.  From H = {0}, each step v adds the
+    cosets H + v, H + 2v, ..., each the last one moved by v, until one
+    starts (at the code of k*v) inside the grown subgroup."""
+    flags, members = bytearray(m ** len(places)), [0]
+    flags[0] = 1
+    for v in steps:
+        moves, n, last = _moves(v, places, m), len(members), 0
+        while True:
+            coset = members[last:last + n]
+            for p, limit, up, down in moves:
+                coset = [y + up if y // p % m < limit else y + down for y in coset]
+            if flags[coset[0]]:
+                break
+            for y in coset:
+                flags[y] = 1
+            last = len(members)
+            members += coset
+    return len(members)
+
+
 class FiniteGroupTable:
     """A class <= 2 lattice with every coordinate taken mod m.
 
@@ -37,7 +68,8 @@ class FiniteGroupTable:
     matrix (row lists) per level-2 coordinate; the table applies it only
     through `closed_form`.  Nothing is enumerated until an orbit count asks
     for it, and the count walks level 1 and each level-1 orbit's
-    stabiliser, not the m^(r1 + r2) elements.
+    stabiliser, not the m^(r1 + r2) elements: level-1 points as integer
+    codes in [0, m^r1), so it holds about m^r1 flags or slots.
     """
 
     def __init__(self, modulus, ranks, brackets=()):
@@ -108,6 +140,12 @@ def twisted_orbits_finite(G, movers):
     y = x + d_j, generate the stabiliser; each translates the fiber by
     sigma_x + shift_j(x) - sigma_y, which is 0 on tree edges.  So the
     non-tree edges generate S, and O adds the m^r2 / |S| cosets of S.
+
+    Each level-1 point is walked as its code in [0, m^r1), and each step
+    d_j as its moves on the codes (`_moves`).  H1 is a bytearray of m^r1
+    flags plus the list of its codes, and sigma a list of m^r1 slots, None
+    until the search reaches the point; S is a set of level-2 tuples.  So
+    memory is about m^r1 flags or slots, though the cap bounds m^(r1 + r2).
     """
     cap = max_order_cap()
     if G.order > cap:
@@ -116,28 +154,30 @@ def twisted_orbits_finite(G, movers):
     if bad := [mv for mv in movers if not (isinstance(mv, (tuple, list)) and len(mv) == 2)]:
         raise ShapeError(f"mover {bad[0]!r} is not a pair (a, b)")
     forms = [G.closed_form(G.project(a), G.project(b)) for a, b in movers]
+    places, size = [m**k for k in reversed(range(r1))], m**r1
     if not r2:
-        level1 = {(0,) * r1}
-        for step, _, _ in forms:
-            _extend(level1, step, m)
-        return m**r1 // len(level1)
-    zero, sigma, count = (0,) * r2, {}, 0
-    for base in iproduct(range(m), repeat=r1):
-        if base in sigma:
+        return size // _subgroup_order([d for d, _, _ in forms], places, m)
+    walk = [(_moves(d, places, m), const, slopes) for d, const, slopes in forms]
+    zero, sigma, count = (0,) * r2, [None] * size, 0
+    for base in range(size):
+        if sigma[base] is not None:
             continue
         sigma[base] = zero
         orbit, stabiliser = [base], {zero}
         for x in orbit:  # grows as the search reaches new points
-            offset = sigma[x]
-            for d, const, slopes in forms:
-                y = _add(x, d, m)
-                moved = _add(offset, [c + sum(map(mul, r, x)) for c, r in zip(const, slopes)], m)
-                known = sigma.get(y)
+            offset, digits = sigma[x], [x // p % m for p in places]
+            for moves, const, slopes in walk:
+                y = x
+                for p, limit, up, down in moves:
+                    y += up if x // p % m < limit else down
+                moved = tuple([(o + c + sum(map(mul, r, digits))) % m
+                               for o, c, r in zip(offset, const, slopes)])
+                known = sigma[y]
                 if known is None:
                     sigma[y] = moved
                     orbit.append(y)
-                else:
-                    _extend(stabiliser, tuple([(p - q) % m for p, q in zip(moved, known)]), m)
+                elif moved != known:
+                    _extend(stabiliser, tuple([(s - t) % m for s, t in zip(moved, known)]), m)
         count += m**r2 // len(stabiliser)
     return count
 

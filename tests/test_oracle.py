@@ -1,5 +1,7 @@
 """Brute-force finite-quotient verification machinery."""
 
+import tracemalloc
+
 import pytest
 
 import nilco.oracle as oracle_module
@@ -56,7 +58,8 @@ def refuse_counting(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("counted a mover that is not of the quotient")
 
-    monkeypatch.setattr(oracle_module, "iproduct", refuse)
+    monkeypatch.setattr(oracle_module, "_subgroup_order", refuse)
+    monkeypatch.setattr(oracle_module, "_moves", refuse)
     monkeypatch.setattr(oracle_module, "_extend", refuse)
 
 
@@ -209,6 +212,30 @@ class TestLevelByLevelCount:
             assert twisted_orbits_finite(table, movers) == expected, (name, table.modulus, movers)
             checked.add(name)
         assert len(checked) == 9
+
+    def test_visiting_order_does_not_change_the_count(self, rng):
+        # the search walks the codes in an order the movers set: reversed
+        # movers, or one mover twice, give the same orbits
+        for i, (name, lattice, table) in enumerate(agreement_cases(rng)):
+            movers = random_movers(rng, table, lattice, 1 + i % 4)
+            count = twisted_orbits_finite(table, movers)
+            assert twisted_orbits_finite(table, movers[::-1]) == count, (name, movers)
+            repeated = list(movers)
+            repeated.insert(rng.randrange(len(movers) + 1), rng.choice(movers))
+            assert twisted_orbits_finite(table, repeated) == count, (name, repeated)
+
+    def test_level1_subgroup_memory_is_flat(self):
+        # H1 = (Z/2)^16 as 2^16 codes and flags: about 65 bytes per point,
+        # where a set of tuples took about 208
+        G = translation_group(2, 16)
+        units = [(((0,) * 16,), (tuple(int(i == j) for j in range(16)),)) for i in range(16)]
+        tracemalloc.start()
+        try:
+            assert twisted_orbits_finite(G, units) == 1
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * 2**20
 
     def test_level1_orbits_add_different_amounts(self):
         # conjugation by e1 on Heisenberg mod 4 fixes level 1, so each x is

@@ -101,10 +101,8 @@ def infra_action(infra, phi, psi):
     """
     if phi.source != infra.cover or psi.source != infra.cover:
         raise ShapeError("lifted homomorphisms must be defined on the cover lattice")
-    holonomy = TwistedAction.from_pairs(phi.target, infra.map_images).movers
-    return TwistedAction(
-        target=phi.target, movers=TwistedAction.from_homs(phi, psi).movers + holonomy
-    )
+    holonomy = TwistedAction.from_pairs(phi.target, infra.map_images).pairs
+    return TwistedAction(phi.target, holonomy, maps=(phi, psi))
 
 
 def decide_infra(infra, phi, psi):

@@ -8,8 +8,8 @@ whose pivot diagonal gives every count; one more pass (`_reduce_left`)
 brings the entries left of the pivots into range, which makes the form
 canonical, and runs only where H or V is read.  The column Hermite form,
 each field built when first read, serves every count (its order), the
-kernel words (V past the pivots) and the canonical coset representatives
-(H).  The Smith normal form alternates the loop, with the left pass, on a
+kernel words (the exact loop's transform past the pivots, which the left
+pass leaves as they are) and the canonical coset representatives (H).  The Smith normal form alternates the loop, with the left pass, on a
 matrix and its transpose; it serves only the invariant factors of
 `cokernel`.
 """
@@ -162,7 +162,8 @@ class ColumnHermite:
     Each field is computed when first read: pivots and diagonal from the
     triangular form (`_column_echelon`), modulo |det A| for a square
     nonsingular A; H from that triangle once `_reduce_left` has made it
-    canonical; V by the exact loop, only when V is read.
+    canonical; V by the exact loop (`_exact`, which `kernel_basis` reads
+    before any left pass), only when V or the kernel is read.
     """
 
     def __init__(self, A):
@@ -193,15 +194,23 @@ class ColumnHermite:
         return IntMatrix.from_columns(cols, self.A.rows)
 
     @cached_property
-    def V(self):
+    def _exact(self):
+        """The exact loop on A over the unit columns: the triangle, not yet
+        left-reduced, with the transform under it, and the pivot rows.  It
+        serves `pivots` and `diagonal` too, when they were not read first."""
         A = self.A
         cols = [list(col) + _unit(j, A.cols) for j, col in enumerate(A.transpose().data)]
         pivots = tuple(_column_echelon(cols, A.rows))
-        _reduce_left(cols, pivots)
-        # the exact loop's H is the same canonical H: kept for a later read
         self.__dict__.setdefault("_triangle", (cols, pivots, None))
-        self.__dict__.setdefault("H", IntMatrix.from_columns(cols, A.rows))
-        return IntMatrix.from_columns([col[A.rows:] for col in cols], A.cols)
+        return cols, pivots
+
+    @cached_property
+    def V(self):
+        cols, pivots = self._exact
+        _reduce_left(cols, pivots)  # in place: a second pass, for H, changes nothing
+        # the exact loop's H is the same canonical H: kept for a later read
+        self.__dict__.setdefault("H", IntMatrix.from_columns(cols, self.A.rows))
+        return IntMatrix.from_columns([col[self.A.rows:] for col in cols], self.A.cols)
 
 
 def _unit(j, n):
@@ -380,10 +389,11 @@ def kernel_basis(ch):
     its column Hermite form ch = column_hermite(A).
 
     These are the columns of V past the pivots: A @ V == H is zero there and
-    V is unimodular.
+    V is unimodular.  The left pass changes only pivot columns, so they are
+    read from the exact triangle, and only what reads V or H runs that pass.
     """
-    V = ch.V  # read first: the exact loop that builds V also gives the pivots
-    return [V.column(j) for j in range(len(ch.pivots), V.cols)]
+    cols, pivots = ch._exact
+    return [tuple(col[ch.A.rows:]) for col in cols[len(pivots):]]
 
 
 def reduce_to_canonical_rep(u, ch):

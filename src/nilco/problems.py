@@ -61,10 +61,17 @@ def _as_int(value, where):
     raise SchemaError(f"{where}: expected integer or decimal string, got {value!r}")
 
 
+def _int_row(row, where):
+    """A list of JSON integers as it is, for the constructor to check; any
+    other list entry by entry, so that a decimal string is converted where
+    it occurs and a bad entry gets `_as_int`'s message."""
+    return row if set(map(type, row)) <= {int} else [_as_int(x, where) for x in row]
+
+
 def _int_vector(value, where):
     if not isinstance(value, list):
         raise SchemaError(f"{where}: expected a list of integers")
-    return tuple(_as_int(x, where) for x in value)
+    return _int_row(value, where)
 
 
 @contextmanager
@@ -90,10 +97,7 @@ def _int_matrix(value, where, cols=0):
     give the column count of a matrix without rows."""
     if not isinstance(value, list) or not all(isinstance(r, list) for r in value):
         raise SchemaError(f"{where}: expected a list of integer rows")
-    # a row of JSON integers needs no conversion; any other row goes entry
-    # by entry, so that a bad entry gets `_as_int`'s message
-    rows = [row if set(map(type, row)) <= {int} else [_as_int(x, where) for x in row]
-            for row in value]
+    rows = [_int_row(row, where) for row in value]
     with _located(where):
         return IntMatrix._trusted(rows, shape=None if rows else (0, cols))
 
@@ -230,7 +234,7 @@ def parse_problem_dict(doc, where="problem"):
             raise SchemaError(f"{where}: missing 'pairs' list")
         pairs = _element_pairs(target, raw, f"{where}.pairs", "phi, psi")
         with _located(where):
-            action = TwistedAction(target=target, movers=pairs)
+            action = TwistedAction(target=target, pairs=pairs)
         return ProblemFile(**head, action=action)
 
     # a map pair, on the cover for INFRA
@@ -286,14 +290,18 @@ def validate_problem(problem):
 
 def render_reps(boxes, sep=","):
     """`json.dumps` (item separator `sep`) of the representatives that the
-    boxes of ReidemeisterResult.reps stand for, with str(x) made once for
-    each x in range(d) of each diagonal entry d of a box."""
-    items = []
+    boxes of ReidemeisterResult.reps stand for.  A box's items differ first
+    in their last coordinate, so each run of it is one join of the digit
+    texts, glued by the text between two items of the run: a torus
+    diagonal (1, ..., 1, R) is one join of R texts."""
+    runs = []
     for prefix, diagonal in boxes:
         head = "[" + "".join(f"[{sep.join(map(str, level))}]{sep}" for level in prefix) + "["
-        digits = [list(map(str, range(d))) for d in diagonal]
-        items += [head + sep.join(v) + "]]" for v in product(*digits)]
-    return "[" + sep.join(items) + "]"
+        outer = [[f"{x}{sep}" for x in range(d)] for d in diagonal[:-1]]
+        last = list(map(str, range(diagonal[-1]))) if diagonal else [""]
+        for lead in map("".join, product(*outer)):
+            runs.append(head + lead + f"]]{sep}{head}{lead}".join(last) + "]]")
+    return "[" + sep.join(runs) + "]"
 
 
 def canonical_json(doc):

@@ -27,6 +27,7 @@ every count into a CoincidenceReport.
 """
 
 from collections import namedtuple
+from functools import cached_property
 from itertools import combinations
 from math import lcm
 from operator import sub
@@ -89,40 +90,67 @@ def verdict(R, theorem):
     return CoincidenceReport(R, N, deformable, rationale)
 
 
-class TwistedAction(namedtuple("TwistedAction", "target movers")):
+class TwistedAction(namedtuple("TwistedAction", "target pairs maps", defaults=((), None))):
     """The relation u ~ psi(x) * u * phi(x)^{-1} on the target lattice, given
-    by mover pairs (phi(x), psi(x)).  The constructor refuses a target of
-    class > 2, which has no group law here, with UnsupportedClassError."""
+    by mover pairs (phi(x), psi(x)): the generator images of the map pair
+    `maps` = (phi, psi) when it is set, then the element pairs `pairs`.  The
+    constructor refuses a target of class > 2, which has no group law here,
+    with UnsupportedClassError, and maps that do not share the target and a
+    source with ShapeError.  A map pair's movers are built only when
+    `movers` is read; `delta1` reads its level matrices."""
 
     __slots__ = ()
 
-    def __new__(cls, target, movers):
+    def __new__(cls, target, pairs=(), maps=None):
         if target.class_c > 2:
             raise UnsupportedClassError(
                 f"no group law past class 2, so an action on a class {target.class_c} "
                 "target cannot be counted"
             )
-        return super().__new__(cls, target, tuple(movers))
+        if maps is not None:
+            phi, psi = maps = tuple(maps)
+            if phi.source != psi.source or phi.target != target or psi.target != target:
+                raise ShapeError("the two homomorphisms must share source and target")
+        return super().__new__(cls, target, tuple(pairs), maps)
 
     _make = _checked_make
 
     @classmethod
     def from_homs(cls, phi, psi):
-        """The action of a map pair: the images (phi(s), psi(s)) of the source
-        generators.  Both maps were checked when they were built."""
-        if phi.source != psi.source or phi.target != psi.target:
-            raise ShapeError("the two homomorphisms must share source and target")
-        movers = tuple(zip(phi.generator_images(), psi.generator_images()))
-        return cls(target=phi.target, movers=movers)
+        """The action of a map pair, over the source generators.  Both maps
+        were checked when they were built."""
+        return cls(phi.target, maps=(phi, psi))
 
     @classmethod
     def from_pairs(cls, target, pairs):
         """The action of an arbitrary finitely generated source, given by the
         generator images (phi(s_j), psi(s_j)); every coordinate is checked."""
-        movers = tuple(
+        return cls(target, tuple(
             (target.element(p.coordinates), target.element(q.coordinates)) for p, q in pairs
-        )
-        return cls(target=target, movers=movers)
+        ))
+
+    @property
+    def movers(self):
+        """Every mover pair, built when read: the maps' generator images
+        (phi(s), psi(s)) first, then `pairs`."""
+        if self.maps is None:
+            return self.pairs
+        phi, psi = self.maps
+        return tuple(zip(phi.generator_images(), psi.generator_images())) + self.pairs
+
+    @property
+    def delta1(self):
+        """Delta_1: the column q_1 - p_1 of each mover (p, q).  A map pair's
+        columns are those of G_1 - F_1, then a zero column per source
+        generator above level 1, read from the level matrices: no element is
+        built."""
+        r1 = self.target.ranks[0]
+        cols = [tuple(map(sub, q.level(0), p.level(0))) for p, q in self.pairs]
+        if self.maps is not None:
+            phi, psi = self.maps
+            zeros = [(0,) * r1] * sum(phi.source.ranks[1:])
+            cols = [*(psi.matrices[0] - phi.matrices[0]).transpose().data, *zeros, *cols]
+        return IntMatrix.from_columns(cols, r1)
 
 
 def _word_power(word, n):
@@ -148,18 +176,17 @@ class TwistedOrbitEngine:
     def __init__(self, action):
         target = action.target
         self.target = target
-        self.movers = tuple(action.movers)
-        self.k = len(self.movers)
+        self.action = action
         self.r1 = target.ranks[0]
         self.r2 = target.rank_at(1)
 
-        cols = [tuple(map(sub, q.level(0), p.level(0))) for p, q in self.movers]
-        self.delta1 = IntMatrix.from_columns(cols, self.r1)
+        self.delta1 = action.delta1
+        self.k = self.delta1.cols
         self.hermite1 = column_hermite(self.delta1)
-        if target.class_c == 2 and self.k > self.r1:
-            # a finite order needs kernel words: the one exact run that builds
-            # V gives the order of this non-square matrix too
-            self.hermite1.V
+        # a finite order of a wide Delta_1 needs kernel words (a square one
+        # has none): the one exact run that gives them gives the order too
+        wide = target.class_c == 2 and self.k > self.r1
+        self._kernel = kernel_basis(self.hermite1) if wide else ()
         self.order1 = self.hermite1.order
 
         self._fiber_words = None
@@ -167,6 +194,12 @@ class TwistedOrbitEngine:
         self._fibers = {}  # _fiber_key -> fiber form, filled only by _fiber
         if self.order1 is not None and target.class_c == 2:
             self._build_fiber_generators()
+
+    @cached_property
+    def movers(self):
+        """The action's mover pairs, built on first read: by the class-2 fiber
+        words (`word_images`, `pair_brackets`) and by `move`."""
+        return self.action.movers
 
     # -- move application --------------------------------------------
 
@@ -195,7 +228,7 @@ class TwistedOrbitEngine:
         columns = []
         # kernel words: v in the kernel of Delta_1 gives the word prod x_j^{v_j},
         # whose images P and Q (`word_images`) share their level-1 part p_w
-        for v in kernel_basis(self.hermite1):
+        for v in self._kernel:
             words.append(tuple((j, v[j]) for j in range(self.k) if v[j] != 0))
             P, Q = self.word_images(words[-1])
             columns.append((P.level(0), tuple(y - x for x, y in zip(P.level(1), Q.level(1)))))
@@ -354,12 +387,12 @@ def coincidence_invariants(phi, psi, reps_limit=REPS_LIMIT):
     `level_counts` are the orders |coker(G_l - F_l)|, read from column
     Hermite forms; the orbit engine decides R (which may be finite over an
     infinite level) and lists the representatives.  Both maps were checked
-    when they were built (LatticeHomomorphism); here they are only applied,
-    once, by `TwistedAction.from_homs`.
+    when they were built (LatticeHomomorphism).  The engine reads Delta_1
+    from their level matrices, so a class-1 target builds no element.
     """
     engine = TwistedOrbitEngine(TwistedAction.from_homs(phi, psi))
-    # the engine's level-1 matrix is G1 - F1 plus a zero column per central
-    # source generator, so its order is level 1's
+    # the engine's level-1 matrix is G1 - F1 plus a zero column per source
+    # generator above level 1, so its order is level 1's
     level_counts = (engine.order1, *(
         column_hermite(psi.matrices[i] - phi.matrices[i]).order for i in range(1, phi.depth)
     ))

@@ -153,6 +153,14 @@ def fiber_sum_by_enumeration(engine):
     return total, level_counts, histogram
 
 
+def mover_delta1(action):
+    """Delta_1 of a TwistedAction from its movers' elements: the column
+    q_1 - p_1 of each mover (p, q).  The reference for `TwistedAction.delta1`,
+    which reads a map pair's level matrices and builds no element."""
+    cols = [tuple(y - x for x, y in zip(p.level(0), q.level(0))) for p, q in action.movers]
+    return IntMatrix.from_columns(cols, action.target.ranks[0])
+
+
 def expand_reps(boxes):
     """The representatives that `ReidemeisterResult.reps` stands for, as
     LatticeElements in listing order: prefix + (v,) for each box (prefix,

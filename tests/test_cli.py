@@ -455,9 +455,17 @@ class TestExitCodes:
         ]),
         (dict(HEISENBERG_DOC, target={"ranks": [2, 1], "brackets": [[[0, 1], [False, 0]]]}),
          ".target.brackets[0]: booleans are not integers"),
+        # an element coordinate, after one that is an integer
+        *(({"kind": "PAIRS", "target": {"ranks": [2]}, "pairs": [[[[1, x]], [[0, 0]]]]},
+           f".pairs[0][0]: {message}") for x, message in [
+            (True, "booleans are not integers"),
+            (1.5, "expected integer or decimal string, got 1.5"),
+            ("1e3", "'1e3' is not a decimal integer"),
+        ]),
     ], ids=["target", "torus-class", "F", "pairs-entry", "cover", "map-images-entry", "G-cover",
             "row-bool", "row-float", "row-null", "row-list", "row-string", "row-spaces",
-            "row-underscore", "row-arabic-indic", "bracket-bool"])
+            "row-underscore", "row-arabic-indic", "bracket-bool", "coordinate-bool",
+            "coordinate-float", "coordinate-string"])
     def test_missing_and_malformed_fields_name_their_place(self, tmp_path, capsys, doc, message):
         path = write_problem(tmp_path, doc)
         assert run(["compute", path])[0] == EXIT_SCHEMA
@@ -799,6 +807,19 @@ class TestGoldenReports:
         assert code == EXIT_OK
         assert text.encode("utf-8") == (GOLDEN_DIR / name).read_bytes()
 
+    @pytest.mark.parametrize("name", ["torus_degree_two", "torus_rank12_dense",
+                                      "klein_bottle_to_circle"])
+    def test_class1_compute_builds_no_generator_image(self, monkeypatch, name):
+        # a class-1 count reads Delta_1 from the level matrices (and an INFRA
+        # pair its holonomy pairs): no element per source generator is built
+        def refuse(hom):
+            raise AssertionError("generator images built for a class-1 count")
+
+        monkeypatch.setattr(nilco.lattice.LatticeHomomorphism, "generator_images", refuse)
+        code, text = run(["--output", "json", "compute", str(bundled_fixture_dir() / f"{name}.json")])
+        assert code == EXIT_OK
+        assert text.encode("utf-8") == (GOLDEN_DIR / f"{name}.json").read_bytes()
+
     @pytest.mark.parametrize("name", sorted(p.stem for p in GOLDEN_DIR.glob("*.json")))
     def test_human_report_is_byte_identical(self, name):
         # the human `compute` output of every fixture, reps line included
@@ -842,6 +863,40 @@ class TestRepresentatives:
                 boxes = random_boxes(rng, r1, r2, count, hi)
                 listed = [e.coordinates for e in expand_reps(boxes)]
                 assert render_reps(boxes, sep) == json.dumps(listed, separators=(sep, ":"))
+
+    @pytest.mark.parametrize("sep", [",", ", "])
+    def test_torus_shaped_boxes(self, rng, sep):
+        # a torus diagonal: long runs of 1-entries and a few entries up to 30
+        # with a product R <= 1024, the last entry 1 in about half of them;
+        # then the fixed shapes at the ends
+        diagonals = [(1,) * 19 + (1024,), (1,) * 19 + (840,), (1,) * 20, (1024, 1, 1),
+                     (2,) * 10, (1, 1, 30, 30, 1), (1,)]
+        for _ in range(60):
+            rank = rng.randint(1, 20)
+            diagonal, R = [1] * rank, 1
+            places = list(range(rank - rng.randint(0, 1)))
+            for i in rng.sample(places, min(len(places), rng.randint(0, 3))):
+                d = rng.randint(2, 30)
+                if R * d <= 1024:
+                    diagonal[i], R = d, R * d
+            diagonals.append(tuple(diagonal))
+        for diagonal in diagonals:
+            boxes = (((), diagonal),)
+            listed = [e.coordinates for e in expand_reps(boxes)]
+            assert render_reps(boxes, sep) == json.dumps(listed, separators=(sep, ":"))
+
+    @pytest.mark.parametrize("sep", [",", ", "])
+    def test_listings_of_many_class2_boxes(self, rng, sep):
+        # a class-2 listing: one box per level-1 class, mostly 1-entries
+        for _ in range(20):
+            r1, r2 = rng.randint(1, 4), rng.randint(0, 3)
+            boxes = tuple(
+                ((tuple(rng.randint(-9, 99) for _ in range(r1)),),
+                 tuple(rng.choice((1, 1, 1, 2, 3, 7)) for _ in range(r2)))
+                for _ in range(rng.randint(1, 60))
+            )
+            listed = [e.coordinates for e in expand_reps(boxes)]
+            assert render_reps(boxes, sep) == json.dumps(listed, separators=(sep, ":"))
 
     def test_one_class(self):
         # R = 1: the all-ones diagonal lists the zero vector, an empty
@@ -908,6 +963,25 @@ class TestRoundTrip:
             reparsed = parse_problem_dict(doc)
             assert serialize_problem(reparsed) == doc
             assert canonical_json(doc) == canonical_json(serialize_problem(reparsed))
+
+    def test_integer_coordinates_are_converted_once(self, monkeypatch):
+        # a coordinate list of JSON integers goes to `lattice.element`, which
+        # checks it, as it is: only a list with a decimal string (or a bad
+        # entry) goes through `_as_int`, entry by entry
+        seen = []
+        as_int = nilco.problems._as_int
+
+        def recorded(value, where):
+            seen.append(where)
+            return as_int(value, where)
+
+        monkeypatch.setattr(nilco.problems, "_as_int", recorded)
+        doc = {"kind": "PAIRS", "target": {"ranks": [2]},
+               "pairs": [[[[1, "12"]], [[0, 0]]], [[[3, 4]], [[5, -6]]]]}
+        action = parse_problem_dict(doc).action
+        assert action.movers[0][0].coordinates == ((1, 12),)
+        assert action.movers[1][1].coordinates == ((5, -6),)
+        assert [where for where in seen if ".pairs" in where] == ["problem.pairs[0][0]"] * 2
 
     def test_booleans_are_not_integers(self):
         with pytest.raises(SchemaError):

@@ -476,6 +476,32 @@ class TestDeferredLeftReduction:
         assert modular > 100 and "shrink" in events and "zero mod R" in events
 
 
+    def test_kernel_words_are_read_before_any_left_pass(self, rng, monkeypatch):
+        # the kernel words are V's columns past the pivots, which the left
+        # pass never changes: kernel_basis reads them from the exact triangle
+        # without that pass, and H and V, read after it in either order, are
+        # still the canonical forms
+        reduce_left = intmat._reduce_left
+
+        def no_left_pass(cols, pivots, modulus=None):
+            raise AssertionError("left reduction run")
+
+        for trial, A in enumerate(self.cases(rng)):
+            ch, exact = column_hermite(A), self.columns(A)
+            pivots = conftest.canonical_echelon(exact, A.rows)
+            if trial % 3 == 0:
+                ch.diagonal  # the modular triangle first, when A is square
+            monkeypatch.setattr(intmat, "_reduce_left", no_left_pass)
+            kernel = kernel_basis(ch)
+            monkeypatch.setattr(intmat, "_reduce_left", reduce_left)
+            assert kernel == [tuple(col[A.rows:]) for col in exact[len(pivots):]]
+            fields = [("H", IntMatrix.from_columns(exact, A.rows)),
+                      ("V", IntMatrix.from_columns([col[A.rows:] for col in exact], A.cols))]
+            for name, expected in fields[::1 if trial % 2 else -1]:
+                assert getattr(ch, name) == expected
+            assert kernel_basis(ch) == kernel
+
+
 class TestCanonicalReduction:
     def test_diag_example(self):
         A = IntMatrix([[2, 0], [0, 3]])

@@ -60,7 +60,7 @@ def record_fields():
         (ReidemeisterResult, dict(count=6, level_counts=(6,), infinite_level=None, reps=None,
                                   fiber_counts=None)),
         (CoincidenceReport, dict(R=result, N=6, deformable=NO, rationale=EQ_THM)),
-        (TwistedAction, dict(target=H, movers=((u, H.identity()),))),
+        (TwistedAction, dict(target=H, pairs=((u, H.identity()),), maps=None)),
         (CosetAction, klein_bottle_fields()["coset_actions"][0]._asdict()),
         (InfraStructure, klein_bottle_fields()),
         (SmithDecomposition, snf._asdict()),

@@ -26,6 +26,7 @@ from conftest import (
     heisenberg_squared,
     heisenberg_self_map,
     identity_matrix,
+    mover_delta1,
     pillai,
     random_element,
     random_matrix,
@@ -42,6 +43,7 @@ from nilco.errors import (
     ShapeError,
     UnsupportedClassError,
 )
+from nilco.infra import CosetAction, InfraStructure, infra_action
 from nilco.intmat import (
     IntMatrix,
     cokernel,
@@ -601,6 +603,47 @@ class TestMovers:
             assert TwistedAction.from_homs(phi, psi).movers == expected
 
 
+    @pytest.mark.parametrize(
+        "kind",
+        ["torus", "heisenberg", "heisenberg_squared", "free_class2",
+         "torus_to_heisenberg", "heisenberg_to_torus", "class3_to_torus"],
+    )
+    @pytest.mark.parametrize("holonomy", [0, 1, 3], ids=["maps", "infra-h2", "infra-h4"])
+    def test_delta1_from_the_maps_is_the_mover_difference(self, rng, kind, holonomy):
+        # G_1 - F_1, a zero column per source generator above level 1 (class-2
+        # and class-3 sources), then for INFRA one column g(x) - f(x) per
+        # holonomy pair: the difference of the movers' level-1 parts
+        for _ in range(10):
+            phi, psi = random_hom_pair(rng, kind)
+            action = TwistedAction.from_homs(phi, psi)
+            if holonomy:
+                cover, target = phi.source, phi.target
+                identity = CosetAction(tuple(identity_matrix(r) for r in cover.ranks),
+                                       cover.identity())
+                infra = InfraStructure(cover, holonomy + 1, [identity] * holonomy, [
+                    (random_element(rng, target), random_element(rng, target))
+                    for _ in range(holonomy)
+                ])
+                action = infra_action(infra, phi, psi)
+            assert action.delta1 == mover_delta1(action)
+            assert action.delta1.cols == sum(phi.source.ranks) + holonomy
+            assert TwistedOrbitEngine(action).delta1 == action.delta1
+
+    def test_a_map_pair_action_is_a_record_of_its_maps(self, rng):
+        # compared and hashed by value, and checked when copied
+        phi, psi = random_hom_pair(rng, "heisenberg")
+        action = TwistedAction.from_homs(phi, psi)
+        assert action == TwistedAction(phi.target, (), [phi, psi])
+        assert hash(action) == hash(TwistedAction.from_homs(phi, psi))
+        assert action != TwistedAction.from_homs(psi, phi)
+        assert action.pairs == () and action.maps == (phi, psi)
+        with pytest.raises(ShapeError, match="share source and target"):
+            action._replace(target=torus(2))
+        phi3, _ = random_hom_pair(rng, "torus")
+        with pytest.raises(ShapeError, match="share source and target"):
+            TwistedAction.from_homs(phi3, psi)
+
+
 class TestLevelOneElimination:
     @pytest.mark.parametrize("kind", ["heisenberg", "heisenberg_squared", "free_class2"])
     def test_one_exact_run_on_delta1(self, rng, monkeypatch, kind):
@@ -629,6 +672,25 @@ class TestLevelOneElimination:
         assert finite >= 5
 
 
+    @pytest.mark.parametrize("kind", ["heisenberg", "heisenberg_squared", "free_class2",
+                                      "torus_to_heisenberg", "period_pairs"])
+    def test_a_count_runs_no_left_pass(self, rng, monkeypatch, kind):
+        # the kernel words of Delta_1 and of the bracket matrix B come from
+        # the exact triangle, and the counts read pivot diagonals: only what
+        # reads H or V (a label) runs the left pass
+        def no_left_pass(cols, pivots, modulus=None):
+            raise AssertionError("left reduction run")
+
+        monkeypatch.setattr(intmat, "_reduce_left", no_left_pass)
+        for _ in range(20):
+            if kind == "period_pairs":
+                doc = heisenberg_period_pairs(rng.randint(1, 6), rng.randint(0, 6))
+                action = parse_problem_dict(doc).action
+            else:
+                action = TwistedAction.from_homs(*random_hom_pair(rng, kind))
+            TwistedOrbitEngine(action).result(reps_limit=1024)
+
+
 class TestMiscellaneous:
     def test_mismatched_sources_rejected(self):
         t2, t3 = torus(2), torus(3)
@@ -651,9 +713,9 @@ class TestMiscellaneous:
         # a class-3 target, by the constructor or by `_replace`
         lat = NilpotentLattice(ranks=(1, 1, 1))
         with pytest.raises(UnsupportedClassError):
-            TwistedAction(target=lat, movers=())
+            TwistedAction(target=lat, pairs=())
         with pytest.raises(UnsupportedClassError):
-            TwistedAction(target=torus(1), movers=())._replace(target=lat)
+            TwistedAction(target=torus(1), pairs=())._replace(target=lat)
 
 
 def _result(count):

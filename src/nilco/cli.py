@@ -22,7 +22,9 @@ NILCO_MAX_ORDER, the one enumeration setting, caps the quotient elements
 holonomy datum as it is built, and builds the twisted action it counts;
 it computes nothing.  `oracle` builds the same action once; without
 --modulus one orbit engine counts it and gives the modulus
-(`TwistedOrbitEngine.oracle_modulus`), and `compute` does not run.
+(`TwistedOrbitEngine.oracle_modulus`) and the movers the oracle counts
+with, so each map's generator images are built once, and `compute` does
+not run.
 
 `main(argv, out)` returns the exit code and raises nothing for a usage
 error: an unknown option or a --modulus that is not an integer prints the
@@ -100,7 +102,8 @@ def cmd_oracle(args, out):
     problem = parse_problem(args.file)
     action = validate_problem(problem)
     if modulus is None:
-        modulus = TwistedOrbitEngine(action).oracle_modulus()
+        action = TwistedOrbitEngine(action)
+        modulus = action.oracle_modulus()
     count = oracle_orbit_count(action, modulus)
     doc = {"kind": problem.kind, "modulus": modulus, "orbit_count": count}
     if problem.name is not None:

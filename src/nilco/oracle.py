@@ -7,24 +7,8 @@ independent check on every finite count the exact machinery produces.
 
 from operator import mul
 
-from .errors import BoundExceededError, NilcoError, ShapeError, max_order_cap
+from .errors import BoundExceededError, NilcoError, ShapeError, UnsupportedClassError, max_order_cap
 from .intmat import determinant
-
-
-def _add(u, v, m):
-    """u + v in (Z/m)^n, vectors as tuples."""
-    return tuple([(p + q) % m for p, q in zip(u, v)])
-
-
-def _extend(group, v, m):
-    """Close `group`, a subgroup of (Z/m)^n held as a set of tuples, under v:
-    each multiple k*v outside it adds its whole coset of the old subgroup."""
-    if v in group:
-        return
-    old, step = list(group), v
-    while step not in group:
-        group.update([_add(h, step, m) for h in old])
-        step = _add(step, v, m)
 
 
 def _moves(v, places, m):
@@ -37,26 +21,22 @@ def _moves(v, places, m):
     return [(p, m - c, p * c, p * (c - m)) for p, c in zip(places, v) if c]
 
 
-def _subgroup_order(steps, places, m):
-    """|<steps>| in (Z/m)^n, the subgroup H held as a bytearray of flags over
-    the codes and the list of its codes.  From H = {0}, each step v adds the
+def _close(flags, members, v, places, m):
+    """Close H, a subgroup of (Z/m)^n held as a bytearray of flags over the
+    codes and the list of its codes (0 first), under the step v: add the
     cosets H + v, H + 2v, ..., each the last one moved by v, until one
     starts (at the code of k*v) inside the grown subgroup."""
-    flags, members = bytearray(m ** len(places)), [0]
-    flags[0] = 1
-    for v in steps:
-        moves, n, last = _moves(v, places, m), len(members), 0
-        while True:
-            coset = members[last:last + n]
-            for p, limit, up, down in moves:
-                coset = [y + up if y // p % m < limit else y + down for y in coset]
-            if flags[coset[0]]:
-                break
-            for y in coset:
-                flags[y] = 1
-            last = len(members)
-            members += coset
-    return len(members)
+    moves, n, last = _moves(v, places, m), len(members), 0
+    while True:
+        coset = members[last:last + n]
+        for p, limit, up, down in moves:
+            coset = [y + up if y // p % m < limit else y + down for y in coset]
+        if flags[coset[0]]:
+            return
+        for y in coset:
+            flags[y] = 1
+        last = len(members)
+        members += coset
 
 
 class FiniteGroupTable:
@@ -66,10 +46,12 @@ class FiniteGroupTable:
     () at class 1.  The group law is the lattice's, (a, c) * (a', c') =
     (a + a', c + c' + B(a, a')), where brackets holds one r1 x r1 integer
     matrix (row lists) per level-2 coordinate; the table applies it only
-    through `closed_form`.  Nothing is enumerated until an orbit count asks
-    for it, and the count walks level 1 and each level-1 orbit's
-    stabiliser, not the m^(r1 + r2) elements: level-1 points as integer
-    codes in [0, m^r1), so it holds about m^r1 flags or slots.
+    through `closed_form`.  More than two levels raise
+    UnsupportedClassError, and a bracket count other than r2, or a bracket
+    that is not r1 x r1, raises ShapeError, as `NilpotentLattice` does.
+    Nothing is enumerated until an orbit count asks for it, and the count
+    walks level 1 and each level-1 orbit's stabiliser, not the m^(r1 + r2)
+    elements (`twisted_orbits_finite`).
     """
 
     def __init__(self, modulus, ranks, brackets=()):
@@ -78,6 +60,17 @@ class FiniteGroupTable:
         self.modulus = modulus
         self.ranks = tuple(ranks)
         self.brackets = tuple(brackets)
+        if len(self.ranks) > 2:
+            raise UnsupportedClassError(f"finite quotient of class {len(self.ranks)} > 2")
+        try:
+            r1, r2 = (*self.ranks, 0)[:2]
+            fits = len(self.brackets) == r2 and all(
+                len(B) == r1 and all(len(row) == r1 for row in B) for B in self.brackets
+            )
+        except (TypeError, ValueError):
+            fits = False
+        if not fits:
+            raise ShapeError(f"ranks {self.ranks!r} need r2 bracket matrices of r1 x r1")
         self.order = modulus ** sum(self.ranks)
 
     def project(self, e):
@@ -103,7 +96,7 @@ class FiniteGroupTable:
         const = slopes = ().
         """
         m, (a1, a2), (b1, b2) = self.modulus, a, b
-        d, r = _add(b1, [-p for p in a1], m), range(len(a1))
+        d, r = tuple([(q - p) % m for p, q in zip(a1, b1)]), range(len(a1))
         const = tuple(
             (q - p - sum(d[i] * B[i][j] * a1[j] for i in r for j in r)) % m
             for B, p, q in zip(self.brackets, a2, b2)
@@ -141,11 +134,13 @@ def twisted_orbits_finite(G, movers):
     sigma_x + shift_j(x) - sigma_y, which is 0 on tree edges.  So the
     non-tree edges generate S, and O adds the m^r2 / |S| cosets of S.
 
-    Each level-1 point is walked as its code in [0, m^r1), and each step
-    d_j as its moves on the codes (`_moves`).  H1 is a bytearray of m^r1
-    flags plus the list of its codes, and sigma a list of m^r1 slots, None
-    until the search reaches the point; S is a set of level-2 tuples.  So
-    memory is about m^r1 flags or slots, though the cap bounds m^(r1 + r2).
+    Points of each level are walked as their codes in [0, m^r) (`_moves`).
+    One closure (`_close`) builds H1 and each S as flags over the codes plus
+    their list; S's m^r2 flags, read per Schreier generator, are cleared
+    through that list after each orbit.  sigma holds m^r1 slots, None until
+    reached, and offsets only for the current orbit: a finished point holds
+    True.  So memory is about m^r1 slots, m^r2 flags and the largest
+    orbit's offsets, though the cap bounds m^(r1 + r2).
     """
     cap = max_order_cap()
     if G.order > cap:
@@ -156,14 +151,19 @@ def twisted_orbits_finite(G, movers):
     forms = [G.closed_form(G.project(a), G.project(b)) for a, b in movers]
     places, size = [m**k for k in reversed(range(r1))], m**r1
     if not r2:
-        return size // _subgroup_order([d for d, _, _ in forms], places, m)
+        flags, members = bytearray(size), [0]
+        flags[0] = 1
+        for d, _, _ in forms:
+            _close(flags, members, d, places, m)
+        return size // len(members)
     walk = [(_moves(d, places, m), const, slopes) for d, const, slopes in forms]
-    zero, sigma, count = (0,) * r2, [None] * size, 0
+    places2, fiber = [m**k for k in reversed(range(r2))], m**r2
+    flags, zero, sigma, count = bytearray(fiber), (0,) * r2, [None] * size, 0
+    flags[0] = 1
     for base in range(size):
         if sigma[base] is not None:
             continue
-        sigma[base] = zero
-        orbit, stabiliser = [base], {zero}
+        sigma[base], orbit, members = zero, [base], [0]  # S = {0}
         for x in orbit:  # grows as the search reaches new points
             offset, digits = sigma[x], [x // p % m for p in places]
             for moves, const, slopes in walk:
@@ -177,8 +177,14 @@ def twisted_orbits_finite(G, movers):
                     sigma[y] = moved
                     orbit.append(y)
                 elif moved != known:
-                    _extend(stabiliser, tuple([(s - t) % m for s, t in zip(moved, known)]), m)
-        count += m**r2 // len(stabiliser)
+                    g = [(s - t) % m for s, t in zip(moved, known)]
+                    if not flags[sum(map(mul, g, places2))]:
+                        _close(flags, members, g, places2, m)
+        count += fiber // len(members)
+        for z in members[1:]:
+            flags[z] = 0
+        for x in orbit:
+            sigma[x] = True
     return count
 
 

@@ -383,7 +383,8 @@ def check_expected(problem, doc):
 
 
 def oracle_orbit_count(action, modulus):
-    """Twisted orbit count of a TwistedAction (`validate_problem`'s) on the
-    target quotient mod `modulus`, under the enumeration cap of
-    `twisted_orbits_finite`."""
+    """Twisted orbit count of a TwistedAction (`validate_problem`'s), or of
+    the TwistedOrbitEngine built on one (it holds the same target and
+    movers), on the target quotient mod `modulus`, under the enumeration cap
+    of `twisted_orbits_finite`."""
     return twisted_orbits_finite(action.target.reduce_mod(modulus), action.movers)

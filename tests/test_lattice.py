@@ -274,9 +274,8 @@ class TestFiniteQuotients:
 
         monkeypatch.setattr(FiniteGroupTable, "project", refuse)
         monkeypatch.setattr(FiniteGroupTable, "closed_form", refuse)
-        monkeypatch.setattr(oracle_module, "_subgroup_order", refuse)
+        monkeypatch.setattr(oracle_module, "_close", refuse)
         monkeypatch.setattr(oracle_module, "_moves", refuse)
-        monkeypatch.setattr(oracle_module, "_extend", refuse)
         table = heisenberg().reduce_mod(10**9)
         assert table.order == 10**27
         with pytest.raises(BoundExceededError):

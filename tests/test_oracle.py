@@ -1,10 +1,12 @@
 """Brute-force finite-quotient verification machinery."""
 
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
 import nilco.oracle as oracle_module
+from check_ledger import ledger, render
 from conftest import (
     closed_form_image,
     flat_blocks,
@@ -26,10 +28,12 @@ from nilco.errors import (
     NilcoError,
     ParseError,
     ShapeError,
+    UnsupportedClassError,
     max_order_cap,
 )
 from nilco.intmat import IntMatrix, cokernel, determinant
-from nilco.lattice import NilpotentLattice
+from nilco.lattice import LatticeHomomorphism, NilpotentLattice
+from nilco.reidemeister import TwistedAction
 from nilco.oracle import (
     FiniteGroupTable,
     cokernel_oracle,
@@ -52,15 +56,30 @@ class TestTranslationGroup:
         with pytest.raises(ShapeError, match=r"does not match ranks \(2,\)"):
             translation_group(3, 2).project(((1,),))
 
+    def test_tables_it_cannot_count_are_refused(self):
+        # (2, 1) with no bracket would count as (Z/3)^3 under e1, 9 orbits,
+        # and (1, 1, 1) as a class-2 table, 4 orbits: neither is answered
+        e1 = ((1, 0), (0,))
+        with pytest.raises(ShapeError, match=r"ranks \(2, 1\) need r2 bracket matrices"):
+            twisted_orbits_finite(FiniteGroupTable(3, (2, 1)), [(e1, e1)])
+        with pytest.raises(UnsupportedClassError):
+            FiniteGroupTable(2, (1, 1, 1))
+        for brackets in ([[0, 1]], [[[0, 1], [0]]], [[[0, 1], [0, 0]]] * 2):
+            with pytest.raises(ShapeError):
+                FiniteGroupTable(3, (2, 1), brackets)
+        for ranks, brackets in (((2,), [[[0, 1], [0, 0]]]), ((), ())):
+            with pytest.raises(ShapeError):
+                FiniteGroupTable(3, ranks, brackets)
+        assert FiniteGroupTable(3, (2, 1), [[[0, 1], [0, 0]]]).order == 27
+
 
 def refuse_counting(monkeypatch):
     """Make the counter's first steps past the movers fail the test."""
     def refuse(*args, **kwargs):
         raise AssertionError("counted a mover that is not of the quotient")
 
-    monkeypatch.setattr(oracle_module, "_subgroup_order", refuse)
+    monkeypatch.setattr(oracle_module, "_close", refuse)
     monkeypatch.setattr(oracle_module, "_moves", refuse)
-    monkeypatch.setattr(oracle_module, "_extend", refuse)
 
 
 class TestTwistedOrbits:
@@ -237,6 +256,22 @@ class TestLevelByLevelCount:
             tracemalloc.stop()
         assert peak <= 6 * 2**20
 
+    def test_stabiliser_search_keeps_the_offsets_of_one_orbit(self):
+        # Heisenberg 4I vs 0 mod 96: 9,216 level-1 points in orbits of 576;
+        # every stabiliser is flags over the 96 level-2 codes, and a finished
+        # orbit's offsets are dropped (keeping them all peaked near 0.5 MiB)
+        h = heisenberg()
+        phi = LatticeHomomorphism(h, h, (IntMatrix([[4, 0], [0, 4]]), IntMatrix([[16]])))
+        psi = LatticeHomomorphism(h, h, (IntMatrix([[0, 0], [0, 0]]), IntMatrix([[0]])))
+        table, movers = h.reduce_mod(96), TwistedAction.from_homs(phi, psi).movers
+        tracemalloc.start()
+        try:
+            assert twisted_orbits_finite(table, movers) == 256
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.2 * 2**20
+
     def test_level1_orbits_add_different_amounts(self):
         # conjugation by e1 on Heisenberg mod 4 fixes level 1, so each x is
         # its own level-1 orbit, and its stabiliser translates the fiber by
@@ -364,3 +399,13 @@ class TestMaxOrderCap:
         monkeypatch.setenv("NILCO_MAX_ORDER", "3")
         with pytest.raises(BoundExceededError):
             cokernel_oracle(IntMatrix([[2, 0], [0, 3]]))
+
+
+class TestLedger:
+    def test_oracle_ledger_matches_the_golden(self):
+        # every corpus answer is counted by the oracle, capped, infinite or
+        # refused by both commands, and no count disagrees with R
+        counts, disagreements = ledger()
+        assert not disagreements
+        golden = Path(__file__).parent / "golden" / "ledger.json"
+        assert render(counts) == golden.read_text(encoding="utf-8")

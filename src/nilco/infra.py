@@ -97,12 +97,16 @@ def infra_action(infra, phi, psi):
     (phi(s), psi(s)) followed by the holonomy pairs (f(x), g(x)).
 
     Checks what ties the infra data to the maps: both are defined on the
-    cover, and every holonomy image lies in their target.
+    cover, and every holonomy image fits their target's ranks.  The images
+    are kept as built: the parser built each one as an element of the
+    file's target.
     """
     if phi.source != infra.cover or psi.source != infra.cover:
         raise ShapeError("lifted homomorphisms must be defined on the cover lattice")
-    holonomy = TwistedAction.from_pairs(phi.target, infra.map_images).pairs
-    return TwistedAction(phi.target, holonomy, maps=(phi, psi))
+    for pair in infra.map_images:
+        for image in pair:
+            phi.target.check_shape(image.coordinates)
+    return TwistedAction(phi.target, infra.map_images, maps=(phi, psi))
 
 
 def decide_infra(infra, phi, psi):

@@ -157,31 +157,46 @@ class ColumnHermite:
     (the radices of the coset representatives); pivot rows are strictly
     increasing, each pivot column is zero above its pivot row and the
     entries left of a pivot lie in [0, pivot), so H is the unique Hermite
-    form of im(A).  order is |Z^rows / im(A)|, None when infinite: |det A|
-    for a square A, found without elimination, else the pivot product.
-    Each field is computed when first read: pivots and diagonal from the
-    triangular form (`_column_echelon`), modulo |det A| for a square
-    nonsingular A; H from that triangle once `_reduce_left` has made it
-    canonical; V by the exact loop (`_exact`, which `kernel_basis` reads
-    before any left pass), only when V or the kernel is read.
+    form of im(A).  order is |Z^rows / im(A)|, None when infinite.
+    Each field is computed when first read, on the live part of A: its
+    columns up to the last nonzero one.  A square live part gives the order
+    as |det|, found without elimination.  pivots and diagonal come from the
+    triangular form (`_column_echelon`), modulo |det| for a square
+    nonsingular live part; H from that triangle once `_reduce_left` has made
+    it canonical; V by the exact loop (`_exact`, which `kernel_basis` reads
+    before any left pass), only when V or the kernel is read.  The loop
+    never touches or moves a zero column past the live part, so H is the
+    live part's H padded with zero columns and V is blockdiag(V_live, I).
     """
 
     def __init__(self, A):
         self.A = A
 
     @cached_property
-    def order(self):
+    def _live(self):
+        """A up to its last nonzero column: A itself, with no copy, when its
+        last column is nonzero, which is the first column tested."""
         A = self.A
-        if A.is_square:
-            return abs(determinant(A)) or None
-        return prod(self.diagonal) if len(self.pivots) == A.rows else None
+        c = A.cols
+        while c and not any(row[c - 1] for row in A.data):
+            c -= 1
+        return A if c == A.cols else IntMatrix._trusted([row[:c] for row in A.data], (A.rows, c))
+
+    @cached_property
+    def order(self):
+        L = self._live
+        if L.is_square:
+            return abs(determinant(L)) or None
+        return prod(self.diagonal) if len(self.pivots) == L.rows else None
 
     @cached_property
     def _triangle(self):
-        A = self.A
-        D = self.order if A.is_square else None
-        cols = [[x % D for x in col] if D else list(col) for col in A.transpose().data]
-        return cols, tuple(_column_echelon(cols, A.rows, D)), D
+        L = self._live
+        D = self.order if L.is_square else None
+        cols = [[x % D for x in col] if D else list(col) for col in L.transpose().data]
+        pivots = tuple(_column_echelon(cols, L.rows, D))
+        cols += [[0] * L.rows for _ in range(L.cols, self.A.cols)]
+        return cols, pivots, D
 
     pivots = cached_property(lambda self: self._triangle[1])
     diagonal = cached_property(
@@ -197,10 +212,13 @@ class ColumnHermite:
     def _exact(self):
         """The exact loop on A over the unit columns: the triangle, not yet
         left-reduced, with the transform under it, and the pivot rows.  It
-        serves `pivots` and `diagonal` too, when they were not read first."""
-        A = self.A
-        cols = [list(col) + _unit(j, A.cols) for j, col in enumerate(A.transpose().data)]
+        runs on the live part; A's zero columns past it follow, with their
+        unit transform columns.  It serves `pivots` and `diagonal` too, when
+        they were not read first."""
+        A, L = self.A, self._live
+        cols = [list(col) + _unit(j, A.cols) for j, col in enumerate(L.transpose().data)]
         pivots = tuple(_column_echelon(cols, A.rows))
+        cols += [[0] * A.rows + _unit(j, A.cols) for j in range(L.cols, A.cols)]
         self.__dict__.setdefault("_triangle", (cols, pivots, None))
         return cols, pivots
 
@@ -391,7 +409,13 @@ def kernel_basis(ch):
     These are the columns of V past the pivots: A @ V == H is zero there and
     V is unimodular.  The left pass changes only pivot columns, so they are
     read from the exact triangle, and only what reads V or H runs that pass.
+    The last of them are the unit vectors of A's zero columns past its live
+    part (see ColumnHermite); when the live part is square and nonsingular
+    they are all of them, and no loop runs.
     """
+    L, n = ch._live, ch.A.cols
+    if L.is_square and ch.order:
+        return [tuple(_unit(j, n)) for j in range(L.cols, n)]
     cols, pivots = ch._exact
     return [tuple(col[ch.A.rows:]) for col in cols[len(pivots):]]
 

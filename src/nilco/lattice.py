@@ -116,6 +116,12 @@ class NilpotentLattice(namedtuple("NilpotentLattice", "ranks brackets")):
         enters here; the arithmetic below builds its results from tuples it
         computed."""
         coords = tuple(tuple(map(IntMatrix._as_int, level)) for level in coordinates)
+        self.check_shape(coords)
+        return LatticeElement(coords)
+
+    def check_shape(self, coords):
+        """Raise ShapeError unless the coordinate vectors `coords` are one per
+        level, each of that level's rank."""
         if len(coords) != self.class_c:
             raise ShapeError(
                 f"element has {len(coords)} levels, lattice has {self.class_c}"
@@ -123,7 +129,6 @@ class NilpotentLattice(namedtuple("NilpotentLattice", "ranks brackets")):
         for lvl, r in zip(coords, self.ranks):
             if len(lvl) != r:
                 raise ShapeError(f"level vector {lvl!r} does not match rank {r}")
-        return LatticeElement(coords)
 
     def identity(self):
         return LatticeElement(tuple((0,) * r for r in self.ranks))
@@ -243,17 +248,22 @@ class LatticeHomomorphism(namedtuple("LatticeHomomorphism", "source target matri
 
     def generator_images(self):
         """Images of the source generators, level by level and in coordinate
-        order within a level (the unit vectors of each level): generator j
-        of level l goes to column j of matrices[l] at level l and to 0 at
-        every other level, since a one-letter word has no defect; past the
-        target's class it goes to the identity."""
+        order within a level (the unit vectors of each level), each one
+        `generator_image`."""
         return [
-            LatticeElement(tuple(
-                column if lvl == level else (0,) * r for lvl, r in enumerate(self.target.ranks)
-            ))
-            for level in range(self.source.class_c)
-            for column in self.matrices[level].transpose().data
+            self.generator_image(level, j)
+            for level in range(self.source.class_c) for j in range(self.source.ranks[level])
         ]
+
+    def generator_image(self, level, j):
+        """Image of generator j of level `level` (both 0-based): column j of
+        matrices[level] at that level and 0 at every other level, since a
+        one-letter word has no defect; past the target's class, the
+        identity."""
+        column = self.matrices[level].column(j)
+        return LatticeElement(tuple(
+            column if lvl == level else (0,) * r for lvl, r in enumerate(self.target.ranks)
+        ))
 
 
 def validate_hom(hom):

@@ -7,13 +7,15 @@ translation subgroup is generated by the moves that stabilize the level-1
 coordinate (kernel words of Delta_1 plus commutator words).  A fiber word w
 with images phi(w) = (p_w, p2) and psi(w) = (p_w, q2) translates the fiber
 over a by the affine column t_w + [p_w, a], with t_w = q2 - p2; (p_w, t_w)
-is read from the word's two images (a kernel word's from `word_images`, a
-commutator word's from the brackets of its letters), once per word.  The
-fiber order is constant on the cosets of the period lattice
-L = im Delta_1 + ker B + e Z^{r1} (B(a) = ([p_w, a])_w, e the order of the
-constant columns' cokernel), so the count is (c1 / |Q|) times the sum of
-one fiber order per class of Q = Z^{r1} / L; a fiber with every p_w = 0
-gives |Q| = 1.  Every order is read from the pivot diagonal of a column
+is read once per word: a one-letter kernel word's from its mover (for a map
+pair, from the level matrices), another kernel word's from `word_images`, a
+commutator word's from the brackets of its letters' level-1 parts
+(`TwistedAction.level1`).  The fiber order is constant on the cosets of the
+period lattice L = im Delta_1 + ker B + e Z^{r1} (B(a) = ([p_w, a])_w, e the
+order of the constant columns' cokernel), so the count is (c1 / |Q|) times
+the sum of one fiber order per class of Q = Z^{r1} / L.  When every p_w is
+0 the fibers are uniform: B = 0, so L = Z^{r1}, |Q| = 1 and no period
+lattice is built.  Every order is read from the pivot diagonal of a column
 Hermite form, and the same form lists the canonical representatives, gives
 the kernel words and reduces labels, so canonical class labels with exact
 witness words come out of the same machinery.
@@ -97,7 +99,8 @@ class TwistedAction(namedtuple("TwistedAction", "target pairs maps", defaults=((
     constructor refuses a target of class > 2, which has no group law here,
     with UnsupportedClassError, and maps that do not share the target and a
     source with ShapeError.  A map pair's movers are built only when
-    `movers` is read; `delta1` reads its level matrices."""
+    `movers` is read; `level1`, `delta1` and `mover` read its level
+    matrices."""
 
     __slots__ = ()
 
@@ -138,19 +141,37 @@ class TwistedAction(namedtuple("TwistedAction", "target pairs maps", defaults=((
         phi, psi = self.maps
         return tuple(zip(phi.generator_images(), psi.generator_images())) + self.pairs
 
+    def mover(self, j):
+        """Mover pair j alone, movers[j]: for a map pair, the images of one
+        source generator, read from the level matrices (`generator_image`)."""
+        if self.maps is not None:
+            for level, r in enumerate(self.maps[0].source.ranks):
+                if j < r:
+                    return tuple(h.generator_image(level, j) for h in self.maps)
+                j -= r
+        return self.pairs[j]
+
     @property
-    def delta1(self):
-        """Delta_1: the column q_1 - p_1 of each mover (p, q).  A map pair's
-        columns are those of G_1 - F_1, then a zero column per source
-        generator above level 1, read from the level matrices: no element is
-        built."""
-        r1 = self.target.ranks[0]
-        cols = [tuple(map(sub, q.level(0), p.level(0))) for p, q in self.pairs]
+    def level1(self):
+        """(a, b): the level-1 parts a_j of p and b_j of q, per mover (p, q).
+        A map pair's are the columns of F_1 and G_1, then a zero vector per
+        source generator above level 1, read from the level matrices: no
+        element is built."""
+        a = [p.level(0) for p, _ in self.pairs]
+        b = [q.level(0) for _, q in self.pairs]
         if self.maps is not None:
             phi, psi = self.maps
-            zeros = [(0,) * r1] * sum(phi.source.ranks[1:])
-            cols = [*(psi.matrices[0] - phi.matrices[0]).transpose().data, *zeros, *cols]
-        return IntMatrix.from_columns(cols, r1)
+            zeros = [(0,) * self.target.ranks[0]] * sum(phi.source.ranks[1:])
+            a = [*zip(*phi.matrices[0].data), *zeros, *a]  # r_1 >= 1 rows: one tuple per column
+            b = [*zip(*psi.matrices[0].data), *zeros, *b]
+        return a, b
+
+    @property
+    def delta1(self):
+        """Delta_1: the column b_j - a_j of each mover's level-1 parts (`level1`)."""
+        a, b = self.level1
+        cols = [tuple(map(sub, y, x)) for x, y in zip(a, b)]
+        return IntMatrix.from_columns(cols, self.target.ranks[0])
 
 
 def _word_power(word, n):
@@ -184,7 +205,9 @@ class TwistedOrbitEngine:
         self.k = self.delta1.cols
         self.hermite1 = column_hermite(self.delta1)
         # a finite order of a wide Delta_1 needs kernel words (a square one
-        # has none): the one exact run that gives them gives the order too
+        # has none): the one exact run that gives them gives the order too.
+        # [G_1 - F_1 | 0 ... 0] with a square G_1 - F_1 runs none: its order is
+        # the determinant, its kernel the zero columns' unit vectors
         wide = target.class_c == 2 and self.k > self.r1
         self._kernel = kernel_basis(self.hermite1) if wide else ()
         self.order1 = self.hermite1.order
@@ -221,17 +244,22 @@ class TwistedOrbitEngine:
         # mover j is p_j = (a_j, c_j), q_j = (b_j, d_j); a word with images
         # P = (p, p2) and Q = (p, q2) moves (a, c) to Q (a, c) P^{-1} =
         # (a, c + t + [p, a]) with t = q2 - p2
-        lat = self.target
-        a = [p.level(0) for p, _ in self.movers]
-        b = [q.level(0) for _, q in self.movers]
+        lat, action = self.target, self.action
+        a, b = action.level1
         words = []
         columns = []
         # kernel words: v in the kernel of Delta_1 gives the word prod x_j^{v_j},
-        # whose images P and Q (`word_images`) share their level-1 part p_w
+        # whose images P and Q share their level-1 part p_w.  A one-letter word
+        # (j, 1) has mover j itself for images (a map pair's central generator:
+        # (0, F_2 column) and (0, G_2 column)); any other word their products
         for v in self._kernel:
-            words.append(tuple((j, v[j]) for j in range(self.k) if v[j] != 0))
-            P, Q = self.word_images(words[-1])
-            columns.append((P.level(0), tuple(y - x for x, y in zip(P.level(1), Q.level(1)))))
+            word = tuple((j, v[j]) for j in range(self.k) if v[j] != 0)
+            words.append(word)
+            if len(word) == 1 and word[0][1] == 1:
+                P, Q = action.mover(word[0][0])
+            else:
+                P, Q = self.word_images(word)
+            columns.append((P.level(0), tuple(map(sub, Q.level(1), P.level(1)))))
         # commutator words stabilize level 1 as well: p_w = 0 and
         # t_w = [b_i, b_j] - [a_i, a_j], for all pairs i < j at once
         zero = (0,) * self.r1
@@ -329,12 +357,18 @@ class TwistedOrbitEngine:
             return ReidemeisterResult(count=c1, level_counts=(c1,), reps=reps)
 
         # R = (c1 / |Q|) sum_{q in Q} |coker M(q)| with Q = Z^{r1} / L: one
-        # fiber per period class, each standing for c1 / |Q| level-1 classes
-        hermite = column_hermite(self._period_matrix())
-        classes = c1 // hermite.order
+        # fiber per period class, each standing for c1 / |Q| level-1 classes.
+        # Uniform fibers (no moving column) have B = 0, so L = Z^{r1} and
+        # |Q| = 1: the constant fiber alone, with no period lattice
+        if self._moving:
+            hermite = column_hermite(self._period_matrix())
+            classes = c1 // hermite.order
+            fibers = map(self._fiber, coset_representatives(hermite, max_count=max_order_cap()))
+        else:
+            classes, fibers = c1, (self._constant,)
         histogram = {}
-        for q in coset_representatives(hermite, max_count=max_order_cap()):
-            order = self._fiber(q).order
+        for fiber in fibers:
+            order = fiber.order
             if order is None:
                 return ReidemeisterResult(count=None, level_counts=(c1, None), infinite_level=2)
             histogram[order] = histogram.get(order, 0) + classes
@@ -342,7 +376,11 @@ class TwistedOrbitEngine:
         reps = None
         if reps_limit is not None and total <= reps_limit:
             level1 = coset_representatives(self.hermite1)
-            reps = tuple(((a,), self._fiber(a).diagonal) for a in level1)
+            if self._moving:
+                reps = tuple(((a,), self._fiber(a).diagonal) for a in level1)
+            else:
+                diagonal = self._constant.diagonal
+                reps = tuple(((a,), diagonal) for a in level1)
         return ReidemeisterResult(
             count=total,
             # with several fiber orders the count has no per-level factorization
@@ -388,7 +426,10 @@ def coincidence_invariants(phi, psi, reps_limit=REPS_LIMIT):
     Hermite forms; the orbit engine decides R (which may be finite over an
     infinite level) and lists the representatives.  Both maps were checked
     when they were built (LatticeHomomorphism).  The engine reads Delta_1
-    from their level matrices, so a class-1 target builds no element.
+    and the fiber words' columns from their level matrices: a class-1
+    target builds no element, and a class-2 target whose kernel words are
+    all one letter (the central generators, when the level-1 ranks agree)
+    builds only their images.
     """
     engine = TwistedOrbitEngine(TwistedAction.from_homs(phi, psi))
     # the engine's level-1 matrix is G1 - F1 plus a zero column per source

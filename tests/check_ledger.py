@@ -12,7 +12,9 @@ default enumeration cap, and puts the problem in one column:
 Any other outcome, a count that differs from R first of all, is a
 disagreement.  The ledger is the number of problems per generator and
 column, as sorted JSON; tests/test_oracle.py compares it with the committed
-tests/golden/ledger.json.  Run
+tests/golden/ledger.json.  Both read the columns from `answers`, whose one
+`compute` per problem also gives the problem's corpus line, so tier 1
+computes each corpus problem once for the corpus test and the ledger.  Run
 
     PYTHONPATH=src python tests/check_ledger.py > tests/golden/ledger.json
 
@@ -26,7 +28,7 @@ import tempfile
 from contextlib import redirect_stderr
 from pathlib import Path
 
-from test_corpus import GENERATORS, problems
+from test_corpus import GENERATORS, compute, corpus_line, problems
 
 from nilco.cli import main
 
@@ -41,9 +43,10 @@ def _run(argv):
     return code, json.loads(out.getvalue()) if code == 0 else None
 
 
-def classify(path):
-    """The ledger column of the problem in `path`, or None for a disagreement."""
-    code, report = _run(["compute", str(path)])
+def classify(path, code, report):
+    """The ledger column of the problem in `path`, given the exit code and
+    JSON report (None on an error) of its `compute`; None for a
+    disagreement."""
     oracle_code, oracle = _run(["oracle", str(path)])
     if code == 0 and isinstance(report["R"], int):
         if oracle_code == 0 and oracle["orbit_count"] == report["R"]:
@@ -54,21 +57,32 @@ def classify(path):
     return "refused" if code == oracle_code and code in (3, 4) else None
 
 
-def ledger():
+def answers(path, generator):
+    """(corpus line, (seed, index, ledger column)) of every problem of
+    `generator`, from one `compute` per problem: the pass that the corpus
+    test and the ledger test share."""
+    out = []
+    for seed, index, doc in problems(generator):
+        computed = compute(path, doc)
+        code, text, _ = computed
+        column = classify(path, code, json.loads(text) if code == 0 else None)
+        line = corpus_line(path, generator, seed, index, doc, computed)
+        out.append((line, (seed, index, column)))
+    return out
+
+
+def ledger(columns):
     """(counts per generator and column, (generator, seed, index) of each
-    disagreement)."""
+    disagreement), from the (seed, index, column) of every problem, by
+    generator."""
     counts, disagreements = {}, []
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "problem.json"
-        for generator in GENERATORS:
-            row = counts[generator] = dict.fromkeys(COLUMNS, 0)
-            for seed, index, doc in problems(generator):
-                path.write_text(json.dumps(doc), encoding="utf-8")
-                column = classify(path)
-                if column is None:
-                    disagreements.append((generator, seed, index))
-                else:
-                    row[column] += 1
+    for generator, problem_columns in columns.items():
+        row = counts[generator] = dict.fromkeys(COLUMNS, 0)
+        for seed, index, column in problem_columns:
+            if column is None:
+                disagreements.append((generator, seed, index))
+            else:
+                row[column] += 1
     return counts, disagreements
 
 
@@ -77,7 +91,10 @@ def render(counts):
 
 
 if __name__ == "__main__":
-    counts, disagreements = ledger()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "problem.json"
+        counts, disagreements = ledger(
+            {g: [column for _, column in answers(path, g)] for g in GENERATORS})
     sys.stdout.write(render(counts))
     for problem in disagreements:
         print(f"disagreement: {problem}", file=sys.stderr)

@@ -530,6 +530,24 @@ def serialize_problem(problem):
     return out
 
 
+@pytest.fixture(scope="session")
+def corpus_answers(tmp_path_factory):
+    """Per corpus generator, computed when first read: the corpus line and
+    the ledger column of each of its problems, from one in-process `compute`
+    per problem (`check_ledger.answers`).  The corpus test and the ledger
+    test read this one pass."""
+    from check_ledger import answers  # it imports test_corpus, which imports this module
+
+    path = tmp_path_factory.mktemp("corpus") / "problem.json"
+
+    class Answers(dict):
+        def __missing__(self, generator):
+            self[generator] = answers(path, generator)
+            return self[generator]
+
+    return Answers()
+
+
 @pytest.fixture
 def rng():
     return random.Random(0xC01C1DE)

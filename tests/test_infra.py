@@ -118,6 +118,26 @@ class TestValidation:
         )
         with pytest.raises(ShapeError, match="does not match rank 1"):
             decide_infra(foreign, phi, psi)
+        mixed = foreign._replace(map_images=((cover.identity(), phi.target.identity()),))
+        with pytest.raises(ShapeError, match=r"^level vector \(0, 0\) does not match rank 1$"):
+            infra_action(mixed, phi, psi)
+        deeper = NilpotentLattice(ranks=(1, 1), brackets=(IntMatrix([[0]]),)).identity()
+        with pytest.raises(ShapeError, match="^element has 2 levels, lattice has 1$"):
+            infra_action(foreign._replace(map_images=((deeper, deeper),)), phi, psi)
+
+    def test_holonomy_images_are_kept_as_parsed(self, monkeypatch):
+        # the parser built each image as an element of the target: the action
+        # holds those elements, checked for shape only, and builds none
+        infra, phi, psi = klein_bottle_setup()
+
+        def refuse(lattice, coordinates):
+            raise AssertionError("holonomy image rebuilt")
+
+        monkeypatch.setattr(NilpotentLattice, "element", refuse)
+        action = infra_action(infra, phi, psi)
+        assert all(a is b for held, parsed in zip(action.pairs, infra.map_images)
+                   for a, b in zip(held, parsed))
+        assert len(action.pairs) == len(infra.map_images) == 1
 
 
 class TestDecision:

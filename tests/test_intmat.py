@@ -3,6 +3,7 @@ cokernels, canonical coset representatives."""
 
 import random
 import time
+from collections import Counter
 from math import prod
 
 import pytest
@@ -500,6 +501,60 @@ class TestDeferredLeftReduction:
             for name, expected in fields[::1 if trial % 2 else -1]:
                 assert getattr(ch, name) == expected
             assert kernel_basis(ch) == kernel
+
+
+    def test_trailing_zero_columns_pad_the_live_form(self, rng, monkeypatch):
+        # [A | 0 ... 0] against A: the loop never touches or moves a trailing
+        # zero column, so the fields of the wide form are A's, padded: H with
+        # zero columns, V as blockdiag(V, I), the kernel with the unit vectors
+        # of the zero columns.  A square nonsingular A gives the kernel with
+        # no loop, and its triangle modulo |det A|
+        loops = []
+        echelon = intmat._column_echelon
+
+        def recorded(cols, rows, modulus=None):
+            loops.append(modulus)
+            return echelon(cols, rows, modulus)
+
+        monkeypatch.setattr(intmat, "_column_echelon", recorded)
+        def matrices():
+            for A in self.cases(rng):
+                yield A
+                if A.is_square and A.rows > 1:
+                    yield IntMatrix([*A.data[:-1], A.data[0]])  # a repeated row: singular
+
+        shapes = Counter()
+        for trial, A in enumerate(matrices()):
+            if not any(row[-1] for row in A.data):
+                continue  # A's own zero last column: A is already padded
+            z = 1 + trial % 3
+            n = A.cols + z
+            W = IntMatrix([list(row) + [0] * z for row in A.data], shape=(A.rows, n))
+            exact = self.columns(A)
+            pivots = tuple(conftest.canonical_echelon(exact, A.rows))
+            padded = [col + [0] * z for col in exact] + [
+                [0] * A.rows + [int(i == j) for i in range(n)] for j in range(A.cols, n)]
+            diagonal = tuple(exact[i][r] for i, r in enumerate(pivots))
+            D = abs(determinant(A)) if A.is_square else 0
+            shapes[A.rows > A.cols, A.is_square, D > 0] += 1
+            ch = column_hermite(W)
+            loops.clear()
+            if trial % 2:  # the triangle first: modulo D for a nonsingular square A
+                assert (ch.pivots, ch.diagonal) == (pivots, diagonal)
+                assert loops == [D or None]
+                loops.clear()
+            kernel = kernel_basis(ch)
+            assert kernel == [tuple(col[A.rows:]) for col in padded[len(pivots):]]
+            assert loops == ([] if D else [None])
+            assert (ch.pivots, ch.diagonal) == (pivots, diagonal)
+            assert ch.order == column_hermite(A).order == (
+                prod(diagonal) if len(pivots) == A.rows else None)
+            assert ch.H == IntMatrix.from_columns(padded, A.rows)
+            assert ch.V == IntMatrix.from_columns([col[A.rows:] for col in padded], n)
+        # wide, tall, and square both singular and nonsingular
+        assert {shape for shape, count in shapes.items() if count >= 10} == {
+            (False, False, False), (True, False, False), (False, True, False),
+            (False, True, True)}
 
 
 class TestCanonicalReduction:

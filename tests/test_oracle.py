@@ -22,6 +22,7 @@ from conftest import (
     torus,
     twisted_images,
 )
+from test_corpus import GENERATORS
 from nilco.errors import (
     DEFAULT_MAX_ORDER,
     BoundExceededError,
@@ -402,10 +403,11 @@ class TestMaxOrderCap:
 
 
 class TestLedger:
-    def test_oracle_ledger_matches_the_golden(self):
+    def test_oracle_ledger_matches_the_golden(self, corpus_answers):
         # every corpus answer is counted by the oracle, capped, infinite or
         # refused by both commands, and no count disagrees with R
-        counts, disagreements = ledger()
+        counts, disagreements = ledger(
+            {g: [column for _, column in corpus_answers[g]] for g in GENERATORS})
         assert not disagreements
         golden = Path(__file__).parent / "golden" / "ledger.json"
         assert render(counts) == golden.read_text(encoding="utf-8")

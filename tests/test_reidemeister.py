@@ -627,6 +627,11 @@ class TestMovers:
                 action = infra_action(infra, phi, psi)
             assert action.delta1 == mover_delta1(action)
             assert action.delta1.cols == sum(phi.source.ranks) + holonomy
+            # each mover alone, and the level-1 parts, read from the level matrices
+            movers = action.movers
+            assert tuple(map(action.mover, range(len(movers)))) == movers
+            assert action.level1 == ([p.level(0) for p, _ in movers],
+                                     [q.level(0) for _, q in movers])
             assert TwistedOrbitEngine(action).delta1 == action.delta1
 
     def test_a_map_pair_action_is_a_record_of_its_maps(self, rng):
@@ -647,30 +652,63 @@ class TestMovers:
 class TestLevelOneElimination:
     @pytest.mark.parametrize("kind", ["heisenberg", "heisenberg_squared", "free_class2"])
     def test_one_exact_run_on_delta1(self, rng, monkeypatch, kind):
-        # a class-2 source gives Delta_1 a zero column per central generator,
-        # so its order needs an elimination; the one run that builds V (for
-        # the kernel words) gives the order too, and only Delta_1 and the
-        # bracket matrix B, whose kernel words are read, get a V
+        # a class-2 source of the target's level-1 rank gives
+        # Delta_1 = [G_1 - F_1 | 0 ... 0], a zero column per central generator.
+        # Its order is |det(G_1 - F_1)|; when that is finite the kernel words
+        # are the zero columns' unit vectors and the fibers are uniform, so a
+        # count with its listing runs no exact loop at all.  An infinite
+        # order still runs the one exact loop, on G_1 - F_1 up to its last
+        # nonzero column
         runs = []
         echelon = intmat._column_echelon
 
         def recorded(cols, rows, modulus=None):
-            runs.append((tuple(tuple(col[:rows]) for col in cols), cols and len(cols[0]) > rows))
+            with_v = any(len(col) > rows for col in cols)
+            runs.append((tuple(tuple(col[:rows]) for col in cols), with_v))
             return echelon(cols, rows, modulus)
 
         monkeypatch.setattr(intmat, "_column_echelon", recorded)
-        finite = 0
-        for _ in range(20):
+        finite = infinite = 0
+        for _ in range(30):
             engine = TwistedOrbitEngine(TwistedAction.from_homs(*random_hom_pair(rng, kind)))
             engine.result(reps_limit=1024)
-            delta1 = tuple(engine.delta1.column(j) for j in range(engine.k))
-            assert [with_v for cols, with_v in runs if cols == delta1] == [True]
+            live = [engine.delta1.column(j) for j in range(engine.r1)]
+            while live and not any(live[-1]):  # the loop runs up to the last nonzero column
+                live.pop()
             if engine.order1 is not None:
                 finite += 1
-                assert sum(with_v for _, with_v in runs) == 2
+                assert not any(with_v for _, with_v in runs)
+            else:
+                infinite += 1
+                assert [with_v for cols, with_v in runs] == [True]
+                assert runs[0][0] == tuple(live)
             runs.clear()
-        assert finite >= 5
+        assert finite >= 5 and infinite >= 1
 
+    @pytest.mark.parametrize("kind", ["heisenberg", "heisenberg_squared", "free_class2"])
+    def test_equal_level_one_ranks_build_no_element(self, rng, monkeypatch, kind):
+        # a finite map pair whose level-1 ranks agree has uniform fibers: its
+        # count reads the level matrices (the central generators' movers
+        # included) and builds no generator image and no period lattice
+        def refuse(*args):
+            raise AssertionError("built for a count of equal level-1 ranks")
+
+        counted = 0
+        while counted < 5:
+            action = TwistedAction.from_homs(*random_hom_pair(rng, kind))
+            with monkeypatch.context() as patched:
+                patched.setattr(LatticeHomomorphism, "generator_images", refuse)
+                patched.setattr(TwistedOrbitEngine, "_period_matrix", refuse)
+                engine = TwistedOrbitEngine(action)
+                result = engine.result(reps_limit=1024)
+            if result.count is None:
+                continue
+            counted += 1
+            assert not engine._moving
+            count, level_counts, histogram = fiber_sum_by_enumeration(engine)
+            assert (result.count, result.level_counts, result.fiber_counts) == (
+                count, level_counts, histogram)
+            assert result.reps is None or len(expand_reps(result.reps)) == count
 
     @pytest.mark.parametrize("kind", ["heisenberg", "heisenberg_squared", "free_class2",
                                       "torus_to_heisenberg", "period_pairs"])

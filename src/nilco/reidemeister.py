@@ -15,10 +15,16 @@ period lattice L = im Delta_1 + ker B + e Z^{r1} (B(a) = ([p_w, a])_w, e the
 order of the constant columns' cokernel), so the count is (c1 / |Q|) times
 the sum of one fiber order per class of Q = Z^{r1} / L.  When every p_w is
 0 the fibers are uniform: B = 0, so L = Z^{r1}, |Q| = 1 and no period
-lattice is built.  Every order is read from the pivot diagonal of a column
-Hermite form, and the same form lists the canonical representatives, gives
-the kernel words and reduces labels, so canonical class labels with exact
-witness words come out of the same machinery.
+lattice is built.  A map pair whose level-1 ranks agree, with c1 finite,
+is uniform and needs no fiber word: its kernel words are the central
+generators, with t_w = (G_2 - F_2) e_j, and a commutator word has
+t_w = (G_2 - F_2) [e_i, e_j]_X by bracket equivariance, so the constant
+columns span im(G_2 - F_2) and R = c1 |coker(G_2 - F_2)|.  The fiber words
+are built only for `label` and for the general path.  Every order is read
+from the pivot diagonal of a column Hermite form, and the same form lists
+the canonical representatives, gives the kernel words and reduces labels,
+so canonical class labels with exact witness words come out of the same
+machinery.
 
 R is the engine's count for every input kind; when G_1 - F_1 has a kernel
 (dim X > dim Y) it can be finite while a level order |coker(G_l - F_l)| is
@@ -168,10 +174,20 @@ class TwistedAction(namedtuple("TwistedAction", "target pairs maps", defaults=((
 
     @property
     def delta1(self):
-        """Delta_1: the column b_j - a_j of each mover's level-1 parts (`level1`)."""
-        a, b = self.level1
-        cols = [tuple(map(sub, y, x)) for x, y in zip(a, b)]
-        return IntMatrix.from_columns(cols, self.target.ranks[0])
+        """Delta_1: the column b_j - a_j of each mover's level-1 parts
+        (`level1`).  A map pair's is built row by row, with no a or b: row i
+        is row i of G_1 - F_1, a zero per source generator above level 1,
+        then row i of the pairs' columns."""
+        cols = [tuple(map(sub, q.level(0), p.level(0))) for p, q in self.pairs]
+        if self.maps is None:
+            return IntMatrix.from_columns(cols, self.target.ranks[0])
+        phi, psi = self.maps
+        zeros = (0,) * sum(phi.source.ranks[1:])
+        rows = [(*map(sub, g, f), *zeros)
+                for f, g in zip(phi.matrices[0].data, psi.matrices[0].data)]
+        if cols:
+            rows = [row + tail for row, tail in zip(rows, zip(*cols))]
+        return IntMatrix._trusted(rows)  # r_1 >= 1 rows
 
 
 def _word_power(word, n):
@@ -192,7 +208,21 @@ def _word_power(word, n):
 
 
 class TwistedOrbitEngine:
-    """Exact orbit bookkeeping for a twisted action on a class <= 2 lattice."""
+    """Exact orbit bookkeeping for a twisted action on a class <= 2 lattice.
+
+    A map pair (no extra `pairs`) whose source has the target's level-1 rank
+    r1 has Delta_1 = [G_1 - F_1 | 0 ... 0] with G_1 - F_1 square, and when
+    its order c1 = |det(G_1 - F_1)| is finite, R = c1 |coker(G_2 - F_2)|:
+    the constant fiber form is `hermite2` = column_hermite(G_2 - F_2), with
+    no moving column.  The kernel words are then the central generators'
+    one-letter words, with t = (G_2 - F_2) e_j, and each commutator word has
+    t = (G_2 - F_2) [e_i, e_j]_X by the bracket equivariance every map was
+    checked for (`validate_hom`), so the constant columns span exactly
+    im(G_2 - F_2), whose Hermite form is unique.  (`hermite2` is None for
+    any other action, and when c1 is infinite.)  The fiber words and their
+    columns (`_fiber_generators`) are built only when `label` or the general
+    path (pairs, INFRA, a wider source) reads them.
+    """
 
     def __init__(self, action):
         target = action.target
@@ -204,25 +234,45 @@ class TwistedOrbitEngine:
         self.delta1 = action.delta1
         self.k = self.delta1.cols
         self.hermite1 = column_hermite(self.delta1)
-        # a finite order of a wide Delta_1 needs kernel words (a square one
-        # has none): the one exact run that gives them gives the order too.
-        # [G_1 - F_1 | 0 ... 0] with a square G_1 - F_1 runs none: its order is
-        # the determinant, its kernel the zero columns' unit vectors
-        wide = target.class_c == 2 and self.k > self.r1
-        self._kernel = kernel_basis(self.hermite1) if wide else ()
+        self.hermite2 = None
+        self._fibers = {}  # _fiber_key -> fiber form: by _fiber, or the uniform constant one
+        maps = action.maps
+        equal_ranks = (target.class_c == 2 and maps is not None and not action.pairs
+                       and maps[0].source.ranks[0] == self.r1)
+        if target.class_c == 2 and self.k > self.r1 and not equal_ranks:
+            # a finite order of a wide Delta_1 needs kernel words: the one
+            # exact run that gives them gives the order too, so they come first
+            self._kernel = kernel_basis(self.hermite1)
+        # [G_1 - F_1 | 0 ... 0] with a square G_1 - F_1 gets its order from
+        # the determinant, and a singular one builds nothing more
         self.order1 = self.hermite1.order
-
-        self._fiber_words = None
-        self._fiber_columns = None
-        self._fibers = {}  # _fiber_key -> fiber form, filled only by _fiber
-        if self.order1 is not None and target.class_c == 2:
-            self._build_fiber_generators()
+        if self.order1 is None or target.class_c == 1:
+            return
+        if equal_ranks:
+            phi, psi = maps
+            self.hermite2 = column_hermite(psi.matrices[1] - phi.matrices[1])
+            self._constant, self._moving = self.hermite2, ()
+        else:
+            columns = self._fiber_generators[1]
+            self._moving = tuple(p for p, _ in columns if any(p))
+            self._constant = column_hermite(
+                IntMatrix.from_columns([t for p, t in columns if not any(p)], self.r2)
+            )
+        if not self._moving:  # uniform: every fiber matrix is the constant one
+            self._fibers[()] = self._constant
 
     @cached_property
     def movers(self):
         """The action's mover pairs, built on first read: by the class-2 fiber
         words (`word_images`, `pair_brackets`) and by `move`."""
         return self.action.movers
+
+    @cached_property
+    def _kernel(self):
+        """A basis of ker Delta_1, the kernel words' exponents, read with a
+        finite order only: a wide Delta_1's before its order (see __init__);
+        a square live part's are the zero columns' unit vectors, with no loop."""
+        return kernel_basis(self.hermite1)
 
     # -- move application --------------------------------------------
 
@@ -240,7 +290,11 @@ class TwistedOrbitEngine:
 
     # -- central fibers -----------------------------------------------
 
-    def _build_fiber_generators(self):
+    @cached_property
+    def _fiber_generators(self):
+        """(words, columns): the fiber words, kernel words first and then the
+        commutator word of every pair of movers, and their columns (p_w, t_w).
+        Built on first read: by the general count, `_fiber_matrix` and `label`."""
         # mover j is p_j = (a_j, c_j), q_j = (b_j, d_j); a word with images
         # P = (p, p2) and Q = (p, q2) moves (a, c) to Q (a, c) P^{-1} =
         # (a, c + t + [p, a]) with t = q2 - p2
@@ -266,21 +320,14 @@ class TwistedOrbitEngine:
         words += [((i, 1), (j, 1), (i, -1), (j, -1)) for i, j in combinations(range(self.k), 2)]
         columns += [(zero, tuple(map(sub, tb, ta)))
                     for ta, tb in zip(lat.pair_brackets(a), lat.pair_brackets(b))]
-        self._fiber_words = tuple(words)
-        self._fiber_columns = tuple(columns)
-        self._moving = tuple(p for p, _ in columns if any(p))
-        self._constant = column_hermite(
-            IntMatrix.from_columns([t for p, t in columns if not any(p)], self.r2)
-        )
-        if not self._moving:  # uniform: every fiber matrix is the constant one
-            self._fibers[()] = self._constant
+        return tuple(words), tuple(columns)
 
     def _fiber_matrix(self, a):
         """Columns t_w + [p_w, a]: the exact central translations of the fiber
         generator words over the level-1 representative a."""
         cols = [
             tuple(x + y for x, y in zip(t, self.target.bracket(p, a)))
-            for p, t in self._fiber_columns
+            for p, t in self._fiber_generators[1]
         ]
         return IntMatrix.from_columns(cols, self.r2)
 
@@ -413,9 +460,9 @@ class TwistedOrbitEngine:
             raise InfiniteResultError("infinitely many central classes over this level-1 class")
         c = self.move(u, word1).level(1) if word1 else u.level(1)
         c_rep, z2 = reduce_to_canonical_rep(c, ch)
-        word2 = ()
+        words, word2 = self._fiber_generators[0], ()
         for g, coeff in enumerate(z2):
-            word2 = word2 + _word_power(self._fiber_words[g], -coeff)
+            word2 = word2 + _word_power(words[g], -coeff)
         return LatticeElement((a_rep, c_rep)), word2 + word1
 
 
@@ -426,17 +473,20 @@ def coincidence_invariants(phi, psi, reps_limit=REPS_LIMIT):
     Hermite forms; the orbit engine decides R (which may be finite over an
     infinite level) and lists the representatives.  Both maps were checked
     when they were built (LatticeHomomorphism).  The engine reads Delta_1
-    and the fiber words' columns from their level matrices: a class-1
-    target builds no element, and a class-2 target whose kernel words are
-    all one letter (the central generators, when the level-1 ranks agree)
-    builds only their images.
+    from the level matrices.  When the level-1 ranks agree and c1 is
+    finite, R = c1 |coker(G_2 - F_2)|: the constant fiber columns span
+    im(G_2 - F_2) by bracket equivariance, so level 2's order comes from
+    the engine's own form (`hermite2`), and no element, fiber word or
+    commutator is built; fiber words are built only for `label` and for
+    the general path (dim X > dim Y).
     """
     engine = TwistedOrbitEngine(TwistedAction.from_homs(phi, psi))
     # the engine's level-1 matrix is G1 - F1 plus a zero column per source
     # generator above level 1, so its order is level 1's
-    level_counts = (engine.order1, *(
-        column_hermite(psi.matrices[i] - phi.matrices[i]).order for i in range(1, phi.depth)
-    ))
+    forms = [engine.hermite2] if engine.hermite2 is not None else [
+        column_hermite(psi.matrices[i] - phi.matrices[i]) for i in range(1, phi.depth)
+    ]
+    level_counts = (engine.order1, *(form.order for form in forms))
     R = engine.result(reps_limit=reps_limit)._replace(level_counts=level_counts)
     return verdict(R, EQ_THM)
 

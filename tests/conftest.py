@@ -138,7 +138,7 @@ def fiber_sum_by_enumeration(engine):
     """
     lat = engine.target
     r2 = lat.ranks[1]
-    images = [engine.word_images(w) for w in engine._fiber_words]
+    images = [engine.word_images(w) for w in engine._fiber_generators[0]]
     images = [(Q, lat.inverse(P)) for P, Q in images]
     orders = []
     for a in coset_representatives(engine.hermite1):

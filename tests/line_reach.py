@@ -1,11 +1,13 @@
 """Every line of src/nilco that holds code is run by the tier-1 suite.
 
-Turns on `sys.monitoring` LINE events before anything imports nilco, runs
-the tier-1 suite in this interpreter through `pytest.main`, then compiles
-each src/nilco/*.py and prints every line that holds code and that no test
-ran, as `path:line: source`.  Exits nonzero on any such line, or with
-pytest's code when the suite fails.  Needs Python 3.12 or later (for
-`sys.monitoring`).  From the repository root:
+Records LINE events before anything imports nilco, runs the tier-1 suite
+in this interpreter through `pytest.main`, then compiles each
+src/nilco/*.py and prints every line that holds code and that no test ran,
+as `path:line: source`.  Exits nonzero on any such line, or with pytest's
+code when the suite fails.  Python 3.12 and later record through
+`sys.monitoring`; 3.10 and 3.11 through `sys.settrace`, with a line tracer
+on src/nilco frames only, which slows the suite down a few times.  From
+the repository root:
 
     PYTHONPATH=src python tests/line_reach.py
 
@@ -14,13 +16,14 @@ interpreter is not seen, so a line reached only there is printed.
 """
 
 import sys
+import threading
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "nilco"
-TOOL = sys.monitoring.COVERAGE_ID
 
 
 def code_lines(code):
@@ -33,23 +36,61 @@ def code_lines(code):
     return lines
 
 
-def main(args):
+@contextmanager
+def monitored(reached):
+    """Record into `reached` through `sys.monitoring` (3.12+)."""
     mon = sys.monitoring
-    reached = {}  # file name as compiled -> line numbers run
+    tool = mon.COVERAGE_ID
 
     def on_line(code, line):
         reached.setdefault(code.co_filename, set()).add(line)
         return mon.DISABLE  # one event per location is enough
 
-    mon.use_tool_id(TOOL, "line_reach")
-    mon.register_callback(TOOL, mon.events.LINE, on_line)
-    mon.set_events(TOOL, mon.events.LINE)
+    mon.use_tool_id(tool, "line_reach")
+    mon.register_callback(tool, mon.events.LINE, on_line)
+    mon.set_events(tool, mon.events.LINE)
     try:
-        status = pytest.main(["-q", "--continue-on-collection-errors", *args])
+        yield
     finally:
-        mon.set_events(TOOL, mon.events.NO_EVENTS)
-        mon.register_callback(TOOL, mon.events.LINE, None)
-        mon.free_tool_id(TOOL)
+        mon.set_events(tool, mon.events.NO_EVENTS)
+        mon.register_callback(tool, mon.events.LINE, None)
+        mon.free_tool_id(tool)
+
+
+@contextmanager
+def traced(reached):
+    """Record into `reached` through `sys.settrace` (3.10, 3.11): frames of
+    other files get no line tracer."""
+    in_src = {}  # file name as compiled -> whether it lies in src/nilco
+
+    def on_call(frame, event, arg):
+        name = frame.f_code.co_filename
+        if name not in in_src:
+            in_src[name] = Path(name).resolve().parent == SRC
+        if not in_src[name]:
+            return None
+        lines = reached.setdefault(name, set())
+
+        def on_line(frame, event, arg):
+            if event == "line":
+                lines.add(frame.f_lineno)
+            return on_line
+
+        return on_line
+
+    threading.settrace(on_call)
+    sys.settrace(on_call)
+    try:
+        yield
+    finally:
+        sys.settrace(None)
+        threading.settrace(None)
+
+
+def main(args):
+    reached = {}  # file name as compiled -> line numbers run
+    with (monitored if hasattr(sys, "monitoring") else traced)(reached):
+        status = pytest.main(["-q", "--continue-on-collection-errors", *args])
 
     run = {}
     for name, lines in reached.items():

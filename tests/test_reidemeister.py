@@ -6,6 +6,7 @@ import io
 import json
 import time
 import tracemalloc
+from itertools import combinations
 from math import gcd, lcm
 from pathlib import Path
 
@@ -304,11 +305,12 @@ class TestFiberColumns:
         for k in (r1, r1 + 1, r1 + 2) * 3:
             engine = random_pairs_engine(rng, lat, k)
             commutators = k * (k - 1) // 2
-            kernel_words += len(engine._fiber_words) - commutators
+            words, columns = engine._fiber_generators
+            kernel_words += len(words) - commutators
             commutator_words += commutators
             # the all-pairs commutator block against pairwise dense brackets
             a, b = ([m[s].level(0) for m in engine.movers] for s in (0, 1))
-            assert engine._fiber_columns[-commutators:] == tuple(
+            assert columns[-commutators:] == tuple(
                 ((0,) * r1, tuple(y - x for x, y in zip(
                     dense_bracket(lat, a[i], a[j]), dense_bracket(lat, b[i], b[j]))))
                 for i in range(k) for j in range(i + 1, k)
@@ -317,7 +319,7 @@ class TestFiberColumns:
                 a = tuple(rng.randint(-6, 6) for _ in range(r1))
                 M = engine._fiber_matrix(a)
                 base = lat.element((a, (0,) * r2))
-                for g, w in enumerate(engine._fiber_words):
+                for g, w in enumerate(words):
                     assert M.column(g) == engine.move(base, w).level(1), (a, w)
                 if engine._moving:
                     non_uniform += 1
@@ -577,6 +579,22 @@ def random_hom_pair(rng, kind):
         return build(torus(2), heisenberg(), make)
     if kind == "heisenberg_to_torus":
         return build(heisenberg(), torus(2), lambda: (square(2), IntMatrix([], shape=(0, 1))))
+    if kind == "free_class2_to_h_times_z":
+        # r_2 = 3 into r_2 = 1: any M1, and M2 sends the central generator
+        # [e_i, e_j] of the free source to [M1 e_i, M1 e_j] in H x Z
+        target = NilpotentLattice(ranks=(3, 1), brackets=(
+            IntMatrix([[0, 1, 0], [0, 0, 0], [0, 0, 0]]),))
+
+        def make():
+            M = square(3)
+            cols = list(zip(*M.data))
+            return M, IntMatrix([[a[0] * b[1] - a[1] * b[0]
+                                  for a, b in combinations(cols, 2)]])
+
+        return build(free_class2(), target, make)
+    if kind == "heisenberg_to_no_centre":
+        target = NilpotentLattice(ranks=(2, 0))
+        return build(heisenberg(), target, lambda: (square(2), zero_matrix(0, 1)))
     if kind == "class3_to_torus":
         lat = NilpotentLattice(ranks=(2, 1, 1))
         return build(lat, torus(2), lambda: (square(2), zero_matrix(0, 1), zero_matrix(0, 1)))
@@ -654,11 +672,11 @@ class TestLevelOneElimination:
     def test_one_exact_run_on_delta1(self, rng, monkeypatch, kind):
         # a class-2 source of the target's level-1 rank gives
         # Delta_1 = [G_1 - F_1 | 0 ... 0], a zero column per central generator.
-        # Its order is |det(G_1 - F_1)|; when that is finite the kernel words
-        # are the zero columns' unit vectors and the fibers are uniform, so a
-        # count with its listing runs no exact loop at all.  An infinite
-        # order still runs the one exact loop, on G_1 - F_1 up to its last
-        # nonzero column
+        # Its order is |det(G_1 - F_1)|, read before anything else; when that
+        # is finite the fibers are uniform and the count reads the Hermite
+        # form of G_2 - F_2, so a count with its listing runs no exact loop at
+        # all.  An infinite order builds no kernel word either: a singular
+        # square live part runs no loop, a narrower one only its triangle
         runs = []
         echelon = intmat._column_echelon
 
@@ -675,21 +693,23 @@ class TestLevelOneElimination:
             live = [engine.delta1.column(j) for j in range(engine.r1)]
             while live and not any(live[-1]):  # the loop runs up to the last nonzero column
                 live.pop()
+            assert not any(with_v for _, with_v in runs)
             if engine.order1 is not None:
                 finite += 1
-                assert not any(with_v for _, with_v in runs)
             else:
                 infinite += 1
-                assert [with_v for cols, with_v in runs] == [True]
-                assert runs[0][0] == tuple(live)
+                square = len(live) == engine.r1
+                assert [cols for cols, _ in runs] == ([] if square else [tuple(live)])
             runs.clear()
         assert finite >= 5 and infinite >= 1
 
-    @pytest.mark.parametrize("kind", ["heisenberg", "heisenberg_squared", "free_class2"])
+    @pytest.mark.parametrize("kind", ["heisenberg", "heisenberg_squared", "free_class2",
+                                      "free_class2_to_h_times_z", "heisenberg_to_no_centre"])
     def test_equal_level_one_ranks_build_no_element(self, rng, monkeypatch, kind):
         # a finite map pair whose level-1 ranks agree has uniform fibers: its
-        # count reads the level matrices (the central generators' movers
-        # included) and builds no generator image and no period lattice
+        # count reads the Hermite form of G_2 - F_2 and builds no generator
+        # image, fiber word, commutator column or period lattice.  The
+        # enumeration reads the fiber words afterwards, built on first read
         def refuse(*args):
             raise AssertionError("built for a count of equal level-1 ranks")
 
@@ -699,6 +719,8 @@ class TestLevelOneElimination:
             with monkeypatch.context() as patched:
                 patched.setattr(LatticeHomomorphism, "generator_images", refuse)
                 patched.setattr(TwistedOrbitEngine, "_period_matrix", refuse)
+                patched.setattr(NilpotentLattice, "pair_brackets", refuse)
+                patched.setattr(TwistedOrbitEngine, "_fiber_generators", property(refuse))
                 engine = TwistedOrbitEngine(action)
                 result = engine.result(reps_limit=1024)
             if result.count is None:
@@ -709,6 +731,58 @@ class TestLevelOneElimination:
             assert (result.count, result.level_counts, result.fiber_counts) == (
                 count, level_counts, histogram)
             assert result.reps is None or len(expand_reps(result.reps)) == count
+
+    @pytest.mark.parametrize("kind", ["heisenberg", "heisenberg_squared", "free_class2",
+                                      "torus_to_heisenberg", "free_class2_to_h_times_z",
+                                      "heisenberg_to_no_centre"])
+    def test_equal_level_one_ranks_count_as_the_general_path(self, rng, kind):
+        # a map pair whose level-1 ranks agree is counted from the Hermite
+        # form of G_2 - F_2; its movers as generator pairs take the general
+        # path (kernel words, commutator columns) and must give the same
+        # result, listing and oracle modulus.  Every fourth pair has
+        # psi = (-F_1, F_2), a map since the bracket is bilinear, so that
+        # G_2 - F_2 = 0 over the finite level 1 of an invertible F_1
+        finite = singular = 0
+        for n in range(60):
+            phi, psi = random_hom_pair(rng, kind)
+            if n % 4 == 0:
+                negated = IntMatrix([[-x for x in row] for row in phi.matrices[0].data])
+                psi = LatticeHomomorphism(phi.source, phi.target, (negated, *phi.matrices[1:]))
+            action = TwistedAction.from_homs(phi, psi)
+            engine = TwistedOrbitEngine(action)
+            general = TwistedOrbitEngine(TwistedAction(action.target, action.movers))
+            assert (engine.hermite2 is None) == (engine.order1 is None) and general.hermite2 is None
+            R = engine.result(reps_limit=1024)
+            assert R == general.result(reps_limit=1024)
+            if R.count is not None:
+                finite += 1
+                assert engine.oracle_modulus() == general.oracle_modulus()
+            singular += R.infinite_level == 2
+        # torus_to_heisenberg's G_2 - F_2 is 1 x 0, a (2, 0) target's 0 x 1
+        assert finite >= 10 or kind == "torus_to_heisenberg"
+        assert singular >= 3 or kind == "heisenberg_to_no_centre"
+
+    @pytest.mark.parametrize("kind", ["heisenberg", "heisenberg_squared", "free_class2",
+                                      "free_class2_to_h_times_z", "heisenberg_to_no_centre"])
+    def test_label_after_a_count_of_equal_level_one_ranks(self, rng, kind):
+        # the count built no fiber word; label builds them and returns a
+        # listed representative, with a witness word that replays exactly
+        labelled = 0
+        for _ in range(300):
+            engine = TwistedOrbitEngine(TwistedAction.from_homs(*random_hom_pair(rng, kind)))
+            R = engine.result(reps_limit=1024)
+            if R.reps is None:
+                continue
+            labelled += 1
+            assert "_fiber_generators" not in vars(engine)
+            reps = expand_reps(R.reps)
+            for _ in range(4):
+                u = random_element(rng, engine.target, -6, 6)
+                rep, word = engine.label(u)
+                assert rep in reps and engine.move(u, word) == rep
+            if labelled == 5:
+                break
+        assert labelled == 5
 
     @pytest.mark.parametrize("kind", ["heisenberg", "heisenberg_squared", "free_class2",
                                       "torus_to_heisenberg", "period_pairs"])

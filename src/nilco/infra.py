@@ -97,15 +97,12 @@ def infra_action(infra, phi, psi):
     (phi(s), psi(s)) followed by the holonomy pairs (f(x), g(x)).
 
     Checks what ties the infra data to the maps: both are defined on the
-    cover, and every holonomy image fits their target's ranks.  The images
-    are kept as built: the parser built each one as an element of the
-    file's target.
+    cover, and the TwistedAction constructor checks that every holonomy
+    image fits their target's ranks.  The images are kept as built: the
+    parser built each one as an element of the file's target.
     """
     if phi.source != infra.cover or psi.source != infra.cover:
         raise ShapeError("lifted homomorphisms must be defined on the cover lattice")
-    for pair in infra.map_images:
-        for image in pair:
-            phi.target.check_shape(image.coordinates)
     return TwistedAction(phi.target, infra.map_images, maps=(phi, psi))
 
 

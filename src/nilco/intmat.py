@@ -9,9 +9,9 @@ brings the entries left of the pivots into range, which makes the form
 canonical, and runs only where H or V is read.  The column Hermite form,
 each field built when first read, serves every count (its order), the
 kernel words (the exact loop's transform past the pivots, which the left
-pass leaves as they are) and the canonical coset representatives (H).  The Smith normal form alternates the loop, with the left pass, on a
-matrix and its transpose; it serves only the invariant factors of
-`cokernel`.
+pass leaves as they are) and the canonical coset representatives (H).
+The Smith normal form alternates the loop, with the left pass, on a matrix
+and its transpose; it serves only the invariant factors of `cokernel`.
 """
 
 from collections import namedtuple

@@ -248,22 +248,17 @@ class LatticeHomomorphism(namedtuple("LatticeHomomorphism", "source target matri
 
     def generator_images(self):
         """Images of the source generators, level by level and in coordinate
-        order within a level (the unit vectors of each level), each one
-        `generator_image`."""
+        order within a level (the unit vectors of each level): generator j
+        of a level maps to column j of that level's matrix at that level and
+        0 at every other level, since a one-letter word has no defect; past
+        the target's class, to the identity."""
+        ranks = self.target.ranks
         return [
-            self.generator_image(level, j)
-            for level in range(self.source.class_c) for j in range(self.source.ranks[level])
+            LatticeElement(tuple(column if lvl == level else (0,) * r
+                                 for lvl, r in enumerate(ranks)))
+            for level in range(self.source.class_c)
+            for column in map(self.matrices[level].column, range(self.source.ranks[level]))
         ]
-
-    def generator_image(self, level, j):
-        """Image of generator j of level `level` (both 0-based): column j of
-        matrices[level] at that level and 0 at every other level, since a
-        one-letter word has no defect; past the target's class, the
-        identity."""
-        column = self.matrices[level].column(j)
-        return LatticeElement(tuple(
-            column if lvl == level else (0,) * r for lvl, r in enumerate(self.target.ranks)
-        ))
 
 
 def validate_hom(hom):

@@ -7,24 +7,19 @@ translation subgroup is generated by the moves that stabilize the level-1
 coordinate (kernel words of Delta_1 plus commutator words).  A fiber word w
 with images phi(w) = (p_w, p2) and psi(w) = (p_w, q2) translates the fiber
 over a by the affine column t_w + [p_w, a], with t_w = q2 - p2; (p_w, t_w)
-is read once per word: a one-letter kernel word's from its mover (for a map
-pair, from the level matrices), another kernel word's from `word_images`, a
-commutator word's from the brackets of its letters' level-1 parts
-(`TwistedAction.level1`).  The fiber order is constant on the cosets of the
-period lattice L = im Delta_1 + ker B + e Z^{r1} (B(a) = ([p_w, a])_w, e the
-order of the constant columns' cokernel), so the count is (c1 / |Q|) times
-the sum of one fiber order per class of Q = Z^{r1} / L.  When every p_w is
-0 the fibers are uniform: B = 0, so L = Z^{r1}, |Q| = 1 and no period
-lattice is built.  A map pair whose level-1 ranks agree, with c1 finite,
-is uniform and needs no fiber word: its kernel words are the central
-generators, with t_w = (G_2 - F_2) e_j, and a commutator word has
-t_w = (G_2 - F_2) [e_i, e_j]_X by bracket equivariance, so the constant
-columns span im(G_2 - F_2) and R = c1 |coker(G_2 - F_2)|.  The fiber words
-are built only for `label` and for the general path.  Every order is read
-from the pivot diagonal of a column Hermite form, and the same form lists
-the canonical representatives, gives the kernel words and reduces labels,
-so canonical class labels with exact witness words come out of the same
-machinery.
+is read once per word: a one-letter kernel word's from its mover, another
+kernel word's from `word_images`, a commutator word's from the brackets of
+its letters' level-1 parts.  The fiber order is constant on the cosets of
+the period lattice L = im Delta_1 + ker B + e Z^{r1} (B(a) = ([p_w, a])_w,
+e the order of the constant columns' cokernel), so the count is (c1 / |Q|)
+times the sum of one fiber order per class of Q = Z^{r1} / L.  When every
+p_w is 0 the fibers are uniform: B = 0, so L = Z^{r1}, |Q| = 1 and no
+period lattice is built.  A finite map pair whose level-1 ranks agree is
+uniform and needs no fiber word (see `TwistedOrbitEngine`).  Every order
+is read from the pivot diagonal of a column Hermite form, and the same
+form lists the canonical representatives, gives the kernel words and
+reduces labels, so canonical class labels with exact witness words come
+out of the same machinery.
 
 R is the engine's count for every input kind; when G_1 - F_1 has a kernel
 (dim X > dim Y) it can be finite while a level order |coker(G_l - F_l)| is
@@ -104,9 +99,9 @@ class TwistedAction(namedtuple("TwistedAction", "target pairs maps", defaults=((
     `maps` = (phi, psi) when it is set, then the element pairs `pairs`.  The
     constructor refuses a target of class > 2, which has no group law here,
     with UnsupportedClassError, and maps that do not share the target and a
-    source with ShapeError.  A map pair's movers are built only when
-    `movers` is read; `level1`, `delta1` and `mover` read its level
-    matrices."""
+    source, or a pair element not of the target's shape, with ShapeError.
+    A map pair's movers are built only when `movers` is read; `delta1` reads
+    its level matrices."""
 
     __slots__ = ()
 
@@ -120,7 +115,11 @@ class TwistedAction(namedtuple("TwistedAction", "target pairs maps", defaults=((
             phi, psi = maps = tuple(maps)
             if phi.source != psi.source or phi.target != target or psi.target != target:
                 raise ShapeError("the two homomorphisms must share source and target")
-        return super().__new__(cls, target, tuple(pairs), maps)
+        pairs = tuple(pairs)
+        for p, q in pairs:
+            target.check_shape(p.coordinates)
+            target.check_shape(q.coordinates)
+        return super().__new__(cls, target, pairs, maps)
 
     _make = _checked_make
 
@@ -129,14 +128,6 @@ class TwistedAction(namedtuple("TwistedAction", "target pairs maps", defaults=((
         """The action of a map pair, over the source generators.  Both maps
         were checked when they were built."""
         return cls(phi.target, maps=(phi, psi))
-
-    @classmethod
-    def from_pairs(cls, target, pairs):
-        """The action of an arbitrary finitely generated source, given by the
-        generator images (phi(s_j), psi(s_j)); every coordinate is checked."""
-        return cls(target, tuple(
-            (target.element(p.coordinates), target.element(q.coordinates)) for p, q in pairs
-        ))
 
     @property
     def movers(self):
@@ -147,35 +138,10 @@ class TwistedAction(namedtuple("TwistedAction", "target pairs maps", defaults=((
         phi, psi = self.maps
         return tuple(zip(phi.generator_images(), psi.generator_images())) + self.pairs
 
-    def mover(self, j):
-        """Mover pair j alone, movers[j]: for a map pair, the images of one
-        source generator, read from the level matrices (`generator_image`)."""
-        if self.maps is not None:
-            for level, r in enumerate(self.maps[0].source.ranks):
-                if j < r:
-                    return tuple(h.generator_image(level, j) for h in self.maps)
-                j -= r
-        return self.pairs[j]
-
-    @property
-    def level1(self):
-        """(a, b): the level-1 parts a_j of p and b_j of q, per mover (p, q).
-        A map pair's are the columns of F_1 and G_1, then a zero vector per
-        source generator above level 1, read from the level matrices: no
-        element is built."""
-        a = [p.level(0) for p, _ in self.pairs]
-        b = [q.level(0) for _, q in self.pairs]
-        if self.maps is not None:
-            phi, psi = self.maps
-            zeros = [(0,) * self.target.ranks[0]] * sum(phi.source.ranks[1:])
-            a = [*zip(*phi.matrices[0].data), *zeros, *a]  # r_1 >= 1 rows: one tuple per column
-            b = [*zip(*psi.matrices[0].data), *zeros, *b]
-        return a, b
-
     @property
     def delta1(self):
-        """Delta_1: the column b_j - a_j of each mover's level-1 parts
-        (`level1`).  A map pair's is built row by row, with no a or b: row i
+        """Delta_1: the column b_j - a_j of the level-1 parts a_j of p and
+        b_j of q, per mover (p, q).  A map pair's is built row by row: row i
         is row i of G_1 - F_1, a zero per source generator above level 1,
         then row i of the pairs' columns."""
         cols = [tuple(map(sub, q.level(0), p.level(0))) for p, q in self.pairs]
@@ -236,20 +202,18 @@ class TwistedOrbitEngine:
         self.hermite1 = column_hermite(self.delta1)
         self.hermite2 = None
         self._fibers = {}  # _fiber_key -> fiber form: by _fiber, or the uniform constant one
-        maps = action.maps
-        equal_ranks = (target.class_c == 2 and maps is not None and not action.pairs
-                       and maps[0].source.ranks[0] == self.r1)
-        if target.class_c == 2 and self.k > self.r1 and not equal_ranks:
-            # a finite order of a wide Delta_1 needs kernel words: the one
+        if target.class_c == 2 and self.hermite1._live.cols > self.r1:
+            # a finite order of a wide live part needs kernel words: the one
             # exact run that gives them gives the order too, so they come first
             self._kernel = kernel_basis(self.hermite1)
-        # [G_1 - F_1 | 0 ... 0] with a square G_1 - F_1 gets its order from
-        # the determinant, and a singular one builds nothing more
+        # a square live part gets its order from the determinant, and a
+        # singular one builds nothing more
         self.order1 = self.hermite1.order
         if self.order1 is None or target.class_c == 1:
             return
-        if equal_ranks:
-            phi, psi = maps
+        maps = action.maps
+        if maps is not None and not action.pairs and maps[0].source.ranks[0] == self.r1:
+            phi, psi = maps  # equal level-1 ranks: see the class docstring
             self.hermite2 = column_hermite(psi.matrices[1] - phi.matrices[1])
             self._constant, self._moving = self.hermite2, ()
         else:
@@ -263,14 +227,15 @@ class TwistedOrbitEngine:
 
     @cached_property
     def movers(self):
-        """The action's mover pairs, built on first read: by the class-2 fiber
-        words (`word_images`, `pair_brackets`) and by `move`."""
+        """The action's mover pairs (`pairs` itself for a PAIRS action), built
+        on first read: by the class-2 fiber words (their level-1 parts, a
+        one-letter kernel word's mover, `word_images`) and by `move`."""
         return self.action.movers
 
     @cached_property
     def _kernel(self):
         """A basis of ker Delta_1, the kernel words' exponents, read with a
-        finite order only: a wide Delta_1's before its order (see __init__);
+        finite order only: a wide live part's before its order (see __init__);
         a square live part's are the zero columns' unit vectors, with no loop."""
         return kernel_basis(self.hermite1)
 
@@ -298,19 +263,19 @@ class TwistedOrbitEngine:
         # mover j is p_j = (a_j, c_j), q_j = (b_j, d_j); a word with images
         # P = (p, p2) and Q = (p, q2) moves (a, c) to Q (a, c) P^{-1} =
         # (a, c + t + [p, a]) with t = q2 - p2
-        lat, action = self.target, self.action
-        a, b = action.level1
+        lat, movers = self.target, self.movers
+        a = [p.level(0) for p, _ in movers]
+        b = [q.level(0) for _, q in movers]
         words = []
         columns = []
         # kernel words: v in the kernel of Delta_1 gives the word prod x_j^{v_j},
         # whose images P and Q share their level-1 part p_w.  A one-letter word
-        # (j, 1) has mover j itself for images (a map pair's central generator:
-        # (0, F_2 column) and (0, G_2 column)); any other word their products
+        # (j, 1) has mover j itself for images; any other word their products
         for v in self._kernel:
             word = tuple((j, v[j]) for j in range(self.k) if v[j] != 0)
             words.append(word)
             if len(word) == 1 and word[0][1] == 1:
-                P, Q = action.mover(word[0][0])
+                P, Q = movers[word[0][0]]
             else:
                 P, Q = self.word_images(word)
             columns.append((P.level(0), tuple(map(sub, Q.level(1), P.level(1)))))
@@ -474,11 +439,8 @@ def coincidence_invariants(phi, psi, reps_limit=REPS_LIMIT):
     infinite level) and lists the representatives.  Both maps were checked
     when they were built (LatticeHomomorphism).  The engine reads Delta_1
     from the level matrices.  When the level-1 ranks agree and c1 is
-    finite, R = c1 |coker(G_2 - F_2)|: the constant fiber columns span
-    im(G_2 - F_2) by bracket equivariance, so level 2's order comes from
-    the engine's own form (`hermite2`), and no element, fiber word or
-    commutator is built; fiber words are built only for `label` and for
-    the general path (dim X > dim Y).
+    finite, level 2's order comes from the engine's own form (`hermite2`,
+    see `TwistedOrbitEngine`).
     """
     engine = TwistedOrbitEngine(TwistedAction.from_homs(phi, psi))
     # the engine's level-1 matrix is G1 - F1 plus a zero column per source
@@ -493,7 +455,7 @@ def coincidence_invariants(phi, psi, reps_limit=REPS_LIMIT):
 
 def coincidence_invariants_from_pairs(action):
     """R, N and the one-directional decision for an arbitrary source given
-    by `action = TwistedAction.from_pairs(target, pairs)`.
+    by `action = TwistedAction(target, pairs)`.
 
     R = infinity forces deformability; a finite R decides nothing for a
     general source, so the verdict is UNKNOWN in that case (see `verdict`).

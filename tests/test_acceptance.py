@@ -55,7 +55,7 @@ def test_criterion_1_surjective_pairs_give_one_class():
         (t4.element((tuple(1 if j == i else 0 for j in range(4)),)), zero)
         for i in range(4)
     )
-    report = coincidence_invariants_from_pairs(TwistedAction.from_pairs(t4, pairs))
+    report = coincidence_invariants_from_pairs(TwistedAction(t4, pairs))
     assert report.R.infinite_level is None and report.R.count == 1
     assert report.deformable == UNKNOWN
     report_line(1, "surjective-pairs-single-class", started, 1.0)
@@ -203,13 +203,13 @@ def test_criterion_6_generator_redundancy_invariance():
              random_element(rng, target, lo=-3, hi=3))
             for _ in range(k)
         )
-        base = TwistedAction.from_pairs(target, pairs)
+        base = TwistedAction(target, pairs)
         before = coincidence_invariants_from_pairs(base)
         engine = TwistedOrbitEngine(base)
         word = tuple(
             (rng.randrange(k), rng.randint(-2, 2)) for _ in range(rng.randint(1, 3))
         )
-        extended = TwistedAction.from_pairs(target, pairs + (engine.word_images(word),))
+        extended = TwistedAction(target, pairs + (engine.word_images(word),))
         after = coincidence_invariants_from_pairs(extended)
         assert (before.R.infinite_level is None) == (after.R.infinite_level is None)
         assert before.R.count == after.R.count

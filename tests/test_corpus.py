@@ -116,7 +116,7 @@ def random_pairs(rng):
         for _ in range(rng.randint(target.ranks[0], target.ranks[0] + 2))
     ]
     return ProblemFile(kind="PAIRS", name=None, target=target,
-                       action=TwistedAction.from_pairs(target, pairs))
+                       action=TwistedAction(target, pairs))
 
 
 def random_infra(rng):

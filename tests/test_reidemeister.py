@@ -86,7 +86,7 @@ def heisenberg_pairs_action():
         (h.element(((0, 0), (0,))), h.element(((0, 2), (0,)))),
         (h.element(((1, 0), (0,))), h.element(((1, 0), (0,)))),
     )
-    return TwistedAction.from_pairs(h, pairs)
+    return TwistedAction(h, pairs)
 
 
 class TestTorusInvariants:
@@ -146,13 +146,13 @@ class TestHeisenbergInvariants:
 
 class TestGeneratorPairSystems:
     def test_empty_system_is_infinite(self):
-        report = coincidence_invariants_from_pairs(TwistedAction.from_pairs(torus(1), ()))
+        report = coincidence_invariants_from_pairs(TwistedAction(torus(1), ()))
         assert report.R.infinite_level is not None
         assert report.deformable == YES and report.rationale == INFTY_THM
 
     def test_single_translation_pair(self):
         t = torus(1)
-        action = TwistedAction.from_pairs(t, ((t.element(((0,),)), t.element(((2,),))),))
+        action = TwistedAction(t, ((t.element(((0,),)), t.element(((2,),))),))
         report = coincidence_invariants_from_pairs(action)
         assert report.R.count == 2 and report.N == 2
         assert report.deformable == UNKNOWN and report.rationale == REMARK_GAP
@@ -170,14 +170,20 @@ class TestGeneratorPairSystems:
         assert count == 6
 
     def test_pairs_off_the_target_are_rejected(self):
+        # the constructor checks each pair element's shape, and a copy is
+        # built through it
         t2 = torus(2)
-        with pytest.raises(ShapeError):
-            TwistedAction.from_pairs(heisenberg(), ((t2.identity(), t2.identity()),))
+        with pytest.raises(ShapeError, match="^element has 1 levels, lattice has 2$"):
+            TwistedAction(heisenberg(), ((t2.identity(), t2.identity()),))
+        action = heisenberg_pairs_action()
+        short = LatticeElement(((0,), (0,)))
+        with pytest.raises(ShapeError, match=r"^level vector \(0,\) does not match rank 2$"):
+            action._replace(pairs=action.pairs + ((action.target.identity(), short),))
 
     def test_class3_target_unsupported(self):
         lat = NilpotentLattice(ranks=(2, 1, 1))
         with pytest.raises(UnsupportedClassError):
-            TwistedAction.from_pairs(lat, ((lat.element(((1, 0), (0,), (0,))),) * 2,))
+            TwistedAction(lat, ((lat.element(((1, 0), (0,), (0,))),) * 2,))
 
 
 class TestLabels:
@@ -254,7 +260,7 @@ class TestLabels:
 
     def test_infinite_class_sets_have_no_label(self):
         t = torus(1)
-        engine = TwistedOrbitEngine(TwistedAction.from_pairs(t, ()))
+        engine = TwistedOrbitEngine(TwistedAction(t, ()))
         with pytest.raises(InfiniteResultError, match="infinitely many classes at level 1"):
             engine.label(t.identity())
         # Delta_1 = 2I with a zero commutator column: four level-1 classes,
@@ -264,7 +270,7 @@ class TestLabels:
             (h.element((tuple(-x for x in e), (0,))), h.element((e, (0,))))
             for e in ((1, 0), (0, 1))
         )
-        engine = TwistedOrbitEngine(TwistedAction.from_pairs(h, pairs))
+        engine = TwistedOrbitEngine(TwistedAction(h, pairs))
         assert engine.result().level_counts == (4, None)
         with pytest.raises(InfiniteResultError, match="infinitely many central classes"):
             engine.label(h.identity())
@@ -289,7 +295,7 @@ def random_pairs_engine(rng, lat, k):
             (random_element(rng, lat, -3, 3), random_element(rng, lat, -3, 3))
             for _ in range(k)
         )
-        engine = TwistedOrbitEngine(TwistedAction.from_pairs(lat, pairs))
+        engine = TwistedOrbitEngine(TwistedAction(lat, pairs))
         if engine.order1 is not None:
             return engine
 
@@ -348,7 +354,7 @@ def mixed_pairs_engine(rng, lat):
         v = tuple(rng.randint(-2, 2) for _ in range(r1))
         pairs.append((element(v), element(v)))
     rng.shuffle(pairs)
-    return TwistedOrbitEngine(TwistedAction.from_pairs(lat, pairs))
+    return TwistedOrbitEngine(TwistedAction(lat, pairs))
 
 
 class TestPeriodClasses:
@@ -645,11 +651,6 @@ class TestMovers:
                 action = infra_action(infra, phi, psi)
             assert action.delta1 == mover_delta1(action)
             assert action.delta1.cols == sum(phi.source.ranks) + holonomy
-            # each mover alone, and the level-1 parts, read from the level matrices
-            movers = action.movers
-            assert tuple(map(action.mover, range(len(movers)))) == movers
-            assert action.level1 == ([p.level(0) for p, _ in movers],
-                                     [q.level(0) for _, q in movers])
             assert TwistedOrbitEngine(action).delta1 == action.delta1
 
     def test_a_map_pair_action_is_a_record_of_its_maps(self, rng):
@@ -702,6 +703,27 @@ class TestLevelOneElimination:
                 assert [cols for cols, _ in runs] == ([] if square else [tuple(live)])
             runs.clear()
         assert finite >= 5 and infinite >= 1
+
+    def test_a_singular_square_live_part_of_pairs_runs_no_loop(self, monkeypatch):
+        # Heisenberg pairs with level-1 differences (1, 1) and (2, 2) plus one
+        # central pair: Delta_1 is 2 x 3 but its live part is 2 x 2 and
+        # singular, so the determinant gives R = infinity at level 1 and no
+        # exact loop runs for kernel words that nothing would read
+        runs = []
+        echelon = intmat._column_echelon
+
+        def recorded(cols, rows, modulus=None):
+            runs.append(cols)
+            return echelon(cols, rows, modulus)
+
+        monkeypatch.setattr(intmat, "_column_echelon", recorded)
+        h = heisenberg()
+        pairs = [(h.identity(), h.element(coordinates))
+                 for coordinates in (((1, 1), (0,)), ((2, 2), (0,)), ((0, 0), (1,)))]
+        engine = TwistedOrbitEngine(TwistedAction(h, pairs))
+        assert engine.k == 3 and engine.order1 is None
+        assert engine.result().infinite_level == 1
+        assert runs == []
 
     @pytest.mark.parametrize("kind", ["heisenberg", "heisenberg_squared", "free_class2",
                                       "free_class2_to_h_times_z", "heisenberg_to_no_centre"])

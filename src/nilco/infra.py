@@ -98,22 +98,22 @@ def infra_action(infra, phi, psi):
 
     Checks what ties the infra data to the maps: both are defined on the
     cover, and the TwistedAction constructor checks that every holonomy
-    image fits their target's ranks.  The images are kept as built: the
-    parser built each one as an element of the file's target.
+    image fits their target's ranks.  The images are kept as built.  (The
+    parser builds this action itself, from images checked where it read them.)
     """
     if phi.source != infra.cover or psi.source != infra.cover:
         raise ShapeError("lifted homomorphisms must be defined on the cover lattice")
     return TwistedAction(phi.target, infra.map_images, maps=(phi, psi))
 
 
-def decide_infra(infra, phi, psi):
+def decide_infra(infra, phi, psi, action=None):
     """Coincidence report for the infra-nilmanifold pair itself.
 
     Returns (cover_report, report).  An infinite cover count gives R =
-    infinity under INFTY_THM.  Otherwise the orbit engine counts
-    `infra_action`, and `verdict` applies EQ_THM.
+    infinity under INFTY_THM.  Otherwise the orbit engine counts `action`
+    (`infra_action(infra, phi, psi)` when None), and `verdict` applies EQ_THM.
     """
-    action = infra_action(infra, phi, psi)
+    action = action or infra_action(infra, phi, psi)  # an action is never falsy
     cover_report = coincidence_invariants(phi, psi, reps_limit=None)
     if cover_report.R.infinite_level is not None:
         return cover_report, verdict(cover_report.R, INFTY_THM)

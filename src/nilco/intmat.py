@@ -28,30 +28,29 @@ class IntMatrix:
 
     __slots__ = ("rows", "cols", "data")
 
-    def __init__(self, entries, shape=None):
-        self._init(tuple(tuple(self._as_int(x) for x in row) for row in entries), shape)
+    def __new__(cls, entries, shape=None):
+        return cls._trusted((tuple(map(cls._as_int, row)) for row in entries), shape)
 
     @classmethod
     def _trusted(cls, entries, shape=None):
         """Integer rows that nilco built or checked itself: only the shape is checked."""
-        M = cls.__new__(cls)
-        M._init(tuple(map(tuple, entries)), shape)
-        return M
-
-    def _init(self, data, shape):
-        if shape is not None:
-            r, c = shape
-            if len(data) != r:
-                raise ShapeError(f"expected {r} rows, got {len(data)}")
-        else:
-            r = len(data)
-            c = len(data[0]) if data else 0
+        data = tuple(map(tuple, entries))
+        r, c = shape or (len(data), len(data[0]) if data else 0)
+        if len(data) != r:
+            raise ShapeError(f"expected {r} rows, got {len(data)}")
         for row in data:
             if len(row) != c:
                 raise ShapeError("ragged rows in matrix input")
-        object.__setattr__(self, "rows", r)
-        object.__setattr__(self, "cols", c)
-        object.__setattr__(self, "data", data)
+        return cls._of(data, r, c)
+
+    @classmethod
+    def _of(cls, data, rows, cols):
+        """The matrix of `data`, `rows` integer tuples of length `cols`, as given."""
+        M = object.__new__(cls)
+        object.__setattr__(M, "rows", rows)
+        object.__setattr__(M, "cols", cols)
+        object.__setattr__(M, "data", data)
+        return M
 
     @staticmethod
     def _as_int(x):
@@ -181,6 +180,8 @@ class ColumnHermite:
         while c and not any(row[c - 1] for row in A.data):
             c -= 1
         return A if c == A.cols else IntMatrix._trusted([row[:c] for row in A.data], (A.rows, c))
+
+    live_cols = property(lambda self: self._live.cols)  # the live part's width
 
     @cached_property
     def order(self):

@@ -268,7 +268,9 @@ def validate_hom(hom):
     For class-2 data the commutator pairing must satisfy
     M2 [e_i, e_j]_src = [M1 e_i, M1 e_j]_tgt for all basis pairs; this is the
     exact condition for the level matrices to come from a genuine
-    homomorphism (for Heisenberg self-maps it forces M2 = det M1).
+    homomorphism (for Heisenberg self-maps it forces M2 = det M1).  The left
+    side is x times column k of M2, summed over the source's terms (i, j, x)
+    of bracket k; the right side is one `pair_brackets` over M1's columns.
     Returns the first violating basis pair as (i, j, expected, actual).
     """
     src, tgt = hom.source, hom.target
@@ -276,15 +278,15 @@ def validate_hom(hom):
         return None  # no brackets to compare
     # a class-1 source has no brackets and an r_2 x 0 M2: its side is 0
     M1, M2 = hom.matrices[:2]
-    r1 = src.ranks[0]
-    units = [tuple(int(k == i) for k in range(r1)) for i in range(r1)]
-    columns = list(zip(*M1.data))
-    for (i, j), unit_bracket, actual in zip(
-        combinations(range(r1), 2), src.pair_brackets(units), tgt.pair_brackets(columns)
-    ):
-        expected = M2.apply(unit_bracket)
-        if expected != actual:
-            return (i, j, expected, actual)
+    zero = (0,) * tgt.ranks[1]
+    expected = {}
+    for terms, column in zip(src._bracket_terms, zip(*M2.data)):
+        for i, j, x in terms:
+            expected[i, j] = tuple(e + x * y for e, y in zip(expected.get((i, j), zero), column))
+    pairs = combinations(range(src.ranks[0]), 2)
+    for (i, j), actual in zip(pairs, tgt.pair_brackets(list(zip(*M1.data)))):
+        if (want := expected.get((i, j), zero)) != actual:
+            return (i, j, want, actual)
     return None
 
 

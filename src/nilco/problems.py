@@ -9,25 +9,27 @@ from it.  Class >= 3 targets, and class >= 3 sources into a class-2
 target, exit 4 until a presentation is given: the maps and actions into
 them refuse to be built, so the parser rejects them.
 
-The parser checks only what JSON needs: types, required keys and the column
-count of a matrix without rows.  Every other check belongs to the type
-being built (NilpotentLattice, LatticeHomomorphism, InfraStructure and
-`element()`), which raises; the parser puts the location in front of the
-message and keeps the error's type.  So a parsed problem is valid, and
-`validate_problem` has only the ties between its parts left to check.
+The parser decodes the file once and checks each value once, where it
+reads it: types and keys, a matrix's rows (ragged, or none: then the
+column count comes from the caller) and an element's shape (`check_shape`).
+Every other check belongs to the type being built (NilpotentLattice,
+LatticeHomomorphism with `validate_hom`, InfraStructure), which raises; the
+parser puts the location in front of the message and keeps the error's
+type.  Its checked pairs and holonomy images go into the TwistedAction it
+builds, which checks only the class and the maps, so `validate_problem`
+returns that action and checks nothing again.
 """
 
 import json
 import re
 import sys
 from collections import namedtuple
-from contextlib import contextmanager
 from itertools import product
 
-from .errors import NilcoError, ParseError, SchemaError
+from .errors import NilcoError, ParseError, SchemaError, ShapeError
 from .infra import CosetAction, InfraStructure, decide_infra, infra_action
 from .intmat import IntMatrix
-from .lattice import LatticeHomomorphism, NilpotentLattice
+from .lattice import LatticeElement, LatticeHomomorphism, NilpotentLattice
 from .oracle import twisted_orbits_finite
 from .reidemeister import TwistedAction, coincidence_invariants, coincidence_invariants_from_pairs
 
@@ -35,18 +37,21 @@ INFINITE = "infinite"  # the report encoding of a count the engine gives as None
 KINDS = ("TORUS", "NILMANIFOLD", "PAIRS", "INFRA")
 
 
-@contextmanager
-def unlimited_int_digits():
+class unlimited_int_digits:
     """Integers of any length in and out while the block runs: Python >=
-    3.10.7 converts at most 4,300 digits per integer by default."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
-    if limit:
-        sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        if limit:
-            sys.set_int_max_str_digits(limit)
+    3.10.7 converts at most 4,300 digits per integer by default; an inner
+    block finds none and leaves the outer one to restore it."""
+
+    __slots__ = ("limit",)
+
+    def __enter__(self):
+        self.limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+        if self.limit:
+            sys.set_int_max_str_digits(0)
+
+    def __exit__(self, *exc):
+        if self.limit:
+            sys.set_int_max_str_digits(self.limit)
 
 
 def _as_int(value, where):
@@ -62,10 +67,10 @@ def _as_int(value, where):
 
 
 def _int_row(row, where):
-    """A list of JSON integers as it is, for the constructor to check; any
-    other list entry by entry, so that a decimal string is converted where
-    it occurs and a bad entry gets `_as_int`'s message."""
-    return row if set(map(type, row)) <= {int} else [_as_int(x, where) for x in row]
+    """A list of JSON integers as a tuple; any other list entry by entry, so
+    that a decimal string is converted where it occurs and a bad entry gets
+    `_as_int`'s message."""
+    return tuple(row) if set(map(type, row)) <= {int} else tuple([_as_int(x, where) for x in row])
 
 
 def _int_vector(value, where):
@@ -74,15 +79,21 @@ def _int_vector(value, where):
     return _int_row(value, where)
 
 
-@contextmanager
-def _located(where):
+class _located:
     """Prefix `{where}: ` to the message of an error a constructor raises;
     its type, and so the exit code, stays."""
-    try:
-        yield
-    except NilcoError as exc:
-        exc.args = (f"{where}: {exc}",)
-        raise
+
+    __slots__ = ("where",)
+
+    def __init__(self, where):
+        self.where = where
+
+    def __enter__(self):
+        pass
+
+    def __exit__(self, kind, exc, tb):
+        if isinstance(exc, NilcoError):
+            exc.args = (f"{self.where}: {exc}",)
 
 
 def _list_field(obj, key, where):
@@ -93,13 +104,15 @@ def _list_field(obj, key, where):
 
 
 def _int_matrix(value, where, cols=0):
-    """A list of integer rows; `[]` is the 0 x cols matrix, since JSON cannot
-    give the column count of a matrix without rows."""
+    """A list of integer rows, each converted once; `[]` is the 0 x cols
+    matrix, since JSON cannot give the column count of a matrix without rows."""
     if not isinstance(value, list) or not all(isinstance(r, list) for r in value):
         raise SchemaError(f"{where}: expected a list of integer rows")
-    rows = [_int_row(row, where) for row in value]
-    with _located(where):
-        return IntMatrix._trusted(rows, shape=None if rows else (0, cols))
+    rows = tuple([_int_row(row, where) for row in value])
+    cols = len(rows[0]) if rows else cols
+    if any(len(row) != cols for row in rows):
+        raise ShapeError(f"{where}: ragged rows in matrix input")
+    return IntMatrix._of(rows, len(rows), cols)
 
 
 def parse_lattice(obj, where):
@@ -119,20 +132,19 @@ def parse_lattice(obj, where):
         return NilpotentLattice(ranks=ranks, brackets=brackets)
 
 
-def parse_element(lattice, obj, where):
-    if not isinstance(obj, list):
+def parse_element(lattice, coords, where):
+    if not isinstance(coords, list):
         raise SchemaError(f"{where}: expected per-level coordinate vectors")
-    coords = obj
     # a bare vector is accepted for single-level lattices
     if lattice.class_c == 1 and coords and not isinstance(coords[0], list):
         coords = [coords]
-    levels = [_int_vector(level, where) for level in coords]
-    with _located(where):
-        return lattice.element(levels)
+    coords = tuple([_int_vector(level, where) for level in coords])
+    with _located(where):  # the one shape check of a parsed element
+        lattice.check_shape(coords)
+    return LatticeElement(coords)
 
 
-def parse_hom(source, target, obj, where):
-    raw = obj
+def parse_hom(source, target, raw, where):
     if not isinstance(raw, list) or (raw and not isinstance(raw[0], list)):
         raise SchemaError(f"{where}: expected per-level matrices")
     if raw and raw[0] and not isinstance(raw[0][0], list):
@@ -164,7 +176,7 @@ def _parse_expected(obj, where):
     return out
 
 
-# `action` is the TwistedAction of a PAIRS file's generator pairs
+# `action` is the TwistedAction a PAIRS or INFRA file counts, built from parsed parts
 ProblemFile = namedtuple("ProblemFile", "kind name target phi psi action infra expected",
                          defaults=(None,) * 5)
 
@@ -234,7 +246,7 @@ def parse_problem_dict(doc, where="problem"):
             raise SchemaError(f"{where}: missing 'pairs' list")
         pairs = _element_pairs(target, raw, f"{where}.pairs", "phi, psi")
         with _located(where):
-            action = TwistedAction(target=target, pairs=pairs)
+            action = TwistedAction._trusted(target, pairs)
         return ProblemFile(**head, action=action)
 
     # a map pair, on the cover for INFRA
@@ -251,13 +263,15 @@ def parse_problem_dict(doc, where="problem"):
         if key not in doc:
             raise SchemaError(f"{where}: missing '{key}'{cover_pair}")
         maps.append(parse_hom(source, target, doc[key], f"{where}.{key}"))
-    return ProblemFile(**head, phi=maps[0], psi=maps[1], infra=infra)
+    # INFRA's action: the cover pair and the images, each checked when parsed
+    action = None if infra is None else TwistedAction._trusted(target, infra.map_images, maps)
+    return ProblemFile(**head, phi=maps[0], psi=maps[1], action=action, infra=infra)
 
 
 def parse_problem(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+    try:  # bytes, decoded once; newlines as text mode reads them
+        with open(path, "rb") as fh:
+            text = fh.read().decode().replace("\r\n", "\n").replace("\r", "\n")
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
     with unlimited_int_digits():
@@ -269,16 +283,11 @@ def parse_problem(path):
 
 
 def validate_problem(problem):
-    """The twisted action the problem counts: the parsed PAIRS action, the
-    map pair's `from_homs`, or for INFRA `infra_action` (the cover movers
-    plus the holonomy pairs).
-
-    Maps, lattices and holonomy data checked themselves when the parser
-    built them; what is left to check here is what ties them together: two
-    maps with one source and one target, on the cover for INFRA, and
-    holonomy images in the target.
-    """
-    if problem.kind == "PAIRS":
+    """The twisted action the problem counts: the parsed one (PAIRS, and
+    INFRA's cover movers plus holonomy pairs), else the map pair's
+    `from_homs` or, for an INFRA problem built by hand, `infra_action`,
+    which check what ties the parts together."""
+    if problem.action is not None:
         return problem.action
     if problem.kind == "INFRA":
         return infra_action(problem.infra, problem.phi, problem.psi)
@@ -329,7 +338,7 @@ def compute_report(problem):
         return coincidence_invariants(problem.phi, problem.psi), None
     if problem.kind == "PAIRS":
         return coincidence_invariants_from_pairs(problem.action), None
-    cover_report, report = decide_infra(problem.infra, problem.phi, problem.psi)
+    cover_report, report = decide_infra(problem.infra, problem.phi, problem.psi, problem.action)
     return report, cover_report
 
 

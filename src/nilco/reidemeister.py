@@ -106,6 +106,16 @@ class TwistedAction(namedtuple("TwistedAction", "target pairs maps", defaults=((
     __slots__ = ()
 
     def __new__(cls, target, pairs=(), maps=None):
+        self = cls._trusted(target, pairs, maps)
+        for p, q in self.pairs:
+            target.check_shape(p.coordinates)
+            target.check_shape(q.coordinates)
+        return self
+
+    @classmethod
+    def _trusted(cls, target, pairs=(), maps=None):
+        """Pairs of elements whose shape the caller checked (the parser's):
+        only the target's class and the maps are checked."""
         if target.class_c > 2:
             raise UnsupportedClassError(
                 f"no group law past class 2, so an action on a class {target.class_c} "
@@ -115,11 +125,7 @@ class TwistedAction(namedtuple("TwistedAction", "target pairs maps", defaults=((
             phi, psi = maps = tuple(maps)
             if phi.source != psi.source or phi.target != target or psi.target != target:
                 raise ShapeError("the two homomorphisms must share source and target")
-        pairs = tuple(pairs)
-        for p, q in pairs:
-            target.check_shape(p.coordinates)
-            target.check_shape(q.coordinates)
-        return super().__new__(cls, target, pairs, maps)
+        return super().__new__(cls, target, tuple(pairs), maps)
 
     _make = _checked_make
 
@@ -202,7 +208,7 @@ class TwistedOrbitEngine:
         self.hermite1 = column_hermite(self.delta1)
         self.hermite2 = None
         self._fibers = {}  # _fiber_key -> fiber form: by _fiber, or the uniform constant one
-        if target.class_c == 2 and self.hermite1._live.cols > self.r1:
+        if target.class_c == 2 and self.hermite1.live_cols > self.r1:
             # a finite order of a wide live part needs kernel words: the one
             # exact run that gives them gives the order too, so they come first
             self._kernel = kernel_basis(self.hermite1)

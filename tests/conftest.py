@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from itertools import combinations
 from itertools import product as iproduct
 from math import gcd, prod
 
@@ -370,6 +371,26 @@ def dense_bracket(lattice, a, b):
         sum((a[i] * b[j] - a[j] * b[i]) * B.data[i][j] for i in r for j in r)
         for B in lattice.brackets
     )
+
+
+def validate_hom_by_basis_pairs(hom):
+    """The reference for `lattice.validate_hom`: for each basis pair i < j in
+    order, M2 applied to the source bracket of the unit vectors e_i and e_j
+    against the target bracket of columns i and j of M1, both by
+    `dense_bracket`.  None when every pair agrees, else the first violating
+    pair as (i, j, expected, actual)."""
+    src, tgt = hom.source, hom.target
+    if tgt.class_c != 2:
+        return None
+    M1, M2 = hom.matrices[:2]
+    r1 = src.ranks[0]
+    units = [tuple(int(k == i) for k in range(r1)) for i in range(r1)]
+    for i, j in combinations(range(r1), 2):
+        expected = M2.apply(dense_bracket(src, units[i], units[j]))
+        actual = dense_bracket(tgt, M1.column(i), M1.column(j))
+        if expected != actual:
+            return (i, j, expected, actual)
+    return None
 
 
 def random_matrix(rng, rows, cols, lo=-5, hi=5):

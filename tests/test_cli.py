@@ -34,12 +34,16 @@ from conftest import (
 from nilco.cli import EXIT_MISMATCH, EXIT_OK, EXIT_PARSE, bundled_fixture_dir, main
 from nilco.infra import InfraStructure
 from nilco.intmat import IntMatrix
+from nilco.lattice import NilpotentLattice
 from nilco.problems import (
     SchemaError,
     canonical_json,
+    compute_report,
     parse_problem,
     parse_problem_dict,
     render_reps,
+    unlimited_int_digits,
+    validate_problem,
 )
 from nilco.reidemeister import TwistedOrbitEngine
 
@@ -233,6 +237,118 @@ class TestCompute:
         assert f'"R":2{big[1:]},' in proc.stdout
 
 
+def _decimal_strings(node):
+    """`node` with every integer in it written as a decimal string."""
+    if isinstance(node, list):
+        return [_decimal_strings(x) for x in node]
+    return str(node) if type(node) is int else node
+
+
+class TestReadPath:
+    # a file is read as bytes and decoded once, with text mode's newlines:
+    # the same reports and the same errors as a text-mode read
+
+    def test_utf8_bom_is_a_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "bom.json"
+        path.write_bytes(b"\xef\xbb\xbf" + json.dumps(HEISENBERG_DOC).encode("utf-8"))
+        assert run(["compute", str(path)]) == (EXIT_PARSE, "")
+        assert capsys.readouterr().err == (
+            f"error: {path}: invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): "
+            "line 1 column 1 (char 0)\n"
+        )
+
+    def test_utf16_is_a_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "utf16.json"
+        path.write_text(json.dumps(HEISENBERG_DOC), encoding="utf-16")
+        assert run(["compute", str(path)]) == (EXIT_PARSE, "")
+        assert capsys.readouterr().err == (
+            f"error: cannot read {path}: 'utf-8' codec can't decode byte 0xff in position 0: "
+            "invalid start byte\n"
+        )
+
+    @pytest.mark.parametrize("name", [p.name for p in GOLDEN_REPORTS])
+    def test_crlf_file_gives_the_lf_report(self, tmp_path, name):
+        text = (bundled_fixture_dir() / name).read_bytes()
+        assert b"\r" not in text and text.count(b"\n") > 1
+        path = tmp_path / name
+        path.write_bytes(text.replace(b"\n", b"\r\n"))
+        golden = (GOLDEN_DIR / name).read_text(encoding="utf-8")
+        assert run(["--output", "json", "compute", str(path)]) == (EXIT_OK, golden)
+
+    def test_crlf_and_cr_files_get_the_lf_error_position(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        errors = []
+        for newline in ("\n", "\r\n", "\r"):
+            path.write_bytes(newline.join(["{", '  "kind": "TORUS",', '  "target": x}']).encode())
+            assert run(["compute", str(path)]) == (EXIT_PARSE, "")
+            errors.append(capsys.readouterr().err)
+        assert errors == [f"error: {path}: invalid JSON: Expecting value: "
+                          "line 3 column 13 (char 33)\n"] * 3
+
+    @pytest.mark.parametrize("name", [p.name for p in GOLDEN_REPORTS])
+    def test_decimal_strings_give_the_integer_report(self, tmp_path, name):
+        # every integer of the bracket matrices, the map matrices and the
+        # pair coordinates (holonomy images included) as a decimal string
+        text = (bundled_fixture_dir() / name).read_text(encoding="utf-8")
+        doc = json.loads(text)
+        parts = [doc, doc["target"], doc.get("source", {}), doc.get("infra", {})]
+        parts.append(doc.get("infra", {}).get("cover", {}))
+        for part in parts:
+            for key in ("brackets", "F", "G", "pairs", "map_images"):
+                if part.get(key):
+                    part[key] = _decimal_strings(part[key])
+        assert doc != json.loads(text)
+        golden = (GOLDEN_DIR / name).read_text(encoding="utf-8")
+        assert run(["--output", "json", "compute", write_problem(tmp_path, doc)]) == (EXIT_OK, golden)
+
+
+class TestDigitLimit:
+    # `main` lifts Python's limit on integer digits while it runs and
+    # restores it on every way out; library callers of `parse_problem` and
+    # `canonical_json` get it lifted by those two
+    DIGITS = "1" + "0" * 4998 + "7"  # 5,000 digits
+
+    @pytest.fixture
+    def limit(self):
+        before = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4321)
+        yield 4321
+        sys.set_int_max_str_digits(before)
+
+    @pytest.mark.parametrize("outcome", ["ok", "nilco-error", "usage-error"])
+    def test_main_restores_the_limit(self, tmp_path, capsys, limit, outcome):
+        path = tmp_path / "big.json"
+        path.write_text('{"kind":"TORUS","target":{"ranks":[1]},'
+                        f'"F":[[{self.DIGITS}]],"G":[[0]]}}', encoding="utf-8")
+        argv, code = {
+            "ok": (["--output", "json", "compute", str(path)], EXIT_OK),
+            "nilco-error": (["oracle", str(path), "--modulus", "1"], EXIT_PARSE),
+            "usage-error": (["compute", str(path), "--no-such-option"], EXIT_PARSE),
+        }[outcome]
+        code_seen, text = run(argv)
+        assert code_seen == code
+        assert sys.get_int_max_str_digits() == limit
+        if outcome == "ok":
+            assert f'"R":{self.DIGITS},' in text
+        else:
+            assert capsys.readouterr().err
+
+    def test_library_callers_get_the_limit_lifted(self, tmp_path, limit):
+        big = 10**4999 + 7
+        path = tmp_path / "big.json"
+        path.write_text('{"kind":"TORUS","target":{"ranks":[1]},'
+                        f'"F":[["{self.DIGITS}"]],"G":[[{self.DIGITS}]]}}', encoding="utf-8")
+        problem = parse_problem(str(path))
+        assert problem.phi.matrices[0].data == problem.psi.matrices[0].data == ((big,),)
+        assert sys.get_int_max_str_digits() == limit
+        assert canonical_json({"R": big}) == f'{{"R":{self.DIGITS}}}\n'
+        assert sys.get_int_max_str_digits() == limit
+        with unlimited_int_digits():  # an inner block leaves the limit to the outer one
+            assert canonical_json({"R": big}) == f'{{"R":{self.DIGITS}}}\n'
+            assert sys.get_int_max_str_digits() == 0
+        assert sys.get_int_max_str_digits() == limit
+
+
 class TestExitCodes:
     def test_the_table_names_every_error_class(self):
         classes = {name for name, value in vars(nilco.errors).items()
@@ -300,6 +416,17 @@ class TestExitCodes:
                 f"error: {path}.infra: invalid infra data: "
                 "coset action 0: level 1 determinant -2 is not +-1\n"
             )
+
+    def test_schema_error_on_malformed_infra_block(self, tmp_path, capsys):
+        doc = json.loads((bundled_fixture_dir() / "klein_bottle_to_circle.json").read_text())
+        no_block = {key: value for key, value in doc.items() if key != "infra"}
+        bad_action = dict(doc, infra=dict(doc["infra"], coset_actions=[7]))
+        for mutant, message in ((no_block, "{path}: missing 'infra' object"),
+                                (bad_action, "{path}.infra.coset_actions[0]: expected an object")):
+            path = write_problem(tmp_path, mutant)
+            for command in ("compute", "validate"):
+                assert run([command, path]) == (EXIT_SCHEMA, "")
+                assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
 
     def test_file_that_is_not_utf8_is_a_parse_error(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -619,6 +746,33 @@ class TestValidateAndFixtures:
             assert run([command[0], str(path), *command[1:]])[0] == EXIT_OK, path.name
             assert calls["hom"] == (0 if kind == "PAIRS" else 2), path.name
             assert calls["infra"] == (kind == "INFRA"), path.name
+
+    @pytest.mark.parametrize("command", [["compute"], ["oracle", "--modulus", "2"], ["validate"]])
+    @pytest.mark.parametrize("name", ["heisenberg_pairs_mixed", "klein_bottle_to_circle"])
+    def test_each_parsed_element_is_shape_checked_once(self, monkeypatch, command, name):
+        # a pair element or holonomy image is shape-checked where it is
+        # parsed, and the action holding it checks it no second time
+        path = bundled_fixture_dir() / f"{name}.json"
+        problem = parse_problem(str(path))
+        elements = 2 * len(problem.action.pairs)
+        checked = []
+        check_shape = NilpotentLattice.check_shape
+
+        def counted(lattice, coords):
+            checked.append(lattice)
+            check_shape(lattice, coords)
+
+        monkeypatch.setattr(NilpotentLattice, "check_shape", counted)
+        assert run([command[0], str(path), *command[1:]])[0] == EXIT_OK
+        assert elements > 0 and checked.count(problem.target) == elements
+
+    def test_an_infra_problem_built_without_its_action_gets_the_parsed_one(self):
+        # the parser builds an INFRA file's action; a problem built without
+        # one gets the same action, and the same reports, from its parts
+        problem = parse_problem(str(bundled_fixture_dir() / "klein_bottle_to_circle.json"))
+        bare = problem._replace(action=None)
+        assert validate_problem(bare) == problem.action
+        assert compute_report(bare) == compute_report(problem)
 
     def test_console_script_and_module_entry_exit_with_the_code(self, monkeypatch, capsys):
         # the `nilco` console script (`entrypoint`) and `python -m nilco.cli`
@@ -1017,7 +1171,8 @@ class TestRoundTrip:
             )
 
 
-FUZZ_VALUES = (None, -1, 0, 10**20, "x", [], {}, 1.5, True, [[1]])
+# the last two are a ragged matrix and a matrix with a row that is not a list
+FUZZ_VALUES = (None, -1, 0, 10**20, "x", [], {}, 1.5, True, [[1]], [[1, 2], [3]], [[1], 2])
 
 
 def _json_paths(node, path=()):

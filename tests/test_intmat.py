@@ -556,6 +556,12 @@ class TestDeferredLeftReduction:
             (False, False, False), (True, False, False), (False, True, False),
             (False, True, True)}
 
+    def test_live_cols_is_the_width_up_to_the_last_nonzero_column(self):
+        cases = [([[1, 0, 2, 0, 0]], 3), ([[0, 0], [0, 0]], 0), ([[0, 1], [0, 0]], 2),
+                 ([[]], 0), ([[0, 0, 0], [4, 0, 0]], 1)]
+        for rows, width in cases:
+            assert column_hermite(IntMatrix(rows)).live_cols == width
+
 
 class TestCanonicalReduction:
     def test_diag_example(self):

@@ -1,5 +1,7 @@
 """Nilpotent lattice arithmetic, homomorphism validation and application."""
 
+from collections import namedtuple
+
 import pytest
 
 import nilco.oracle as oracle_module
@@ -20,6 +22,7 @@ from conftest import (
     random_matrix,
     torus,
     twisted_images,
+    validate_hom_by_basis_pairs,
     zero_matrix,
 )
 from nilco.errors import (
@@ -312,6 +315,28 @@ class TestHomValidation:
                 torus(2), heisenberg(), (identity_matrix(2), zero_matrix(1, 0))
             )
         assert info.value.violations == ((0, 1, (0,), (1,)),)
+
+    def test_agrees_with_the_basis_pair_reference(self, rng):
+        # valid maps, and the same maps with one entry of M1 or M2 changed
+        # (built unchecked): the same None, or the same first violating pair
+        # with both sides, as one M2 product per basis pair of unit vectors
+        unchecked = namedtuple("Unchecked", "source target matrices")
+        violations = 0
+        for build in (heisenberg_map, heisenberg_squared_map, free_class2_map,
+                      torus_to_heisenberg_map):
+            for _ in range(40):
+                hom = build(rng)
+                assert validate_hom(hom) is None and validate_hom_by_basis_pairs(hom) is None
+                for level, M in enumerate(hom.matrices):
+                    if not M.cols:  # the r2 x 0 M2 of a class-1 source
+                        continue
+                    rows = [list(row) for row in M.data]
+                    rows[rng.randrange(M.rows)][rng.randrange(M.cols)] += rng.choice((-2, -1, 1))
+                    matrices = hom.matrices[:level] + (IntMatrix(rows),) + hom.matrices[level + 1:]
+                    changed = unchecked(hom.source, hom.target, matrices)
+                    assert validate_hom(changed) == validate_hom_by_basis_pairs(changed)
+                    violations += validate_hom(changed) is not None
+        assert violations > 200  # of 280 changed maps
 
     def test_shape_mismatch_rejected(self):
         h = heisenberg()

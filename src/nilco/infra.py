@@ -11,7 +11,9 @@ target, exit 4 until a presentation is given (the lifted maps refuse to be
 built).  Every branch ends in `reidemeister.verdict`.
 
 The holonomy data is checked once, when an InfraStructure is built, and
-`infra_action` checks what ties it to a map pair.
+`infra_action` checks what ties it to a map pair.  `decide_infra` counts
+that action, whose maps are the cover pair; the parser builds the same
+action from a file's parts.
 """
 
 from collections import namedtuple
@@ -106,15 +108,16 @@ def infra_action(infra, phi, psi):
     return TwistedAction(phi.target, infra.map_images, maps=(phi, psi))
 
 
-def decide_infra(infra, phi, psi, action=None):
-    """Coincidence report for the infra-nilmanifold pair itself.
+def decide_infra(action):
+    """Coincidence report for the infra-nilmanifold pair itself, from its
+    action (`infra_action(infra, phi, psi)`, or the parser's), whose maps
+    are the cover pair.
 
-    Returns (cover_report, report).  An infinite cover count gives R =
-    infinity under INFTY_THM.  Otherwise the orbit engine counts `action`
-    (`infra_action(infra, phi, psi)` when None), and `verdict` applies EQ_THM.
+    Returns (report, cover_report).  An infinite cover count gives R =
+    infinity under INFTY_THM.  Otherwise the orbit engine counts `action`,
+    and `verdict` applies EQ_THM.
     """
-    action = action or infra_action(infra, phi, psi)  # an action is never falsy
-    cover_report = coincidence_invariants(phi, psi, reps_limit=None)
+    cover_report = coincidence_invariants(*action.maps, reps_limit=None)
     if cover_report.R.infinite_level is not None:
-        return cover_report, verdict(cover_report.R, INFTY_THM)
-    return cover_report, verdict(TwistedOrbitEngine(action).result(reps_limit=REPS_LIMIT), EQ_THM)
+        return verdict(cover_report.R, INFTY_THM), cover_report
+    return verdict(TwistedOrbitEngine(action).result(reps_limit=REPS_LIMIT), EQ_THM), cover_report

@@ -11,14 +11,17 @@ each field built when first read, serves every count (its order), the
 kernel words (the exact loop's transform past the pivots, which the left
 pass leaves as they are) and the canonical coset representatives (H).
 The Smith normal form alternates the loop, with the left pass, on a matrix
-and its transpose; it serves only the invariant factors of `cokernel`.
+and its transpose, and its divisibility step runs through the same loop;
+it serves only the invariant factors of `cokernel`.  `IntMatrix(...)`
+checks outside input; every matrix built here goes through `_of`, which
+checks nothing.
 """
 
 from collections import namedtuple
 from functools import cached_property
-from itertools import islice, product
+from itertools import combinations, islice, product
 from math import gcd, prod
-from operator import itemgetter
+from operator import itemgetter, sub
 
 from .errors import BoundExceededError, InfiniteResultError, ShapeError
 
@@ -29,12 +32,9 @@ class IntMatrix:
     __slots__ = ("rows", "cols", "data")
 
     def __new__(cls, entries, shape=None):
-        return cls._trusted((tuple(map(cls._as_int, row)) for row in entries), shape)
-
-    @classmethod
-    def _trusted(cls, entries, shape=None):
-        """Integer rows that nilco built or checked itself: only the shape is checked."""
-        data = tuple(map(tuple, entries))
+        """The matrix of outside input: each entry checked to be an integer,
+        the rows to be `shape` (rows, cols) or, without it, of one length."""
+        data = tuple(tuple(map(cls._as_int, row)) for row in entries)
         r, c = shape or (len(data), len(data[0]) if data else 0)
         if len(data) != r:
             raise ShapeError(f"expected {r} rows, got {len(data)}")
@@ -45,7 +45,8 @@ class IntMatrix:
 
     @classmethod
     def _of(cls, data, rows, cols):
-        """The matrix of `data`, `rows` integer tuples of length `cols`, as given."""
+        """The matrix of `data`, `rows` integer tuples of length `cols`, as
+        given: every matrix nilco builds itself, with no check."""
         M = object.__new__(cls)
         object.__setattr__(M, "rows", rows)
         object.__setattr__(M, "cols", cols)
@@ -70,8 +71,8 @@ class IntMatrix:
     def from_columns(cls, columns, rows):
         """Build a rows x len(columns) matrix from the first `rows` entries
         of column vectors that nilco built itself."""
-        entries = islice(zip(*columns), rows) if columns else [()] * rows
-        return cls._trusted(entries, shape=(rows, len(columns)))
+        data = tuple(islice(zip(*columns), rows)) if columns else ((),) * rows
+        return cls._of(data, rows, len(columns))
 
     # -- basic algebra ------------------------------------------------
 
@@ -97,22 +98,14 @@ class IntMatrix:
 
     def __sub__(self, other):
         self._same_shape(other)
-        return IntMatrix._trusted(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)],
-            shape=(self.rows, self.cols),
-        )
+        data = tuple(tuple(map(sub, ra, rb)) for ra, rb in zip(self.data, other.data))
+        return IntMatrix._of(data, self.rows, self.cols)
 
     def transpose(self):
         return IntMatrix.from_columns(self.data, self.cols)
 
     def column(self, j):
         return tuple(map(itemgetter(j), self.data))
-
-    def apply(self, vec):
-        """Matrix-vector product, vec of length cols."""
-        if len(vec) != self.cols:
-            raise ShapeError(f"vector length {len(vec)} != cols {self.cols}")
-        return tuple(sum(row[j] * vec[j] for j in range(self.cols)) for row in self.data)
 
     @property
     def is_square(self):
@@ -179,7 +172,7 @@ class ColumnHermite:
         c = A.cols
         while c and not any(row[c - 1] for row in A.data):
             c -= 1
-        return A if c == A.cols else IntMatrix._trusted([row[:c] for row in A.data], (A.rows, c))
+        return A if c == A.cols else IntMatrix._of(tuple(row[:c] for row in A.data), A.rows, c)
 
     live_cols = property(lambda self: self._live.cols)  # the live part's width
 
@@ -341,9 +334,11 @@ def smith_normal_form(A):
     operations of a pass on the transpose are row operations, recorded in
     U^T.  A pass either replaces a leading pivot by a proper divisor or
     leaves its row and column clear, so the loop ends, with the nonzero
-    diagonal entries positive and first.  Each pair d_i, d_j with d_i not
-    dividing d_j then becomes (gcd, lcm) by one 2x2 unimodular row step and
-    one column step, so that d_i | d_{i+1}.
+    diagonal entries positive and first.  When a diagonal entry d_i does
+    not divide a later d_j, entry j is added to entry i of every column
+    (row j of M to row i, or column j to column i on the transpose, with
+    U or V alongside) and the loop runs on: its next pass puts gcd(d_i,
+    d_j), a proper divisor of d_i, at (i, i), so d_i | d_{i+1} at the end.
     """
     r, c = A.rows, A.cols
     # passes run on the columns of [M; V], keeping the rows of U aside, and
@@ -353,38 +348,27 @@ def smith_normal_form(A):
     n, transposed = r, False
     while True:
         _reduce_left(cols, _column_echelon(cols, n))
-        if all(x == 0 for j, col in enumerate(cols) for i, x in enumerate(col[:n]) if i != j):
+        if any(x for j, col in enumerate(cols) for i, x in enumerate(col[:n]) if i != j):
+            cols, aside = [[col[i] for col in cols] + aside[i] for i in range(n)], [
+                col[n:] for col in cols]
+            n, transposed = len(aside), not transposed
+            continue
+        d = [cols[i][i] for i in range(min(r, c))]
+        fix = next(((i, j) for i, j in combinations(range(len(d)), 2) if d[i] and d[j] % d[i]),
+                   None)
+        if fix is None:
             break
-        cols, aside = [[col[i] for col in cols] + aside[i] for i in range(n)], [
-            col[n:] for col in cols]
-        n, transposed = len(aside), not transposed
-    d = [cols[i][i] for i in range(min(r, c))]
+        i, j = fix
+        for col in cols:
+            col[i] += col[j]
+        aside[i] = [x + y for x, y in zip(aside[i], aside[j])]
     U, V = [col[n:] for col in cols], aside
     if not transposed:
         U, V = V, U
-    for i in range(len(d)):
-        for j in range(i + 1, len(d)):
-            a, b = d[i], d[j]
-            if a == 0 or b % a == 0:
-                continue
-            # s a + t b == g by an extended gcd: the inverse of a/g mod b/g
-            g = gcd(a, b)
-            s = pow(a // g, -1, b // g)
-            t = (g - s * a) // b
-            # rows i, j of U by (s, t; -b/g, a/g), columns i, j of V by
-            # (1, -t b/g; 1, s a/g): diag(a, b) becomes diag(g, a b / g)
-            Ui, Uj = U[i], U[j]
-            U[i] = [s * x + t * y for x, y in zip(Ui, Uj)]
-            U[j] = [a // g * y - b // g * x for x, y in zip(Ui, Uj)]
-            Vi, Vj = V[i], V[j]
-            V[i] = [x + y for x, y in zip(Vi, Vj)]
-            V[j] = [s * (a // g) * y - t * (b // g) * x for x, y in zip(Vi, Vj)]
-            d[i], d[j] = g, a // g * b
     return SmithDecomposition(
-        U=IntMatrix._trusted(U, shape=(r, r)),
-        D=IntMatrix._trusted(
-            [[d[i] if i == j else 0 for j in range(c)] for i in range(r)], shape=(r, c)
-        ),
+        U=IntMatrix._of(tuple(map(tuple, U)), r, r),
+        D=IntMatrix._of(tuple(tuple(d[i] if i == j else 0 for j in range(c)) for i in range(r)),
+                        r, c),
         V=IntMatrix.from_columns(V, c),
         invariant_factors=tuple(x for x in d if x),
     )

@@ -15,9 +15,11 @@ column count comes from the caller) and an element's shape (`check_shape`).
 Every other check belongs to the type being built (NilpotentLattice,
 LatticeHomomorphism with `validate_hom`, InfraStructure), which raises; the
 parser puts the location in front of the message and keeps the error's
-type.  Its checked pairs and holonomy images go into the TwistedAction it
-builds, which checks only the class and the maps, so `validate_problem`
-returns that action and checks nothing again.
+type.  It builds one TwistedAction for every kind, from the checked pairs
+(PAIRS) or holonomy images (INFRA) and the map pair (every kind but
+PAIRS), and the action checks only the class and the maps.  A ProblemFile
+is (kind, name, action, infra, expected): `validate_problem` returns the
+action and `compute_report` counts it, checking nothing again.
 """
 
 import json
@@ -27,7 +29,7 @@ from collections import namedtuple
 from itertools import product
 
 from .errors import NilcoError, ParseError, SchemaError, ShapeError
-from .infra import CosetAction, InfraStructure, decide_infra, infra_action
+from .infra import CosetAction, InfraStructure, decide_infra
 from .intmat import IntMatrix
 from .lattice import LatticeElement, LatticeHomomorphism, NilpotentLattice
 from .oracle import twisted_orbits_finite
@@ -176,9 +178,9 @@ def _parse_expected(obj, where):
     return out
 
 
-# `action` is the TwistedAction a PAIRS or INFRA file counts, built from parsed parts
-ProblemFile = namedtuple("ProblemFile", "kind name target phi psi action infra expected",
-                         defaults=(None,) * 5)
+# `action` is the TwistedAction the file counts: its target, and the map pair
+# (phi, psi) of a TORUS, NILMANIFOLD or INFRA (cover) file as `action.maps`
+ProblemFile = namedtuple("ProblemFile", "kind name action infra expected", defaults=(None, None))
 
 
 def _element_pairs(lattice, raw, where, what):
@@ -237,35 +239,30 @@ def parse_problem_dict(doc, where="problem"):
     if "target" not in doc:
         raise SchemaError(f"{where}: missing 'target'")
     target = parse_lattice(doc["target"], f"{where}.target")
-    head = dict(kind=kind, name=name, target=target,
-                expected=_parse_expected(doc.get("expected"), f"{where}.expected"))
-
+    expected = _parse_expected(doc.get("expected"), f"{where}.expected")
+    infra, pairs, maps = None, (), None
     if kind == "PAIRS":
         raw = doc.get("pairs")
         if not isinstance(raw, list):
             raise SchemaError(f"{where}: missing 'pairs' list")
         pairs = _element_pairs(target, raw, f"{where}.pairs", "phi, psi")
-        with _located(where):
-            action = TwistedAction._trusted(target, pairs)
-        return ProblemFile(**head, action=action)
-
-    # a map pair, on the cover for INFRA
-    if kind == "TORUS" and target.class_c != 1:
-        raise SchemaError(f"{where}: TORUS problems need a class-1 target")
-    if kind == "INFRA":
-        infra = _parse_infra(doc.get("infra"), target, where)
-        source, cover_pair = infra.cover, " (cover pair)"
-    else:
-        infra, cover_pair = None, ""
-        source = parse_lattice(doc["source"], f"{where}.source") if "source" in doc else target
-    maps = []
-    for key in ("F", "G"):
-        if key not in doc:
-            raise SchemaError(f"{where}: missing '{key}'{cover_pair}")
-        maps.append(parse_hom(source, target, doc[key], f"{where}.{key}"))
-    # INFRA's action: the cover pair and the images, each checked when parsed
-    action = None if infra is None else TwistedAction._trusted(target, infra.map_images, maps)
-    return ProblemFile(**head, phi=maps[0], psi=maps[1], action=action, infra=infra)
+    else:  # a map pair, on the cover for INFRA
+        if kind == "TORUS" and target.class_c != 1:
+            raise SchemaError(f"{where}: TORUS problems need a class-1 target")
+        if kind == "INFRA":
+            infra = _parse_infra(doc.get("infra"), target, where)
+            source, cover_pair, pairs = infra.cover, " (cover pair)", infra.map_images
+        else:
+            cover_pair = ""
+            source = parse_lattice(doc["source"], f"{where}.source") if "source" in doc else target
+        maps = []
+        for key in ("F", "G"):
+            if key not in doc:
+                raise SchemaError(f"{where}: missing '{key}'{cover_pair}")
+            maps.append(parse_hom(source, target, doc[key], f"{where}.{key}"))
+    with _located(where):  # pairs and images were checked when parsed
+        action = TwistedAction._trusted(target, pairs, maps)
+    return ProblemFile(kind, name, action, infra, expected)
 
 
 def parse_problem(path):
@@ -283,15 +280,9 @@ def parse_problem(path):
 
 
 def validate_problem(problem):
-    """The twisted action the problem counts: the parsed one (PAIRS, and
-    INFRA's cover movers plus holonomy pairs), else the map pair's
-    `from_homs` or, for an INFRA problem built by hand, `infra_action`,
-    which check what ties the parts together."""
-    if problem.action is not None:
-        return problem.action
-    if problem.kind == "INFRA":
-        return infra_action(problem.infra, problem.phi, problem.psi)
-    return TwistedAction.from_homs(problem.phi, problem.psi)
+    """The twisted action the problem counts, which was checked when it was
+    built: the parser's, or `TwistedAction.from_homs` or `infra_action`."""
+    return problem.action
 
 
 # -- canonical serialization ------------------------------------------
@@ -334,12 +325,12 @@ def compute_report(problem):
 
     Returns (report, cover_report); cover_report is None outside INFRA.
     """
-    if problem.kind in ("TORUS", "NILMANIFOLD"):
-        return coincidence_invariants(problem.phi, problem.psi), None
+    action = problem.action
     if problem.kind == "PAIRS":
-        return coincidence_invariants_from_pairs(problem.action), None
-    cover_report, report = decide_infra(problem.infra, problem.phi, problem.psi, problem.action)
-    return report, cover_report
+        return coincidence_invariants_from_pairs(action), None
+    if problem.kind == "INFRA":
+        return decide_infra(action)
+    return coincidence_invariants(*action.maps), None
 
 
 def _count_or_infinite(value):

@@ -159,7 +159,7 @@ class TwistedAction(namedtuple("TwistedAction", "target pairs maps", defaults=((
                 for f, g in zip(phi.matrices[0].data, psi.matrices[0].data)]
         if cols:
             rows = [row + tail for row, tail in zip(rows, zip(*cols))]
-        return IntMatrix._trusted(rows)  # r_1 >= 1 rows
+        return IntMatrix._of(tuple(rows), len(rows), len(rows[0]))  # r_1 >= 1 rows
 
 
 def _word_power(word, n):

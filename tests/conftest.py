@@ -56,6 +56,13 @@ def matmul(A, B):
     )
 
 
+def matvec(A, vec):
+    """The product A vec, for vec of length A.cols."""
+    if len(vec) != A.cols:
+        raise ShapeError(f"vector length {len(vec)} != cols {A.cols}")
+    return tuple(sum(x * y for x, y in zip(row, vec)) for row in A.data)
+
+
 def generators(lattice):
     """Level-wise basis elements, level 1 first: the generator order of
     `TwistedAction.from_homs`."""
@@ -386,7 +393,7 @@ def validate_hom_by_basis_pairs(hom):
     r1 = src.ranks[0]
     units = [tuple(int(k == i) for k in range(r1)) for i in range(r1)]
     for i, j in combinations(range(r1), 2):
-        expected = M2.apply(dense_bracket(src, units[i], units[j]))
+        expected = matvec(M2, dense_bracket(src, units[i], units[j]))
         actual = dense_bracket(tgt, M1.column(i), M1.column(j))
         if expected != actual:
             return (i, j, expected, actual)
@@ -453,16 +460,16 @@ def random_klein_like_infra(rng):
     det = a * d - b * c
     Ui = IntMatrix([[d * det, -b * det], [-c * det, a * det]])
     A = matmul(matmul(Ui, IntMatrix([[-1, 0], [0, 1]])), U)
-    t = Ui.apply((0, 1))
+    t = matvec(Ui, (0, 1))
     cover = torus(2)
     circle = torus(1)
     F = matmul(IntMatrix([[0, 2 * rng.randint(-3, 3)]]), U)
     G = matmul(IntMatrix([[0, 2 * rng.randint(-3, 3)]]), U)
     phi = LatticeHomomorphism(cover, circle, (F,))
     psi = LatticeHomomorphism(cover, circle, (G,))
-    f_img = F.apply(t)[0] // 2
-    g_img = G.apply(t)[0] // 2
-    assert 2 * f_img == F.apply(t)[0] and 2 * g_img == G.apply(t)[0]
+    f_img = matvec(F, t)[0] // 2
+    g_img = matvec(G, t)[0] // 2
+    assert 2 * f_img == matvec(F, t)[0] and 2 * g_img == matvec(G, t)[0]
     infra = InfraStructure(
         cover=cover,
         holonomy_order=2,
@@ -519,17 +526,17 @@ def _matrices(hom):
 
 def serialize_problem(problem):
     """Canonical dict form of a parsed problem (round-trip stable)."""
-    out = {"kind": problem.kind, "target": _lattice_dict(problem.target)}
+    action = problem.action
+    out = {"kind": problem.kind, "target": _lattice_dict(action.target)}
     if problem.name is not None:
         out["name"] = problem.name
     if problem.kind == "PAIRS":
-        out["pairs"] = [
-            [_element_list(p), _element_list(q)] for p, q in problem.action.movers
-        ]
+        out["pairs"] = [[_element_list(p), _element_list(q)] for p, q in action.pairs]
     else:
-        out["F"], out["G"] = _matrices(problem.phi), _matrices(problem.psi)
-    if problem.kind in ("TORUS", "NILMANIFOLD") and problem.phi.source != problem.target:
-        out["source"] = _lattice_dict(problem.phi.source)
+        phi, psi = action.maps
+        out["F"], out["G"] = _matrices(phi), _matrices(psi)
+        if problem.kind != "INFRA" and phi.source != action.target:
+            out["source"] = _lattice_dict(phi.source)
     if problem.kind == "INFRA":
         out["infra"] = {
             "cover": _lattice_dict(problem.infra.cover),

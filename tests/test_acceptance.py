@@ -24,7 +24,7 @@ from conftest import (
     torus_hom,
 )
 from nilco.cli import EXIT_OK, main
-from nilco.infra import CosetAction, InfraStructure, decide_infra
+from nilco.infra import CosetAction, InfraStructure, decide_infra, infra_action
 from nilco.intmat import IntMatrix, cokernel, determinant
 from nilco.lattice import LatticeHomomorphism
 from nilco.oracle import cokernel_oracle, twisted_orbits_finite
@@ -167,7 +167,7 @@ def test_criterion_5_infra_merge_and_infinity_equivalence():
         ),
         map_images=((circle.element(((1,),)), circle.element(((3,),))),),
     )
-    cover_report, report = decide_infra(infra, phi, psi)
+    report, cover_report = decide_infra(infra_action(infra, phi, psi))
     assert cover_report.R.count == 4
     assert report.R.count == 2 and report.N == 2 and report.deformable == NO
 
@@ -175,7 +175,7 @@ def test_criterion_5_infra_merge_and_infinity_equivalence():
     finite_cases = 0
     for _ in range(100):
         infra, phi, psi = random_klein_like_infra(rng)
-        cover_report, report = decide_infra(infra, phi, psi)
+        report, cover_report = decide_infra(infra_action(infra, phi, psi))
         assert (cover_report.R.infinite_level is None) == (report.R.infinite_level is None)
         if report.R.infinite_level is None:
             finite_cases += 1

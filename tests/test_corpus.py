@@ -42,6 +42,7 @@ from conftest import (
     torus,
 )
 from nilco.cli import main
+from nilco.infra import infra_action
 from nilco.intmat import IntMatrix
 from nilco.lattice import LatticeHomomorphism
 from nilco.problems import ProblemFile, parse_problem_dict, validate_problem
@@ -90,7 +91,7 @@ def random_torus(rng):
         G = IntMatrix([list(r) for r in G.data[:-1]] + [list(F.data[-1])], shape=(n, m))
     phi = LatticeHomomorphism(torus(m), torus(n), (F,))
     psi = LatticeHomomorphism(torus(m), torus(n), (G,))
-    return ProblemFile(kind="TORUS", name=None, target=torus(n), phi=phi, psi=psi)
+    return ProblemFile(kind="TORUS", name=None, action=TwistedAction.from_homs(phi, psi))
 
 
 def random_nilmanifold(rng):
@@ -101,10 +102,8 @@ def random_nilmanifold(rng):
     else:
         source = rng.choice((target, free_class2(3)))
         M1, N1 = (random_matrix(rng, target.ranks[0], source.ranks[0], -3, 3) for _ in range(2))
-    return ProblemFile(
-        kind="NILMANIFOLD", name=None, target=target,
-        phi=_hom(source, target, M1), psi=_hom(source, target, N1),
-    )
+    action = TwistedAction.from_homs(_hom(source, target, M1), _hom(source, target, N1))
+    return ProblemFile(kind="NILMANIFOLD", name=None, action=action)
 
 
 def random_pairs(rng):
@@ -115,13 +114,12 @@ def random_pairs(rng):
         (random_element(rng, target, -3, 3), random_element(rng, target, -3, 3))
         for _ in range(rng.randint(target.ranks[0], target.ranks[0] + 2))
     ]
-    return ProblemFile(kind="PAIRS", name=None, target=target,
-                       action=TwistedAction(target, pairs))
+    return ProblemFile(kind="PAIRS", name=None, action=TwistedAction(target, pairs))
 
 
 def random_infra(rng):
     infra, phi, psi = random_klein_like_infra(rng)
-    return ProblemFile(kind="INFRA", name=None, target=phi.target, phi=phi, psi=psi, infra=infra)
+    return ProblemFile(kind="INFRA", name=None, action=infra_action(infra, phi, psi), infra=infra)
 
 
 def random_class3(rng):
@@ -176,7 +174,7 @@ def _labels(doc, report, rng):
     engine = TwistedOrbitEngine(validate_problem(problem))
     pairs = []
     for _ in range(3):
-        rep, witness = engine.label(random_element(rng, problem.target, -9, 9))
+        rep, witness = engine.label(random_element(rng, problem.action.target, -9, 9))
         pairs.append([[list(x) for x in rep.coordinates], [list(x) for x in witness]])
     return _sha(json.dumps(pairs))
 

@@ -117,7 +117,7 @@ class TestValidation:
             map_images=((cover.identity(), cover.identity()),),
         )
         with pytest.raises(ShapeError, match="does not match rank 1"):
-            decide_infra(foreign, phi, psi)
+            infra_action(foreign, phi, psi)
         mixed = foreign._replace(map_images=((cover.identity(), phi.target.identity()),))
         with pytest.raises(ShapeError, match=r"^level vector \(0, 0\) does not match rank 1$"):
             infra_action(mixed, phi, psi)
@@ -143,7 +143,7 @@ class TestValidation:
 class TestDecision:
     def test_klein_bottle_merges_four_to_two(self):
         infra, phi, psi = klein_bottle_setup(f_deg=2, g_deg=6)
-        cover_report, report = decide_infra(infra, phi, psi)
+        report, cover_report = decide_infra(infra_action(infra, phi, psi))
         assert cover_report.R.count == 4
         assert report.R.infinite_level is None and report.R.count == 2
         assert report.N == 2 and report.deformable == NO
@@ -154,14 +154,14 @@ class TestDecision:
     def test_merge_count_varies_with_degrees(self):
         for f_deg, g_deg in ((0, 8), (2, 10), (0, 4), (2, 14)):
             infra, phi, psi = klein_bottle_setup(f_deg, g_deg)
-            cover_report, report = decide_infra(infra, phi, psi)
+            report, cover_report = decide_infra(infra_action(infra, phi, psi))
             assert report.R.count == brute_force_klein_count(f_deg, g_deg)
             h = infra.holonomy_order
             assert ceil(cover_report.R.count / h) <= report.R.count <= cover_report.R.count
 
     def test_infinite_cover_settles_the_question(self):
         infra, phi, _ = klein_bottle_setup(f_deg=2, g_deg=2)
-        cover_report, report = decide_infra(infra, phi, phi)
+        report, cover_report = decide_infra(infra_action(infra, phi, phi))
         assert cover_report.R.infinite_level is not None
         assert report.R.infinite_level is not None
         assert report.N == 0 and report.deformable == YES
@@ -172,7 +172,7 @@ class TestDecision:
         circle = torus(1)
         wrong = LatticeHomomorphism(circle, circle, (IntMatrix([[2]]),))
         with pytest.raises(ShapeError):
-            decide_infra(infra, wrong, wrong)
+            infra_action(infra, wrong, wrong)
 
     def test_class3_cover_maps_are_refused(self):
         # no group law past class 2 to check the lifted maps against
@@ -212,9 +212,9 @@ class TestClassTwoInfra:
         rng = random.Random(f"class2-infra:{k}")
         for _ in range(12):
             infra, phi, psi = heisenberg_scalar_infra(rng, k, rng.choice((2, 3)))
-            cover_report, report = decide_infra(infra, phi, psi)
-            assert cover_report.R.count == k**4
             action = infra_action(infra, phi, psi)
+            report, cover_report = decide_infra(action)
+            assert cover_report.R.count == k**4
             assert report.R.infinite_level is None
             assert report.R.count == report.N == oracle_orbit_count(action, k * k)
             # the default modulus the `oracle` command reads separates every class too
@@ -224,7 +224,7 @@ class TestClassTwoInfra:
 
     def test_cover_of_six_hundred_thousand_classes(self):
         infra, phi, psi = klein_bottle_setup(f_deg=0, g_deg=600_000)
-        cover_report, report = decide_infra(infra, phi, psi)
+        report, cover_report = decide_infra(infra_action(infra, phi, psi))
         assert cover_report.R.count == 600_000
         assert report.R.count == report.N == 300_000
         assert report.R.reps is None

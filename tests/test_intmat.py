@@ -15,6 +15,7 @@ import conftest
 from conftest import (
     determinant_cofactor,
     matmul,
+    matvec,
     random_matrix,
     sympy_cokernel_order,
     sympy_invariant_factors,
@@ -35,6 +36,24 @@ from nilco.intmat import (
 
 def is_unimodular(M):
     return M.is_square and determinant(M) in (1, -1)
+
+
+def assert_smith_contract(A):
+    """Check smith_normal_form(A) against its contract and sympy's invariant
+    factors; returns the invariant factors."""
+    snf = smith_normal_form(A)
+    assert matmul(matmul(snf.U, A), snf.V) == snf.D
+    assert is_unimodular(snf.U)
+    assert is_unimodular(snf.V)
+    diag = [snf.D.data[i][i] for i in range(min(A.rows, A.cols))]
+    assert all(d >= 0 for d in diag)
+    for i in range(len(diag) - 1):
+        if diag[i + 1] != 0:
+            assert diag[i] != 0 and diag[i + 1] % diag[i] == 0
+    # off-diagonal must vanish
+    assert all(x == 0 for i, row in enumerate(snf.D.data) for j, x in enumerate(row) if i != j)
+    assert snf.invariant_factors == sympy_invariant_factors(A)
+    return snf.invariant_factors
 
 
 def sympy_rank(A):
@@ -67,7 +86,7 @@ class TestMatrixBasics:
         A = IntMatrix([[1, 2], [3, 4]])
         B = IntMatrix([[0, 1], [1, 0]])
         assert matmul(A, B) == IntMatrix([[2, 1], [4, 3]])
-        assert A.apply((1, 1)) == (3, 7)
+        assert matvec(A, (1, 1)) == (3, 7)
         assert A.column(1) == (2, 4)
         assert IntMatrix.from_columns([(1, 3), (2, 4)], 2) == A
         assert IntMatrix.from_columns([(1, 3, 9), (2, 4, 9)], 2) == A  # first `rows` entries
@@ -107,7 +126,7 @@ class TestMatrixBasics:
         with pytest.raises(ShapeError, match="shape mismatch: 2x2 vs 1x2"):
             A - IntMatrix([[1, 2]])
         with pytest.raises(ShapeError, match="vector length 1 != cols 2"):
-            A.apply((1,))
+            matvec(A, (1,))
         with pytest.raises(ShapeError, match="vector length 3 != rows 2"):
             reduce_to_canonical_rep((1, 2, 3), column_hermite(A))
 
@@ -161,22 +180,35 @@ class TestSmithNormalForm:
                 A = IntMatrix([A.data[0], *A.data[:-1]], shape=(r, c))
             if c >= 2 and rng.random() < 0.3:
                 A = IntMatrix([[row[0], *row[:-1]] for row in A.data], shape=(r, c))
-            snf = smith_normal_form(A)
-            assert matmul(matmul(snf.U, A), snf.V) == snf.D
-            assert is_unimodular(snf.U)
-            assert is_unimodular(snf.V)
-            diag = [snf.D.data[i][i] for i in range(min(r, c))]
-            assert all(d >= 0 for d in diag)
-            for i in range(len(diag) - 1):
-                if diag[i + 1] != 0:
-                    assert diag[i] != 0 and diag[i + 1] % diag[i] == 0
-            # off-diagonal must vanish
-            for i in range(r):
-                for j in range(c):
-                    if i != j:
-                        assert snf.D.data[i][j] == 0
-            assert snf.invariant_factors == sympy_invariant_factors(A)
+            assert_smith_contract(A)
             assert len(column_hermite(A).pivots) == sympy_rank(A)
+
+    @pytest.mark.parametrize("diagonal, factors", [
+        ((6, 10, 15), (1, 30, 30)),
+        ((4, 6, 9, 35), (1, 1, 6, 1260)),
+        ((35, 9, 6, 4), (1, 1, 6, 1260)),
+        ((0, 6, 0, 10, 15), (1, 30, 30)),
+    ])
+    def test_divisibility_fix_ups(self, diagonal, factors):
+        # entries that divide no later one: each fix-up adds a row (or a
+        # column) and runs the elimination loop again, several times here
+        n = len(diagonal)
+        for r, c in ((n, n), (n, n + 2), (n + 2, n)):
+            A = IntMatrix([[diagonal[i] if i == j and i < n else 0 for j in range(c)]
+                           for i in range(r)])
+            assert assert_smith_contract(A) == factors
+
+    def test_near_diagonal_matrices(self, rng):
+        # diagonals of products of small primes, most not dividing the next,
+        # with a few small entries off the diagonal
+        for _ in range(400):
+            r, c = rng.randint(1, 5), rng.randint(1, 5)
+            entries = [[0] * c for _ in range(r)]
+            for i in range(min(r, c)):
+                entries[i][i] = prod(rng.sample((2, 2, 3, 3, 5, 7, 11), rng.randint(0, 3)))
+            for _ in range(rng.randint(0, 2)):
+                entries[rng.randrange(r)][rng.randrange(c)] += rng.randint(-3, 3)
+            assert_smith_contract(IntMatrix(entries))
 
     def test_invariant_factor_product_is_det(self, rng):
         from math import prod
@@ -201,7 +233,7 @@ class TestKernel:
             basis = kernel_basis(column_hermite(A))
             assert len(basis) == A.cols - sympy_rank(A)
             for v in basis:
-                assert A.apply(v) == (0,) * A.rows
+                assert matvec(A, v) == (0,) * A.rows
 
     def test_kernel_basis_is_saturated(self, rng):
         # a basis of a direct summand: every invariant factor is 1
@@ -579,11 +611,11 @@ class TestCanonicalReduction:
             ch = column_hermite(A)
             u = tuple(rng.randint(-20, 20) for _ in range(r))
             rep, z = reduce_to_canonical_rep(u, ch)
-            assert tuple(x - y for x, y in zip(u, rep)) == A.apply(z)
+            assert tuple(x - y for x, y in zip(u, rep)) == matvec(A, z)
             again, z2 = reduce_to_canonical_rep(rep, ch)
             assert again == rep and all(x == 0 for x in z2)
             shift = tuple(rng.randint(-3, 3) for _ in range(c))
-            u2 = tuple(x + y for x, y in zip(u, A.apply(shift)))
+            u2 = tuple(x + y for x, y in zip(u, matvec(A, shift)))
             rep2, _ = reduce_to_canonical_rep(u2, ch)
             assert rep2 == rep
 

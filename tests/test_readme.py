@@ -29,4 +29,4 @@ def test_library_example_states_what_it_computes():
         value = eval(compile(ast.Expression(stmt.value), "README.md", "eval"), namespace)
         assert value == ast.literal_eval(stated.group(1)), lines[stmt.end_lineno - 1]
         checked.append(value)
-    assert checked == [16, 16, "no", 16, "unknown"]
+    assert checked == [16, 16, "no", 16, "unknown", 2, 4]

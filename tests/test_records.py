@@ -65,8 +65,8 @@ def record_fields():
         (InfraStructure, klein_bottle_fields()),
         (SmithDecomposition, snf._asdict()),
         (CokernelStructure, dict(free_rank=0, torsion=(6,), order=6)),
-        (ProblemFile, dict(kind="TORUS", name="t", target=torus(1), phi=None, psi=None,
-                           action=None, infra=None, expected=None)),
+        (ProblemFile, dict(kind="PAIRS", name="t", action=TwistedAction(torus(1)), infra=None,
+                           expected=None)),
     ]
 
 

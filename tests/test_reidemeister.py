@@ -27,6 +27,7 @@ from conftest import (
     heisenberg_squared,
     heisenberg_self_map,
     identity_matrix,
+    matvec,
     mover_delta1,
     pillai,
     random_element,
@@ -229,7 +230,7 @@ class TestLabels:
             assert [u.coordinates for u in reps] == [((0, 0), ()), ((1, 0), ())]
             for u in reps:
                 assert engine.label(u)[0] == u
-            u = problem.target.element(((5, 3), ()))
+            u = problem.action.target.element(((5, 3), ()))
             rep, word = engine.label(u)
             assert rep.coordinates == ((1, 0), ()) and engine.move(u, word) == rep
         R = compute_report(parse_problem_dict(NO_CENTRE_INFINITE))[0].R
@@ -618,7 +619,7 @@ class TestMovers:
             # a one-letter word (a unit vector at one level) maps level by
             # level through the level matrices, cut to the target's class
             levels = g.coordinates + ((),) * (hom.depth - len(g.coordinates))
-            images = tuple(M.apply(v) for M, v in zip(hom.matrices, levels))
+            images = tuple(matvec(M, v) for M, v in zip(hom.matrices, levels))
             return LatticeElement(images[:hom.target.class_c])
 
         for _ in range(20):
